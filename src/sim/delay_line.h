@@ -6,6 +6,7 @@
 // the CAM cell, block, and unit their exact register-stage latencies.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -52,14 +53,17 @@ class DelayLine {
   /// The value sitting in the final register now - i.e. what the *coming*
   /// shift() will move into output(). Lets commit-phase logic that runs
   /// before its own shift() ask "is something about to emerge this edge?".
-  const std::optional<T>& peek_last() const noexcept { return regs_.back(); }
+  const std::optional<T>& peek_last() const noexcept { return regs_[last_]; }
 
-  /// Commit phase: advance every register by one stage.
+  /// Commit phase: advance every register by one stage. The registers form
+  /// a ring, so this moves the final register out, refills its slot with
+  /// the staged input (now the first stage) and rotates the ring: O(1) in
+  /// the stage count.
   void shift() {
-    output_ = std::move(regs_.back());
-    for (std::size_t i = regs_.size() - 1; i > 0; --i) regs_[i] = std::move(regs_[i - 1]);
-    regs_.front() = std::move(next_);
+    output_ = std::move(regs_[last_]);
+    regs_[last_] = std::move(next_);
     next_.reset();
+    if (++last_ == regs_.size()) last_ = 0;
   }
 
   /// Clears all stages and the output (models a synchronous reset).
@@ -80,7 +84,11 @@ class DelayLine {
 
  private:
   unsigned stages_;
-  std::vector<std::optional<T>> regs_;  // regs_[0] is the stage nearest input
+  /// Ring of register stages: regs_[last_] is the final register and each
+  /// slot after it (mod N) is one stage nearer the input, so the slot
+  /// before it is the first stage.
+  std::vector<std::optional<T>> regs_;
+  std::size_t last_ = 0;
   std::optional<T> next_;
   std::optional<T> output_;
 };

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 
 #include "src/common/error.h"
+#include "src/common/ring_queue.h"
 
 namespace dspcam::sim {
 
@@ -44,7 +44,7 @@ class Fifo {
 
   /// Read-only iteration, front (oldest) to back - occupancy inspection for
   /// schedulers (e.g. CamSystem::output_horizon scans queued ops' latencies).
-  using const_iterator = typename std::deque<T>::const_iterator;
+  using const_iterator = typename RingQueue<T>::const_iterator;
   const_iterator begin() const noexcept { return items_.begin(); }
   const_iterator end() const noexcept { return items_.end(); }
 
@@ -61,7 +61,7 @@ class Fifo {
 
  private:
   std::size_t capacity_;
-  std::deque<T> items_;
+  RingQueue<T> items_;  ///< Allocation-free once warm.
 };
 
 }  // namespace dspcam::sim

@@ -144,28 +144,34 @@ void ShardedCamEngine::configure_groups(unsigned m) {
   }
 }
 
-bool ShardedCamEngine::plan(const cam::UnitRequest& request,
-                            std::vector<SubRequest>& out) const {
+void ShardedCamEngine::plan(const cam::UnitRequest& request) {
   const unsigned s_count = shard_count();
+  subs_.clear();
+  const auto add_sub = [&](unsigned s) -> SubRequest& {
+    SubRequest& sub = subs_.emplace_back();
+    sub.shard = s;
+    sub.req.op = request.op;
+    sub.req.seq = request.seq;
+    return sub;
+  };
+  // Beat positions by the shard their value partitions to.
+  const auto bucket = [&](const std::vector<cam::Word>& values) {
+    buckets_.resize(s_count);
+    for (auto& b : buckets_) b.clear();
+    for (std::uint32_t i = 0; i < values.size(); ++i) {
+      buckets_[shard_of(values[i])].push_back(i);
+    }
+  };
   switch (request.op) {
     case cam::OpKind::kSearch: {
-      std::vector<std::vector<std::uint32_t>> buckets(s_count);
-      for (std::uint32_t i = 0; i < request.keys.size(); ++i) {
-        buckets[shard_of(request.keys[i])].push_back(i);
-      }
+      bucket(request.keys);
       for (unsigned s = 0; s < s_count; ++s) {
+        const auto& b = buckets_[s];
         const unsigned lanes = std::max(1u, shards_[s]->max_keys_per_beat());
-        for (std::size_t lo = 0; lo < buckets[s].size(); lo += lanes) {
-          const std::size_t hi = std::min(buckets[s].size(), lo + lanes);
-          SubRequest sub;
-          sub.shard = s;
-          sub.req.op = cam::OpKind::kSearch;
-          sub.req.seq = request.seq;
-          for (std::size_t i = lo; i < hi; ++i) {
-            sub.positions.push_back(buckets[s][i]);
-            sub.req.keys.push_back(request.keys[buckets[s][i]]);
-          }
-          out.push_back(std::move(sub));
+        for (std::size_t lo = 0; lo < b.size(); lo += lanes) {
+          SubRequest& sub = add_sub(s);
+          sub.positions = positions_pool_.acquire();
+          sub.positions.assign(b.begin() + lo, b.begin() + std::min(b.size(), lo + lanes));
         }
       }
       break;
@@ -182,40 +188,30 @@ bool ShardedCamEngine::plan(const cam::UnitRequest& request,
         const unsigned per_beat = std::max(1u, shards_[s]->words_per_beat());
         for (std::size_t lo = 0; lo < request.words.size(); lo += per_beat) {
           const std::size_t hi = std::min(request.words.size(), lo + per_beat);
-          SubRequest sub;
-          sub.shard = s;
-          sub.req.op = cam::OpKind::kUpdate;
-          sub.req.seq = request.seq;
+          SubRequest& sub = add_sub(s);
           sub.req.address = addr % shard_cap + static_cast<std::uint32_t>(lo);
           sub.req.words.assign(request.words.begin() + lo, request.words.begin() + hi);
           if (!request.masks.empty()) {
             sub.req.masks.assign(request.masks.begin() + lo,
                                  request.masks.begin() + std::min(hi, request.masks.size()));
           }
-          out.push_back(std::move(sub));
         }
       } else {
         // Append: each word lands on the shard its key value hashes to.
-        std::vector<std::vector<std::uint32_t>> buckets(s_count);
-        for (std::uint32_t i = 0; i < request.words.size(); ++i) {
-          buckets[shard_of(request.words[i])].push_back(i);
-        }
+        bucket(request.words);
         for (unsigned s = 0; s < s_count; ++s) {
+          const auto& b = buckets_[s];
           const unsigned per_beat = std::max(1u, shards_[s]->words_per_beat());
-          for (std::size_t lo = 0; lo < buckets[s].size(); lo += per_beat) {
-            const std::size_t hi = std::min(buckets[s].size(), lo + per_beat);
-            SubRequest sub;
-            sub.shard = s;
-            sub.req.op = cam::OpKind::kUpdate;
-            sub.req.seq = request.seq;
+          for (std::size_t lo = 0; lo < b.size(); lo += per_beat) {
+            const std::size_t hi = std::min(b.size(), lo + per_beat);
+            SubRequest& sub = add_sub(s);
             for (std::size_t i = lo; i < hi; ++i) {
-              const std::uint32_t w = buckets[s][i];
+              const std::uint32_t w = b[i];
               sub.req.words.push_back(request.words[w]);
               if (!request.masks.empty() && w < request.masks.size()) {
                 sub.req.masks.push_back(request.masks[w]);
               }
             }
-            out.push_back(std::move(sub));
           }
         }
       }
@@ -228,28 +224,16 @@ bool ShardedCamEngine::plan(const cam::UnitRequest& request,
       if (s >= s_count) {
         throw SimError("ShardedCamEngine: invalidate beyond capacity");
       }
-      SubRequest sub;
-      sub.shard = s;
-      sub.req.op = cam::OpKind::kInvalidate;
-      sub.req.seq = request.seq;
-      sub.req.address = addr % shard_cap;
-      out.push_back(std::move(sub));
+      add_sub(s).req.address = addr % shard_cap;
       break;
     }
     case cam::OpKind::kReset: {
-      for (unsigned s = 0; s < s_count; ++s) {
-        SubRequest sub;
-        sub.shard = s;
-        sub.req.op = cam::OpKind::kReset;
-        sub.req.seq = request.seq;
-        out.push_back(std::move(sub));
-      }
+      for (unsigned s = 0; s < s_count; ++s) add_sub(s);
       break;
     }
     case cam::OpKind::kIdle:
       break;
   }
-  return true;
 }
 
 void ShardedCamEngine::settle() {
@@ -261,50 +245,59 @@ void ShardedCamEngine::settle() {
 
 bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
   settle();
-  std::vector<SubRequest> subs;
-  plan(request, subs);
+  plan(request);
 
   // Feasibility first: the whole beat is accepted or refused atomically.
   // Sub-requests bound for a quarantined shard never reach it - they are
   // settled below as shard_failed / zero-word results - so only the live
   // shards gate acceptance.
-  std::vector<unsigned> need(shard_count(), 0);
+  need_.assign(shard_count(), 0);
   unsigned live_subs = 0;
-  for (const auto& sub : subs) {
+  for (const auto& sub : subs_) {
     if (quarantined_[sub.shard]) continue;
-    ++need[sub.shard];
+    ++need_[sub.shard];
     ++live_subs;
   }
   const bool completes = request.op == cam::OpKind::kSearch ||
                          request.op == cam::OpKind::kUpdate ||
                          request.op == cam::OpKind::kInvalidate;
-  for (unsigned s = 0; s < shard_count(); ++s) {
-    if (need[s] == 0) continue;
+  const auto feasible = [&](unsigned s) {
     if (!pending_issue_[s].empty() || shards_[s]->request_full()) return false;
-    if (completes && credits_[s] < need[s]) return false;
+    if (completes && credits_[s] < need_[s]) return false;
     // A reset beat flushes any search still inside the unit pipeline (the
     // hardware produces no result beat for it), which would orphan the
     // engine's completion bookkeeping. The engine therefore fences: a reset
     // waits for the shard's outstanding completions, and fresh work waits
     // for a settling reset.
     if (resetting_[s]) return false;
-    if (request.op == cam::OpKind::kReset &&
-        (!expected_search_[s].empty() || !expected_ack_[s].empty())) {
-      return false;
+    return request.op != cam::OpKind::kReset ||
+           (expected_search_[s].empty() && expected_ack_[s].empty());
+  };
+  for (unsigned s = 0; s < shard_count(); ++s) {
+    if (need_[s] == 0 || feasible(s)) continue;
+    if (request.op == cam::OpKind::kSearch) {
+      for (auto& sub : subs_) positions_pool_.release(std::move(sub.positions));
     }
+    return false;
   }
 
   // Allocate the reorder-buffer entry. Sampled beats open their dispatch ->
   // reorder-completion span here (serial path; the tracer is lock-free).
   const bool traced = tracer_ != nullptr && tracer_->sampled(request.seq);
+  std::uint64_t beat_id = 0;
   if (request.op == cam::OpKind::kSearch) {
     SearchBeat beat;
     beat.seq = request.seq;
     beat.pending = live_subs;
     beat.ready = cycles_;  // beats settled entirely at submit pop right away
+    // Every result slot carries its key from the start: a live shard's
+    // response overwrites the slot, quarantine back-fill keeps the key.
     beat.results = results_pool_.acquire();
     beat.results.clear();
     beat.results.resize(request.keys.size());
+    for (std::size_t i = 0; i < request.keys.size(); ++i) {
+      beat.results[i].key = request.keys[i];
+    }
     if (traced) {
       beat.span = tracer_->begin("beat.search", kTrackEngineBeats, cycles_);
       tracer_->arg(beat.span, "ticket", request.seq);
@@ -313,29 +306,16 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
     }
     // Keys routed to quarantined shards settle now: no search happens, the
     // result says so instead of reporting a miss.
-    for (const auto& sub : subs) {
+    for (auto& sub : subs_) {
       if (!quarantined_[sub.shard]) continue;
-      for (std::size_t j = 0; j < sub.positions.size(); ++j) {
-        auto& r = beat.results.at(sub.positions[j]);
-        r.key = sub.req.keys[j];
-        r.shard = static_cast<std::uint16_t>(sub.shard);
-        r.shard_failed = true;
+      for (const std::uint32_t pos : sub.positions) {
+        beat.results[pos].shard = static_cast<std::uint16_t>(sub.shard);
+        beat.results[pos].shard_failed = true;
       }
+      positions_pool_.release(std::move(sub.positions));
     }
-    const std::uint64_t beat_id = search_rob_base_ + search_rob_.size();
+    beat_id = search_rob_base_ + search_rob_.size();
     search_rob_.push_back(std::move(beat));
-    for (const auto& sub : subs) {
-      if (quarantined_[sub.shard]) continue;
-      std::uint64_t sub_span = telemetry::SpanTracer::kNone;
-      if (traced) {
-        sub_span = tracer_->begin("sub.search", kTrackShardBase + sub.shard, cycles_);
-        tracer_->arg(sub_span, "ticket", request.seq);
-        tracer_->arg(sub_span, "shard", sub.shard);
-        tracer_->arg(sub_span, "keys", sub.req.keys.size());
-      }
-      expected_search_[sub.shard].push_back(
-          {beat_id, sub.positions, sub.req.keys, sub_span});
-    }
   } else if (completes) {
     AckBeat beat;
     beat.seq = request.seq;
@@ -349,30 +329,41 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
       tracer_->arg(beat.span, "ticket", request.seq);
       tracer_->arg(beat.span, "sub_ops", live_subs);
     }
-    const std::uint64_t beat_id = ack_rob_base_ + ack_rob_.size();
+    beat_id = ack_rob_base_ + ack_rob_.size();
     ack_rob_.push_back(std::move(beat));
-    for (const auto& sub : subs) {
-      if (quarantined_[sub.shard]) continue;
-      std::uint64_t sub_span = telemetry::SpanTracer::kNone;
-      if (traced) {
-        sub_span = tracer_->begin("sub.update", kTrackShardBase + sub.shard, cycles_);
-        tracer_->arg(sub_span, "ticket", request.seq);
-        tracer_->arg(sub_span, "shard", sub.shard);
-      }
-      expected_ack_[sub.shard].push_back({beat_id, sub_span});
-    }
   }
 
-  // Issue: straight into the shard FIFO when it has room, else park in the
-  // per-shard issue queue (pumped every cycle). Credits are held from issue
-  // to collection either way.
-  for (auto& sub : subs) {
-    if (quarantined_[sub.shard]) continue;
-    if (request.op == cam::OpKind::kReset) resetting_[sub.shard] = 1;
-    if (completes) --credits_[sub.shard];
-    if (shards_[sub.shard]->request_full()) {
-      pending_issue_[sub.shard].push_back(std::move(sub.req));
-    } else if (!shards_[sub.shard]->try_submit(std::move(sub.req))) {
+  // Expect each live sub-operation back, then issue it: straight into the
+  // shard FIFO when it has room, else park in the per-shard issue queue
+  // (pumped every cycle). Credits are held from issue to collection either
+  // way.
+  for (auto& sub : subs_) {
+    const unsigned s = sub.shard;
+    if (quarantined_[s]) continue;
+    std::uint64_t sub_span = telemetry::SpanTracer::kNone;
+    if (request.op == cam::OpKind::kSearch) {
+      sub.req.keys.reserve(sub.positions.size());
+      for (const std::uint32_t pos : sub.positions) sub.req.keys.push_back(request.keys[pos]);
+      if (traced) {
+        sub_span = tracer_->begin("sub.search", kTrackShardBase + s, cycles_);
+        tracer_->arg(sub_span, "ticket", request.seq);
+        tracer_->arg(sub_span, "shard", s);
+        tracer_->arg(sub_span, "keys", sub.req.keys.size());
+      }
+      expected_search_[s].push_back({beat_id, std::move(sub.positions), sub_span});
+    } else if (completes) {
+      if (traced) {
+        sub_span = tracer_->begin("sub.update", kTrackShardBase + s, cycles_);
+        tracer_->arg(sub_span, "ticket", request.seq);
+        tracer_->arg(sub_span, "shard", s);
+      }
+      expected_ack_[s].push_back({beat_id, sub_span});
+    }
+    if (request.op == cam::OpKind::kReset) resetting_[s] = 1;
+    if (completes) --credits_[s];
+    if (shards_[s]->request_full()) {
+      pending_issue_[s].push_back(std::move(sub.req));
+    } else if (!shards_[s]->try_submit(std::move(sub.req))) {
       throw SimError("ShardedCamEngine: shard refused despite request_full() == false");
     }
   }
@@ -390,69 +381,73 @@ void ShardedCamEngine::pump(unsigned s) {
 }
 
 void ShardedCamEngine::collect() {
-  const unsigned s_count = shard_count();
-  const unsigned shard_cap = shards_.front()->capacity();
-  for (unsigned i = 0; i < s_count; ++i) {
-    const unsigned s = (rr_start_ + i) % s_count;
+  for (unsigned s = 0; s < shard_count(); ++s) {
     if (quarantined_[s]) continue;  // owed nothing; stale output stays put
-    while (auto resp = shards_[s]->try_pop_response()) {
-      if (expected_search_[s].empty()) {
-        throw SimError("ShardedCamEngine: unexpected shard response");
-      }
-      const ExpectedSearch exp = std::move(expected_search_[s].front());
-      expected_search_[s].pop_front();
-      if (tracer_ != nullptr) tracer_->end(exp.span, cycles_);
-      auto& beat = search_rob_.at(exp.beat_id - search_rob_base_);
-      for (std::size_t j = 0; j < resp->results.size(); ++j) {
-        cam::UnitSearchResult r = resp->results[j];
-        r.shard = static_cast<std::uint16_t>(s);
-        r.global_address += s * shard_cap;
-        beat.results.at(exp.positions.at(j)) = r;
-      }
-      --beat.pending;
-      beat.ready = std::max(beat.ready, cycles_ + 1);
-      ++credits_[s];
-      // The scattered shard response is an empty shell now - recycle its
-      // heap buffer for a future SearchBeat.
-      results_pool_.release(std::move(resp->results));
-    }
-    while (auto ack = shards_[s]->try_pop_ack()) {
-      if (expected_ack_[s].empty()) {
-        throw SimError("ShardedCamEngine: unexpected shard ack");
-      }
-      const ExpectedAck exp = expected_ack_[s].front();
-      expected_ack_[s].pop_front();
-      if (tracer_ != nullptr) tracer_->end(exp.span, cycles_);
-      auto& beat = ack_rob_.at(exp.beat_id - ack_rob_base_);
-      beat.ack.words_written += ack->words_written;
-      beat.ack.unit_full = beat.ack.unit_full || ack->unit_full;
-      --beat.pending;
-      beat.ready = std::max(beat.ready, cycles_ + 1);
-      ++credits_[s];
-    }
+    while (auto resp = shards_[s]->try_pop_response()) land_response(s, *resp, cycles_);
+    while (auto ack = shards_[s]->try_pop_ack()) land_ack(s, *ack, cycles_);
   }
-  if (s_count > 1) rr_start_ = (rr_start_ + 1) % s_count;
+}
+
+void ShardedCamEngine::land_response(unsigned s, cam::UnitResponse& resp,
+                                     std::uint64_t cyc) {
+  if (expected_search_[s].empty()) {
+    throw SimError("ShardedCamEngine: unexpected shard response");
+  }
+  ExpectedSearch& exp = expected_search_[s].front();
+  if (tracer_ != nullptr) tracer_->end(exp.span, cyc);
+  auto& beat = search_rob_.at(exp.beat_id - search_rob_base_);
+  const unsigned base = s * shards_.front()->capacity();
+  for (std::size_t j = 0; j < resp.results.size(); ++j) {
+    cam::UnitSearchResult& r = beat.results.at(exp.positions.at(j));
+    r = resp.results[j];
+    r.shard = static_cast<std::uint16_t>(s);
+    r.global_address += base;
+  }
+  --beat.pending;
+  beat.ready = std::max(beat.ready, cyc + 1);
+  ++credits_[s];
+  positions_pool_.release(std::move(exp.positions));
+  expected_search_[s].pop_front();
+  // The scattered shard response is an empty shell now - recycle its heap
+  // buffer for a future SearchBeat.
+  results_pool_.release(std::move(resp.results));
+}
+
+void ShardedCamEngine::land_ack(unsigned s, const cam::UnitUpdateAck& ack,
+                                std::uint64_t cyc) {
+  if (expected_ack_[s].empty()) {
+    throw SimError("ShardedCamEngine: unexpected shard ack");
+  }
+  const ExpectedAck exp = expected_ack_[s].front();
+  expected_ack_[s].pop_front();
+  if (tracer_ != nullptr) tracer_->end(exp.span, cyc);
+  auto& beat = ack_rob_.at(exp.beat_id - ack_rob_base_);
+  beat.ack.words_written += ack.words_written;
+  beat.ack.unit_full = beat.ack.unit_full || ack.unit_full;
+  --beat.pending;
+  beat.ready = std::max(beat.ready, cyc + 1);
+  ++credits_[s];
 }
 
 std::optional<cam::UnitResponse> ShardedCamEngine::try_pop_response() {
-  collect();
   if (search_rob_.empty() || search_rob_.front().pending != 0) return std::nullopt;
+  SearchBeat& beat = search_rob_.front();
   cam::UnitResponse resp;
-  resp.seq = search_rob_.front().seq;
-  resp.results = std::move(search_rob_.front().results);
-  last_completion_cycle_ = search_rob_.front().ready;
-  if (tracer_ != nullptr) tracer_->end(search_rob_.front().span, cycles_);
+  resp.seq = beat.seq;
+  resp.results = std::move(beat.results);
+  last_completion_cycle_ = beat.ready;
+  if (tracer_ != nullptr) tracer_->end(beat.span, cycles_);
   search_rob_.pop_front();
   ++search_rob_base_;
   return resp;
 }
 
 std::optional<cam::UnitUpdateAck> ShardedCamEngine::try_pop_ack() {
-  collect();
   if (ack_rob_.empty() || ack_rob_.front().pending != 0) return std::nullopt;
-  const cam::UnitUpdateAck ack = ack_rob_.front().ack;
-  last_completion_cycle_ = ack_rob_.front().ready;
-  if (tracer_ != nullptr) tracer_->end(ack_rob_.front().span, cycles_);
+  const AckBeat& beat = ack_rob_.front();
+  const cam::UnitUpdateAck ack = beat.ack;
+  last_completion_cycle_ = beat.ready;
+  if (tracer_ != nullptr) tracer_->end(beat.span, cycles_);
   ack_rob_.pop_front();
   ++ack_rob_base_;
   return ack;
@@ -494,7 +489,7 @@ void ShardedCamEngine::step() {
       if (!quarantined_[s]) shards_[s]->step();
     }
   }
-  // Serial phase: deterministic round-robin collection and reordering.
+  // Serial phase: the cycle's one collection pass.
   collect();
   ++cycles_;
 }
@@ -520,54 +515,20 @@ void ShardedCamEngine::free_run_shard(unsigned s, std::uint64_t n) {
 
 void ShardedCamEngine::replay_staged(std::uint64_t c0, std::uint64_t n) {
   const unsigned s_count = shard_count();
-  const unsigned shard_cap = shards_.front()->capacity();
   std::vector<std::size_t> ri(s_count, 0);
   std::vector<std::size_t> ai(s_count, 0);
   // Cycle-major merge: apply the collection bookkeeping in the same order n
   // per-cycle collect() passes would have, with each output's own cycle -
   // not the window boundary - driving span timestamps and beat ready
-  // cycles. The scatter itself is position-based, so shard visiting order
-  // within one cycle is immaterial.
+  // cycles.
   for (std::uint64_t c = 0; c < n; ++c) {
-    const std::uint64_t cyc = c0 + c;
     for (unsigned s = 0; s < s_count; ++s) {
       StagedOutputs& st = staged_[s];
-      while (ri[s] < st.responses.size() && st.responses[ri[s]].first == c) {
-        cam::UnitResponse& resp = st.responses[ri[s]].second;
-        if (expected_search_[s].empty()) {
-          throw SimError("ShardedCamEngine: unexpected shard response");
-        }
-        const ExpectedSearch exp = std::move(expected_search_[s].front());
-        expected_search_[s].pop_front();
-        if (tracer_ != nullptr) tracer_->end(exp.span, cyc);
-        auto& beat = search_rob_.at(exp.beat_id - search_rob_base_);
-        for (std::size_t j = 0; j < resp.results.size(); ++j) {
-          cam::UnitSearchResult r = resp.results[j];
-          r.shard = static_cast<std::uint16_t>(s);
-          r.global_address += s * shard_cap;
-          beat.results.at(exp.positions.at(j)) = r;
-        }
-        --beat.pending;
-        beat.ready = std::max(beat.ready, cyc + 1);
-        ++credits_[s];
-        results_pool_.release(std::move(resp.results));
-        ++ri[s];
+      for (; ri[s] < st.responses.size() && st.responses[ri[s]].first == c; ++ri[s]) {
+        land_response(s, st.responses[ri[s]].second, c0 + c);
       }
-      while (ai[s] < st.acks.size() && st.acks[ai[s]].first == c) {
-        const cam::UnitUpdateAck& ack = st.acks[ai[s]].second;
-        if (expected_ack_[s].empty()) {
-          throw SimError("ShardedCamEngine: unexpected shard ack");
-        }
-        const ExpectedAck exp = expected_ack_[s].front();
-        expected_ack_[s].pop_front();
-        if (tracer_ != nullptr) tracer_->end(exp.span, cyc);
-        auto& beat = ack_rob_.at(exp.beat_id - ack_rob_base_);
-        beat.ack.words_written += ack.words_written;
-        beat.ack.unit_full = beat.ack.unit_full || ack.unit_full;
-        --beat.pending;
-        beat.ready = std::max(beat.ready, cyc + 1);
-        ++credits_[s];
-        ++ai[s];
+      for (; ai[s] < st.acks.size() && st.acks[ai[s]].first == c; ++ai[s]) {
+        land_ack(s, st.acks[ai[s]].second, c0 + c);
       }
     }
   }
@@ -597,9 +558,6 @@ void ShardedCamEngine::step_many(std::uint64_t n) {
   }
   cycles_ += n;
   replay_staged(c0, n);
-  if (shard_count() > 1) {
-    rr_start_ = static_cast<unsigned>((rr_start_ + n) % shard_count());
-  }
 }
 
 std::uint64_t ShardedCamEngine::output_horizon() const {
@@ -656,22 +614,25 @@ void ShardedCamEngine::quarantine_shard(unsigned s) {
   pending_issue_[s].clear();
 
   // Settle every search sub-operation the shard still owed: its beat
-  // positions become shard_failed results, never misses.
-  for (auto& exp : expected_search_[s]) {
+  // positions become shard_failed results, never misses. Each slot still
+  // holds the key try_submit wrote there.
+  for (ExpectedSearch& exp : expected_search_[s]) {
     if (tracer_ != nullptr) {
       tracer_->arg(exp.span, "quarantined", 1);
       tracer_->end(exp.span, cycles_);
     }
     auto& beat = search_rob_.at(exp.beat_id - search_rob_base_);
-    for (std::size_t j = 0; j < exp.positions.size(); ++j) {
-      auto& r = beat.results.at(exp.positions[j]);
+    for (const std::uint32_t pos : exp.positions) {
+      auto& r = beat.results.at(pos);
+      const cam::Word key = r.key;
       r = cam::UnitSearchResult{};
-      r.key = j < exp.keys.size() ? exp.keys[j] : 0;
+      r.key = key;
       r.shard = static_cast<std::uint16_t>(s);
       r.shard_failed = true;
     }
     --beat.pending;
     beat.ready = std::max(beat.ready, cycles_);
+    positions_pool_.release(std::move(exp.positions));
   }
   expected_search_[s].clear();
 
@@ -839,7 +800,6 @@ void ShardedCamEngine::restore(const EngineCheckpoint& ckpt) {
     shards_[s]->purge();
     apply_snapshot(s, ckpt.shard_snaps[s]);
   }
-  rr_start_ = 0;
   push_history("restore checkpoint (" + std::to_string(ckpt.shards) + " shards)");
   if (recorder_ != nullptr) {
     recorder_->record(cycles_, telemetry::FlightRecorder::EventKind::kRestore,
@@ -1009,7 +969,6 @@ void ShardedCamEngine::rebuild_fleet(unsigned new_count) {
   expected_search_.assign(new_count, {});
   expected_ack_.assign(new_count, {});
   staged_.assign(new_count, {});
-  rr_start_ = 0;
   // Recompose the injection window over the new fleet (same all-or-nothing
   // rule as construction).
   fault_target_.reset();

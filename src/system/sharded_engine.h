@@ -7,7 +7,8 @@
 //
 //   host beat -> partitioner (hash | range) -> per-shard sub-requests
 //             -> per-shard credit check + issue -> S backends step in
-//                lockstep -> round-robin collection -> reorder buffers
+//                lockstep -> one collection pass per cycle, shards in
+//                ascending order -> reorder buffers
 //             -> in-order responses/acks, global addresses rebased by shard.
 //
 // Semantics:
@@ -28,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "src/common/freelist.h"
+#include "src/common/ring_queue.h"
 #include "src/common/thread_pool.h"
 #include "src/fault/fault.h"
 #include "src/fault/snapshot.h"
@@ -112,6 +113,10 @@ class ShardedCamEngine : public CamBackend {
   // --- Protocol. ---
 
   bool try_submit(cam::UnitRequest request) override;
+
+  /// Reorder-buffer front pops; they never touch a shard. Shards produce
+  /// output only on their own clock edge, so step() / step_many() collect
+  /// everything the shards emitted in the cycle they emitted it.
   std::optional<cam::UnitResponse> try_pop_response() override;
   std::optional<cam::UnitUpdateAck> try_pop_ack() override;
   bool request_full() const override;
@@ -291,7 +296,8 @@ class ShardedCamEngine : public CamBackend {
 
  private:
   /// One planned sub-request: what goes to which shard, and which beat
-  /// positions its results fill.
+  /// positions its results fill. A search sub-request's keys are gathered
+  /// from `positions` only once the beat is accepted.
   struct SubRequest {
     unsigned shard = 0;
     cam::UnitRequest req;
@@ -316,12 +322,13 @@ class ShardedCamEngine : public CamBackend {
     std::uint64_t ready = 0;
   };
 
-  /// What the next response/ack popped from a shard corresponds to.
+  /// What the next response/ack popped from a shard corresponds to. The
+  /// keys themselves sit in the beat's result slots from submit on, which
+  /// is where quarantine back-fill reads them.
   struct ExpectedSearch {
     std::uint64_t beat_id = 0;
-    std::vector<std::uint32_t> positions;
-    std::vector<cam::Word> keys;  ///< For shard_failed back-fill on quarantine.
-    std::uint64_t span = 0;       ///< Per-shard sub-operation span.
+    std::vector<std::uint32_t> positions;  ///< Recycled via positions_pool_.
+    std::uint64_t span = 0;                ///< Per-shard sub-operation span.
   };
 
   /// One shard ack owed to a reorder-buffer beat.
@@ -360,9 +367,15 @@ class ShardedCamEngine : public CamBackend {
     std::vector<std::pair<std::uint64_t, cam::UnitUpdateAck>> acks;
   };
 
-  bool plan(const cam::UnitRequest& request, std::vector<SubRequest>& out) const;
+  /// Splits `request` into subs_ (scratch reused across beats).
+  void plan(const cam::UnitRequest& request);
   void pump(unsigned s);
+  /// Drains every live shard's outputs, ascending shard order.
   void collect();
+  /// Reorder bookkeeping for one shard output that appeared in cycle `cyc`:
+  /// scatter into its beat, return the credit, end the sub-op span.
+  void land_response(unsigned s, cam::UnitResponse& resp, std::uint64_t cyc);
+  void land_ack(unsigned s, const cam::UnitUpdateAck& ack, std::uint64_t cyc);
   void settle();
   void free_run_shard(unsigned s, std::uint64_t n);
   void replay_staged(std::uint64_t c0, std::uint64_t n);
@@ -400,20 +413,19 @@ class ShardedCamEngine : public CamBackend {
   std::unique_ptr<CompositeFaultTarget> fault_target_;  ///< Null if unsupported.
 
   /// Sub-requests accepted by the engine but not yet in a shard FIFO.
-  std::vector<std::deque<cam::UnitRequest>> pending_issue_;
+  std::vector<RingQueue<cam::UnitRequest>> pending_issue_;
 
-  std::vector<std::deque<ExpectedSearch>> expected_search_;
-  std::vector<std::deque<ExpectedAck>> expected_ack_;
+  std::vector<RingQueue<ExpectedSearch>> expected_search_;
+  std::vector<RingQueue<ExpectedAck>> expected_ack_;
 
-  std::deque<SearchBeat> search_rob_;
+  RingQueue<SearchBeat> search_rob_;
   std::uint64_t search_rob_base_ = 0;
-  std::deque<AckBeat> ack_rob_;
+  RingQueue<AckBeat> ack_rob_;
   std::uint64_t ack_rob_base_ = 0;
 
   /// Per-shard staging for step_many windows (sized once, buffers recycled).
   std::vector<StagedOutputs> staged_;
 
-  unsigned rr_start_ = 0;  ///< Round-robin collection cursor.
   std::uint64_t cycles_ = 0;
   std::uint64_t last_completion_cycle_ = 0;
   unsigned effective_threads_ = 1;  ///< After shard/core clamps.
@@ -442,6 +454,15 @@ class ShardedCamEngine : public CamBackend {
   /// here after its contents are scattered into the reorder buffer, and
   /// reacquired for the next accepted search beat.
   FreeList<std::vector<cam::UnitSearchResult>> results_pool_;
+
+  /// Recycles ExpectedSearch::positions once their sub-op lands or settles.
+  FreeList<std::vector<std::uint32_t>> positions_pool_;
+
+  // Per-beat scratch for plan()/try_submit(), reused so a beat does not
+  // rebuild its bucket and sub-request vectors on the heap.
+  std::vector<SubRequest> subs_;
+  std::vector<std::vector<std::uint32_t>> buckets_;
+  std::vector<unsigned> need_;
 };
 
 }  // namespace dspcam::system

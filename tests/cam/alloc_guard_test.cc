@@ -8,7 +8,9 @@
 // steady-state search loop is exactly zero - on a standalone block and on
 // a whole unit (its group planes re-sliced by configure_groups between
 // rounds), for the fused path, the staged (multi-key fusion) path, and the
-// force-generic kernels, under every encoding scheme.
+// force-generic kernels, under every encoding scheme. One level up, it
+// bounds what a ShardedCamEngine search beat may allocate on its way in and
+// pins its reorder-buffer pops at zero.
 //
 // The guard is its own test executable: replacing ::operator new is a
 // program-wide decision that must not leak into the other suites. Under
@@ -20,11 +22,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "src/cam/block.h"
 #include "src/cam/unit.h"
 #include "src/common/random.h"
+#include "src/system/driver.h"
+#include "src/system/sharded_engine.h"
 #include "tests/cam/testbench.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -299,6 +304,107 @@ TEST_F(AllocGuard, UnitFastPlanesAreAllocFreeAcrossRegrouping) {
       }
     }
   }
+}
+
+/// Steady-state heap traffic of a ShardedCamEngine beat path, averaged
+/// over the measured beats.
+struct EngineAllocs {
+  std::size_t beats = 0;         ///< Measured accepted beats.
+  std::size_t submit = 0;        ///< Inside try_submit (accepted or not).
+  std::size_t submit_bound = 0;  ///< Sum over measured beats of live subs + 1.
+  std::size_t pop = 0;           ///< Inside try_pop_response/try_pop_ack.
+};
+
+TEST_F(AllocGuard, EngineBeatPathAllocatesOnlyHandedOverBuffers) {
+  // The sharded e2e geometry: S=4 hash-sharded CamSystems of 16 blocks x
+  // 16 cells (one group, so one lane per shard), 4-key search beats, a
+  // closed loop of 16 outstanding beats.
+  constexpr unsigned kKeys = 4;
+  constexpr std::size_t kWarmBeats = 2000;
+  constexpr std::size_t kMeasuredBeats = 12000;
+  constexpr std::size_t kOutstanding = 16;
+  system::CamSystem::Config sc;
+  sc.unit.block = steady_cfg(CamKind::kBinary, 32, 16, EncodingScheme::kPriorityIndex,
+                             /*buffered=*/false);
+  sc.unit.unit_size = 16;
+  sc.unit.bus_width = 512;
+  system::ShardedCamEngine::Config ec;
+  ec.shards = 4;
+  ec.credits_per_shard = 64;
+  system::ShardedCamEngine engine(ec, sc);
+
+  Rng rng(0xE791);
+  std::vector<Word> stored(512);
+  for (Word& w : stored) w = rng.next_bits(20) << 1;  // even: absent keys are odd
+  {
+    system::CamDriver drv(engine);
+    drv.store(stored);
+  }
+  std::vector<std::vector<Word>> stored_on(ec.shards);
+  for (const Word w : stored) stored_on[engine.shard_of(w)].push_back(w);
+  // Warm-up opens with every shard in turn taking all keys of the
+  // outstanding beats, so each queue on the path reaches the high-water
+  // depth of this loop before anything is measured; random beats follow.
+  const std::size_t skewed = ec.shards * 2 * kOutstanding;
+  std::vector<UnitRequest> beats(kWarmBeats + kMeasuredBeats);
+  std::vector<std::size_t> live_subs(beats.size());
+  for (std::size_t b = 0; b < beats.size(); ++b) {
+    beats[b].op = OpKind::kSearch;
+    beats[b].seq = b + 1;
+    std::vector<unsigned> per_shard(ec.shards, 0);
+    for (unsigned k = 0; k < kKeys; ++k) {
+      const auto& hot = stored_on[b / (2 * kOutstanding) % ec.shards];
+      const Word key = b < skewed        ? hot[rng.next_below(hot.size())]
+                       : rng.next_bool() ? stored[rng.next_below(stored.size())]
+                                         : (rng.next_bits(20) << 1 | 1);
+      beats[b].keys.push_back(key);
+      ++per_shard[engine.shard_of(key)];
+    }
+    for (unsigned s = 0; s < ec.shards; ++s) {
+      const unsigned lanes = engine.shard(s).max_keys_per_beat();
+      live_subs[b] += (per_shard[s] + lanes - 1) / lanes;
+    }
+  }
+
+  EngineAllocs a;
+  std::size_t next = 0;
+  std::size_t popped = 0;
+  std::uint64_t hits = 0;
+  while (popped < beats.size()) {
+    const bool measured = next >= kWarmBeats;
+    if (next < beats.size() && next - popped < kOutstanding) {
+      UnitRequest req = beats[next];  // the copy is the caller's, not the engine's
+      const std::size_t before = g_alloc_count;
+      const bool ok = engine.try_submit(std::move(req));
+      if (measured) a.submit += g_alloc_count - before;
+      if (ok) {
+        if (measured) {
+          ++a.beats;
+          a.submit_bound += live_subs[next] + 1;
+        }
+        ++next;
+      }
+    }
+    engine.step();
+    const std::size_t before = g_alloc_count;
+    std::optional<UnitResponse> resp = engine.try_pop_response();
+    std::optional<UnitUpdateAck> ack = engine.try_pop_ack();
+    if (measured) a.pop += g_alloc_count - before;
+    ASSERT_FALSE(ack.has_value());
+    if (resp.has_value()) {
+      ASSERT_EQ(resp->seq, popped + 1);
+      for (const auto& r : resp->results) hits += r.hit;
+      ++popped;
+    }
+  }
+  ASSERT_EQ(a.beats, kMeasuredBeats);
+  EXPECT_GT(hits, 0u) << "search loop produced no hits";
+  EXPECT_LE(a.submit, a.submit_bound)
+      << "try_submit: " << static_cast<double>(a.submit) / a.beats
+      << " allocations per beat; allowed: one key vector per live sub-request "
+         "plus the result vector ("
+      << static_cast<double>(a.submit_bound) / a.beats << " per beat)";
+  EXPECT_EQ(a.pop, 0u) << "reorder-buffer pops must not allocate";
 }
 
 }  // namespace

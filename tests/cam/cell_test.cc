@@ -218,11 +218,15 @@ TEST_P(CellProperty, WriteThenSearchRoundTrip) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    KindsAndWidths, CellProperty,
-    ::testing::Values(KindWidth{CamKind::kBinary, 8}, KindWidth{CamKind::kBinary, 32},
-                      KindWidth{CamKind::kBinary, 48}, KindWidth{CamKind::kTernary, 16},
-                      KindWidth{CamKind::kTernary, 48}, KindWidth{CamKind::kRange, 32}));
+// Constant-initialised, so the struct padding is zero: ctest names each case
+// after the byte dump of its parameter, and stack garbage in the padding
+// would give the cases new names on every build.
+constexpr KindWidth kKindWidths[] = {
+    KindWidth{CamKind::kBinary, 8},   KindWidth{CamKind::kBinary, 32},
+    KindWidth{CamKind::kBinary, 48},  KindWidth{CamKind::kTernary, 16},
+    KindWidth{CamKind::kTernary, 48}, KindWidth{CamKind::kRange, 32}};
+
+INSTANTIATE_TEST_SUITE_P(KindsAndWidths, CellProperty, ::testing::ValuesIn(kKindWidths));
 
 }  // namespace
 }  // namespace dspcam::cam

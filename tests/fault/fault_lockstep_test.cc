@@ -145,11 +145,15 @@ TEST_P(FaultLockstep, CorruptAndRecoverAreBitIdentical) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Campaigns, FaultLockstep,
-    ::testing::Values(LockstepParams{32, 4, 32, 0.02, 1, 3000, 11},
-                      LockstepParams{16, 2, 32, 0.05, 2, 2000, 22},
-                      LockstepParams{32, 2, 64, 0.01, 4, 2500, 33}));
+// Constant-initialised, so the struct padding is zero: ctest names each case
+// after the byte dump of its parameter, and stack garbage in the padding
+// would give the cases new names on every build.
+constexpr LockstepParams kCampaigns[] = {
+    LockstepParams{32, 4, 32, 0.02, 1, 3000, 11},
+    LockstepParams{16, 2, 32, 0.05, 2, 2000, 22},
+    LockstepParams{32, 2, 64, 0.01, 4, 2500, 33}};
+
+INSTANTIATE_TEST_SUITE_P(Campaigns, FaultLockstep, ::testing::ValuesIn(kCampaigns));
 
 }  // namespace
 }  // namespace dspcam::fault

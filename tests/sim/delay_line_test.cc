@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "src/common/error.h"
 
 namespace dspcam::sim {
@@ -87,6 +92,57 @@ TEST(DelayLine, DrainedTracksInFlightValues) {
   EXPECT_FALSE(dl.drained());  // ...and is still readable this cycle
   dl.shift();
   EXPECT_TRUE(dl.drained());
+}
+
+// The registers are a ring indexed from a moving head. Against a naive
+// shift-every-stage model, over several laps of the ring with bubbles:
+// peek_last() always announces the coming output, stealing the output's
+// buffer leaves the stages intact, and a mid-stream clear() empties every
+// stage so the next value takes exactly N shifts to emerge again.
+TEST(DelayLine, RingMatchesShiftRegisterModel) {
+  using Payload = std::vector<int>;
+  for (unsigned stages = 1; stages <= 5; ++stages) {
+    SCOPED_TRACE(stages);
+    DelayLine<Payload> dl(stages);
+    std::deque<std::optional<Payload>> model(stages);  // front = first stage
+    const unsigned cycles = 4 * stages + 7;
+    const unsigned clear_at = 2 * stages + 1;
+    for (unsigned c = 0; c < cycles; ++c) {
+      if (c == clear_at) {
+        dl.clear();
+        for (auto& r : model) r.reset();
+        ASSERT_TRUE(dl.drained());
+        // A fresh value: N shifts after the one that ingests it.
+        dl.push({-1});
+        dl.shift();
+        for (unsigned k = 1; k < stages; ++k) {
+          dl.shift();
+          ASSERT_FALSE(dl.output().has_value()) << "clear left a stage occupied";
+        }
+        dl.shift();
+        ASSERT_TRUE(dl.output().has_value());
+        ASSERT_EQ(*dl.output(), Payload{-1});
+        ASSERT_TRUE(dl.peek_last() == model.back());
+        continue;
+      }
+      std::optional<Payload> in;
+      if (c % 3 != 1) in = Payload{static_cast<int>(c), static_cast<int>(c) * 7};
+      if (in) dl.push(*in);
+      const std::optional<Payload> announced = dl.peek_last();
+      ASSERT_TRUE(announced == model.back()) << "cycle " << c;
+      dl.shift();
+      model.push_front(std::move(in));
+      const std::optional<Payload> want = std::move(model.back());
+      model.pop_back();
+      ASSERT_TRUE(dl.output() == want) << "cycle " << c;
+      ASSERT_TRUE(dl.output() == announced) << "cycle " << c;
+      // Consumers may take the emerged buffer; the stages must not notice.
+      if (dl.mutable_output().has_value() && c % 2 == 0) {
+        const Payload stolen = std::move(*dl.mutable_output());
+        ASSERT_EQ(stolen, *want);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 // streams across mid-trace recovery actions (RecoveryReplay*).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -324,6 +326,69 @@ TEST(Rebuild, InflightTicketsNeverDropOrDuplicate) {
   settle(engine);
   engine.rebuild_shard(dead, snap);
   expect_membership(engine, words);
+}
+
+// A beat spread over several shards loses one of them mid-flight: every
+// position the dead shard owed comes back shard_failed with its submitted
+// key, and the positions the live shards answered are exactly what a
+// healthy twin engine returns.
+TEST(Rebuild, QuarantineBackFillKeepsSubmittedKeys) {
+  ShardedCamEngine engine(engine_config(4), shard_config());
+  ShardedCamEngine twin(engine_config(4), shard_config());
+  const auto words = test_words(64);
+  fill(engine, words);
+  fill(twin, words);
+  const unsigned dead = engine.shard_of(words[0]);
+
+  cam::UnitRequest req;
+  req.op = cam::OpKind::kSearch;
+  req.seq = 1;
+  unsigned on_dead = 0;
+  std::vector<bool> seen_shard(4, false);
+  for (const cam::Word w : words) {
+    if (engine.shard_of(w) == dead ? on_dead >= 2 : req.keys.size() >= 5) continue;
+    on_dead += engine.shard_of(w) == dead;
+    seen_shard[engine.shard_of(w)] = true;
+    req.keys.push_back(w);      // stored
+    req.keys.push_back(w + 1);  // absent (stored words are 3 mod 5)
+  }
+  ASSERT_EQ(on_dead, 2u);
+  ASSERT_GE(std::count(seen_shard.begin(), seen_shard.end(), true), 2);
+
+  ASSERT_TRUE(twin.try_submit(req));
+  ASSERT_TRUE(engine.try_submit(req));
+  engine.step();
+  ASSERT_FALSE(engine.try_pop_response().has_value()) << "beat finished too early";
+  engine.quarantine_shard(dead);
+
+  const auto wait_for = [](ShardedCamEngine& e) {
+    for (unsigned i = 0; i < 1000; ++i) {
+      if (auto resp = e.try_pop_response()) return resp;
+      e.step();
+    }
+    return std::optional<cam::UnitResponse>{};
+  };
+  const auto got = wait_for(engine);
+  const auto want = wait_for(twin);
+  ASSERT_TRUE(got.has_value());
+  ASSERT_TRUE(want.has_value());
+  ASSERT_EQ(got->results.size(), req.keys.size());
+  for (std::size_t i = 0; i < req.keys.size(); ++i) {
+    const cam::UnitSearchResult& r = got->results[i];
+    EXPECT_EQ(r.key, req.keys[i]) << "position " << i;
+    if (engine.shard_of(req.keys[i]) == dead) {
+      EXPECT_TRUE(r.shard_failed) << "position " << i;
+      EXPECT_FALSE(r.hit) << "position " << i;
+      EXPECT_EQ(r.shard, dead) << "position " << i;
+    } else {
+      const cam::UnitSearchResult& w = want->results[i];
+      EXPECT_FALSE(r.shard_failed) << "position " << i;
+      EXPECT_EQ(r.hit, w.hit) << "position " << i;
+      EXPECT_EQ(r.global_address, w.global_address) << "position " << i;
+      EXPECT_EQ(r.match_count, w.match_count) << "position " << i;
+      EXPECT_EQ(r.shard, w.shard) << "position " << i;
+    }
+  }
 }
 
 // --- Reshard: live hash repartitioning. ---

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "src/cam/reference_cam.h"
 #include "src/common/error.h"
@@ -296,6 +300,135 @@ TEST(ShardedCamEngine, WorksOverBaselineBackendShards) {
   drv.store(std::vector<cam::Word>{10, 20, 30, 40});
   EXPECT_TRUE(drv.search(30).hit);
   EXPECT_FALSE(drv.search(31).hit);
+}
+
+// --- Collection runs once per engine cycle. ---
+
+/// Per-shard poll counters. A collection sweep pops until the first empty
+/// pop, so the empty pops count the sweeps.
+struct PollCounts {
+  std::uint64_t response_calls = 0;
+  std::uint64_t response_sweeps = 0;
+  std::uint64_t ack_calls = 0;
+  std::uint64_t ack_sweeps = 0;
+};
+
+/// A CamSystem shard that counts how the engine polls it, and can hand the
+/// engine one response it never asked for.
+class CountingShard final : public CamBackend {
+ public:
+  CountingShard(const CamSystem::Config& cfg, PollCounts& counts)
+      : inner_(cfg), counts_(&counts) {}
+
+  bool inject_response = false;  ///< Next response poll returns a stray response.
+
+  unsigned data_width() const override { return inner_.data_width(); }
+  cam::CamKind kind() const override { return inner_.kind(); }
+  unsigned capacity() const override { return inner_.capacity(); }
+  unsigned words_per_beat() const override { return inner_.words_per_beat(); }
+  unsigned max_keys_per_beat() const override { return inner_.max_keys_per_beat(); }
+  unsigned max_groups() const override { return inner_.max_groups(); }
+  void configure_groups(unsigned m) override { inner_.configure_groups(m); }
+  bool try_submit(cam::UnitRequest request) override {
+    return inner_.try_submit(std::move(request));
+  }
+  std::optional<cam::UnitResponse> try_pop_response() override {
+    ++counts_->response_calls;
+    if (inject_response) {
+      inject_response = false;
+      cam::UnitResponse stray;
+      stray.results.resize(1);
+      return stray;
+    }
+    auto resp = inner_.try_pop_response();
+    if (!resp.has_value()) ++counts_->response_sweeps;
+    return resp;
+  }
+  std::optional<cam::UnitUpdateAck> try_pop_ack() override {
+    ++counts_->ack_calls;
+    auto ack = inner_.try_pop_ack();
+    if (!ack.has_value()) ++counts_->ack_sweeps;
+    return ack;
+  }
+  bool request_full() const override { return inner_.request_full(); }
+  std::size_t pending_requests() const override { return inner_.pending_requests(); }
+  void step() override { inner_.step(); }
+  bool idle() const override { return inner_.idle(); }
+  Stats stats() const override { return inner_.stats(); }
+  model::ResourceUsage resources() const override { return inner_.resources(); }
+
+ private:
+  CamSystem inner_;
+  PollCounts* counts_;
+};
+
+/// An S-shard engine over CountingShards; `shards[s]` borrows shard s.
+struct CountedEngine {
+  explicit CountedEngine(unsigned s) : counts(s) {
+    engine = std::make_unique<ShardedCamEngine>(
+        engine_config(s), [this](unsigned i) -> std::unique_ptr<CamBackend> {
+          auto shard = std::make_unique<CountingShard>(shard_config(), counts[i]);
+          shards.push_back(shard.get());
+          return shard;
+        });
+  }
+  std::vector<PollCounts> counts;
+  std::vector<CountingShard*> shards;
+  std::unique_ptr<ShardedCamEngine> engine;
+};
+
+// Shards emit output only on their own clock edge, so the engine sweeps
+// each live shard exactly once per step(), and host pops are reorder-buffer
+// pops that never reach a shard - however often the host polls.
+TEST(ShardedCamEngine, CollectsEachLiveShardOncePerStep) {
+  CountedEngine ce(4);
+  ShardedCamEngine& engine = *ce.engine;
+  Rng rng(404);
+  std::uint64_t seq = 1;
+  std::size_t popped = 0;
+  for (unsigned cycle = 0; cycle < 600; ++cycle) {
+    if (cycle == 300) engine.quarantine_shard(2);
+    if (rng.next_bool(0.7)) {
+      cam::UnitRequest req;
+      req.seq = seq++;
+      if (rng.next_bool(0.2)) {
+        req.op = cam::OpKind::kUpdate;
+        req.words = {rng.next_bits(12), rng.next_bits(12)};
+      } else {
+        req.op = cam::OpKind::kSearch;
+        for (unsigned k = 0; k < 4; ++k) req.keys.push_back(rng.next_bits(12));
+      }
+      (void)engine.try_submit(std::move(req));
+    }
+    const std::vector<PollCounts> before = ce.counts;
+    engine.step();
+    for (unsigned s = 0; s < 4; ++s) {
+      const unsigned sweeps = engine.shard_quarantined(s) ? 0 : 1;
+      ASSERT_EQ(ce.counts[s].response_sweeps - before[s].response_sweeps, sweeps)
+          << "shard " << s << " cycle " << cycle;
+      ASSERT_EQ(ce.counts[s].ack_sweeps - before[s].ack_sweeps, sweeps)
+          << "shard " << s << " cycle " << cycle;
+    }
+    const std::vector<PollCounts> after_step = ce.counts;
+    for (unsigned poll = 0; poll < 3; ++poll) {
+      while (engine.try_pop_response()) ++popped;
+      while (engine.try_pop_ack()) ++popped;
+    }
+    for (unsigned s = 0; s < 4; ++s) {
+      ASSERT_EQ(ce.counts[s].response_calls, after_step[s].response_calls)
+          << "host pop reached shard " << s << " at cycle " << cycle;
+      ASSERT_EQ(ce.counts[s].ack_calls, after_step[s].ack_calls)
+          << "host pop reached shard " << s << " at cycle " << cycle;
+    }
+  }
+  EXPECT_GT(popped, 300u);
+}
+
+TEST(ShardedCamEngine, StrayShardResponseStillThrowsFromStep) {
+  CountedEngine ce(4);
+  ce.engine->step();
+  ce.shards[1]->inject_response = true;
+  EXPECT_THROW(ce.engine->step(), SimError);
 }
 
 }  // namespace
