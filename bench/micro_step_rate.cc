@@ -34,10 +34,9 @@
 //           same kernel's legacy path (raw sweep -> valid-AND into a BitVec
 //           -> encode_match_lines) against its fused encode_fn, per
 //           encoding scheme, at 64- and 256-cell depths, across the kernel
-//           tiers (registry-selected, AOT-generated geometry pin, scalar
-//           depth template). kind:"encode" rows carry the paired-ratio
-//           speedup_vs_unfused; the 256-deep rows are the tentpole
-//           acceptance figure (>= 1.3x median).
+//           tiers (registry-selected, scalar depth template).
+//           kind:"encode" rows carry the paired-ratio speedup_vs_unfused;
+//           the 256-deep rows are the headline figure (>= 1.3x median).
 //
 // Flags: --warmup N --repeat N --json <path>   (default path
 // BENCH_step_rate.json so CI always collects the artifact).
@@ -91,8 +90,7 @@ std::string kernel_name_for(const cam::UnitConfig& cfg) {
   q.kind = cfg.block.cell.kind;
   q.data_width = cfg.block.cell.data_width;
   q.block_size = cfg.block.block_size;
-  q.force_generic =
-      cfg.block.force_generic_kernel || cam::force_generic_kernel_env();
+  q.force_generic = cfg.block.force_generic_kernel;
   return cam::select_match_kernel(q).name;
 }
 
@@ -428,8 +426,7 @@ double fused_encode_rate(const cam::MatchKernel& k, const EncodeWorkload& w,
   return static_cast<double>(iters) / secs;
 }
 
-/// Registry lookup by exact kernel name (nullptr when absent - e.g. an AOT
-/// pin this geometry set does not carry).
+/// Registry lookup by exact kernel name (nullptr when absent).
 const cam::MatchKernel* kernel_named(const char* name) {
   for (const cam::MatchKernel& k : cam::match_kernel_registry()) {
     if (std::string(name) == k.name) return &k;
@@ -754,9 +751,8 @@ int main(int argc, char** argv) {
 
   // Part 7: fused sweep->encode ablation, at the kernel-call level so the
   // unit pipeline's fixed overhead cannot dilute the effect being measured.
-  // For each geometry the three kernel tiers that carry a fused entry point
-  // are timed - the registry's pick for the geometry, the AOT-generated
-  // exact pin, and the scalar depth template - each against ITS OWN legacy
+  // For each geometry two kernel tiers are timed - the registry's pick for
+  // the geometry and the scalar depth template - each against ITS OWN legacy
   // sweep+BitVec+encode path, paired per repetition like part 6 so host
   // drift cancels out of the ratio.
   struct EncodeGeometry {
@@ -782,9 +778,7 @@ int main(int argc, char** argv) {
     q.kind = eg.kind;
     q.data_width = eg.width;
     q.block_size = eg.depth;
-    char gen_name[48], tmpl_name[48];
-    std::snprintf(gen_name, sizeof(gen_name), "gen_%s_w%u_d%u",
-                  eg.mask_free ? "eq" : "masked", eg.width, eg.depth);
+    char tmpl_name[48];
     std::snprintf(tmpl_name, sizeof(tmpl_name), "%s_d%u",
                   eg.mask_free ? "eq" : "masked", eg.depth);
     const struct {
@@ -792,16 +786,13 @@ int main(int argc, char** argv) {
       const dspcam::cam::MatchKernel* kernel;
     } tiers[] = {
         {"registry", &dspcam::cam::select_match_kernel(q)},
-        {"aot", kernel_named(gen_name)},
         {"template", kernel_named(tmpl_name)},
     };
     for (const auto scheme : {dspcam::cam::EncodingScheme::kPriorityIndex,
                               dspcam::cam::EncodingScheme::kOneHot,
                               dspcam::cam::EncodingScheme::kMatchCount}) {
       for (const auto& tier : tiers) {
-        if (tier.kernel == nullptr || tier.kernel->encode_fn == nullptr) {
-          continue;  // no AOT pin for this geometry / force-generic host
-        }
+        if (tier.kernel == nullptr) continue;
         std::vector<double> eps, base_eps, ratios;
         const auto run_pair = [&] {
           const double base =

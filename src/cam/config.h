@@ -54,10 +54,7 @@ struct BlockConfig {
   bool force_generic_kernel = false;     ///< kFast only: skip the specialized
                                          ///< match-kernel registry and stay on
                                          ///< the generic AVX2/scalar sweep
-                                         ///< (match_kernel.h). The
-                                         ///< DSPCAM_FORCE_GENERIC_KERNEL env
-                                         ///< var forces the same thing
-                                         ///< process-wide. Bit-identical
+                                         ///< (match_kernel.h). Bit-identical
                                          ///< either way; host cost only.
 
   /// Data words carried per bus beat (update parallelism).

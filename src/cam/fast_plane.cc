@@ -45,7 +45,7 @@ void FastPlane::bind(const BlockConfig& cfg, EncodingScheme scheme,
   q.kind = cfg.cell.kind;
   q.data_width = data_width_;
   q.block_size = static_cast<unsigned>(n);
-  q.force_generic = cfg.force_generic_kernel || force_generic_kernel_env();
+  q.force_generic = cfg.force_generic_kernel;
   kernel_ = &select_match_kernel(q);
   if (kernel_->needs_uniform_mask) {
     q.allow_mask_free = false;

@@ -8,9 +8,6 @@
 // (mask-free BCAM: match == equality once every mask is the width mask).
 #include "src/cam/match_kernel.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "src/cam/match_kernel_fused.h"
 #include "src/cam/match_sweep.h"
 
@@ -176,14 +173,10 @@ void push_fixed_depth(std::vector<MatchKernel>& v, const char* name) {
 
 std::vector<MatchKernel> build_registry() {
   std::vector<MatchKernel> v;
-  // Highest priority: AVX2 specializations (8-lane narrow-width packing,
-  // mask-free equality). Empty on no-AVX2 toolchains/builds.
-  detail::append_avx2_specialized_kernels(v);
-
-  // AOT-generated kernels (src/cam/generated/): exact (width, depth, mask
-  // mode) pins, ahead of the hand-written templates they constant-fold
-  // harder than, behind the AVX2 tier that still beats scalar unrolls.
-  detail::append_generated_kernels(v);
+  // Highest priority: the AVX2 tier (8-lane narrow-width packing, mask-free
+  // equality, then the generic AVX2 sweep). On an AVX2 host it beats any
+  // scalar unroll. Empty on no-AVX2 toolchains/builds.
+  detail::append_avx2_kernels(v);
 
   // Mask-free scalar family, depth-unrolled first. Each entry also carries
   // its fused multi-key companion (same formula, batched key compare) and
@@ -198,17 +191,6 @@ std::vector<MatchKernel> build_registry() {
   v.back().multi_fn = &eq_sweep_multi;
   v.back().encode_fn = &sweep_encode<true>;
   v.back().multi_encode_fn = &detail::multi_sweep_encode<&eq_sweep_multi>;
-
-  // Generic AVX2 sweep (the pre-registry vector path) outranks the scalar
-  // masked family: on an AVX2 host it beats any scalar unroll. The symbol
-  // always exists (block_simd.cc defines a stub when compiled out); the
-  // needs_avx2 flag keeps it unselectable there.
-  v.push_back({"generic_avx2", &detail::match_sweep_avx2, true, false, 0, 0,
-               /*generic=*/true});
-  v.back().multi_fn = &detail::match_sweep_avx2_multi;
-  v.back().encode_fn = &detail::match_sweep_avx2_encode;
-  v.back().multi_encode_fn =
-      &detail::multi_sweep_encode<&detail::match_sweep_avx2_multi>;
 
   // Masked scalar family (TCAM/RMCAM, and the fallback for binary blocks
   // whose mask plane a fault poke made non-uniform).
@@ -235,34 +217,6 @@ const std::vector<MatchKernel>& match_kernel_registry() {
   return registry;
 }
 
-namespace {
-
-bool read_force_generic_env() {
-  const char* v = std::getenv("DSPCAM_FORCE_GENERIC_KERNEL");
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
-// Cached at first use: block construction sits on hot churn paths (group
-// splits re-create blocks) and getenv locks on some libcs. Tests flip the
-// variable around block construction via reload_kernel_env_for_test().
-bool g_force_generic_env = false;
-bool g_force_generic_env_loaded = false;
-
-}  // namespace
-
-bool force_generic_kernel_env() {
-  if (!g_force_generic_env_loaded) {
-    g_force_generic_env = read_force_generic_env();
-    g_force_generic_env_loaded = true;
-  }
-  return g_force_generic_env;
-}
-
-void reload_kernel_env_for_test() {
-  g_force_generic_env = read_force_generic_env();
-  g_force_generic_env_loaded = true;
-}
-
 const MatchKernel& select_match_kernel(const MatchKernelQuery& q) {
   const bool avx2 = detail::match_sweep_avx2_available();
   for (const MatchKernel& k : match_kernel_registry()) {
@@ -273,7 +227,6 @@ const MatchKernel& select_match_kernel(const MatchKernelQuery& q) {
       continue;
     }
     if (k.max_width != 0 && q.data_width > k.max_width) continue;
-    if (k.width != 0 && q.data_width != k.width) continue;
     if (k.depth != 0 && q.block_size != k.depth) continue;
     return k;
   }

@@ -18,9 +18,10 @@
 //     template parameter, so the sweep has compile-time trip counts the
 //     compiler fully unrolls/auto-vectorizes - the win on scalar-only
 //     builds (DSPCAM_NO_SIMD) and non-AVX2 hosts.
-//   - generic kernels (generic_avx2/generic_scalar): the pre-registry
-//     AVX2/scalar sweeps from match_sweep.h, matching every geometry.
-//     generic_scalar is the guaranteed terminal fallback.
+//   - generic kernels (generic_avx2/generic_scalar): the plain
+//     ((stored ^ key) & nmask) == 0 sweep on u64 lanes (match_sweep.h for
+//     the scalar loop), matching every geometry. generic_scalar is the
+//     guaranteed terminal fallback.
 //
 // Every kernel computes the same function over the packed pre-edge arrays
 // (fast_plane.h):  out_bits[i / 64] bit (i % 64) = ((stored[i] ^ key) & nmask[i]) == 0
@@ -36,10 +37,9 @@
 // so FastPlane tracks uniformity and falls back to `masked_fallback`
 // (a kernel ignoring no operand) the moment the plane diverges.
 //
-// Escape hatch: DSPCAM_FORCE_GENERIC_KERNEL (environment variable, any
-// value but "" or "0") or BlockConfig::force_generic_kernel restricts the
-// selection to the generic family, keeping the fallback path exercised
-// (CI runs a leg with the variable set).
+// BlockConfig::force_generic_kernel restricts the selection to the generic
+// family; the lockstep fuzz runs forced-generic configurations so the
+// fallback path stays exercised.
 #pragma once
 
 #include <cstddef>
@@ -112,8 +112,10 @@ using MatchKernelMultiEncodeFn = void (*)(const std::uint64_t* stored,
                                           EncodedMatch* out,
                                           std::uint64_t* out_bits);
 
-/// One registered kernel: the compiled function plus the descriptor the
-/// selector matches against a block geometry.
+/// One registered kernel: the compiled entry points plus the descriptor the
+/// selector matches against a block geometry. Every kernel sets all four
+/// entry points (MatchKernelRegistry.DescriptorsAreSane pins it), and they
+/// all compute the same match bits.
 struct MatchKernel {
   const char* name;            ///< Stable identifier (stats, telemetry, bench rows).
   MatchKernelFn fn;
@@ -124,20 +126,13 @@ struct MatchKernel {
   unsigned max_width = 0;      ///< Selectable when data_width <= this (0 = any).
   unsigned depth = 0;          ///< Selectable only at this exact block_size
                                ///< (0 = any); such kernels may ignore `count`.
-  bool generic = false;        ///< Guaranteed-fallback family (the pre-registry
+  bool generic = false;        ///< Guaranteed-fallback family (the plain
                                ///< AVX2/scalar sweeps).
-  unsigned width = 0;          ///< Selectable only at this exact data_width
-                               ///< (0 = any). AOT-generated kernels pin both
-                               ///< width and depth.
-  MatchKernelMultiFn multi_fn = nullptr;  ///< Fused multi-key entry point;
-                                          ///< nullptr = loop `fn` per key.
-  MatchKernelEncodeFn encode_fn = nullptr;  ///< Fused sweep→encode entry
-                                            ///< point; set on every
-                                            ///< registered kernel (the fast
-                                            ///< plane's only dispatch).
+  MatchKernelMultiFn multi_fn = nullptr;  ///< Fused multi-key sweep.
+  MatchKernelEncodeFn encode_fn = nullptr;  ///< Fused sweep→encode (the fast
+                                            ///< plane's single-key dispatch).
   MatchKernelMultiEncodeFn multi_encode_fn = nullptr;  ///< Fused multi-key
-                                                       ///< sweep→encode; set
-                                                       ///< on every kernel.
+                                                       ///< sweep→encode.
 };
 
 /// The geometry fingerprint a selection runs against.
@@ -159,29 +154,12 @@ const std::vector<MatchKernel>& match_kernel_registry();
 /// The returned reference is valid for the process lifetime.
 const MatchKernel& select_match_kernel(const MatchKernelQuery& q);
 
-/// True when the DSPCAM_FORCE_GENERIC_KERNEL environment variable is set to
-/// a non-empty value other than "0". The lookup is cached on first call
-/// (block construction sits on hot churn paths and getenv takes a lock on
-/// some libcs); tests that flip the variable call
-/// reload_kernel_env_for_test() to refresh the cache.
-bool force_generic_kernel_env();
-
-/// Re-reads the kernel-related environment (DSPCAM_FORCE_GENERIC_KERNEL)
-/// into the cache behind force_generic_kernel_env(). Test hook only.
-void reload_kernel_env_for_test();
-
 namespace detail {
-/// Registration hooks for the AVX2 translation unit (match_kernels_avx2.cc,
-/// the only other -mavx2 TU besides block_simd.cc). Both append nothing when
-/// the toolchain lacks AVX2 support or DSPCAM_NO_SIMD is on.
-void append_avx2_specialized_kernels(std::vector<MatchKernel>& out);
-
-/// Registration hook for the AOT-generated kernel translation unit
-/// (src/cam/generated/match_kernels_gen.cc, emitted by the C++ kernel
-/// emitter in src/codegen/cpp_kernels.h and committed to the tree). The
-/// generated kernels pin exact (width, depth, mask mode) geometries and
-/// rank between the AVX2 tier and the hand-written scalar templates.
-void append_generated_kernels(std::vector<MatchKernel>& out);
+/// Registration hook for the AVX2 translation unit (match_kernels_avx2.cc,
+/// the only -mavx2 TU): the specialized AVX2 tier followed by generic_avx2.
+/// Appends nothing when the toolchain lacks AVX2 support or DSPCAM_NO_SIMD
+/// is on.
+void append_avx2_kernels(std::vector<MatchKernel>& out);
 }  // namespace detail
 
 }  // namespace dspcam::cam

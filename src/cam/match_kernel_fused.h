@@ -1,9 +1,8 @@
 // Shared drivers for the fused sweep→encode kernel entry points
 // (MatchKernelEncodeFn / MatchKernelMultiEncodeFn in match_kernel.h).
 //
-// Every kernel family - scalar templates (match_kernel.cc), AVX2
-// specializations (match_kernels_avx2.cc), and the AOT-generated TU
-// (src/cam/generated/) - fuses the same three stages:
+// Every kernel family - scalar templates (match_kernel.cc) and the AVX2
+// kernels (match_kernels_avx2.cc) - fuses the same three stages:
 //
 //   match word  ->  & valid word  ->  scheme-specific fold
 //

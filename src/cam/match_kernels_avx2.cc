@@ -1,14 +1,15 @@
-// AVX2 specialized match kernels (match_kernel.h).
+// AVX2 match kernels (match_kernel.h) and the runtime AVX2 check
+// (match_sweep.h).
 //
-// Compiled with -mavx2 alongside block_simd.cc (the only two such TUs, see
-// src/cam/CMakeLists.txt); the registry only selects these after the runtime
-// CPU check in match_sweep_avx2_available(), so vector code never executes
-// on a host without AVX2. With the flag unavailable - or DSPCAM_NO_SIMD on -
-// the registration hook below appends nothing.
+// The only TU compiled with -mavx2 (see src/cam/CMakeLists.txt), so vector
+// instructions cannot leak into code that runs before the runtime CPU
+// check; the registry only selects these kernels once
+// match_sweep_avx2_available() says the host executes AVX2. With the flag
+// unavailable - or DSPCAM_NO_SIMD on - the check reports false and the
+// registration hook appends nothing.
 //
-// Two specializations beyond the generic AVX2 sweep:
-//   - eq64_avx2: mask-free BCAM equality on u64 lanes. Two loads per four
-//     entries instead of three (no nmask stream).
+// Four kernels, registered (in priority order) as eq32_avx2, eq64_avx2,
+// masked32_avx2, generic_avx2:
 //   - eq32_avx2 / masked32_avx2: data_width <= 32 means the significant
 //     bits of every packed u64 fit its low half (stored words and keys are
 //     truncated to the width; nmask never exceeds low_bits(width) except
@@ -16,8 +17,13 @@
 //     the corresponding (stored ^ key) bits are zero). Eight entries'
 //     low halves are gathered into one 256-bit vector, doubling the
 //     compare throughput - the constant-folded key-width win.
+//   - eq64_avx2: mask-free BCAM equality on u64 lanes. Two loads per four
+//     entries instead of three (no nmask stream).
+//   - generic_avx2: the full ((stored ^ key) & nmask) == 0 formula on u64
+//     lanes, four entries per vector step; it matches every geometry.
 #include "src/cam/match_kernel.h"
 #include "src/cam/match_kernel_fused.h"
+#include "src/cam/match_sweep.h"
 
 #if defined(DSPCAM_HAVE_AVX2)
 #include <immintrin.h>
@@ -27,7 +33,29 @@ namespace dspcam::cam::detail {
 
 #if defined(DSPCAM_HAVE_AVX2)
 
+bool match_sweep_avx2_available() noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  static const bool available = __builtin_cpu_supports("avx2") != 0;
+  return available;
+#else
+  return false;
+#endif
+}
+
 namespace {
+
+/// Raw sweep over a per-word match callable (the match_kernel_fused.h
+/// word_at contract): ceil(count / 64) words of match bits.
+template <typename MatchWord>
+inline void sweep_words(const MatchWord& word_at, std::size_t count,
+                        std::uint64_t* out_bits) {
+  const std::size_t words = (count + 63) / 64;
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    const std::size_t base = wi * 64;
+    const std::size_t lanes = count - base < 64 ? count - base : 64;
+    out_bits[wi] = word_at(base, lanes);
+  }
+}
 
 /// Gathers the low 32 bits of eight consecutive packed u64 entries, in
 /// entry order, into the eight 32-bit lanes of one vector.
@@ -110,29 +138,20 @@ struct Lo32MatchWord {
 /// Mask-free equality on u64 lanes (any depth).
 void eq64_avx2(const std::uint64_t* stored, const std::uint64_t* /*nmask*/,
                Word key, std::size_t count, std::uint64_t* out_bits) {
-  const Eq64MatchWord word_at{
-      stored, _mm256_set1_epi64x(static_cast<long long>(key)), key};
-  const std::size_t words = (count + 63) / 64;
-  for (std::size_t wi = 0; wi < words; ++wi) {
-    const std::size_t base = wi * 64;
-    const std::size_t lanes = count - base < 64 ? count - base : 64;
-    out_bits[wi] = word_at(base, lanes);
-  }
+  sweep_words(
+      Eq64MatchWord{stored, _mm256_set1_epi64x(static_cast<long long>(key)),
+                    key},
+      count, out_bits);
 }
 
 /// Narrow-width sweeps: eight 32-bit lanes per step.
 template <bool kMaskFree>
 void lo32_avx2(const std::uint64_t* stored, const std::uint64_t* nmask,
                Word key, std::size_t count, std::uint64_t* out_bits) {
-  const Lo32MatchWord<kMaskFree> word_at{stored, nmask,
-                                         _mm256_set1_epi32(static_cast<int>(key)),
-                                         _mm256_setzero_si256(), key};
-  const std::size_t words = (count + 63) / 64;
-  for (std::size_t wi = 0; wi < words; ++wi) {
-    const std::size_t base = wi * 64;
-    const std::size_t lanes = count - base < 64 ? count - base : 64;
-    out_bits[wi] = word_at(base, lanes);
-  }
+  sweep_words(Lo32MatchWord<kMaskFree>{stored, nmask,
+                                       _mm256_set1_epi32(static_cast<int>(key)),
+                                       _mm256_setzero_si256(), key},
+              count, out_bits);
 }
 
 /// Fused sweep→encode variants: the vector match word feeds the shared
@@ -335,10 +354,109 @@ void lo32_avx2_multi(const std::uint64_t* stored, const std::uint64_t* nmask,
   }
 }
 
+/// 64 generic match bits for entries [base, base + lanes): the full
+/// formula on u64 lanes, four entries per 256-bit compare.
+struct GenericMatchWord {
+  const std::uint64_t* stored;
+  const std::uint64_t* nmask;
+  __m256i vkey;
+  Word key;
+
+  std::uint64_t operator()(std::size_t base, std::size_t lanes) const {
+    const __m256i zero = _mm256_setzero_si256();
+    std::uint64_t bits = 0;
+    std::size_t b = 0;
+    for (; b + 4 <= lanes; b += 4) {
+      const __m256i s = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(stored + base + b));
+      const __m256i m = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(nmask + base + b));
+      const __m256i eq = _mm256_cmpeq_epi64(
+          _mm256_and_si256(_mm256_xor_si256(s, vkey), m), zero);
+      // One sign bit per 64-bit lane: exactly the four match flags.
+      bits |= static_cast<std::uint64_t>(static_cast<unsigned>(
+                  _mm256_movemask_pd(_mm256_castsi256_pd(eq))))
+              << b;
+    }
+    for (; b < lanes; ++b) {
+      bits |= static_cast<std::uint64_t>(
+                  ((stored[base + b] ^ key) & nmask[base + b]) == 0)
+              << b;
+    }
+    return bits;
+  }
+};
+
+void generic_avx2(const std::uint64_t* stored, const std::uint64_t* nmask,
+                  Word key, std::size_t count, std::uint64_t* out_bits) {
+  sweep_words(
+      GenericMatchWord{stored, nmask,
+                       _mm256_set1_epi64x(static_cast<long long>(key)), key},
+      count, out_bits);
+}
+
+void generic_avx2_encode(const std::uint64_t* stored,
+                         const std::uint64_t* nmask,
+                         const std::uint64_t* valid, Word key,
+                         std::size_t count, EncodingScheme scheme,
+                         EncodedMatch& out, std::uint64_t* out_bits) {
+  fused_encode_sweep(
+      GenericMatchWord{stored, nmask,
+                       _mm256_set1_epi64x(static_cast<long long>(key)), key},
+      valid, count, scheme, out, out_bits);
+}
+
+/// Multi-key generic sweep: the stored/nmask vectors are loaded once per
+/// four-entry step and compared against every broadcast key, so a batch of
+/// B keys costs one operand stream instead of B.
+void generic_avx2_multi(const std::uint64_t* stored,
+                        const std::uint64_t* nmask, const Word* keys,
+                        std::size_t nkeys, std::size_t count,
+                        std::uint64_t* out_bits) {
+  __m256i vkeys[kMaxFusionKeys];
+  const std::size_t nk = nkeys < kMaxFusionKeys ? nkeys : kMaxFusionKeys;
+  for (std::size_t k = 0; k < nk; ++k) {
+    vkeys[k] = _mm256_set1_epi64x(static_cast<long long>(keys[k]));
+  }
+  const std::size_t words = (count + 63) / 64;
+  // Contract is <= kMaxFusionKeys; stay correct beyond it anyway.
+  for (std::size_t k = nk; k < nkeys; ++k) {
+    generic_avx2(stored, nmask, keys[k], count, out_bits + k * words);
+  }
+  const __m256i zero = _mm256_setzero_si256();
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    const std::size_t base = wi * 64;
+    const std::size_t lanes = count - base < 64 ? count - base : 64;
+    std::uint64_t bits[kMaxFusionKeys] = {};
+    std::size_t b = 0;
+    for (; b + 4 <= lanes; b += 4) {
+      const __m256i s = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(stored + base + b));
+      const __m256i m = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(nmask + base + b));
+      for (std::size_t k = 0; k < nk; ++k) {
+        const __m256i diff = _mm256_and_si256(_mm256_xor_si256(s, vkeys[k]), m);
+        const __m256i eq = _mm256_cmpeq_epi64(diff, zero);
+        const unsigned lane_bits = static_cast<unsigned>(
+            _mm256_movemask_pd(_mm256_castsi256_pd(eq)));
+        bits[k] |= static_cast<std::uint64_t>(lane_bits) << b;
+      }
+    }
+    for (; b < lanes; ++b) {
+      const std::uint64_t s = stored[base + b];
+      const std::uint64_t nm = nmask[base + b];
+      for (std::size_t k = 0; k < nk; ++k) {
+        bits[k] |= static_cast<std::uint64_t>(((s ^ keys[k]) & nm) == 0) << b;
+      }
+    }
+    for (std::size_t k = 0; k < nk; ++k) out_bits[k * words + wi] = bits[k];
+  }
+}
+
 }  // namespace
 
-void append_avx2_specialized_kernels(std::vector<MatchKernel>& out) {
-  // Priority order within the AVX2 tier: narrowest first. Every entry
+void append_avx2_kernels(std::vector<MatchKernel>& out) {
+  // Priority order: narrowest first, the generic sweep last. Every entry
   // carries the full fused complement (multi-key sweep plus single- and
   // multi-key sweep→encode).
   out.push_back({"eq32_avx2", &lo32_avx2<true>, true, true, 32, 0});
@@ -353,11 +471,18 @@ void append_avx2_specialized_kernels(std::vector<MatchKernel>& out) {
   out.back().multi_fn = &lo32_avx2_multi<false>;
   out.back().encode_fn = &lo32_avx2_encode<false>;
   out.back().multi_encode_fn = &multi_sweep_encode<&lo32_avx2_multi<false>>;
+  out.push_back({"generic_avx2", &generic_avx2, true, false, 0, 0,
+                 /*generic=*/true});
+  out.back().multi_fn = &generic_avx2_multi;
+  out.back().encode_fn = &generic_avx2_encode;
+  out.back().multi_encode_fn = &multi_sweep_encode<&generic_avx2_multi>;
 }
 
-#else  // !DSPCAM_HAVE_AVX2: nothing to register.
+#else  // !DSPCAM_HAVE_AVX2: scalar-only build (forced or unsupported).
 
-void append_avx2_specialized_kernels(std::vector<MatchKernel>&) {}
+bool match_sweep_avx2_available() noexcept { return false; }
+
+void append_avx2_kernels(std::vector<MatchKernel>&) {}
 
 #endif
 

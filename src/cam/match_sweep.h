@@ -1,63 +1,37 @@
-// Vectorized match-line sweep for the EvalMode::kFast match plane.
+// Portable match-line sweeps for the EvalMode::kFast match plane.
 //
 // The fast path evaluates, for every entry i of a plane,
 //   match_i = ((stored_i ^ key) & ~mask_i) == 0
-// over the packed pre-edge arrays (fast_plane.h). This header declares the
-// build-time-dispatched implementations:
+// over the packed pre-edge arrays (fast_plane.h). This header holds:
 //
-//  - match_sweep_scalar: the portable reference loop, one entry per
-//    iteration, packing 64 match bits per output word.
-//  - match_sweep_avx2 (block_simd.cc): AVX2 sweep comparing four packed
-//    u64 entries per vector step. Compiled only when the toolchain supports
-//    -mavx2 and DSPCAM_NO_SIMD is off; a runtime CPUID check guards against
-//    running AVX2 code on a host without it. Pure integer compares, so the
-//    result is bit-identical to the scalar loop by construction (pinned by
-//    the ref-vs-fast lockstep fuzz and the DSPCAM_NO_SIMD CI leg).
-//
-// Both write ceil(count / 64) words of raw match bits; the caller masks
-// with the packed valid flags.
-//
-// These two sweeps are the *generic* family of the match-kernel registry
-// (match_kernel.h): the geometry-specialized kernels outrank them at
-// selection time, and they remain the guaranteed fallback (and the whole
-// story under DSPCAM_FORCE_GENERIC_KERNEL).
+//  - match_sweep_scalar / match_sweep_scalar_multi: the portable reference
+//    loops behind the registry's generic_scalar kernel (match_kernel.h),
+//    the guaranteed fallback for every geometry. They write ceil(count /
+//    64) words of raw match bits; the caller masks with the packed valid
+//    flags.
+//  - match_sweep_avx2_available(): whether the AVX2 kernels
+//    (match_kernels_avx2.cc, generic_avx2 among them) are compiled in and
+//    runnable here. Compiled in only when the toolchain supports -mavx2 and
+//    DSPCAM_NO_SIMD is off; the runtime CPUID check guards against running
+//    AVX2 code on a host without it. Every AVX2 kernel is pure integer
+//    compares, so it is bit-identical to these loops by construction
+//    (pinned by the ref-vs-fast lockstep fuzz and the DSPCAM_NO_SIMD CI
+//    leg).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
-#include "src/cam/match_kernel.h"
 #include "src/cam/types.h"
 
 namespace dspcam::cam::detail {
 
-/// True when the AVX2 sweep is compiled in AND this CPU executes AVX2.
+/// True when the AVX2 kernels are compiled in AND this CPU executes AVX2.
 /// Cheap after the first call (cached); the answer never changes.
 bool match_sweep_avx2_available() noexcept;
 
-/// AVX2 sweep: out_bits[i / 64] bit (i % 64) = ((stored[i]^key)&nmask[i])==0
-/// for i in [0, count). Only callable when match_sweep_avx2_available().
-void match_sweep_avx2(const std::uint64_t* stored, const std::uint64_t* nmask,
-                      Word key, std::size_t count, std::uint64_t* out_bits);
-
-/// Multi-key AVX2 sweep (match fusion): one walk of the packed arrays
-/// answers `nkeys` keys at once. Key-major output: key k's bits start at
-/// out_bits + k * ceil(count / 64), each a full single-key sweep result.
-/// Only callable when match_sweep_avx2_available().
-void match_sweep_avx2_multi(const std::uint64_t* stored,
-                            const std::uint64_t* nmask, const Word* keys,
-                            std::size_t nkeys, std::size_t count,
-                            std::uint64_t* out_bits);
-
-/// Fused sweep→encode over the AVX2 generic sweep (MatchKernelEncodeFn
-/// contract). Only callable when match_sweep_avx2_available().
-void match_sweep_avx2_encode(const std::uint64_t* stored,
-                             const std::uint64_t* nmask,
-                             const std::uint64_t* valid, Word key,
-                             std::size_t count, EncodingScheme scheme,
-                             EncodedMatch& out, std::uint64_t* out_bits);
-
-/// Portable scalar sweep with the same contract as match_sweep_avx2.
+/// Portable scalar sweep: out_bits[i / 64] bit (i % 64) =
+/// ((stored[i] ^ key) & nmask[i]) == 0 for i in [0, count).
 inline void match_sweep_scalar(const std::uint64_t* stored,
                                const std::uint64_t* nmask, Word key,
                                std::size_t count, std::uint64_t* out_bits) {
@@ -74,10 +48,12 @@ inline void match_sweep_scalar(const std::uint64_t* stored,
   }
 }
 
-/// Portable multi-key sweep with the same contract as
-/// match_sweep_avx2_multi. Entry-major: each stored/nmask word is loaded
-/// once and compared against every key, which is the whole point of fusion -
-/// the operand stream is amortized across the batch.
+/// Portable multi-key sweep: one walk of the packed arrays answers `nkeys`
+/// keys. Key-major output: key k's bits start at out_bits + k *
+/// ceil(count / 64), each a full single-key sweep result. Entry-major: each
+/// stored/nmask word is loaded once and compared against every key, which
+/// is the whole point of fusion - the operand stream is amortized across
+/// the batch.
 inline void match_sweep_scalar_multi(const std::uint64_t* stored,
                                      const std::uint64_t* nmask,
                                      const Word* keys, std::size_t nkeys,

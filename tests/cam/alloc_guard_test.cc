@@ -185,7 +185,7 @@ TEST_F(AllocGuard, MaskedKernelsAndFusionStagingAreAllocFree) {
 }
 
 TEST_F(AllocGuard, LegacyForceGenericPathIsAllocFree) {
-  // The force-generic escape hatch pins the generic kernels, which run the
+  // force_generic_kernel pins the generic kernels, which run the
   // same fused encode path as every other kernel.
   for (const EncodingScheme scheme :
        {EncodingScheme::kPriorityIndex, EncodingScheme::kOneHot,

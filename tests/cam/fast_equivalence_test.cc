@@ -280,10 +280,9 @@ TEST_P(FastEquivalence, LockstepStreamsAreBitIdentical) {
 // >= 15k lockstep cycles PER ENCODING SCHEME over all three mask modes,
 // both pipeline depths (output buffer off/on), and - through the registry -
 // every specialized kernel family this host can run (narrow-width and
-// full-width, mask-free and masked, depth-matched and ragged, plus the
-// AOT-generated 64/256-deep geometry pins and their fused sweep→encode
-// entry points) and the force-generic escape hatch, which runs the
-// generic kernels' fused entry points end to end.
+// full-width, mask-free and masked, depth-matched and ragged, with their
+// fused sweep→encode entry points) and force_generic_kernel, which runs
+// the generic kernels' fused entry points end to end.
 // Constant-initialised, so the struct padding is zero: ctest names each case
 // after the byte dump of its parameter, and stack garbage in the padding
 // would give the cases new names on every build.
@@ -309,9 +308,8 @@ constexpr EquivParams kConfigs[] = {
                 EncodingScheme::kPriorityIndex, 2000, 808, true},
     EquivParams{CamKind::kTernary, 16, 4, 32, 2, false,
                 EncodingScheme::kMatchCount, 2000, 909, true},
-    // 256-deep geometries: the AOT-generated kernel pins (gen_eq_w32_
-    // d256, gen_masked_w16_d256, gen_masked_w32_d64) and the fused
-    // encode fast path they carry, under every scheme.
+    // 64- and 256-deep geometries (the scalar depth templates on a
+    // no-SIMD build) and the fused encode fast path, under every scheme.
     EquivParams{CamKind::kBinary, 32, 2, 256, 1, true,
                 EncodingScheme::kOneHot, 4000, 1001},
     EquivParams{CamKind::kTernary, 16, 2, 256, 2, false,
@@ -356,6 +354,16 @@ constexpr EquivParams kConfigs[] = {
     EquivParams{CamKind::kTernary, 16, 6, 32, 3, true,
                 EncodingScheme::kMatchCount, 4000, 2415, false, false,
                 true, false},
+    // Forced generic on the geometries the specialized kernels own: the
+    // 48-bit binary (eq64_avx2) shape, a range CAM under parity pokes,
+    // and the lookup_8k shape with fused staging driven.
+    EquivParams{CamKind::kBinary, 48, 2, 64, 1, false,
+                EncodingScheme::kPriorityIndex, 2000, 2516, true},
+    EquivParams{CamKind::kRange, 16, 4, 32, 2, true,
+                EncodingScheme::kOneHot, 3000, 2617, true, true},
+    EquivParams{CamKind::kBinary, 32, 32, 256, 1, true,
+                EncodingScheme::kPriorityIndex, 1500, 2718, true, false,
+                false, true},
 };
 
 INSTANTIATE_TEST_SUITE_P(Configs, FastEquivalence,

@@ -1,17 +1,20 @@
-// Direct unit tests for the generic sweeps (match_sweep.h): the guaranteed
-// fallback of the match-kernel registry, so its edge-case contract must be
-// pinned independently of any block-level path:
+// Direct unit tests for the generic sweeps: the guaranteed fallback of the
+// match-kernel registry, so its edge-case contract must be pinned
+// independently of any block-level path:
 //   - count == 0 writes nothing (the output buffer is untouched),
 //   - counts that are not a multiple of 64 fill the partial tail word,
 //   - tail-word bits at or above `count` are guaranteed zero,
-//   - the AVX2 sweep is bit-identical to the scalar loop (when it runs here).
+//   - the registry's generic_avx2 sweep is bit-identical to the scalar loop
+//     (when it is compiled in and runs here).
 #include "src/cam/match_sweep.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "src/cam/match_kernel.h"
 #include "src/common/bitops.h"
 #include "src/common/random.h"
 
@@ -50,6 +53,16 @@ SweepInput random_input(std::size_t count, std::uint64_t seed) {
   return in;
 }
 
+/// The registry's generic AVX2 sweep, or nullptr when it is not compiled in
+/// or cannot run on this host.
+MatchKernelFn generic_avx2_sweep() {
+  if (!match_sweep_avx2_available()) return nullptr;
+  for (const MatchKernel& k : match_kernel_registry()) {
+    if (std::string(k.name) == "generic_avx2") return k.fn;
+  }
+  return nullptr;
+}
+
 /// The golden formula, computed bit by bit with no packing cleverness.
 std::vector<std::uint64_t> golden_bits(const SweepInput& in) {
   const std::size_t count = in.stored.size();
@@ -67,8 +80,8 @@ TEST(MatchSweep, CountZeroWritesNothing) {
   const std::uint64_t stored = 0, nmask = 0;
   match_sweep_scalar(&stored, &nmask, /*key=*/0, /*count=*/0, out.data());
   for (const std::uint64_t w : out) EXPECT_EQ(w, kSentinel);
-  if (match_sweep_avx2_available()) {
-    match_sweep_avx2(&stored, &nmask, 0, 0, out.data());
+  if (const MatchKernelFn avx2 = generic_avx2_sweep()) {
+    avx2(&stored, &nmask, 0, 0, out.data());
     for (const std::uint64_t w : out) EXPECT_EQ(w, kSentinel);
   }
 }
@@ -112,18 +125,18 @@ TEST(MatchSweep, TailBitsAboveCountAreZero) {
 }
 
 TEST(MatchSweep, Avx2MatchesScalarBitForBit) {
-  if (!match_sweep_avx2_available()) {
-    GTEST_SKIP() << "AVX2 sweep not compiled in or not runnable on this host";
+  const MatchKernelFn avx2 = generic_avx2_sweep();
+  if (avx2 == nullptr) {
+    GTEST_SKIP() << "generic_avx2 not compiled in or not runnable on this host";
   }
   for (std::size_t count = 1; count <= 200; ++count) {
     const SweepInput in = random_input(count, 9000 + count);
     std::vector<std::uint64_t> scalar((count + 63) / 64, kSentinel);
-    std::vector<std::uint64_t> avx2(scalar.size(), ~kSentinel);
+    std::vector<std::uint64_t> vec(scalar.size(), ~kSentinel);
     match_sweep_scalar(in.stored.data(), in.nmask.data(), in.key, count,
                        scalar.data());
-    match_sweep_avx2(in.stored.data(), in.nmask.data(), in.key, count,
-                     avx2.data());
-    ASSERT_EQ(avx2, scalar) << "count " << count;
+    avx2(in.stored.data(), in.nmask.data(), in.key, count, vec.data());
+    ASSERT_EQ(vec, scalar) << "count " << count;
   }
 }
 

@@ -242,7 +242,7 @@ constexpr FusionParams kFusionConfigs[] = {
     FusionParams{cam::CamKind::kRange, 16, 4, 32, 8, 2500, 55},
     // 48-bit binary: the full-width eq64 kernel family.
     FusionParams{cam::CamKind::kBinary, 48, 2, 64, 8, 2500, 66},
-    // One-hot and match-count encodings at the AOT-pinned 64/256-deep
+    // One-hot and match-count encodings at the 64/256-deep
     // geometries: staged records carry pre-encoded results
     // (multi_encode_fn) and must stay byte-identical to the unfused
     // stream under every scheme (>= 15k lockstep cycles per scheme).

@@ -59,11 +59,11 @@ TEST(BenchDiffIdentity, EncodeRowsKeyOnTierAndSchemeWithSpeedupVolatile) {
   // stats stay out of the identity.
   const Row a = parse(
       R"({"kind": "encode", "unit": "bcam_w32_d256", "scheme": "priority-index", )"
-      R"("path": "aot", "kernel": "gen_eq_w32_d256", "cells": 256, )"
+      R"("path": "template", "kernel": "eq_d256", "cells": 256, )"
       R"("encodes_per_sec_median": 4e6, "speedup_vs_unfused": 1.6})");
   const Row b = parse(
       R"({"kind": "encode", "unit": "bcam_w32_d256", "scheme": "priority-index", )"
-      R"("path": "aot", "kernel": "gen_eq_w32_d256", "cells": 256, )"
+      R"("path": "template", "kernel": "eq_d256", "cells": 256, )"
       R"("encodes_per_sec_median": 9e6, "speedup_vs_unfused": 1.2})");
   const Row c = parse(
       R"({"kind": "encode", "unit": "bcam_w32_d256", "scheme": "priority-index", )"
