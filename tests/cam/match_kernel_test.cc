@@ -3,6 +3,7 @@
 //     all four entry points set),
 //   - the selector honours every descriptor constraint and priority order,
 //   - the selection table: the kernel each geometry gets on this host's tier,
+//     and the scalar tier's picks on every host,
 //   - BlockConfig::force_generic_kernel pins the generic family,
 //   - every registered kernel is bit-identical to the golden match formula
 //     at a geometry it would be selected for (tail bits included),
@@ -111,59 +112,99 @@ TEST(MatchKernelRegistry, NonBinaryNeverGetsMaskFreeKernels) {
   }
 }
 
-/// The kernel each geometry gets, named per tier, so a registry reorder or
-/// descriptor change that moves a pick fails here. Widths index {16, 32,
-/// 48}; depths index {16, 128, 256, 8192}. "Masked" covers TCAM, RMCAM and
-/// the binary fallback dispatched once a poke de-uniforms the mask plane.
-TEST(MatchKernelRegistry, SelectionTableIsPinned) {
-  constexpr unsigned kWidths[] = {16, 32, 48};
-  constexpr unsigned kDepths[] = {16, 128, 256, 8192};
-  // AVX2 host: depth never matters.
-  constexpr const char* kAvx2MaskFree[] = {"eq32_avx2", "eq32_avx2",
-                                           "eq64_avx2"};
-  constexpr const char* kAvx2Masked[] = {"masked32_avx2", "masked32_avx2",
-                                         "generic_avx2"};
-  // No AVX2 (DSPCAM_NO_SIMD build or host): width never matters.
-  constexpr const char* kScalarMaskFree[] = {"eq_d16", "eq_d128", "eq_d256",
-                                             "eq"};
-  constexpr const char* kScalarMasked[] = {"masked_d16", "masked_d128",
-                                           "masked_d256", "generic_scalar"};
-  const bool avx2 = detail::match_sweep_avx2_available();
+/// The selection table's grid. Widths index {16, 32, 48}; depths index
+/// {16, 128, 256, 8192}. "Masked" covers TCAM, RMCAM and the binary
+/// fallback dispatched once a poke de-uniforms the mask plane.
+constexpr unsigned kTableWidths[] = {16, 32, 48};
+constexpr unsigned kTableDepths[] = {16, 128, 256, 8192};
+// AVX2 host: depth never matters.
+constexpr const char* kAvx2MaskFree[] = {"eq32_avx2", "eq32_avx2", "eq64_avx2"};
+constexpr const char* kAvx2Masked[] = {"masked32_avx2", "masked32_avx2",
+                                       "generic_avx2"};
+// No AVX2 (DSPCAM_NO_SIMD build or host): width never matters.
+constexpr const char* kScalarMaskFree[] = {"eq_d16", "eq_d128", "eq_d256",
+                                           "eq"};
+constexpr const char* kScalarMasked[] = {"masked_d16", "masked_d128",
+                                         "masked_d256", "generic_scalar"};
 
+/// The pinned pick for `q` (width index `wi`, depth index `di`) on the AVX2
+/// tier or the scalar tier.
+std::string table_pick(bool avx2, const MatchKernelQuery& q, std::size_t wi,
+                       std::size_t di) {
+  const bool mask_free = q.kind == CamKind::kBinary && q.allow_mask_free;
+  if (avx2) {
+    return q.force_generic ? "generic_avx2"
+           : mask_free     ? kAvx2MaskFree[wi]
+                           : kAvx2Masked[wi];
+  }
+  return q.force_generic ? "generic_scalar"
+         : mask_free     ? kScalarMaskFree[di]
+                         : kScalarMasked[di];
+}
+
+/// Calls `check(q, wi, di)` for every query of the selection table: binary
+/// (mask-free and fallback), ternary and range, every grid width and depth,
+/// forced and unforced.
+template <typename Check>
+void for_each_table_query(Check check) {
   struct Row {
     CamKind kind;
     bool allow_mask_free;
   };
   for (const Row row : {Row{CamKind::kBinary, true}, Row{CamKind::kBinary, false},
                         Row{CamKind::kTernary, true}, Row{CamKind::kRange, true}}) {
-    const bool mask_free = row.kind == CamKind::kBinary && row.allow_mask_free;
-    for (std::size_t wi = 0; wi < std::size(kWidths); ++wi) {
-      for (std::size_t di = 0; di < std::size(kDepths); ++di) {
+    for (std::size_t wi = 0; wi < std::size(kTableWidths); ++wi) {
+      for (std::size_t di = 0; di < std::size(kTableDepths); ++di) {
         for (const bool forced : {false, true}) {
           MatchKernelQuery q;
           q.kind = row.kind;
           q.allow_mask_free = row.allow_mask_free;
-          q.data_width = kWidths[wi];
-          q.block_size = kDepths[di];
+          q.data_width = kTableWidths[wi];
+          q.block_size = kTableDepths[di];
           q.force_generic = forced;
-          std::string want;
-          if (avx2) {
-            want = forced      ? "generic_avx2"
-                   : mask_free ? kAvx2MaskFree[wi]
-                               : kAvx2Masked[wi];
-          } else {
-            want = forced      ? "generic_scalar"
-                   : mask_free ? kScalarMaskFree[di]
-                               : kScalarMasked[di];
-          }
-          EXPECT_EQ(select_match_kernel(q).name, want)
-              << to_string(row.kind) << " allow_mask_free "
-              << row.allow_mask_free << " width " << kWidths[wi] << " depth "
-              << kDepths[di] << " forced " << forced;
+          check(q, wi, di);
         }
       }
     }
   }
+}
+
+std::string describe(const MatchKernelQuery& q) {
+  return std::string(to_string(q.kind)) + " allow_mask_free " +
+         std::to_string(q.allow_mask_free) + " width " +
+         std::to_string(q.data_width) + " depth " +
+         std::to_string(q.block_size) + " forced " +
+         std::to_string(q.force_generic);
+}
+
+/// The kernel each geometry gets on this host's tier, so a registry reorder
+/// or descriptor change that moves a pick fails here.
+TEST(MatchKernelRegistry, SelectionTableIsPinned) {
+  const bool avx2 = detail::match_sweep_avx2_available();
+  for_each_table_query([&](const MatchKernelQuery& q, std::size_t wi,
+                           std::size_t di) {
+    EXPECT_EQ(select_match_kernel(q).name, table_pick(avx2, q, wi, di))
+        << describe(q);
+  });
+}
+
+/// The scalar tier's picks, checked on every host: the first non-AVX2
+/// registry entry the selector's predicate admits. On an AVX2 host the
+/// selector never reaches this tier, so without this a reorder of the
+/// scalar family would only fail on a DSPCAM_NO_SIMD build.
+TEST(MatchKernelRegistry, ScalarTierSelectionTableIsPinned) {
+  for_each_table_query([](const MatchKernelQuery& q, std::size_t wi,
+                          std::size_t di) {
+    const MatchKernel* pick = nullptr;
+    for (const MatchKernel& k : match_kernel_registry()) {
+      if (!k.needs_avx2 && eligible(k, q)) {
+        pick = &k;
+        break;
+      }
+    }
+    ASSERT_NE(pick, nullptr) << describe(q);
+    EXPECT_EQ(pick->name, table_pick(/*avx2=*/false, q, wi, di)) << describe(q);
+  });
 }
 
 BlockConfig fast_block(CamKind kind = CamKind::kBinary, unsigned width = 32,

@@ -5,7 +5,9 @@
 //   - counts that are not a multiple of 64 fill the partial tail word,
 //   - tail-word bits at or above `count` are guaranteed zero,
 //   - the registry's generic_avx2 sweep is bit-identical to the scalar loop
-//     (when it is compiled in and runs here).
+//     (when it is compiled in and runs here),
+//   - the availability flag and the registry agree, so that test cannot
+//     skip on a host that runs AVX2.
 #include "src/cam/match_sweep.h"
 
 #include <gtest/gtest.h>
@@ -120,6 +122,32 @@ TEST(MatchSweep, TailBitsAboveCountAreZero) {
     for (std::size_t i = 0; i < count; ++i) {
       EXPECT_NE(out[i / 64] & (std::uint64_t{1} << (i % 64)), 0u)
           << "count " << count << " entry " << i;
+    }
+  }
+}
+
+/// match_sweep_avx2_available() is the flag bench/e2e reports and the
+/// selector gates the AVX2 tier on. Whenever it is true the registry must
+/// carry generic_avx2, or Avx2MatchesScalarBitForBit would skip instead of
+/// fail; when false, no AVX2 kernel may be selectable.
+TEST(MatchSweep, Avx2AvailabilityAgreesWithRegistry) {
+  const MatchKernel* generic = nullptr;
+  for (const MatchKernel& k : match_kernel_registry()) {
+    if (std::string(k.name) == "generic_avx2") generic = &k;
+  }
+  if (match_sweep_avx2_available()) {
+    ASSERT_NE(generic, nullptr);
+    EXPECT_TRUE(generic->needs_avx2);
+    EXPECT_TRUE(generic->generic);
+    EXPECT_EQ(generic->max_width, 0u);
+    EXPECT_EQ(generic->depth, 0u);
+    EXPECT_EQ(generic_avx2_sweep(), generic->fn);
+  } else {
+    EXPECT_EQ(generic_avx2_sweep(), nullptr);
+    MatchKernelQuery q;
+    for (const bool forced : {false, true}) {
+      q.force_generic = forced;
+      EXPECT_FALSE(select_match_kernel(q).needs_avx2) << "forced " << forced;
     }
   }
 }
