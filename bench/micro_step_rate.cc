@@ -1,23 +1,15 @@
 // Simulation-engine step-rate microbenchmark (host performance, not FPGA
 // performance): how many simulated cycles and searches per host second the
-// two evaluation paths sustain, and how parallel shard stepping scales.
+// two evaluation paths sustain, and what the host-side add-ons cost.
 //
 //   part 1  reference vs fast CamUnit on a saturating search stream at
 //           {16x16, 64x64, 256x64} (blocks x cells/block) - the tentpole
 //           speedup of the vectorized match kernel.
-//   part 2  ShardedCamEngine at S in {1,4,8} with serial vs S-threaded
-//           stepping - host wall-clock scaling of the per-cycle barrier
-//           (bounded by the machine's core count; the JSON records
-//           hardware_concurrency so trajectories are comparable).
-//   part 3  telemetry overhead: the same sharded stream with the metric
-//           registry + sampled span tracer attached, reported as a ratio
-//           against the bare run (acceptance: within 10%). The JSON row
-//           carries the registry snapshot under "telemetry".
-//   part 4  safe-horizon ablation: the engine driven directly in fixed
-//           free-run windows of K cycles (K in {1,4,16,64}) and with its
-//           own conservative output_horizon() ("auto"), relative to
-//           per-cycle stepping (K=1) - how much of the barrier cost the
-//           batched stepping path recovers.
+//   part 3  telemetry overhead: a 4-shard ShardedCamEngine search stream
+//           with the metric registry + sampled span tracer attached,
+//           reported as a ratio against the bare run (acceptance: within
+//           10%). The JSON row carries the registry snapshot under
+//           "telemetry".
 //   part 5  match-kernel ablation: the same saturating search stream per
 //           geometry with the registry-selected specialized kernel vs the
 //           generic sweep forced on the identical geometry
@@ -38,12 +30,15 @@
 //           kind:"encode" rows carry the paired-ratio speedup_vs_unfused;
 //           the 256-deep rows are the headline figure (>= 1.3x median).
 //
+// Parts 2 (shard_scaling) and 4 (horizon) measured parallel shard stepping
+// and safe-horizon windows; both mechanisms are gone, and the remaining
+// parts keep their numbers so references to them stay valid.
+//
 // Flags: --warmup N --repeat N --json <path>   (default path
 // BENCH_step_rate.json so CI always collects the artifact).
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -134,25 +129,18 @@ Rate search_stream_rate(const cam::UnitConfig& cfg, std::uint64_t cycles) {
 
 /// Streams S-key search beats into a sharded engine (the hash partitioner
 /// spreads the keys, so all shards stay busy) and reports the engine's
-/// simulated cycle rate. `effective_threads` (optional) receives the
-/// engine's post-clamp worker count, so JSON rows from small hosts are
-/// honest about how much parallelism actually ran.
-Rate engine_stream_rate(unsigned shards, unsigned threads, std::uint64_t cycles,
+/// simulated cycle rate.
+Rate engine_stream_rate(unsigned shards, std::uint64_t cycles,
                         telemetry::MetricRegistry* registry = nullptr,
                         telemetry::SpanTracer* tracer = nullptr,
-                        unsigned* effective_threads = nullptr,
                         telemetry::HealthMonitor* health = nullptr,
                         telemetry::FlightRecorder* recorder = nullptr) {
   system::ShardedCamEngine::Config ec;
   ec.shards = shards;
-  ec.step_threads = threads;
   ec.credits_per_shard = 64;
   system::CamSystem::Config sc;
   sc.unit = unit_config(16, 16, cam::EvalMode::kFast);
   system::ShardedCamEngine engine(ec, sc);
-  if (effective_threads != nullptr) {
-    *effective_threads = engine.effective_step_threads();
-  }
   system::CamDriver driver(engine);
   if (registry != nullptr || tracer != nullptr) {
     driver.attach_telemetry(registry, tracer, /*snapshot_every=*/256);
@@ -189,70 +177,6 @@ Rate engine_stream_rate(unsigned shards, unsigned threads, std::uint64_t cycles,
   r.cycles_per_sec = stepped / secs;
   r.searches_per_sec = static_cast<double>(responses) / secs;
   return r;
-}
-
-/// Horizon ablation: drives the engine directly (no driver) with one S-key
-/// search beat per window boundary, free-running `horizon` cycles between
-/// boundaries via step_many (horizon 0 = the engine's own conservative
-/// output_horizon()). Reports the simulated cycle rate.
-double horizon_stream_rate(unsigned shards, unsigned threads,
-                           std::uint64_t cycles, std::uint64_t horizon,
-                           unsigned* effective_threads = nullptr) {
-  system::ShardedCamEngine::Config ec;
-  ec.shards = shards;
-  ec.step_threads = threads;
-  ec.credits_per_shard = 64;
-  system::CamSystem::Config sc;
-  sc.unit = unit_config(16, 16, cam::EvalMode::kFast);
-  system::ShardedCamEngine engine(ec, sc);
-  if (effective_threads != nullptr) {
-    *effective_threads = engine.effective_step_threads();
-  }
-
-  // Preload shards*128 words; the hash partitioner spreads them out.
-  const unsigned total = shards * 128u;
-  std::uint64_t seq = 1;
-  unsigned stored = 0;
-  while (stored < total) {
-    cam::UnitRequest req;
-    req.op = cam::OpKind::kUpdate;
-    for (unsigned w = 0; w < shards && stored + w < total; ++w) {
-      req.words.push_back(stored + w);
-    }
-    req.seq = seq++;
-    const unsigned batch = static_cast<unsigned>(req.words.size());
-    if (engine.try_submit(std::move(req))) stored += batch;
-    engine.step();
-    while (engine.try_pop_ack()) {
-    }
-  }
-  for (unsigned i = 0; i < 16; ++i) {
-    engine.step();
-    while (engine.try_pop_ack()) {
-    }
-  }
-
-  std::uint64_t key = 0;
-  std::uint64_t remaining = cycles;
-  const auto t0 = Clock::now();
-  while (remaining > 0) {
-    cam::UnitRequest req;
-    req.op = cam::OpKind::kSearch;
-    for (unsigned k = 0; k < shards; ++k) req.keys.push_back(key++ % total);
-    req.seq = seq++;
-    (void)engine.try_submit(std::move(req));
-    std::uint64_t k = horizon;
-    if (k == 0) k = std::max<std::uint64_t>(1, engine.output_horizon());
-    k = std::min(k, remaining);
-    engine.step_many(k);
-    remaining -= k;
-    while (engine.try_pop_response()) {
-    }
-    while (engine.try_pop_ack()) {
-    }
-  }
-  const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-  return static_cast<double>(cycles) / secs;
 }
 
 struct Geometry {
@@ -483,47 +407,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Part 2: parallel shard stepping.
-  std::printf("\n%-8s %-10s %14s %14s %10s\n", "shards", "threads", "cycles/s",
-              "searches/s", "vs serial");
-  const unsigned cores = std::thread::hardware_concurrency();
-  for (const unsigned shards : {1u, 4u, 8u}) {
-    double serial_median = 0;
-    for (const unsigned threads : {1u, shards}) {
-      if (threads == 1 && shards == 1 && serial_median > 0) continue;
-      unsigned effective = threads;
-      const auto [stats, sps_stats] = dspcam::bench::measure_repeated_pair(opt, [&] {
-        const Rate r = engine_stream_rate(shards, threads, 20'000, nullptr,
-                                          nullptr, &effective);
-        return std::pair<double, double>{r.cycles_per_sec, r.searches_per_sec};
-      });
-      const bool parallel = threads > 1;
-      const double scaling =
-          parallel && serial_median > 0 ? stats.median / serial_median : 0;
-      if (!parallel) serial_median = stats.median;
-      char ratio[32] = "-";
-      if (parallel) std::snprintf(ratio, sizeof(ratio), "%.2fx", scaling);
-      std::printf("%-8u %-10u %14.0f %14.0f %10s\n", shards, effective,
-                  stats.median, sps_stats.median, ratio);
-      auto row = dspcam::bench::JsonLog::Row("micro_step_rate");
-      row.str("kind", "shard_scaling")
-          .num("shards", static_cast<std::uint64_t>(shards))
-          .num("step_threads", static_cast<std::uint64_t>(threads))
-          .num("effective_step_threads", static_cast<std::uint64_t>(effective))
-          .num("host_cores", static_cast<std::uint64_t>(cores))
-          .num("sim_cycles", std::uint64_t{20'000});
-      dspcam::bench::add_stats(row, "cycles_per_sec", stats);
-      dspcam::bench::add_stats(row, "searches_per_sec", sps_stats);
-      if (parallel) row.num("speedup_vs_serial", scaling);
-      log.emit(row);
-    }
-  }
   // Part 3: telemetry overhead on the sharded stream.
   std::printf("\n%-24s %14s %10s\n", "configuration", "cycles/s", "vs bare");
   const unsigned t_shards = 4;
   const std::uint64_t t_cycles = 20'000;
   const auto bare = dspcam::bench::measure_repeated(opt, [&] {
-    return engine_stream_rate(t_shards, 1, t_cycles).cycles_per_sec;
+    return engine_stream_rate(t_shards, t_cycles).cycles_per_sec;
   });
   std::printf("%-24s %14.0f %10s\n", "4 shards, bare", bare.median, "-");
   dspcam::telemetry::MetricRegistry registry;
@@ -531,7 +420,7 @@ int main(int argc, char** argv) {
   const auto traced = dspcam::bench::measure_repeated(opt, [&] {
     registry.reset();
     tracer.clear();
-    return engine_stream_rate(t_shards, 1, t_cycles, &registry, &tracer)
+    return engine_stream_rate(t_shards, t_cycles, &registry, &tracer)
         .cycles_per_sec;
   });
   const double overhead = bare.median > 0 ? traced.median / bare.median : 0;
@@ -563,8 +452,8 @@ int main(int argc, char** argv) {
       tracer.clear();
       health.reset();
       recorder.clear();
-      return engine_stream_rate(t_shards, 1, t_cycles, &registry, &tracer,
-                                nullptr, &health, &recorder)
+      return engine_stream_rate(t_shards, t_cycles, &registry, &tracer, &health,
+                                &recorder)
           .cycles_per_sec;
     });
     const double h_overhead = bare.median > 0 ? observed.median / bare.median : 0;
@@ -582,43 +471,6 @@ int main(int argc, char** argv) {
     dspcam::bench::add_stats(row, "bare_cycles_per_sec", bare);
     dspcam::bench::add_stats(row, "observed_cycles_per_sec", observed);
     log.emit(row);
-  }
-
-  // Part 4: safe-horizon ablation.
-  std::printf("\n%-8s %-10s %-8s %14s %10s\n", "shards", "threads", "K",
-              "cycles/s", "vs K=1");
-  const unsigned h_shards = 8;
-  const std::uint64_t h_cycles = 20'000;
-  for (const unsigned threads : {1u, 8u}) {
-    double k1_median = 0;
-    // 0 encodes "auto" (the engine's own output_horizon()).
-    for (const std::uint64_t k : {1ull, 4ull, 16ull, 64ull, 0ull}) {
-      unsigned effective = threads;
-      const auto stats = dspcam::bench::measure_repeated(opt, [&] {
-        return horizon_stream_rate(h_shards, threads, h_cycles, k, &effective);
-      });
-      const bool is_k1 = k == 1;
-      if (is_k1) k1_median = stats.median;
-      const double speedup = k1_median > 0 ? stats.median / k1_median : 0;
-      char k_label[24] = "auto";
-      if (k != 0) std::snprintf(k_label, sizeof(k_label), "%llu",
-                                static_cast<unsigned long long>(k));
-      char ratio[32] = "-";
-      if (!is_k1) std::snprintf(ratio, sizeof(ratio), "%.2fx", speedup);
-      std::printf("%-8u %-10u %-8s %14.0f %10s\n", h_shards, effective, k_label,
-                  stats.median, ratio);
-      auto row = dspcam::bench::JsonLog::Row("micro_step_rate");
-      row.str("kind", "horizon")
-          .num("shards", static_cast<std::uint64_t>(h_shards))
-          .num("step_threads", static_cast<std::uint64_t>(threads))
-          .num("effective_step_threads", static_cast<std::uint64_t>(effective))
-          .num("host_cores", static_cast<std::uint64_t>(cores))
-          .str("horizon", k_label)
-          .num("sim_cycles", h_cycles);
-      dspcam::bench::add_stats(row, "cycles_per_sec", stats);
-      if (!is_k1) row.num("speedup_vs_k1", speedup);
-      log.emit(row);
-    }
   }
 
   // Part 5: match-kernel ablation - registry-selected specialized kernel vs
@@ -834,7 +686,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n(host has %u hardware threads; parallel scaling is bounded "
-              "by that, not by the engine)\n", cores);
   return 0;
 }

@@ -4,10 +4,9 @@
 // FaultCampaign. Every decision - whether a cycle fires, which entry, which
 // plane, which bit - comes from one xoshiro256** stream seeded by the
 // campaign, so the same seed against the same geometry reproduces the exact
-// same corruption history regardless of host threading (the injector runs on
-// the polling thread; see CamDriver::set_cycle_hook). That reproducibility
-// is what the acceptance tests pin: identical injected/detected/corrected
-// counters across runs and across ShardedCamEngine step_threads settings.
+// same corruption history (the injector runs between clock edges; see
+// CamDriver::set_cycle_hook). That reproducibility is what the acceptance
+// tests pin: identical injected/detected/corrected counters across runs.
 #pragma once
 
 #include <cstdint>

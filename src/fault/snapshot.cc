@@ -83,7 +83,7 @@ void snapshot_target(const FaultTarget& target, ShardSnapshot& snap) {
   }
 }
 
-void restore_target(FaultTarget& target, const ShardSnapshot& snap) {
+void check_restorable(const FaultTarget& target, const ShardSnapshot& snap) {
   snap.verify();
   if (snap.entry_count != target.entry_count()) {
     throw SimError("ShardSnapshot: geometry mismatch - snapshot holds " +
@@ -101,6 +101,10 @@ void restore_target(FaultTarget& target, const ShardSnapshot& snap) {
         "ShardSnapshot: parity-protection mismatch between snapshot and "
         "target");
   }
+}
+
+void restore_target(FaultTarget& target, const ShardSnapshot& snap) {
+  check_restorable(target, snap);
   for (std::size_t i = 0; i < snap.entries.size(); ++i) {
     target.poke(i, snap.entries[i]);
   }

@@ -63,9 +63,12 @@ struct ShardSnapshot {
 /// target-derived geometry fields (entry_count/entry_bits/parity_protected).
 void snapshot_target(const FaultTarget& target, ShardSnapshot& snap);
 
-/// Pokes `snap.entries` back into `target` after verify() and a geometry
-/// check (entry_count/entry_bits/parity_protected must match). Throws
-/// SimError, never partially applies on a detected mismatch.
+/// verify() plus a geometry check: entry_count/entry_bits/parity_protected
+/// must match `target`. Throws SimError naming the mismatch.
+void check_restorable(const FaultTarget& target, const ShardSnapshot& snap);
+
+/// Pokes `snap.entries` back into `target` after check_restorable(). Never
+/// partially applies on a detected mismatch.
 void restore_target(FaultTarget& target, const ShardSnapshot& snap);
 
 }  // namespace dspcam::fault

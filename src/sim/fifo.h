@@ -42,8 +42,7 @@ class Fifo {
     return items_.front();
   }
 
-  /// Read-only iteration, front (oldest) to back - occupancy inspection for
-  /// schedulers (e.g. CamSystem::output_horizon scans queued ops' latencies).
+  /// Read-only iteration, front (oldest) to back - occupancy inspection.
   using const_iterator = typename RingQueue<T>::const_iterator;
   const_iterator begin() const noexcept { return items_.begin(); }
   const_iterator end() const noexcept { return items_.end(); }

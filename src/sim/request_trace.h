@@ -5,8 +5,7 @@
 // byte-level: record the requests a driver submits (RequestTrace), replay
 // them against a disturbed engine, normalise the completions into a
 // CompletionStream, and compare its bytes()/digest() against an undisturbed
-// run. Identical bytes = identical completion behaviour, under any
-// step_threads setting or horizon window schedule.
+// run. Identical bytes = identical completion behaviour.
 //
 // Two comparison planes:
 //  - Placement::kFull keeps every result field including global_address /

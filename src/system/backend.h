@@ -124,23 +124,17 @@ class CamBackend {
   /// Advances one clock cycle.
   virtual void step() = 0;
 
-  /// Advances `n` clock cycles with NO host interaction in between: the
-  /// caller promises not to submit, pop, or inspect state until the call
-  /// returns. Must be observably identical - results, stats, telemetry,
-  /// debug_dump - to calling step() n times. Backends override this when
-  /// they can exploit the closed-world window (the ShardedCamEngine
-  /// free-runs its shard workers across the whole window and replays the
-  /// boundary bookkeeping afterwards); the default just loops.
+  /// Advances `n` clock cycles: exactly step() n times. No library backend
+  /// overrides it and no library host calls it; the virtual stays only
+  /// because the end-to-end bench's timing decorator
+  /// (bench/e2e/timed_backend.h) overrides it.
   virtual void step_many(std::uint64_t n) {
     for (; n > 0; --n) step();
   }
 
-  /// Conservative lower bound on the number of step() calls before any NEW
-  /// response or ack could become poppable. 0 means "something may already
-  /// be poppable" or "unknown" - both safe. A backend must never return k
-  /// such that a pop would have succeeded after fewer than k steps; it MAY
-  /// under-report (the host just polls more often). Hosts use this as the
-  /// safe horizon for step_many() batching.
+  /// Always 0 ("no bound known"). Kept as a virtual for the same reason as
+  /// step_many(): bench/e2e/timed_backend.h overrides it. Nothing in the
+  /// library reads it.
   virtual std::uint64_t output_horizon() const { return 0; }
 
   /// True when nothing is queued or in flight anywhere in the backend.
@@ -155,11 +149,10 @@ class CamBackend {
 
   /// Publishes this backend's state into `registry` under `prefix`
   /// (hierarchical names: "<prefix>.issued", "<prefix>.shard3.credits", ...).
-  /// Pull model: the serial host thread calls this between cycles, so the
-  /// backend's own stepping - including parallel shard stepping - never
-  /// writes shared telemetry state and counters stay identical across
-  /// step_threads settings. The default implementation publishes Stats;
-  /// backends override to add queue depths, credits and per-shard detail.
+  /// Pull model: the host thread calls this between cycles, so the
+  /// backend's own stepping never writes telemetry state. The default
+  /// implementation publishes Stats; backends override to add queue depths,
+  /// credits and per-shard detail.
   virtual void record_telemetry(telemetry::MetricRegistry& registry,
                                 const std::string& prefix) const;
 
@@ -177,7 +170,7 @@ class CamBackend {
 
   /// Samples utilization counter series into `tracer` at `cycle` under
   /// `prefix` ("<prefix>.queue_depth", "<prefix>.shard0.inflight", ...).
-  /// Pull model like record_telemetry: the serial host thread calls this at
+  /// Pull model like record_telemetry: the host thread calls this at
   /// publish cadence. The default samples the pending-request queue depth;
   /// backends override to add occupancy and per-shard series.
   virtual void record_counter_tracks(telemetry::SpanTracer& tracer,

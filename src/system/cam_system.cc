@@ -100,12 +100,10 @@ void CamSystem::eval() {
       cam::UnitRequest req = request_fifo_.pop();
       if (req.op == cam::OpKind::kSearch) {
         ++searches_in_flight_;
-        search_ready_.push_back(stats_.cycles + unit_.search_latency());
         if (fused_prefix_ > 0) --fused_prefix_;
       }
       if (req.op == cam::OpKind::kUpdate || req.op == cam::OpKind::kInvalidate) {
         ++updates_in_flight_;
-        ack_ready_.push_back(stats_.cycles + cam::CamUnit::update_latency());
       }
       // Every write-class request is a fusion barrier: one event per pop,
       // so the counter reads "how often a write delimited the stream".
@@ -140,62 +138,26 @@ void CamSystem::commit() {
     }
     response_fifo_.push(*unit_.response());
     --searches_in_flight_;
-    if (!search_ready_.empty()) search_ready_.pop_front();
     ++stats_.responses;
   }
   if (unit_.update_ack().has_value()) {
     ack_fifo_.push(*unit_.update_ack());
     --updates_in_flight_;
-    if (!ack_ready_.empty()) ack_ready_.pop_front();
     ++stats_.acks;
   }
-}
-
-std::uint64_t CamSystem::output_horizon() const {
-  if (!response_fifo_.empty() || !ack_fifo_.empty()) return 0;
-  const std::uint64_t now = stats_.cycles;
-  std::uint64_t best = 0;  // 0 = no bound known.
-  const auto consider = [&](std::uint64_t ready) {
-    // A past-due ready cycle (stale entry after a reset flush, or an issue
-    // delayed by credit exhaustion) still needs >= 1 step to surface.
-    const std::uint64_t k = ready > now ? ready - now : 1;
-    if (best == 0 || k < best) best = k;
-  };
-  if (!search_ready_.empty()) consider(search_ready_.front());
-  if (!ack_ready_.empty()) consider(ack_ready_.front());
-  // Queued requests: entry i pops into the unit no earlier than i cycles
-  // from now (one pop per cycle), completing no earlier than i + its
-  // latency. The minimum is NOT always at the front - a short-latency
-  // update queued behind a long-latency search can finish first - so scan
-  // the whole FIFO. kReset produces no output but still occupies its pop
-  // slot.
-  std::uint64_t i = 0;
-  for (const cam::UnitRequest& req : request_fifo_) {
-    if (best != 0 && i >= best) break;  // later entries cannot improve
-    if (req.op == cam::OpKind::kSearch) {
-      consider(now + i + unit_.search_latency());
-    } else if (req.op == cam::OpKind::kUpdate ||
-               req.op == cam::OpKind::kInvalidate) {
-      consider(now + i + cam::CamUnit::update_latency());
-    }
-    ++i;
-  }
-  return best;
 }
 
 void CamSystem::purge() {
   // Crash-stop semantics: everything queued or in flight is dropped on the
   // floor (no responses, no acks), but the registered storage plane and the
   // fill cursors survive - exactly the state a snapshot captures and a
-  // rebuild restores. Credits and ready deques track in-flight work only,
-  // so they reset with it; stats_.cycles keeps counting (time is not state).
+  // rebuild restores. Credits track in-flight work only, so they reset
+  // with it; stats_.cycles keeps counting (time is not state).
   request_fifo_.clear();
   response_fifo_.clear();
   ack_fifo_.clear();
   searches_in_flight_ = 0;
   updates_in_flight_ = 0;
-  search_ready_.clear();
-  ack_ready_.clear();
   fused_prefix_ = 0;
   unit_.flush_pipelines();
 }
@@ -246,7 +208,7 @@ void CamSystem::record_telemetry(telemetry::MetricRegistry& registry,
   // maintaining a name <-> id mapping ("...kernel.eq32_avx2" = 1).
   registry.gauge(prefix + ".kernel." + unit_.match_kernel_name()).set(1);
   // Fusion plane (pull model: counters/histogram owned here and in the
-  // blocks, republished idempotently - identical for any step_threads).
+  // blocks, republished idempotently).
   registry.gauge(prefix + ".fusion.width")
       .set(static_cast<std::int64_t>(fusion_width_));
   registry.counter(prefix + ".fusion.staged").update_to(unit_.fused_staged());

@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "src/cam/unit.h"
@@ -89,13 +88,6 @@ class CamSystem : public sim::Component, public CamBackend {
   /// No queued requests and nothing in the unit's pipelines.
   bool idle() const override { return request_fifo_.empty() && unit_.idle(); }
 
-  /// Exact safe horizon for this backend: the unit pipeline is stall-free,
-  /// so every issued request's output cycle is known at issue time
-  /// (issue cycle + fixed latency). Returns the distance to the earliest
-  /// such cycle, a request-FIFO-front bound when nothing is in flight, or
-  /// 0 when an output FIFO already holds something.
-  std::uint64_t output_horizon() const override;
-
   // --- Multi-key match fusion. ---
 
   /// The effective fusion width after clamping and the environment
@@ -166,9 +158,8 @@ class CamSystem : public sim::Component, public CamBackend {
   // Multi-key match fusion (DESIGN.md §11). fused_prefix_ counts upcoming
   // search pops whose compares are already staged: while non-zero the
   // scan is off (the batch is in flight). The occupancy histogram and
-  // barrier counter live here (serial-thread state, like stats_) and are
-  // *pulled* into the registry by record_telemetry - identical for any
-  // step_threads setting.
+  // barrier counter live here (like stats_) and are *pulled* into the
+  // registry by record_telemetry.
   std::size_t fusion_width_ = 1;
   std::size_t fused_prefix_ = 0;
   std::uint64_t barrier_breaks_ = 0;
@@ -177,15 +168,6 @@ class CamSystem : public sim::Component, public CamBackend {
   // Credits: results guaranteed space in the output FIFOs.
   std::size_t searches_in_flight_ = 0;
   std::size_t updates_in_flight_ = 0;
-
-  // Ready cycles of in-flight requests, issue order (output_horizon).
-  // Pushed at issue (cycle + fixed unit latency), popped when the matching
-  // output lands in its FIFO. A kReset that flushes in-flight work leaves
-  // entries that are popped by later outputs; since latency is constant and
-  // issue order is FIFO order, a stale front is always <= the true ready
-  // cycle - still a sound lower bound.
-  std::deque<std::uint64_t> search_ready_;
-  std::deque<std::uint64_t> ack_ready_;
 
   fault::UnitFaultTarget fault_target_{unit_};
 

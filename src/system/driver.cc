@@ -235,8 +235,7 @@ void CamDriver::publish_telemetry() {
   registry_->gauge("driver.inflight").set(static_cast<std::int64_t>(inflight_));
   if (m_stall_headroom_ != nullptr) {
     // Published headroom derives from last_progress_cycle_, not drain()'s
-    // iteration counter, so the value at a publish deadline is the same
-    // whether the window was walked per-cycle or in one step_many() batch.
+    // iteration counter, so it is defined outside drain() too.
     const std::uint64_t waited = (inflight_ == 0 && submit_queue_.empty())
                                      ? 0
                                      : polled_cycles_ - last_progress_cycle_;
@@ -381,33 +380,8 @@ void CamDriver::drain() {
   std::uint64_t stagnant = 0;
   while (inflight_ > 0) {
     const std::size_t before = inflight_;
-    std::uint64_t h = 1;
-    if (horizon_batching_ && !cycle_hook_ && submit_queue_.empty()) {
-      // Safe window: nothing can complete for h-1 more cycles, no queued
-      // submission needs pumping and no hook needs per-cycle callbacks, so
-      // the backend may free-run. The watchdog stays exact: cap the window
-      // so a wedged backend is detected within the same budget, and charge
-      // the whole window to the stagnation counter below.
-      h = std::max<std::uint64_t>(1, backend_->output_horizon());
-      h = std::min(h, stall_budget_ - std::min(stall_budget_, stagnant) + 1);
-      if (registry_ != nullptr) {
-        // Never jump past a publish deadline: batched windows then publish
-        // (and evaluate health) at exactly the same multiples of
-        // snapshot_every as per-cycle polling would.
-        h = std::min(h, snapshot_every_ - polled_cycles_ % snapshot_every_);
-      }
-    }
-    if (h > 1) {
-      backend_->step_many(h);
-      polled_cycles_ += h;
-      harvest();
-      if (registry_ != nullptr && polled_cycles_ % snapshot_every_ == 0) {
-        publish_telemetry();
-      }
-    } else {
-      poll();
-    }
-    stagnant = inflight_ < before ? 0 : stagnant + h;
+    poll();
+    stagnant = inflight_ < before ? 0 : stagnant + 1;
     if (m_stall_headroom_ != nullptr) {
       m_stall_headroom_->set(static_cast<std::int64_t>(stall_budget_ - stagnant));
     }

@@ -110,21 +110,7 @@ class CamDriver {
   /// queued until popped). Throws SimError with a diagnostic dump (inflight
   /// tickets, backend queue/credit state) if the backend makes no progress
   /// for stall_budget() consecutive cycles.
-  ///
-  /// With horizon batching on (the default), drain() asks the backend for
-  /// its output_horizon() each iteration and, when the bound k exceeds one
-  /// cycle, advances the clock with one step_many(k) call instead of k
-  /// polls. The bound is conservative - no completion can surface inside
-  /// the window - so harvest cycles, completion latencies and telemetry are
-  /// byte-identical to per-cycle polling (pinned in
-  /// tests/system/horizon_test.cc). Batching is skipped whenever a cycle
-  /// hook is installed (it must observe every cycle) or queued submissions
-  /// still await backend FIFO room.
   void drain();
-
-  /// Enables/disables safe-horizon batch stepping inside drain().
-  void set_horizon_batching(bool on) noexcept { horizon_batching_ = on; }
-  bool horizon_batching() const noexcept { return horizon_batching_; }
 
   // --- Watchdog / instrumentation. ---
 
@@ -135,9 +121,9 @@ class CamDriver {
 
   /// Installs a hook invoked once per poll(), after the backend's clock
   /// edge and before completions are harvested. This is where a fault
-  /// campaign's injector and scrubber step (src/fault/): the hook runs on
-  /// the polling thread, so injection order is deterministic regardless of
-  /// how the backend parallelises its own stepping. Pass nullptr to remove.
+  /// campaign's injector and scrubber step (src/fault/): the hook runs
+  /// between clock edges, so injection order is deterministic. Pass nullptr
+  /// to remove.
   void set_cycle_hook(std::function<void()> hook) { cycle_hook_ = std::move(hook); }
 
   /// Tickets submitted whose completions have not yet been harvested.
@@ -173,9 +159,9 @@ class CamDriver {
   /// backend via set_span_tracer(); sampled tickets record a whole-lifetime
   /// span on track 0 ("driver.tickets") and a backpressure-wait span on
   /// track 1 ("driver.queue"). Both pointers are borrowed and must outlive
-  /// the driver; pass nullptr to detach. All telemetry writes happen on the
-  /// polling thread, so counters are identical across backend step_threads
-  /// settings. Throws ConfigError when snapshot_every is zero.
+  /// the driver; pass nullptr to detach. All telemetry writes happen in
+  /// poll() and the publish calls, on the simulated clock. Throws
+  /// ConfigError when snapshot_every is zero.
   void attach_telemetry(telemetry::MetricRegistry* registry,
                         telemetry::SpanTracer* tracer = nullptr,
                         std::uint64_t snapshot_every = 1024);
@@ -190,9 +176,9 @@ class CamDriver {
   // --- Health plane (src/telemetry/health.h, flight_recorder.h). ---
 
   /// Attaches a health monitor, evaluated at every telemetry publication
-  /// (the snapshot cadence plus explicit publish_telemetry() calls) on the
-  /// polling thread, so rule transitions land on the same cycle for any
-  /// step_threads / eval-mode / horizon schedule. Requires attach_telemetry
+  /// (the snapshot cadence plus explicit publish_telemetry() calls), so rule
+  /// transitions land on the same simulated cycle in either eval mode.
+  /// Requires attach_telemetry
   /// first and a monitor bound to the same registry (ConfigError otherwise);
   /// nullptr detaches. Borrowed.
   void attach_health(telemetry::HealthMonitor* health);
@@ -287,7 +273,6 @@ class CamDriver {
 
   std::set<Ticket> outstanding_;  ///< Submitted, not yet harvested.
   std::uint64_t stall_budget_ = kDefaultStallBudget;
-  bool horizon_batching_ = true;  ///< drain() may step_many() safe windows.
   std::function<void()> cycle_hook_;
   sim::RequestTrace* request_trace_ = nullptr;  ///< Borrowed recorder (null = off).
 
@@ -312,8 +297,8 @@ class CamDriver {
   std::string blackbox_path_;
   /// Last cycle a completion was harvested or a ticket submitted. Unlike
   /// drain()'s iteration-local stagnation counter, this is a property of the
-  /// completion stream alone, so the stall-headroom gauge published from it
-  /// is identical under per-cycle polling and horizon batching.
+  /// completion stream alone, so publish_telemetry() can derive the
+  /// stall-headroom gauge from it at any cycle.
   std::uint64_t last_progress_cycle_ = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 #include <utility>
 
 #include "src/cam/types.h"
@@ -31,58 +30,16 @@ void ShardedCamEngine::Config::validate() const {
   if (credits_per_shard == 0) {
     throw ConfigError("ShardedCamEngine: need >= 1 credit per shard");
   }
+  if (step_threads != 1) {
+    throw ConfigError("ShardedCamEngine: step_threads must be 1 (shards step "
+                      "serially)");
+  }
 }
 
 ShardedCamEngine::ShardedCamEngine(const Config& cfg, const ShardFactory& make_shard)
     : cfg_(cfg), make_shard_(make_shard) {
   cfg_.validate();
-  shards_.reserve(cfg_.shards);
-  for (unsigned s = 0; s < cfg_.shards; ++s) {
-    auto shard = make_shard(s);
-    if (!shard) throw ConfigError("ShardedCamEngine: factory returned null shard");
-    shards_.push_back(std::move(shard));
-  }
-  const auto& first = *shards_.front();
-  for (const auto& shard : shards_) {
-    if (shard->data_width() != first.data_width() || shard->kind() != first.kind() ||
-        shard->capacity() != first.capacity()) {
-      throw ConfigError("ShardedCamEngine: shards must be homogeneous");
-    }
-  }
-  credits_.assign(cfg_.shards, cfg_.credits_per_shard);
-  resetting_.assign(cfg_.shards, 0);
-  quarantined_.assign(cfg_.shards, 0);
-  pending_issue_.resize(cfg_.shards);
-  expected_search_.resize(cfg_.shards);
-  expected_ack_.resize(cfg_.shards);
-  staged_.resize(cfg_.shards);
-  // Compose the shards' fault windows when every shard exposes one; a
-  // single opaque shard disables injection for the whole engine (a partial
-  // window would silently skew campaign statistics).
-  std::vector<fault::FaultTarget*> parts;
-  parts.reserve(cfg_.shards);
-  for (auto& shard : shards_) {
-    fault::FaultTarget* target = shard->fault_target();
-    if (target == nullptr) {
-      parts.clear();
-      break;
-    }
-    parts.push_back(target);
-  }
-  if (!parts.empty()) {
-    fault_target_ = std::make_unique<CompositeFaultTarget>(std::move(parts));
-  }
-  // The calling thread always participates in the per-cycle fan-out, so a
-  // pool of (threads - 1) workers realises `step_threads` stepping threads.
-  unsigned threads = std::min(cfg_.step_threads, cfg_.shards);
-  if (cfg_.clamp_threads_to_cores) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw != 0) threads = std::min(threads, hw);
-  }
-  effective_threads_ = std::max(1u, threads);
-  if (effective_threads_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(effective_threads_ - 1);
-  }
+  install_fleet(build_fleet(cfg_.shards));
 }
 
 ShardedCamEngine::ShardedCamEngine(const Config& cfg, const CamSystem::Config& shard_cfg)
@@ -93,7 +50,10 @@ ShardedCamEngine::ShardedCamEngine(const Config& cfg, const CamSystem::Config& s
       })) {}
 
 unsigned ShardedCamEngine::shard_of(cam::Word key) const {
-  const unsigned s = shard_count();
+  return shard_of(key, shard_count());
+}
+
+unsigned ShardedCamEngine::shard_of(cam::Word key, unsigned s) const {
   if (s == 1) return 0;
   if (cfg_.partition == Partition::kHash) {
     std::uint64_t x = key;  // splitmix64 finaliser
@@ -381,52 +341,48 @@ void ShardedCamEngine::pump(unsigned s) {
 }
 
 void ShardedCamEngine::collect() {
+  const unsigned shard_cap = shards_.front()->capacity();
   for (unsigned s = 0; s < shard_count(); ++s) {
     if (quarantined_[s]) continue;  // owed nothing; stale output stays put
-    while (auto resp = shards_[s]->try_pop_response()) land_response(s, *resp, cycles_);
-    while (auto ack = shards_[s]->try_pop_ack()) land_ack(s, *ack, cycles_);
+    // Each output lands in its reorder beat, returns its credit and ends its
+    // sub-op span.
+    while (auto resp = shards_[s]->try_pop_response()) {
+      if (expected_search_[s].empty()) {
+        throw SimError("ShardedCamEngine: unexpected shard response");
+      }
+      ExpectedSearch& exp = expected_search_[s].front();
+      if (tracer_ != nullptr) tracer_->end(exp.span, cycles_);
+      auto& beat = search_rob_.at(exp.beat_id - search_rob_base_);
+      for (std::size_t j = 0; j < resp->results.size(); ++j) {
+        cam::UnitSearchResult& r = beat.results.at(exp.positions.at(j));
+        r = resp->results[j];
+        r.shard = static_cast<std::uint16_t>(s);
+        r.global_address += s * shard_cap;
+      }
+      --beat.pending;
+      beat.ready = std::max(beat.ready, cycles_ + 1);
+      ++credits_[s];
+      positions_pool_.release(std::move(exp.positions));
+      expected_search_[s].pop_front();
+      // The scattered shard response is an empty shell now - recycle its
+      // heap buffer for a future SearchBeat.
+      results_pool_.release(std::move(resp->results));
+    }
+    while (auto ack = shards_[s]->try_pop_ack()) {
+      if (expected_ack_[s].empty()) {
+        throw SimError("ShardedCamEngine: unexpected shard ack");
+      }
+      const ExpectedAck exp = expected_ack_[s].front();
+      expected_ack_[s].pop_front();
+      if (tracer_ != nullptr) tracer_->end(exp.span, cycles_);
+      auto& beat = ack_rob_.at(exp.beat_id - ack_rob_base_);
+      beat.ack.words_written += ack->words_written;
+      beat.ack.unit_full = beat.ack.unit_full || ack->unit_full;
+      --beat.pending;
+      beat.ready = std::max(beat.ready, cycles_ + 1);
+      ++credits_[s];
+    }
   }
-}
-
-void ShardedCamEngine::land_response(unsigned s, cam::UnitResponse& resp,
-                                     std::uint64_t cyc) {
-  if (expected_search_[s].empty()) {
-    throw SimError("ShardedCamEngine: unexpected shard response");
-  }
-  ExpectedSearch& exp = expected_search_[s].front();
-  if (tracer_ != nullptr) tracer_->end(exp.span, cyc);
-  auto& beat = search_rob_.at(exp.beat_id - search_rob_base_);
-  const unsigned base = s * shards_.front()->capacity();
-  for (std::size_t j = 0; j < resp.results.size(); ++j) {
-    cam::UnitSearchResult& r = beat.results.at(exp.positions.at(j));
-    r = resp.results[j];
-    r.shard = static_cast<std::uint16_t>(s);
-    r.global_address += base;
-  }
-  --beat.pending;
-  beat.ready = std::max(beat.ready, cyc + 1);
-  ++credits_[s];
-  positions_pool_.release(std::move(exp.positions));
-  expected_search_[s].pop_front();
-  // The scattered shard response is an empty shell now - recycle its heap
-  // buffer for a future SearchBeat.
-  results_pool_.release(std::move(resp.results));
-}
-
-void ShardedCamEngine::land_ack(unsigned s, const cam::UnitUpdateAck& ack,
-                                std::uint64_t cyc) {
-  if (expected_ack_[s].empty()) {
-    throw SimError("ShardedCamEngine: unexpected shard ack");
-  }
-  const ExpectedAck exp = expected_ack_[s].front();
-  expected_ack_[s].pop_front();
-  if (tracer_ != nullptr) tracer_->end(exp.span, cyc);
-  auto& beat = ack_rob_.at(exp.beat_id - ack_rob_base_);
-  beat.ack.words_written += ack.words_written;
-  beat.ack.unit_full = beat.ack.unit_full || ack.unit_full;
-  --beat.pending;
-  beat.ready = std::max(beat.ready, cyc + 1);
-  ++credits_[s];
 }
 
 std::optional<cam::UnitResponse> ShardedCamEngine::try_pop_response() {
@@ -474,113 +430,13 @@ std::size_t ShardedCamEngine::pending_requests() const {
 }
 
 void ShardedCamEngine::step() {
-  // Serial phase: feed parked sub-requests into shard FIFOs.
-  for (unsigned s = 0; s < shard_count(); ++s) {
-    if (!quarantined_[s]) pump(s);
-  }
-  // Parallel phase: the shards share no state, so their clock edges can run
-  // concurrently; the pool barrier restores lockstep before collection.
-  if (pool_) {
-    pool_->parallel_for(shards_.size(), [this](std::size_t s) {
-      if (!quarantined_[s]) shards_[s]->step();
-    });
-  } else {
-    for (unsigned s = 0; s < shard_count(); ++s) {
-      if (!quarantined_[s]) shards_[s]->step();
-    }
-  }
-  // Serial phase: the cycle's one collection pass.
-  collect();
-  ++cycles_;
-}
-
-void ShardedCamEngine::free_run_shard(unsigned s, std::uint64_t n) {
-  if (quarantined_[s]) return;
-  CamBackend& shard = *shards_[s];
-  StagedOutputs& staged = staged_[s];
-  for (std::uint64_t c = 0; c < n; ++c) {
-    pump(s);
-    shard.step();
-    // Self-drain: per-cycle collect() would free these output-FIFO slots
-    // every cycle; leaving them queued would exhaust the shard's reserved
-    // credits and stall issue in ways n single steps never would.
-    while (auto resp = shard.try_pop_response()) {
-      staged.responses.emplace_back(c, std::move(*resp));
-    }
-    while (auto ack = shard.try_pop_ack()) {
-      staged.acks.emplace_back(c, std::move(*ack));
-    }
-  }
-}
-
-void ShardedCamEngine::replay_staged(std::uint64_t c0, std::uint64_t n) {
-  const unsigned s_count = shard_count();
-  std::vector<std::size_t> ri(s_count, 0);
-  std::vector<std::size_t> ai(s_count, 0);
-  // Cycle-major merge: apply the collection bookkeeping in the same order n
-  // per-cycle collect() passes would have, with each output's own cycle -
-  // not the window boundary - driving span timestamps and beat ready
-  // cycles.
-  for (std::uint64_t c = 0; c < n; ++c) {
-    for (unsigned s = 0; s < s_count; ++s) {
-      StagedOutputs& st = staged_[s];
-      for (; ri[s] < st.responses.size() && st.responses[ri[s]].first == c; ++ri[s]) {
-        land_response(s, st.responses[ri[s]].second, c0 + c);
-      }
-      for (; ai[s] < st.acks.size() && st.acks[ai[s]].first == c; ++ai[s]) {
-        land_ack(s, st.acks[ai[s]].second, c0 + c);
-      }
-    }
-  }
-  for (StagedOutputs& st : staged_) {
-    st.responses.clear();  // capacity retained for the next window
-    st.acks.clear();
-  }
-}
-
-void ShardedCamEngine::step_many(std::uint64_t n) {
-  if (n == 0) return;
-  if (n == 1 || shard_count() == 0) {
-    for (; n > 0; --n) step();
-    return;
-  }
-  const std::uint64_t c0 = cycles_;
-  // Free-run phase: each shard advances n cycles on its own, touching only
-  // shard-local state (its backend, parked-issue queue, staging buffer).
-  // One barrier per window instead of one per cycle is where the parallel
-  // speedup comes from.
-  if (pool_) {
-    pool_->parallel_for(shards_.size(), [this, n](std::size_t s) {
-      free_run_shard(static_cast<unsigned>(s), n);
-    });
-  } else {
-    for (unsigned s = 0; s < shard_count(); ++s) free_run_shard(s, n);
-  }
-  cycles_ += n;
-  replay_staged(c0, n);
-}
-
-std::uint64_t ShardedCamEngine::output_horizon() const {
-  const bool search_waiting = !search_rob_.empty();
-  const bool ack_waiting = !ack_rob_.empty();
-  if (!search_waiting && !ack_waiting) return 0;  // nothing owed: no bound
-  if (search_waiting && search_rob_.front().pending == 0) return 0;
-  if (ack_waiting && ack_rob_.front().pending == 0) return 0;
-  std::uint64_t best = 0;
   for (unsigned s = 0; s < shard_count(); ++s) {
     if (quarantined_[s]) continue;
-    if (expected_search_[s].empty() && expected_ack_[s].empty()) continue;
-    std::uint64_t k = shards_[s]->output_horizon();
-    if (k == 0) return 0;  // shard cannot bound its next output
-    if (!pending_issue_[s].empty()) {
-      // A parked sub-request is invisible to its shard. It cannot issue
-      // before the shard's queued requests pop (one per cycle) nor complete
-      // in under one further cycle, so it never beats this bound.
-      k = std::min<std::uint64_t>(k, shards_[s]->pending_requests() + 1);
-    }
-    if (best == 0 || k < best) best = k;
+    pump(s);
+    shards_[s]->step();
   }
-  return best;
+  collect();
+  ++cycles_;
 }
 
 bool ShardedCamEngine::idle() const {
@@ -670,6 +526,13 @@ bool ShardedCamEngine::shard_settled(unsigned s) const {
   return quarantined_[s] != 0 || shards_[s]->idle();
 }
 
+bool ShardedCamEngine::all_settled() const {
+  for (unsigned s = 0; s < shard_count(); ++s) {
+    if (!shard_settled(s)) return false;
+  }
+  return true;
+}
+
 void ShardedCamEngine::require_settled(unsigned s, const char* who) const {
   if (!shard_settled(s)) {
     throw SimError(std::string(who) + ": shard " + std::to_string(s) +
@@ -704,30 +567,36 @@ fault::ShardSnapshot ShardedCamEngine::snapshot_shard(unsigned s) {
   return snap;
 }
 
-void ShardedCamEngine::apply_snapshot(unsigned s, const fault::ShardSnapshot& snap) {
-  snap.verify();
+void ShardedCamEngine::check_snapshot(unsigned s, const fault::ShardSnapshot& snap) {
+  CamBackend& like = *shards_.front();
+  const fault::FaultTarget* target = like.fault_target();
+  if (target == nullptr) {
+    throw SimError(
+        "ShardedCamEngine: shard exposes no fault target to restore through");
+  }
+  fault::check_restorable(*target, snap);
   if (snap.shard != s) {
     throw SimError("ShardedCamEngine: snapshot was taken from shard " +
                    std::to_string(snap.shard) + ", refusing to load it into slot " +
                    std::to_string(s));
   }
-  const std::string want_kind = cam::to_string(shards_[s]->kind());
-  if (snap.data_width != shards_[s]->data_width() || snap.cam_kind != want_kind ||
-      snap.capacity != shards_[s]->capacity()) {
+  const std::string want_kind = cam::to_string(like.kind());
+  if (snap.data_width != like.data_width() || snap.cam_kind != want_kind ||
+      snap.capacity != like.capacity()) {
     throw SimError("ShardedCamEngine: snapshot geometry (" +
                    std::to_string(snap.data_width) + "-bit " + snap.cam_kind +
                    ", capacity " + std::to_string(snap.capacity) +
                    ") does not match shard " + std::to_string(s) + " (" +
-                   std::to_string(shards_[s]->data_width()) + "-bit " + want_kind +
-                   ", capacity " + std::to_string(shards_[s]->capacity()) + ")");
+                   std::to_string(like.data_width()) + "-bit " + want_kind +
+                   ", capacity " + std::to_string(like.capacity()) + ")");
   }
+}
+
+void ShardedCamEngine::load_shard(unsigned s, const RebuildSource& src) {
+  shards_[s]->purge();
   fault::FaultTarget* target = shards_[s]->fault_target();
-  if (target == nullptr) {
-    throw SimError(
-        "ShardedCamEngine: shard exposes no fault target to restore through");
-  }
-  fault::restore_target(*target, snap);
-  shards_[s]->restore_cursors(snap.cursors);
+  for (std::size_t i = 0; i < src.entries.size(); ++i) target->poke(i, src.entries[i]);
+  if (src.cursors != nullptr) shards_[s]->restore_cursors(*src.cursors);
 }
 
 void ShardedCamEngine::restore_shard(unsigned s, const fault::ShardSnapshot& snap) {
@@ -740,8 +609,8 @@ void ShardedCamEngine::restore_shard(unsigned s, const fault::ShardSnapshot& sna
         " is quarantined; rebuild_shard() is the verified re-admission path");
   }
   require_settled(s, "ShardedCamEngine::restore_shard");
-  shards_[s]->purge();
-  apply_snapshot(s, snap);
+  check_snapshot(s, snap);
+  load_shard(s, {snap.entries, &snap.cursors});
 }
 
 ShardedCamEngine::EngineCheckpoint ShardedCamEngine::checkpoint() {
@@ -783,45 +652,36 @@ void ShardedCamEngine::restore(const EngineCheckpoint& ckpt) {
         "ShardedCamEngine::restore requires an idle engine with both reorder "
         "buffers drained by the host; " + debug_dump());
   }
-  if (ckpt.shards != shard_count()) rebuild_fleet(ckpt.shards);
+  // Every refusal happens here, before the fleet or any entry changes.
+  Config adopted = cfg_;
+  adopted.shards = ckpt.shards;
+  adopted.partition = ckpt.partition;
+  adopted.key_bits = ckpt.key_bits;
+  adopted.validate();
+  // A rebuilt fleet keeps the current geometry, so its capacity is known now.
   if (shards_.front()->capacity() != ckpt.shard_capacity) {
     throw SimError("ShardedCamEngine::restore: checkpoint assumes shard "
                    "capacity " + std::to_string(ckpt.shard_capacity) +
                    ", this engine's shards hold " +
                    std::to_string(shards_.front()->capacity()));
   }
-  cfg_.partition = ckpt.partition;
-  cfg_.key_bits = ckpt.key_bits;
+  for (unsigned s = 0; s < ckpt.shards; ++s) check_snapshot(s, ckpt.shard_snaps[s]);
+
+  if (ckpt.shards != shard_count()) rebuild_fleet(ckpt.shards);
+  cfg_ = adopted;
   for (unsigned s = 0; s < shard_count(); ++s) {
     quarantined_[s] = 0;  // every restored shard re-enters service
     resetting_[s] = 0;
     credits_[s] = cfg_.credits_per_shard;
     pending_issue_[s].clear();
-    shards_[s]->purge();
-    apply_snapshot(s, ckpt.shard_snaps[s]);
+    const fault::ShardSnapshot& snap = ckpt.shard_snaps[s];
+    load_shard(s, {snap.entries, &snap.cursors});
   }
   push_history("restore checkpoint (" + std::to_string(ckpt.shards) + " shards)");
   if (recorder_ != nullptr) {
     recorder_->record(cycles_, telemetry::FlightRecorder::EventKind::kRestore,
                       telemetry::Severity::kWarn, "restore checkpoint",
                       {{"shards", ckpt.shards}});
-  }
-}
-
-void ShardedCamEngine::verify_shard(unsigned s,
-                                    const std::vector<fault::EntryState>& want,
-                                    const char* who) const {
-  fault::FaultTarget* target = shards_[s]->fault_target();
-  if (target == nullptr || target->entry_count() != want.size()) {
-    throw SimError(std::string(who) + ": shard " + std::to_string(s) +
-                   " cannot be read back for verification");
-  }
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    if (!(target->peek(i) == want[i])) {
-      throw SimError(std::string(who) + ": read-back verification failed at "
-                     "entry " + std::to_string(i) + " of shard " +
-                     std::to_string(s) + " - the shard stays quarantined");
-    }
   }
 }
 
@@ -846,7 +706,8 @@ void ShardedCamEngine::readmit_shard(unsigned s, const char* source) {
   }
 }
 
-void ShardedCamEngine::rebuild_shard(unsigned s, const fault::ShardSnapshot& snap) {
+void ShardedCamEngine::rebuild_from(unsigned s, const char* source_name,
+                                    const std::function<RebuildSource()>& source) {
   if (s >= shard_count()) {
     throw ConfigError("ShardedCamEngine::rebuild_shard: no such shard");
   }
@@ -855,66 +716,60 @@ void ShardedCamEngine::rebuild_shard(unsigned s, const fault::ShardSnapshot& sna
                    " is in service; rebuild only re-admits quarantined shards "
                    "(restore_shard overwrites live ones)");
   }
-  shards_[s]->purge();  // crash-stop leftovers from the failed shard
-  apply_snapshot(s, snap);
-  verify_shard(s, snap.entries, "ShardedCamEngine::rebuild_shard");
-  readmit_shard(s, "snapshot");
+  const RebuildSource src = source();
+  load_shard(s, src);  // purge drops the failed shard's crash-stop leftovers
+  // Scrub-style read-back: a mismatch leaves the shard quarantined.
+  const fault::FaultTarget* target = shards_[s]->fault_target();
+  for (std::size_t i = 0; i < src.entries.size(); ++i) {
+    if (!(target->peek(i) == src.entries[i])) {
+      throw SimError("ShardedCamEngine::rebuild_shard: read-back verification "
+                     "failed at entry " + std::to_string(i) + " of shard " +
+                     std::to_string(s) + " - the shard stays quarantined");
+    }
+  }
+  readmit_shard(s, source_name);
+}
+
+void ShardedCamEngine::rebuild_shard(unsigned s, const fault::ShardSnapshot& snap) {
+  rebuild_from(s, "snapshot", [&] {
+    check_snapshot(s, snap);
+    return RebuildSource{snap.entries, &snap.cursors};
+  });
 }
 
 void ShardedCamEngine::rebuild_shard(unsigned s, const fault::Scrubber& scrubber) {
-  if (s >= shard_count()) {
-    throw ConfigError("ShardedCamEngine::rebuild_shard: no such shard");
-  }
-  if (!quarantined_[s]) {
-    throw SimError("ShardedCamEngine::rebuild_shard: shard " + std::to_string(s) +
-                   " is in service; rebuild only re-admits quarantined shards");
-  }
-  if (!scrubber.captured()) {
-    throw SimError(
-        "ShardedCamEngine::rebuild_shard: the scrubber holds no golden shadow "
-        "(capture() it before the shard fails)");
-  }
-  if (fault_target_ == nullptr) {
-    throw SimError(
-        "ShardedCamEngine::rebuild_shard: engine exposes no composite fault "
-        "target to map the golden shadow onto");
-  }
-  const std::vector<fault::EntryState>& golden = scrubber.golden();
-  if (golden.size() != fault_target_->entry_count()) {
-    throw SimError("ShardedCamEngine::rebuild_shard: golden shadow covers " +
-                   std::to_string(golden.size()) +
-                   " entries but the engine's fault window holds " +
-                   std::to_string(fault_target_->entry_count()) +
-                   " - the scrubber was captured over a different target");
-  }
-  fault::FaultTarget* target = shards_[s]->fault_target();
-  std::size_t base = 0;  // this shard's offset in the composite window
-  for (unsigned i = 0; i < s; ++i) {
-    base += shards_[i]->fault_target()->entry_count();
-  }
-  const std::size_t per = target->entry_count();
-  shards_[s]->purge();
-  // Storage plane only: quarantine never corrupts the host-side fill
-  // cursors, so the shard keeps its own.
-  const std::vector<fault::EntryState> want(golden.begin() + base,
-                                            golden.begin() + base + per);
-  for (std::size_t i = 0; i < per; ++i) target->poke(i, want[i]);
-  verify_shard(s, want, "ShardedCamEngine::rebuild_shard");
-  readmit_shard(s, "golden shadow");
+  rebuild_from(s, "golden shadow", [&] {
+    if (!scrubber.captured()) {
+      throw SimError(
+          "ShardedCamEngine::rebuild_shard: the scrubber holds no golden shadow "
+          "(capture() it before the shard fails)");
+    }
+    if (fault_target_ == nullptr) {
+      throw SimError(
+          "ShardedCamEngine::rebuild_shard: engine exposes no composite fault "
+          "target to map the golden shadow onto");
+    }
+    const std::vector<fault::EntryState>& golden = scrubber.golden();
+    if (golden.size() != fault_target_->entry_count()) {
+      throw SimError("ShardedCamEngine::rebuild_shard: golden shadow covers " +
+                     std::to_string(golden.size()) +
+                     " entries but the engine's fault window holds " +
+                     std::to_string(fault_target_->entry_count()) +
+                     " - the scrubber was captured over a different target");
+    }
+    std::size_t base = 0;  // this shard's offset in the composite window
+    for (unsigned i = 0; i < s; ++i) base += shards_[i]->fault_target()->entry_count();
+    // Storage plane only: quarantine never corrupts the host-side fill
+    // cursors, so the shard keeps its own.
+    return RebuildSource{
+        std::span(golden).subspan(base, shards_[s]->fault_target()->entry_count()),
+        nullptr};
+  });
 }
 
 std::uint64_t ShardedCamEngine::drain_to_idle(std::uint64_t budget, const char* who) {
-  const auto all_settled = [this]() {
-    for (unsigned s = 0; s < shard_count(); ++s) {
-      if (!expected_search_[s].empty() || !expected_ack_[s].empty() ||
-          !pending_issue_[s].empty()) {
-        return false;
-      }
-    }
-    return true;
-  };
   std::uint64_t spent = 0;
-  while (!idle() || !all_settled()) {
+  while (!all_settled()) {
     if (spent >= budget) {
       throw SimError(std::string(who) + ": in-flight work failed to settle "
                      "within " + std::to_string(budget) + " cycles; " +
@@ -926,54 +781,43 @@ std::uint64_t ShardedCamEngine::drain_to_idle(std::uint64_t budget, const char* 
   return spent;
 }
 
-void ShardedCamEngine::rebuild_fleet(unsigned new_count) {
-  if (!make_shard_) {
-    throw SimError(
-        "ShardedCamEngine: no shard factory stored - cannot rebuild the fleet");
-  }
-  for (unsigned s = 0; s < shard_count(); ++s) {
-    if (!expected_search_[s].empty() || !expected_ack_[s].empty() ||
-        !pending_issue_[s].empty()) {
-      throw SimError(
-          "ShardedCamEngine: internal error - fleet rebuild with unsettled "
-          "shard state");
-    }
-  }
-  const unsigned want_width = data_width();
-  const cam::CamKind want_kind = kind();
-  const unsigned want_cap = shards_.front()->capacity();
-  const unsigned want_groups = shards_.front()->max_keys_per_beat();
-  std::vector<std::unique_ptr<CamBackend>> fresh;
-  fresh.reserve(new_count);
-  for (unsigned s = 0; s < new_count; ++s) {
+std::vector<std::unique_ptr<CamBackend>> ShardedCamEngine::build_fleet(
+    unsigned count) const {
+  if (!make_shard_) throw ConfigError("ShardedCamEngine: no shard factory");
+  std::vector<std::unique_ptr<CamBackend>> fleet;
+  fleet.reserve(count);
+  for (unsigned s = 0; s < count; ++s) {
     auto shard = make_shard_(s);
     if (!shard) throw ConfigError("ShardedCamEngine: factory returned null shard");
-    if (shard->data_width() != want_width || shard->kind() != want_kind ||
-        shard->capacity() != want_cap) {
-      throw ConfigError(
-          "ShardedCamEngine: factory shards must match the existing geometry");
-    }
-    // Preserve the grouping the old fleet ran with (configure_groups was
-    // broadcast post-construction and the factory knows nothing of it).
-    if (shard->max_keys_per_beat() != want_groups) {
-      shard->configure_groups(want_groups);
-    }
-    fresh.push_back(std::move(shard));
+    fleet.push_back(std::move(shard));
   }
-  shards_ = std::move(fresh);
-  cfg_.shards = new_count;
-  credits_.assign(new_count, cfg_.credits_per_shard);
-  resetting_.assign(new_count, 0);
-  quarantined_.assign(new_count, 0);
-  pending_issue_.assign(new_count, {});
-  expected_search_.assign(new_count, {});
-  expected_ack_.assign(new_count, {});
-  staged_.assign(new_count, {});
-  // Recompose the injection window over the new fleet (same all-or-nothing
-  // rule as construction).
+  return fleet;
+}
+
+void ShardedCamEngine::install_fleet(std::vector<std::unique_ptr<CamBackend>> fleet) {
+  const CamBackend& like = shards_.empty() ? *fleet.front() : *shards_.front();
+  for (const auto& shard : fleet) {
+    if (shard->data_width() != like.data_width() || shard->kind() != like.kind() ||
+        shard->capacity() != like.capacity()) {
+      throw ConfigError("ShardedCamEngine: shards must be homogeneous (same "
+                        "data width, kind and capacity)");
+    }
+  }
+  const auto n = static_cast<unsigned>(fleet.size());
+  shards_ = std::move(fleet);
+  cfg_.shards = n;
+  credits_.assign(n, cfg_.credits_per_shard);
+  resetting_.assign(n, 0);
+  quarantined_.assign(n, 0);
+  pending_issue_.assign(n, {});
+  expected_search_.assign(n, {});
+  expected_ack_.assign(n, {});
+  // Compose the shards' fault windows when every shard exposes one; a
+  // single opaque shard disables injection for the whole engine (a partial
+  // window would silently skew campaign statistics).
   fault_target_.reset();
   std::vector<fault::FaultTarget*> parts;
-  parts.reserve(new_count);
+  parts.reserve(n);
   for (auto& shard : shards_) {
     fault::FaultTarget* target = shard->fault_target();
     if (target == nullptr) {
@@ -985,18 +829,22 @@ void ShardedCamEngine::rebuild_fleet(unsigned new_count) {
   if (!parts.empty()) {
     fault_target_ = std::make_unique<CompositeFaultTarget>(std::move(parts));
   }
-  // Re-derive the stepping-thread clamp for the new shard count.
-  unsigned threads = std::min(cfg_.step_threads, new_count);
-  if (cfg_.clamp_threads_to_cores) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw != 0) threads = std::min(threads, hw);
-  }
-  effective_threads_ = std::max(1u, threads);
-  pool_.reset();
-  if (effective_threads_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(effective_threads_ - 1);
-  }
   if (tracer_ != nullptr) set_span_tracer(tracer_);  // name the new shard tracks
+}
+
+void ShardedCamEngine::rebuild_fleet(unsigned new_count) {
+  if (!all_settled()) {
+    throw SimError("ShardedCamEngine: internal error - fleet rebuild with "
+                   "unsettled shard state");
+  }
+  // Preserve the grouping the old fleet ran with (configure_groups was
+  // broadcast post-construction and the factory knows nothing of it).
+  const unsigned groups = shards_.front()->max_keys_per_beat();
+  auto fleet = build_fleet(new_count);
+  for (auto& shard : fleet) {
+    if (shard->max_keys_per_beat() != groups) shard->configure_groups(groups);
+  }
+  install_fleet(std::move(fleet));
 }
 
 ShardedCamEngine::ReshardReport ShardedCamEngine::reshard(unsigned new_shard_count) {
@@ -1033,25 +881,31 @@ ShardedCamEngine::ReshardReport ShardedCamEngine::reshard(unsigned new_shard_cou
   }
   report.entries_moved = moving.size();
 
+  // Bucket by the new partitioner and refuse while the old fleet still
+  // stands: a new shard that cannot hold its bucket would lose entries.
+  std::vector<std::vector<const fault::EntryState*>> buckets(new_shard_count);
+  for (const fault::EntryState& e : moving) {
+    buckets[shard_of(e.stored, new_shard_count)].push_back(&e);
+  }
+  const unsigned shard_cap = shards_.front()->capacity();  // rebuilds keep it
+  for (unsigned s = 0; s < new_shard_count; ++s) {
+    if (buckets[s].size() > shard_cap) {
+      throw SimError("ShardedCamEngine::reshard: " +
+                     std::to_string(buckets[s].size()) +
+                     " entries map to new shard " + std::to_string(s) +
+                     ", which holds only " + std::to_string(shard_cap) +
+                     " - repartitioning would lose entries");
+    }
+  }
+
   rebuild_fleet(new_shard_count);
 
   // Redistribute through each new shard's own protocol port, so parity and
   // fill bookkeeping follow the legitimate write path. Per-entry masks only
   // exist off the binary mode (CamBlock refuses masked appends on kBinary).
-  std::vector<std::vector<const fault::EntryState*>> buckets(new_shard_count);
-  for (const fault::EntryState& e : moving) {
-    buckets[shard_of(e.stored)].push_back(&e);
-  }
   const bool masked = kind() != cam::CamKind::kBinary;
   for (unsigned s = 0; s < new_shard_count; ++s) {
     CamBackend& shard = *shards_[s];
-    if (buckets[s].size() > shard.capacity()) {
-      throw SimError("ShardedCamEngine::reshard: " +
-                     std::to_string(buckets[s].size()) +
-                     " entries map to new shard " + std::to_string(s) +
-                     ", which holds only " + std::to_string(shard.capacity()) +
-                     " - repartitioning would lose entries");
-    }
     const unsigned per_beat = std::max(1u, shard.words_per_beat());
     std::size_t submitted_words = 0;
     std::size_t submitted_beats = 0;

@@ -32,12 +32,12 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/common/freelist.h"
 #include "src/common/ring_queue.h"
-#include "src/common/thread_pool.h"
 #include "src/fault/fault.h"
 #include "src/fault/snapshot.h"
 #include "src/system/backend.h"
@@ -64,22 +64,14 @@ class ShardedCamEngine : public CamBackend {
     unsigned key_bits = 32;          ///< Key-space width for range partitioning.
     unsigned credits_per_shard = 256;///< Max in-flight sub-ops per shard.
 
-    /// Host threads stepping the shards each cycle (1 = serial). Shards are
-    /// fully independent between the serial pump and collect passes, so any
-    /// thread count produces byte-identical results (asserted in tests);
-    /// this only trades host wall-clock. Capped at the shard count.
+    /// Host threads stepping the shards. Must be 1: the shards are S copies
+    /// of one synchronous pipeline and step serially, in ascending order,
+    /// every cycle. The field stays only because the end-to-end bench
+    /// (bench/e2e/e2e_bench.cc) sets it.
     unsigned step_threads = 1;
 
-    /// Additionally cap the stepping threads at the host's core count
-    /// (std::thread::hardware_concurrency). Oversubscribed pools only add
-    /// context-switch overhead - results are byte-identical either way, so
-    /// the clamp is on by default; determinism tests turn it off to exercise
-    /// real pools regardless of the host.
-    bool clamp_threads_to_cores = true;
-
     /// Throws ConfigError on an unusable geometry (no shards, zero
-    /// credits, key_bits outside 1..64). step_threads is deliberately not
-    /// validated: any value is legal (clamped to the shard count).
+    /// credits, key_bits outside 1..64) or a step_threads other than 1.
     void validate() const;
   };
 
@@ -115,39 +107,25 @@ class ShardedCamEngine : public CamBackend {
   bool try_submit(cam::UnitRequest request) override;
 
   /// Reorder-buffer front pops; they never touch a shard. Shards produce
-  /// output only on their own clock edge, so step() / step_many() collect
-  /// everything the shards emitted in the cycle they emitted it.
+  /// output only on their own clock edge, so step() collects everything the
+  /// shards emitted in the cycle they emitted it.
   std::optional<cam::UnitResponse> try_pop_response() override;
   std::optional<cam::UnitUpdateAck> try_pop_ack() override;
   bool request_full() const override;
   std::size_t pending_requests() const override;
 
+  /// One engine cycle: pump parked sub-requests, step every live shard in
+  /// ascending order, then one collection pass into the reorder buffers.
   void step() override;
-
-  /// Safe-horizon batch stepping: the shards free-run `n` cycles each -
-  /// pumping their own parked sub-requests and draining their own outputs
-  /// into per-shard staging buffers - and the serial boundary replay then
-  /// re-applies the collection bookkeeping (reorder scatter, credits, span
-  /// timestamps) cycle by cycle. Observably identical to n single step()
-  /// calls for every step_threads setting (pinned in
-  /// tests/system/parallel_determinism_test.cc), but workers cross the
-  /// barrier once per window instead of once per cycle.
-  void step_many(std::uint64_t n) override;
-
-  /// Conservative horizon: 0 when a reorder-buffer front is already
-  /// complete (or nothing bounds the wait), else the minimum over the live
-  /// shards still owing sub-operations of their own horizons.
-  std::uint64_t output_horizon() const override;
 
   bool idle() const override;
 
-  /// Stepping threads actually used after the shard-count and (optional)
-  /// core-count clamps; what the throughput benches report.
-  unsigned effective_step_threads() const noexcept { return effective_threads_; }
+  /// Always 1 (see Config::step_threads); read by the end-to-end bench.
+  unsigned effective_step_threads() const noexcept { return 1; }
 
   /// The engine cycle at which the most recently popped response/ack first
-  /// became poppable (its reorder beat completed). Lets tests pin that
-  /// horizon batching never shifts completion cycles.
+  /// became poppable (its reorder beat completed). Lets tests pin completion
+  /// cycles, not just payloads.
   std::uint64_t last_completion_cycle() const noexcept { return last_completion_cycle_; }
 
   // --- Reporting. ---
@@ -210,7 +188,10 @@ class ShardedCamEngine : public CamBackend {
   /// state as checkpoint(); adopts the checkpoint's partitioner config and,
   /// when the shard counts differ, rebuilds the shard fleet through the
   /// stored factory. Clears all quarantine flags - every restored shard
-  /// re-enters service.
+  /// re-enters service. Fails closed: the version, shard count, adopted
+  /// partitioner config, shard capacity and every snapshot (seal, slot,
+  /// geometry) are checked before the fleet or any entry is touched, so a
+  /// refused restore leaves the engine exactly as it was.
   void restore(const EngineCheckpoint& ckpt);
 
   // --- Quarantined-shard rebuild. ---
@@ -247,6 +228,8 @@ class ShardedCamEngine : public CamBackend {
   /// to the shard the new partitioner picks. Hash partitioner only for now;
   /// requires no quarantined shards. Invalid holes are compacted away;
   /// addressed-op traces spanning a reshard are the caller's contract.
+  /// Fails closed: when some new shard could not hold every entry the new
+  /// partitioner sends it, reshard throws before the fleet is replaced.
   ReshardReport reshard(unsigned new_shard_count);
 
   /// One recovery-lifecycle event (quarantine / rebuild / reshard), for
@@ -271,14 +254,14 @@ class ShardedCamEngine : public CamBackend {
   /// Aggregate Stats plus engine state (reorder-buffer depths, quarantine
   /// events) and per-shard detail under "<prefix>.shard<N>." (credits,
   /// parked sub-requests, quarantine flag, and the shard backend's own
-  /// telemetry). Called from the serial host thread only.
+  /// telemetry). Called from the host thread only.
   void record_telemetry(telemetry::MetricRegistry& registry,
                         const std::string& prefix) const override;
 
   /// Attaches a span tracer: sampled beats record a dispatch -> reorder
   /// completion span (track 2) plus one sub-operation span per shard
-  /// (track 16 + shard). All tracer writes happen on the serial
-  /// submit/collect passes, never on the parallel stepping path.
+  /// (track 16 + shard). Tracer writes happen only on the submit and
+  /// collect passes.
   void set_span_tracer(telemetry::SpanTracer* tracer) override;
 
   /// Attaches a flight recorder: quarantine, rebuild, reshard and
@@ -357,47 +340,54 @@ class ShardedCamEngine : public CamBackend {
     std::size_t total_ = 0;
   };
 
-  /// Outputs a shard produced while free-running a step_many window,
-  /// stamped with the 0-based cycle offset they appeared at. Shards must
-  /// self-drain during the window: the per-cycle collect() normally frees
-  /// their output-FIFO slots, and leaving results queued would stall the
-  /// shard's credit-gated issue in ways n single steps never would.
-  struct StagedOutputs {
-    std::vector<std::pair<std::uint64_t, cam::UnitResponse>> responses;
-    std::vector<std::pair<std::uint64_t, cam::UnitUpdateAck>> acks;
+  /// What one rebuild writes back: a window of entries and, when the source
+  /// carries them, the fill cursors (null keeps the shard's own).
+  struct RebuildSource {
+    std::span<const fault::EntryState> entries;
+    const std::vector<std::uint64_t>* cursors = nullptr;
   };
 
+  /// The partitioner over a fleet of `count` shards.
+  unsigned shard_of(cam::Word key, unsigned count) const;
   /// Splits `request` into subs_ (scratch reused across beats).
   void plan(const cam::UnitRequest& request);
   void pump(unsigned s);
-  /// Drains every live shard's outputs, ascending shard order.
+  /// Drains every live shard's outputs into the reorder buffers, ascending
+  /// shard order.
   void collect();
-  /// Reorder bookkeeping for one shard output that appeared in cycle `cyc`:
-  /// scatter into its beat, return the credit, end the sub-op span.
-  void land_response(unsigned s, cam::UnitResponse& resp, std::uint64_t cyc);
-  void land_ack(unsigned s, const cam::UnitUpdateAck& ack, std::uint64_t cyc);
   void settle();
-  void free_run_shard(unsigned s, std::uint64_t n);
-  void replay_staged(std::uint64_t c0, std::uint64_t n);
 
   /// True when shard `s` owes nothing to the reorder buffers and has no
   /// parked sub-requests (and, unless quarantined, its backend is idle).
   bool shard_settled(unsigned s) const;
+  bool all_settled() const;
   /// Throws SimError("<who>: ...") unless shard_settled(s).
   void require_settled(unsigned s, const char* who) const;
-  /// Geometry + slot checks shared by restore_shard/rebuild_shard/restore;
-  /// then pokes entries and cursors into the shard. Does not touch engine
-  /// bookkeeping.
-  void apply_snapshot(unsigned s, const fault::ShardSnapshot& snap);
-  /// Read-back verification: every peeked entry must equal `want`.
-  void verify_shard(unsigned s, const std::vector<fault::EntryState>& want,
-                    const char* who) const;
+  /// Seal, slot and geometry checks a snapshot must pass before it may be
+  /// loaded into slot `s`. Checks against the front shard: the fleet is
+  /// homogeneous, and so is any fleet rebuild_fleet() would build.
+  void check_snapshot(unsigned s, const fault::ShardSnapshot& snap);
+  /// Purges shard `s`, pokes `src` into its storage and restores its
+  /// cursors when given. Does not touch engine bookkeeping.
+  void load_shard(unsigned s, const RebuildSource& src);
+  /// The one rebuild path for both overloads: bounds and quarantine checks,
+  /// then `source` validates its input and names what to write, then
+  /// purge -> write -> read-back verify -> readmit.
+  void rebuild_from(unsigned s, const char* source_name,
+                    const std::function<RebuildSource()>& source);
+  /// `count` shards from the stored factory (null-checked). Touches no
+  /// engine state.
+  std::vector<std::unique_ptr<CamBackend>> build_fleet(unsigned count) const;
+  /// Checks that `fleet` is homogeneous with the current one (or with
+  /// itself at construction), then installs it: every per-shard vector is
+  /// sized afresh and the CompositeFaultTarget recomposed. Throws before
+  /// changing anything.
+  void install_fleet(std::vector<std::unique_ptr<CamBackend>> fleet);
   /// Replaces the shard fleet with `new_count` factory-built backends,
-  /// preserving geometry and group configuration, and resizes/rewires every
-  /// per-shard structure. Requires empty reorder state.
+  /// preserving geometry and group configuration. Requires settled shards.
   void rebuild_fleet(unsigned new_count);
-  /// Steps until idle() (settling in-flight work); throws with a debug dump
-  /// when `budget` cycles pass first. Returns cycles spent.
+  /// Steps until all_settled(); throws with a debug dump when `budget`
+  /// cycles pass first. Returns cycles spent.
   std::uint64_t drain_to_idle(std::uint64_t budget, const char* who);
   /// Clears the quarantine flag and restores the credit line after a
   /// verified rebuild; records the event.
@@ -423,12 +413,8 @@ class ShardedCamEngine : public CamBackend {
   RingQueue<AckBeat> ack_rob_;
   std::uint64_t ack_rob_base_ = 0;
 
-  /// Per-shard staging for step_many windows (sized once, buffers recycled).
-  std::vector<StagedOutputs> staged_;
-
   std::uint64_t cycles_ = 0;
   std::uint64_t last_completion_cycle_ = 0;
-  unsigned effective_threads_ = 1;  ///< After shard/core clamps.
   std::uint64_t quarantine_events_ = 0;  ///< quarantine_shard() calls that
                                          ///< took a live shard out.
   std::uint64_t rebuild_events_ = 0;     ///< Successful rebuild_shard() calls.
@@ -438,17 +424,12 @@ class ShardedCamEngine : public CamBackend {
   std::vector<RecoveryEvent> history_;   ///< Quarantine/rebuild/reshard log.
 
   /// Borrowed span tracer (null = tracing off). Written only from the
-  /// serial submit/collect passes.
+  /// submit/collect passes.
   telemetry::SpanTracer* tracer_ = nullptr;
 
   /// Borrowed flight recorder (null = off); lifecycle events only, so it is
-  /// written exclusively from the serial control-plane entry points.
+  /// written exclusively from the control-plane entry points.
   telemetry::FlightRecorder* recorder_ = nullptr;
-
-  /// Workers for parallel shard stepping (null when stepping serially).
-  /// Only the embarrassingly-parallel shard->step() fan-out runs on the
-  /// pool; pump/collect/reorder stay on the calling thread.
-  std::unique_ptr<ThreadPool> pool_;
 
   /// Recycles search-result vectors: a shard response's vector is released
   /// here after its contents are scattered into the reorder buffer, and

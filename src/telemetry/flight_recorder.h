@@ -13,11 +13,11 @@
 // needs nothing but the file.
 //
 // Threading contract: like MetricRegistry and SpanTracer, the recorder is
-// written only from the simulation's serial thread (driver poll loop, engine
+// written only from the simulation's one thread (driver poll loop, engine
 // submit/collect passes, the fault layer's cycle hook), so no locks are
 // needed and - because every event is stamped with a simulation cycle, never
-// wall-clock - the recorded history is byte-identical across step_threads
-// settings, eval modes, and horizon batching schedules.
+// wall-clock - the recorded history is byte-identical across runs and eval
+// modes.
 #pragma once
 
 #include <cstdint>

@@ -11,11 +11,11 @@
 // `health.<rule>.value` last observed value) so snapshots, dashboards
 // (tools/camtop) and black-box dumps all see rule state for free.
 //
-// Determinism contract: evaluate() runs on the simulation's serial thread at
-// the driver's snapshot cadence, consumes only registry state (which is
-// byte-identical across step_threads / eval modes / horizon schedules), and
-// measures windows in simulation cycles - so rule transitions land on the
-// same cycle no matter how the simulation is scheduled. Rules whose metric
+// Determinism contract: evaluate() runs on the simulation's thread at the
+// driver's snapshot cadence, consumes only registry state (which is
+// byte-identical across runs and eval modes), and measures windows in
+// simulation cycles - so rule transitions land on the same simulated cycle
+// whatever the host's timing. Rules whose metric
 // does not exist yet are inert (state stays ok) rather than an error, so one
 // default rule pack works against any backend mix.
 #pragma once

@@ -8,12 +8,11 @@
 // structs. Names are dot-hierarchical ("engine.shard3.queue_depth"), which
 // gives free aggregation over subtrees (sum("engine.") = whole engine).
 //
-// Threading contract (deliberately lock-free): the simulation's serial
-// thread owns every write - handles are plain std::uint64_t bumps, cheap
-// enough for the fast path. The parallel shard-stepping path (PR 2) never
-// touches the registry; per-shard state is *pulled* into it from the serial
-// collection pass (CamBackend::record_telemetry), so counter values are
-// byte-identical for any step_threads setting. Snapshots read on the same
+// Threading contract (deliberately lock-free): the simulation's one thread
+// owns every write - handles are plain std::uint64_t bumps, cheap enough for
+// the fast path. Shard stepping never touches the registry; per-shard state
+// is *pulled* into it between cycles (CamBackend::record_telemetry), so
+// counter values are byte-identical across runs. Snapshots read on the same
 // thread between cycles.
 #pragma once
 

@@ -16,9 +16,8 @@
 // open the file directly.
 //
 // Threading: like MetricRegistry, the tracer is written only from the
-// simulation's serial thread (driver poll loop, engine submit/collect
-// passes), so no locks are needed and traces are identical across
-// step_threads settings.
+// simulation's one thread (driver poll loop, engine submit/collect passes),
+// so no locks are needed and traces are identical across runs.
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,7 @@
 //  2. A forced quarantine dump carries the quarantine event and the
 //     shard_quarantine trip/clear transitions.
 //  3. The recorded history and health states are byte-identical across
-//     step_threads {1,4}, horizon batching on/off, and eval modes.
+//     eval modes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -83,16 +83,12 @@ struct RunArtifacts {
 /// Search workload with a mid-run fault drill: a quiesced burst injection,
 /// a scrub pass, and a quarantine/rebuild round trip. Every recorder event
 /// and health transition lands at a schedule-invariant cycle.
-RunArtifacts run_observed_workload(unsigned threads, cam::EvalMode mode,
-                                   bool horizon) {
+RunArtifacts run_observed_workload(cam::EvalMode mode) {
   ShardedCamEngine::Config ec;
   ec.shards = 4;
-  ec.step_threads = threads;
-  ec.clamp_threads_to_cores = false;
   ec.credits_per_shard = 32;
   ShardedCamEngine engine(ec, shard_config(mode));
   CamDriver drv(engine);
-  drv.set_horizon_batching(horizon);
 
   telemetry::MetricRegistry registry;
   telemetry::HealthMonitor health(registry);
@@ -148,31 +144,15 @@ RunArtifacts run_observed_workload(unsigned threads, cam::EvalMode mode,
   return out;
 }
 
-TEST(Blackbox, DumpIdenticalAcrossStepThreads) {
-  const auto serial = run_observed_workload(1, cam::EvalMode::kFast, true);
-  const auto parallel = run_observed_workload(4, cam::EvalMode::kFast, true);
-  EXPECT_EQ(serial.full_dump, parallel.full_dump);
-  EXPECT_EQ(serial.events_dump, parallel.events_dump);
-  EXPECT_TRUE(telemetry::jsonv::validate(serial.full_dump).ok);
-}
-
-TEST(Blackbox, DumpIdenticalAcrossHorizonSchedules) {
-  const auto batched = run_observed_workload(1, cam::EvalMode::kFast, true);
-  const auto stepped = run_observed_workload(1, cam::EvalMode::kFast, false);
-  EXPECT_EQ(batched.cycles, stepped.cycles);
-  EXPECT_EQ(batched.full_dump, stepped.full_dump);
-  EXPECT_EQ(batched.events_dump, stepped.events_dump);
-}
-
 TEST(Blackbox, RecorderAndHealthIdenticalAcrossEvalModes) {
-  const auto fast = run_observed_workload(1, cam::EvalMode::kFast, true);
-  const auto ref = run_observed_workload(1, cam::EvalMode::kReference, true);
+  const auto fast = run_observed_workload(cam::EvalMode::kFast);
+  const auto ref = run_observed_workload(cam::EvalMode::kReference);
   EXPECT_EQ(fast.cycles, ref.cycles);
   EXPECT_EQ(fast.events_dump, ref.events_dump);
 }
 
 TEST(Blackbox, QuarantineDumpCarriesEventTransitionAndMetrics) {
-  const auto run = run_observed_workload(1, cam::EvalMode::kFast, true);
+  const auto run = run_observed_workload(cam::EvalMode::kFast);
   EXPECT_TRUE(telemetry::jsonv::validate(run.full_dump).ok) << run.full_dump;
   // The triggering event...
   EXPECT_NE(run.full_dump.find("\"kind\": \"quarantine\""), std::string::npos);

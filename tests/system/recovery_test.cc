@@ -38,10 +38,9 @@ CamSystem::Config shard_config(cam::EvalMode mode = cam::EvalMode::kFast) {
   return cfg;
 }
 
-ShardedCamEngine::Config engine_config(unsigned shards, unsigned threads = 1) {
+ShardedCamEngine::Config engine_config(unsigned shards) {
   ShardedCamEngine::Config cfg;
   cfg.shards = shards;
-  cfg.step_threads = threads;
   return cfg;
 }
 
@@ -231,6 +230,74 @@ TEST(Checkpoint, RestoreRebuildsFleetWhenShardCountDiffers) {
   target.restore(ckpt);
   EXPECT_EQ(target.shard_count(), 4u);
   expect_membership(target, words);
+}
+
+// A refused restore() fails closed: the shard count and the membership of
+// the engine it was aimed at stay exactly as they were.
+TEST(Checkpoint, CapacityMismatchRefusedBeforeTheFleetIsReplaced) {
+  CamSystem::Config small = shard_config();
+  small.unit.unit_size = 2;  // 64 entries per shard
+  ShardedCamEngine source(engine_config(4), small);
+  fill(source, test_words(16));
+  const auto ckpt = source.checkpoint();
+
+  ShardedCamEngine target(engine_config(2), shard_config());  // 128 per shard
+  const auto words = test_words(40);
+  fill(target, words);
+  EXPECT_THROW(target.restore(ckpt), SimError);
+  EXPECT_EQ(target.shard_count(), 2u);
+  expect_membership(target, words);
+}
+
+TEST(Checkpoint, BadSnapshotRefusedBeforeAnyShardIsOverwritten) {
+  std::vector<cam::Word> other;
+  for (const cam::Word w : test_words(64)) other.push_back(w + 100000);
+  ShardedCamEngine source(engine_config(4), shard_config());
+  fill(source, other);
+  const auto good = source.checkpoint();
+
+  ShardedCamEngine target(engine_config(4), shard_config());
+  const auto words = test_words(64);
+  fill(target, words);
+
+  auto bad_seal = good;
+  bad_seal.shard_snaps[2].entries[0].stored ^= 1;  // no re-seal
+  EXPECT_THROW(target.restore(bad_seal), SimError);
+  auto bad_geometry = good;
+  bad_geometry.shard_snaps[3].data_width = 16;
+  bad_geometry.shard_snaps[3].seal();
+  EXPECT_THROW(target.restore(bad_geometry), SimError);
+
+  EXPECT_EQ(target.shard_count(), 4u);
+  expect_membership(target, words);
+  CamDriver drv(target);
+  EXPECT_FALSE(drv.search(other[0]).hit) << "shard 0 took the checkpoint's contents";
+  EXPECT_FALSE(drv.search(other[1]).hit);
+}
+
+TEST(Checkpoint, LoadedKeyBitsAreValidatedBeforeAdoption) {
+  const std::string path = ::testing::TempDir() + "recovery_key_bits_ckpt.jsonl";
+  ShardedCamEngine engine(engine_config(2), shard_config());
+  const auto words = test_words(16);
+  fill(engine, words);
+  save_checkpoint(engine.checkpoint(), path);
+
+  std::ifstream in(path);
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  in.close();
+  const auto pos = text.find("\"key_bits\":32");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 13, "\"key_bits\":0");
+  std::ofstream(path, std::ios::trunc) << text;
+  const auto loaded = load_checkpoint(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(loaded.key_bits, 0u);
+
+  EXPECT_THROW(engine.restore(loaded), ConfigError);
+  EXPECT_EQ(engine.config().key_bits, 32u);
+  EXPECT_EQ(engine.shard_count(), 2u);
+  expect_membership(engine, words);
 }
 
 // --- Rebuild: quarantined shards come back via verified restore. ---
@@ -476,6 +543,9 @@ TEST(Reshard, OverflowRejectedWhenNewFleetCannotHoldAShardsBucket) {
   const auto words = test_words(200);  // > 128 = single-shard capacity
   fill(engine, words);
   EXPECT_THROW(engine.reshard(1), SimError);
+  // Refused before the fleet was replaced: nothing moved, nothing lost.
+  EXPECT_EQ(engine.shard_count(), 4u);
+  expect_membership(engine, words);
 }
 
 // --- RecoveryReplay: deterministic record/replay across recovery actions. ---
@@ -493,23 +563,17 @@ RequestTrace search_trace(const std::vector<cam::Word>& words) {
   return trace;
 }
 
-class ReplayScheduleTest
-    : public ::testing::TestWithParam<std::tuple<unsigned, bool>> {};
-
 // Byte-identical completion streams (full placement: addresses, groups,
-// shards) when a quarantine -> rebuild cycle interrupts the trace, under
-// every host threading and horizon schedule.
-TEST_P(ReplayScheduleTest, QuarantineRebuildKeepsStreamByteIdentical) {
-  const auto [threads, horizon] = GetParam();
+// shards) when a quarantine -> rebuild cycle interrupts the trace.
+TEST(RecoveryReplay, QuarantineRebuildKeepsStreamByteIdentical) {
   const auto words = test_words(64);
   const RequestTrace trace = search_trace(words);
   const std::size_t half = trace.size() / 2;
 
   const auto run = [&](bool disturb) {
-    ShardedCamEngine engine(engine_config(4, threads), shard_config());
+    ShardedCamEngine engine(engine_config(4), shard_config());
     fill(engine, words);
     CamDriver drv(engine);
-    drv.set_horizon_batching(horizon);
     CompletionStream stream(CompletionStream::Placement::kFull);
     drv.replay_trace(trace, stream, 0, half);
     if (disturb) {
@@ -523,26 +587,21 @@ TEST_P(ReplayScheduleTest, QuarantineRebuildKeepsStreamByteIdentical) {
     return stream.bytes();
   };
 
-  const std::string baseline = run(false);
-  const std::string disturbed = run(true);
-  EXPECT_EQ(baseline, disturbed)
-      << "threads=" << threads << " horizon=" << horizon;
+  EXPECT_EQ(run(false), run(true));
 }
 
 // Semantically identical streams (hit/miss/match_count; placement dropped -
 // resharding relocates entries by design) when a 4 -> 8 reshard interrupts
 // the trace.
-TEST_P(ReplayScheduleTest, ReshardKeepsStreamSemanticallyIdentical) {
-  const auto [threads, horizon] = GetParam();
+TEST(RecoveryReplay, ReshardKeepsStreamSemanticallyIdentical) {
   const auto words = test_words(64);
   const RequestTrace trace = search_trace(words);
   const std::size_t half = trace.size() / 2;
 
   const auto run = [&](bool disturb) {
-    ShardedCamEngine engine(engine_config(4, threads), shard_config());
+    ShardedCamEngine engine(engine_config(4), shard_config());
     fill(engine, words);
     CamDriver drv(engine);
-    drv.set_horizon_batching(horizon);
     CompletionStream stream(CompletionStream::Placement::kSemantic);
     drv.replay_trace(trace, stream, 0, half);
     if (disturb) engine.reshard(8);
@@ -550,45 +609,8 @@ TEST_P(ReplayScheduleTest, ReshardKeepsStreamSemanticallyIdentical) {
     return stream.bytes();
   };
 
-  const std::string baseline = run(false);
-  const std::string disturbed = run(true);
-  EXPECT_EQ(baseline, disturbed)
-      << "threads=" << threads << " horizon=" << horizon;
+  EXPECT_EQ(run(false), run(true));
 }
-
-// The same schedule parameters must also agree with EACH OTHER on the
-// disturbed run: recovery actions cannot make determinism schedule-shaped.
-TEST(RecoveryReplay, DisturbedStreamsAgreeAcrossSchedules) {
-  const auto words = test_words(64);
-  const RequestTrace trace = search_trace(words);
-  const std::size_t half = trace.size() / 2;
-
-  std::vector<std::string> streams;
-  for (const unsigned threads : {1u, 4u}) {
-    for (const bool horizon : {false, true}) {
-      ShardedCamEngine engine(engine_config(4, threads), shard_config());
-      fill(engine, words);
-      CamDriver drv(engine);
-      drv.set_horizon_batching(horizon);
-      CompletionStream stream(CompletionStream::Placement::kSemantic);
-      drv.replay_trace(trace, stream, 0, half);
-      engine.reshard(8);
-      drv.replay_trace(trace, stream, half);
-      streams.push_back(stream.bytes());
-    }
-  }
-  for (std::size_t i = 1; i < streams.size(); ++i) {
-    EXPECT_EQ(streams[0], streams[i]) << "schedule " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Schedules, ReplayScheduleTest,
-    ::testing::Combine(::testing::Values(1u, 4u), ::testing::Bool()),
-    [](const auto& info) {
-      return "threads" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_horizon" : "_cycle");
-    });
 
 TEST(RecoveryReplay, TraceRecordsSubmittedRequestsOnly) {
   ShardedCamEngine engine(engine_config(2), shard_config());

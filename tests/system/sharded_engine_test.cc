@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <unordered_set>
@@ -429,6 +430,115 @@ TEST(ShardedCamEngine, StrayShardResponseStillThrowsFromStep) {
   ce.engine->step();
   ce.shards[1]->inject_response = true;
   EXPECT_THROW(ce.engine->step(), SimError);
+}
+
+// --- Fast vs reference evaluation, observed at the engine boundary. ---
+
+CamSystem::Config small_shard_config(cam::EvalMode mode = cam::EvalMode::kFast) {
+  CamSystem::Config cfg;
+  cfg.unit.block.cell.data_width = 32;
+  cfg.unit.block.block_size = 16;
+  cfg.unit.block.bus_width = 128;
+  cfg.unit.block.eval_mode = mode;
+  cfg.unit.unit_size = 4;
+  cfg.unit.bus_width = 128;
+  return cfg;
+}
+
+/// One observable event: its payload, the cycle the host popped it on, and
+/// the cycle its beat completed.
+struct Event {
+  std::uint64_t cycle = 0;
+  std::uint64_t ready = 0;
+  bool is_response = false;
+  std::uint64_t seq = 0;
+  std::vector<std::uint64_t> payload;
+
+  bool operator==(const Event&) const = default;
+};
+
+/// A fixed pseudo-random stream (35% update, 55% search, 10% idle beats, up
+/// to two per host turn) into a 4-shard engine. The host turns come every
+/// 1..13 cycles, so pop cycles and completion cycles differ and both are
+/// recorded.
+std::vector<Event> run_eval_mode_trace(cam::EvalMode mode) {
+  ShardedCamEngine::Config ec;
+  ec.shards = 4;
+  ec.credits_per_shard = 64;
+  ShardedCamEngine engine(ec, small_shard_config(mode));
+  Rng rng(0xCAFE);
+  Rng turns(0x1234);
+  std::vector<Event> events;
+  std::uint64_t seq = 1;
+  for (unsigned turn = 0; turn < 700; ++turn) {
+    const unsigned beats = static_cast<unsigned>(rng.next_below(3));
+    for (unsigned b = 0; b < beats; ++b) {
+      const double dice = rng.next_double();
+      cam::UnitRequest req;
+      if (dice < 0.35) {
+        req.op = cam::OpKind::kUpdate;
+        const unsigned n = 1 + static_cast<unsigned>(rng.next_below(4));
+        for (unsigned i = 0; i < n; ++i) req.words.push_back(rng.next_bits(8));
+      } else if (dice < 0.90) {
+        req.op = cam::OpKind::kSearch;
+        const unsigned nk = 1 + static_cast<unsigned>(rng.next_below(ec.shards));
+        for (unsigned i = 0; i < nk; ++i) req.keys.push_back(rng.next_bits(8));
+      } else {
+        continue;  // idle beat
+      }
+      req.seq = seq++;
+      (void)engine.try_submit(std::move(req));
+    }
+    const std::uint64_t k = 1 + turns.next_below(13);
+    for (std::uint64_t c = 0; c < k; ++c) engine.step();
+    while (auto resp = engine.try_pop_response()) {
+      Event e{engine.stats().cycles, engine.last_completion_cycle(), true, resp->seq, {}};
+      for (const auto& r : resp->results) {
+        e.payload.insert(e.payload.end(), {r.key, r.hit ? 1u : 0u, r.global_address,
+                                           r.match_count, r.group, r.shard});
+      }
+      events.push_back(std::move(e));
+    }
+    while (auto ack = engine.try_pop_ack()) {
+      events.push_back({engine.stats().cycles, engine.last_completion_cycle(), false,
+                        ack->seq, {ack->words_written, ack->unit_full ? 1u : 0u}});
+    }
+  }
+  return events;
+}
+
+// The fast kernel (whichever sweep the build and host selected) stays in
+// lockstep with the reference cells through sharding: same payloads, same
+// completion cycles, same pop cycles.
+TEST(ShardedCamEngine, FastEvalMatchesReferencePerCycle) {
+  const auto ref = run_eval_mode_trace(cam::EvalMode::kReference);
+  const auto fast = run_eval_mode_trace(cam::EvalMode::kFast);
+  ASSERT_GT(ref.size(), 100u) << "trace too quiet to be meaningful";
+  ASSERT_EQ(ref.size(), fast.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(ref[i], fast[i]) << "event " << i << " diverged";
+  }
+}
+
+// The driver's blocking wrappers over a sharded engine.
+TEST(ShardedCamEngine, SyncWrappersStillCorrect) {
+  ShardedCamEngine::Config ec;
+  ec.shards = 2;
+  CamSystem::Config sc = small_shard_config();
+  sc.request_fifo_depth = 8;
+  sc.response_fifo_depth = 8;
+  sc.ack_fifo_depth = 8;
+  CamDriver drv(std::make_unique<ShardedCamEngine>(ec, sc));
+
+  const std::vector<cam::Word> words{3, 7, 11, 15};
+  EXPECT_EQ(drv.store(words), 4u);
+  for (const cam::Word w : words) {
+    const auto r = drv.search(w);
+    EXPECT_TRUE(r.hit) << "key " << w;
+  }
+  EXPECT_FALSE(drv.search(99).hit);
+  drv.reset();
+  EXPECT_FALSE(drv.search(3).hit);
 }
 
 }  // namespace

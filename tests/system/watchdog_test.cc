@@ -1,7 +1,7 @@
 // Host-hardening tests: the CamDriver watchdog (wedged backends throw
 // SimError with a diagnostic dump instead of spinning forever), submit-time
 // request validation, ShardedCamEngine::Config::validate(), degraded-shard
-// quarantine semantics, and fault-counter determinism across step_threads.
+// quarantine semantics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "src/common/error.h"
-#include "src/fault/injector.h"
-#include "src/fault/scrubber.h"
 #include "src/system/driver.h"
 #include "src/system/sharded_engine.h"
 
@@ -192,8 +190,9 @@ TEST(ShardedConfig, ValidateRejectsUnusableGeometry) {
   EXPECT_THROW(cfg.validate(), ConfigError);
   cfg.credits_per_shard = 1;
 
-  cfg.step_threads = 999;  // deliberately unvalidated (clamped at runtime)
-  EXPECT_NO_THROW(cfg.validate());
+  cfg.step_threads = 999;  // shards step serially; nothing else is accepted
+  EXPECT_THROW(cfg.validate(), ConfigError);
+  cfg.step_threads = 1;
 
   ShardedCamEngine::Config bad;
   bad.shards = 0;
@@ -203,11 +202,10 @@ TEST(ShardedConfig, ValidateRejectsUnusableGeometry) {
 
 // --- Degraded-shard mode. ---
 
-ShardedCamEngine::Config engine_config(unsigned shards, unsigned threads = 1) {
+ShardedCamEngine::Config engine_config(unsigned shards) {
   ShardedCamEngine::Config cfg;
   cfg.shards = shards;
   cfg.credits_per_shard = 64;
-  cfg.step_threads = threads;
   return cfg;
 }
 
@@ -290,86 +288,6 @@ TEST(DegradedShard, QuarantineSettlesInflightSubOperations) {
   EXPECT_GE(failed_results, search_tickets.size())
       << "every in-flight search owed by the dead shard must settle as failed";
   EXPECT_TRUE(engine.idle()) << "a frozen shard no longer counts against idle";
-}
-
-// --- Fault-campaign determinism across host threading. ---
-
-struct CampaignOutcome {
-  sim::FaultStats injected;
-  sim::FaultStats scrubbed;
-  std::vector<std::uint64_t> result_signature;
-
-  bool operator==(const CampaignOutcome& o) const {
-    return injected.injected == o.injected.injected &&
-           scrubbed.detected == o.scrubbed.detected &&
-           scrubbed.corrected == o.scrubbed.corrected &&
-           scrubbed.silent == o.scrubbed.silent &&
-           result_signature == o.result_signature;
-  }
-};
-
-CampaignOutcome run_campaign(unsigned step_threads) {
-  ShardedCamEngine engine(engine_config(4, step_threads),
-                          small_config(/*parity=*/true));
-  CamDriver drv(engine);
-  std::vector<cam::Word> words;
-  for (cam::Word w = 0; w < 96; ++w) words.push_back(w);
-  drv.store(words);
-
-  fault::FaultTarget* target = engine.fault_target();
-  EXPECT_NE(target, nullptr)
-      << "parity-protected DSP shards must compose a fault window";
-  EXPECT_TRUE(target->parity_protected());
-
-  fault::FaultCampaign campaign;
-  campaign.seed = 99;
-  campaign.rate_per_cycle = 0.05;
-  campaign.include_parity = true;
-  fault::FaultInjector injector(*target, campaign);
-  fault::Scrubber scrubber(*target, {.entries_per_cycle = 4});
-  scrubber.capture();
-
-  // The hook runs on the polling thread after each engine clock edge, so the
-  // corruption history cannot depend on how the shards were stepped.
-  drv.set_cycle_hook([&] {
-    injector.step();
-    scrubber.step(engine.idle());
-  });
-
-  CampaignOutcome out;
-  for (cam::Word w = 0; w < 96; ++w) {
-    cam::UnitRequest req;
-    req.op = cam::OpKind::kSearch;
-    req.keys = {w};
-    drv.submit_async(std::move(req));
-  }
-  drv.drain();
-  while (auto c = drv.try_pop_completion()) {
-    for (const auto& r : c->results) {
-      out.result_signature.push_back((r.key << 3) | (r.hit ? 1 : 0) |
-                                     (r.parity_error ? 2 : 0) |
-                                     (r.shard_failed ? 4 : 0));
-    }
-  }
-  for (int i = 0; i < 200; ++i) drv.poll();  // idle cycles: let the scrubber walk
-  out.injected = injector.stats();
-  out.scrubbed = scrubber.stats();
-  return out;
-}
-
-TEST(DegradedShard, FaultCountersAreIdenticalAcrossStepThreads) {
-  const CampaignOutcome serial = run_campaign(1);
-  const CampaignOutcome serial_again = run_campaign(1);
-  const CampaignOutcome threaded = run_campaign(8);
-
-  EXPECT_GT(serial.injected.injected, 0u) << "the campaign must actually fire";
-  EXPECT_TRUE(serial == serial_again) << "same seed, same run: " <<
-      serial.injected.summary() << " vs " << serial_again.injected.summary();
-  EXPECT_TRUE(serial == threaded)
-      << "step_threads must not perturb the corruption history: serial="
-      << serial.injected.summary() << "/" << serial.scrubbed.summary()
-      << " threaded=" << threaded.injected.summary() << "/"
-      << threaded.scrubbed.summary();
 }
 
 }  // namespace
