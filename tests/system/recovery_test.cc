@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -300,6 +301,115 @@ TEST(Checkpoint, LoadedKeyBitsAreValidatedBeforeAdoption) {
   expect_membership(engine, words);
 }
 
+/// One way a checkpoint can be unfit to restore, and the error it must
+/// raise.
+struct RestoreDefect {
+  const char* name;
+  void (*spoil)(ShardedCamEngine::EngineCheckpoint&);
+  bool config_error;  ///< ConfigError (adopted config) rather than SimError.
+};
+
+void PrintTo(const RestoreDefect& defect, std::ostream* os) { *os << defect.name; }
+
+class RestoreRefusalTest : public ::testing::TestWithParam<RestoreDefect> {};
+
+// Each refusal branch of restore(), hit on its own. The checkpoint holds 4
+// shards and the engine 2, and the defective snapshot is the last one, so a
+// check that ran after the fleet swap or after the first poke would leave
+// a changed shard count or overwritten shards behind.
+TEST_P(RestoreRefusalTest, LeavesTheEngineAsItWas) {
+  std::vector<cam::Word> other;
+  for (const cam::Word w : test_words(64)) other.push_back(w + 100000);
+  ShardedCamEngine source(engine_config(4), shard_config());
+  fill(source, other);
+  auto ckpt = source.checkpoint();
+  GetParam().spoil(ckpt);
+
+  ShardedCamEngine target(engine_config(2), shard_config());
+  const auto words = test_words(40);
+  fill(target, words);
+  if (GetParam().config_error) {
+    EXPECT_THROW(target.restore(ckpt), ConfigError);
+  } else {
+    EXPECT_THROW(target.restore(ckpt), SimError);
+  }
+
+  EXPECT_EQ(target.shard_count(), 2u);
+  EXPECT_EQ(target.config().shards, 2u);
+  EXPECT_EQ(target.config().key_bits, 32u);
+  EXPECT_EQ(target.capacity(), 2 * 128u);
+  expect_membership(target, words);
+  CamDriver drv(target);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_FALSE(drv.search(other[i]).hit) << "took the checkpoint's key " << other[i];
+  }
+}
+
+/// The last snapshot of a 4-shard checkpoint.
+fault::ShardSnapshot& last_snap(ShardedCamEngine::EngineCheckpoint& c) {
+  return c.shard_snaps.back();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Defects, RestoreRefusalTest,
+    ::testing::Values(
+        RestoreDefect{"checkpoint_version",
+                      [](auto& c) { c.version = ShardedCamEngine::EngineCheckpoint::kVersion + 1; },
+                      false},
+        RestoreDefect{"snapshot_count",
+                      [](auto& c) { c.shard_snaps.pop_back(); }, false},
+        RestoreDefect{"key_bits", [](auto& c) { c.key_bits = 65; }, true},
+        RestoreDefect{"shard_capacity", [](auto& c) { c.shard_capacity = 64; }, false},
+        RestoreDefect{"snapshot_checksum",
+                      [](auto& c) { last_snap(c).entries[0].stored ^= 1; }, false},
+        RestoreDefect{"snapshot_version",
+                      [](auto& c) { last_snap(c).version = fault::ShardSnapshot::kVersion + 1; },
+                      false},
+        RestoreDefect{"snapshot_entry_count",
+                      [](auto& c) {
+                        last_snap(c).entries.pop_back();
+                        last_snap(c).entry_count = last_snap(c).entries.size();
+                        last_snap(c).seal();
+                      },
+                      false},
+        RestoreDefect{"snapshot_entry_bits",
+                      [](auto& c) {
+                        ++last_snap(c).entry_bits;
+                        last_snap(c).seal();
+                      },
+                      false},
+        RestoreDefect{"snapshot_parity",
+                      [](auto& c) {
+                        last_snap(c).parity_protected = !last_snap(c).parity_protected;
+                        last_snap(c).seal();
+                      },
+                      false},
+        RestoreDefect{"snapshot_slot",
+                      [](auto& c) {
+                        last_snap(c).shard = 0;
+                        last_snap(c).seal();
+                      },
+                      false},
+        RestoreDefect{"snapshot_data_width",
+                      [](auto& c) {
+                        last_snap(c).data_width = 16;
+                        last_snap(c).seal();
+                      },
+                      false},
+        RestoreDefect{"snapshot_cam_kind",
+                      [](auto& c) {
+                        last_snap(c).cam_kind = "TCAM";
+                        last_snap(c).seal();
+                      },
+                      false},
+        RestoreDefect{"snapshot_capacity",
+                      [](auto& c) {
+                        last_snap(c).capacity = 64;
+                        last_snap(c).seal();
+                      },
+                      false}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 // --- Rebuild: quarantined shards come back via verified restore. ---
 
 TEST(Rebuild, FromSnapshotReadmitsQuarantinedShard) {
@@ -458,6 +568,54 @@ TEST(Rebuild, QuarantineBackFillKeepsSubmittedKeys) {
   }
 }
 
+// Both sources go through the same bounds check before touching anything.
+TEST(Rebuild, OutOfRangeShardRefusedForBothSources) {
+  ShardedCamEngine engine(engine_config(4), shard_config());
+  const auto words = test_words(64);
+  fill(engine, words);
+  const fault::ShardSnapshot snap = engine.snapshot_shard(3);
+  fault::Scrubber scrubber(*engine.fault_target(), {});
+  scrubber.capture();
+
+  EXPECT_THROW(engine.rebuild_shard(4, snap), ConfigError);
+  EXPECT_THROW(engine.rebuild_shard(4, scrubber), ConfigError);
+  EXPECT_EQ(engine.shard_count(), 4u);
+  EXPECT_EQ(engine.quarantined_count(), 0u);
+  expect_membership(engine, words);
+}
+
+// A snapshot and a golden shadow captured at the same moment rebuild a
+// trashed shard to the same logical entries.
+TEST(Rebuild, SnapshotAndShadowSourcesRestoreTheSameEntries) {
+  ShardedCamEngine engine(engine_config(4), shard_config());
+  const auto words = test_words(64);
+  fill(engine, words);
+  const unsigned dead = engine.shard_of(words[2]);
+  const fault::ShardSnapshot snap = engine.snapshot_shard(dead);
+  fault::Scrubber scrubber(*engine.fault_target(), {});
+  scrubber.capture();
+  const auto healthy = engine.shard(dead).logical_entries();
+
+  const auto trash_and_quarantine = [&] {
+    engine.quarantine_shard(dead);
+    fault::FaultTarget& target = *engine.shard(dead).fault_target();
+    for (std::size_t i = 0; i < target.entry_count(); ++i) {
+      target.poke(i, fault::EntryState{});
+    }
+  };
+  trash_and_quarantine();
+  engine.rebuild_shard(dead, snap);
+  const auto from_snapshot = engine.shard(dead).logical_entries();
+  trash_and_quarantine();
+  engine.rebuild_shard(dead, scrubber);
+  const auto from_shadow = engine.shard(dead).logical_entries();
+
+  EXPECT_EQ(from_snapshot, healthy);
+  EXPECT_EQ(from_shadow, healthy);
+  EXPECT_FALSE(engine.shard_quarantined(dead));
+  expect_membership(engine, words);
+}
+
 // --- Reshard: live hash repartitioning. ---
 
 TEST(Reshard, GrowPreservesMembershipAndRouting) {
@@ -547,6 +705,45 @@ TEST(Reshard, OverflowRejectedWhenNewFleetCannotHoldAShardsBucket) {
   EXPECT_EQ(engine.shard_count(), 4u);
   expect_membership(engine, words);
 }
+
+class ReshardPairTest
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>> {};
+
+// Any old -> new shard count, including into and out of the 1-shard
+// pass-through and between counts that share no factor: every entry moves,
+// each key answers from the shard the new partitioner picks, and its
+// global address lies in that shard's slice.
+TEST_P(ReshardPairTest, MembershipAndRoutingSurvive) {
+  const auto [from, to] = GetParam();
+  ShardedCamEngine engine(engine_config(from), shard_config());
+  const auto words = test_words(96);
+  fill(engine, words);
+
+  const auto report = engine.reshard(to);
+  EXPECT_EQ(report.old_shards, from);
+  EXPECT_EQ(report.new_shards, to);
+  EXPECT_EQ(report.entries_moved, words.size());
+  EXPECT_EQ(engine.shard_count(), to);
+  EXPECT_EQ(engine.capacity(), to * 128u);
+
+  CamDriver drv(engine);
+  for (const cam::Word w : words) {
+    const auto res = drv.search(w);
+    ASSERT_TRUE(res.hit) << "key " << w;
+    EXPECT_EQ(res.shard, engine.shard_of(w)) << "key " << w;
+    EXPECT_EQ(res.global_address / 128u, res.shard) << "key " << w;
+  }
+  EXPECT_FALSE(drv.search(0xdead0001).hit);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pairs, ReshardPairTest,
+    ::testing::Values(std::make_tuple(1u, 4u), std::make_tuple(2u, 1u),
+                      std::make_tuple(3u, 5u), std::make_tuple(8u, 2u)),
+    [](const auto& info) {
+      return std::to_string(std::get<0>(info.param)) + "_to_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // --- RecoveryReplay: deterministic record/replay across recovery actions. ---
 

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <ostream>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -458,12 +460,16 @@ struct Event {
 };
 
 /// A fixed pseudo-random stream (35% update, 55% search, 10% idle beats, up
-/// to two per host turn) into a 4-shard engine. The host turns come every
-/// 1..13 cycles, so pop cycles and completion cycles differ and both are
-/// recorded.
-std::vector<Event> run_eval_mode_trace(cam::EvalMode mode) {
+/// to two per host turn) into an engine of `shards` shards (4, hash by
+/// default). The host turns come every 1..13 cycles, so pop cycles and
+/// completion cycles differ and both are recorded.
+std::vector<Event> run_eval_mode_trace(
+    cam::EvalMode mode, unsigned shards = 4,
+    ShardedCamEngine::Partition partition = ShardedCamEngine::Partition::kHash) {
   ShardedCamEngine::Config ec;
-  ec.shards = 4;
+  ec.shards = shards;
+  ec.partition = partition;
+  ec.key_bits = 8;  // the stream's key space; spreads range slices evenly
   ec.credits_per_shard = 64;
   ShardedCamEngine engine(ec, small_shard_config(mode));
   Rng rng(0xCAFE);
@@ -518,6 +524,180 @@ TEST(ShardedCamEngine, FastEvalMatchesReferencePerCycle) {
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(ref[i], fast[i]) << "event " << i << " diverged";
   }
+}
+
+/// Fleet shapes for the per-cycle eval-mode comparison: shard count plus
+/// partitioner.
+struct TraceShape {
+  unsigned shards;
+  ShardedCamEngine::Partition partition;
+};
+
+void PrintTo(const TraceShape& shape, std::ostream* os) {
+  *os << shape.shards
+      << (shape.partition == ShardedCamEngine::Partition::kHash ? " hash" : " range");
+}
+
+class EvalModeShapeTest : public ::testing::TestWithParam<TraceShape> {};
+
+// The same lockstep guarantee across fleet shapes: the 1-shard pass-through,
+// odd and wide hash fleets, and range partitioning (contiguous key slices
+// instead of hashed placement).
+TEST_P(EvalModeShapeTest, FastEvalMatchesReferencePerCycle) {
+  const TraceShape shape = GetParam();
+  const auto ref =
+      run_eval_mode_trace(cam::EvalMode::kReference, shape.shards, shape.partition);
+  const auto fast =
+      run_eval_mode_trace(cam::EvalMode::kFast, shape.shards, shape.partition);
+  ASSERT_GT(ref.size(), 100u) << "trace too quiet to be meaningful";
+  ASSERT_EQ(ref.size(), fast.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(ref[i], fast[i]) << "event " << i << " diverged";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, EvalModeShapeTest,
+    ::testing::Values(TraceShape{1, ShardedCamEngine::Partition::kHash},
+                      TraceShape{3, ShardedCamEngine::Partition::kHash},
+                      TraceShape{8, ShardedCamEngine::Partition::kHash},
+                      TraceShape{2, ShardedCamEngine::Partition::kRange},
+                      TraceShape{4, ShardedCamEngine::Partition::kRange},
+                      TraceShape{8, ShardedCamEngine::Partition::kRange}),
+    [](const auto& info) {
+      return std::string(info.param.partition == ShardedCamEngine::Partition::kHash
+                             ? "hash"
+                             : "range") +
+             std::to_string(info.param.shards);
+    });
+
+// --- drain() is the poll() loop plus a watchdog. ---
+
+/// Bursts of 1..6 random stores and searches through a driver over an
+/// engine of `shards` shards with shallow FIFOs (backpressure is part of the
+/// run). Between bursts the host either calls drain() or polls by hand until
+/// nothing is in flight. Returns every completion field in pop order and the
+/// cycle count.
+std::pair<std::vector<std::uint64_t>, std::uint64_t> run_bursts(unsigned shards,
+                                                                bool use_drain) {
+  ShardedCamEngine::Config ec;
+  ec.shards = shards;
+  ec.credits_per_shard = 32;
+  CamSystem::Config sc = small_shard_config();
+  sc.request_fifo_depth = 8;
+  sc.response_fifo_depth = 8;
+  sc.ack_fifo_depth = 8;
+  CamDriver drv(std::make_unique<ShardedCamEngine>(ec, sc));
+
+  Rng rng(0xD1CE + shards);
+  std::vector<std::uint64_t> digest;
+  for (unsigned burst = 0; burst < 40; ++burst) {
+    const unsigned n = 1 + static_cast<unsigned>(rng.next_below(6));
+    for (unsigned i = 0; i < n; ++i) {
+      cam::UnitRequest req;
+      if (rng.next_double() < 0.3) {
+        req.op = cam::OpKind::kUpdate;
+        req.words = {rng.next_bits(8), rng.next_bits(8)};
+      } else {
+        req.op = cam::OpKind::kSearch;
+        req.keys = {rng.next_bits(8), rng.next_bits(8), rng.next_bits(8)};
+      }
+      drv.submit_async(std::move(req));
+    }
+    if (use_drain) {
+      drv.drain();
+    } else {
+      while (drv.inflight() > 0) drv.poll();
+    }
+    while (auto c = drv.try_pop_completion()) {
+      digest.insert(digest.end(), {c->ticket, static_cast<std::uint64_t>(c->op),
+                                   c->words_written, c->full ? 1u : 0u});
+      for (const auto& r : c->results) {
+        digest.insert(digest.end(), {r.key, r.hit ? 1u : 0u, r.global_address,
+                                     r.match_count, r.shard});
+      }
+    }
+  }
+  return {digest, drv.cycles()};
+}
+
+class DrainShardTest : public ::testing::TestWithParam<unsigned> {};
+
+// drain() adds no clock of its own: the same completions, in the same order,
+// after the same number of cycles as a hand-written poll() loop.
+TEST_P(DrainShardTest, DrainMatchesHandPolling) {
+  const auto drained = run_bursts(GetParam(), /*use_drain=*/true);
+  const auto polled = run_bursts(GetParam(), /*use_drain=*/false);
+  ASSERT_GT(drained.first.size(), 400u) << "run too quiet to be meaningful";
+  EXPECT_EQ(drained.first, polled.first);
+  EXPECT_EQ(drained.second, polled.second);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, DrainShardTest, ::testing::Values(1u, 2u, 4u, 8u));
+
+// --- The CamBackend clocking defaults the end-to-end bench still overrides. ---
+
+/// Drives `a` with step_many(k) and `b` with k step() calls over the same
+/// request stream; both must surface the same outputs on the same cycle.
+void expect_step_many_is_repeated_step(CamBackend& a, CamBackend& b) {
+  EXPECT_EQ(a.output_horizon(), 0u);
+  Rng rng(77);
+  std::uint64_t seq = 1;
+  std::size_t outputs = 0;
+  for (unsigned turn = 0; turn < 200; ++turn) {
+    cam::UnitRequest req;
+    req.seq = seq++;
+    if (rng.next_bool(0.3)) {
+      req.op = cam::OpKind::kUpdate;
+      req.words = {rng.next_bits(8)};
+    } else {
+      req.op = cam::OpKind::kSearch;
+      req.keys = {rng.next_bits(8)};
+    }
+    ASSERT_EQ(a.try_submit(req), b.try_submit(req)) << "turn " << turn;
+    const std::uint64_t k = 1 + rng.next_below(5);
+    a.step_many(k);
+    for (std::uint64_t c = 0; c < k; ++c) b.step();
+    ASSERT_EQ(a.stats().cycles, b.stats().cycles);
+    while (true) {
+      const auto ra = a.try_pop_response();
+      const auto rb = b.try_pop_response();
+      ASSERT_EQ(ra.has_value(), rb.has_value()) << "turn " << turn;
+      if (!ra.has_value()) break;
+      ASSERT_EQ(ra->seq, rb->seq);
+      ASSERT_EQ(ra->results.size(), rb->results.size());
+      for (std::size_t i = 0; i < ra->results.size(); ++i) {
+        EXPECT_EQ(ra->results[i].hit, rb->results[i].hit);
+        EXPECT_EQ(ra->results[i].global_address, rb->results[i].global_address);
+      }
+      ++outputs;
+    }
+    while (true) {
+      const auto aa = a.try_pop_ack();
+      const auto ab = b.try_pop_ack();
+      ASSERT_EQ(aa.has_value(), ab.has_value()) << "turn " << turn;
+      if (!aa.has_value()) break;
+      ASSERT_EQ(aa->seq, ab->seq);
+      EXPECT_EQ(aa->words_written, ab->words_written);
+      ++outputs;
+    }
+  }
+  EXPECT_GT(outputs, 150u);
+  EXPECT_EQ(a.output_horizon(), 0u);
+}
+
+TEST(CamBackendDefaults, CamSystemStepManyIsRepeatedStep) {
+  CamSystem a(small_shard_config());
+  CamSystem b(small_shard_config());
+  expect_step_many_is_repeated_step(a, b);
+}
+
+TEST(CamBackendDefaults, EngineStepManyIsRepeatedStep) {
+  ShardedCamEngine::Config ec;
+  ec.shards = 4;
+  ShardedCamEngine a(ec, small_shard_config());
+  ShardedCamEngine b(ec, small_shard_config());
+  expect_step_many_is_repeated_step(a, b);
 }
 
 // The driver's blocking wrappers over a sharded engine.

@@ -200,6 +200,30 @@ TEST(ShardedConfig, ValidateRejectsUnusableGeometry) {
       << "the constructor must route through validate()";
 }
 
+// The shards step serially, so step_threads accepts exactly 1. Any other
+// value - including the 0 a zero-initialised Config would carry - is
+// refused by validate() and by the constructor, never silently ignored.
+class StepThreadsTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(StepThreadsTest, ValueOtherThanOneFailsClosed) {
+  ShardedCamEngine::Config cfg;
+  cfg.shards = 2;
+  cfg.step_threads = GetParam();
+  EXPECT_THROW(cfg.validate(), ConfigError);
+  EXPECT_THROW(ShardedCamEngine(cfg, small_config()), ConfigError);
+}
+
+INSTANTIATE_TEST_SUITE_P(Values, StepThreadsTest, ::testing::Values(0u, 2u, 8u));
+
+TEST(ShardedConfig, SerialEngineReportsOneStepThread) {
+  ShardedCamEngine::Config cfg;
+  cfg.shards = 4;
+  ASSERT_EQ(cfg.step_threads, 1u);
+  const ShardedCamEngine engine(cfg, small_config());
+  EXPECT_EQ(engine.effective_step_threads(), 1u);
+  EXPECT_EQ(engine.config().step_threads, 1u);
+}
+
 // --- Degraded-shard mode. ---
 
 ShardedCamEngine::Config engine_config(unsigned shards) {
