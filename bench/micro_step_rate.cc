@@ -17,11 +17,6 @@
 //           compiled kernels add on top of the generic fast path.
 //           kind:"kernel" rows carry the kernel name so tools/bench_diff
 //           attributes regressions to a kernel, not just a geometry.
-//   part 6  multi-key match fusion ablation: a CamSystem with its request
-//           FIFO kept topped up, at fusion width B in {1, 2, 4, 8}, on a
-//           search-only stream and on a write mix (1 addressed write per 16
-//           requests - each write a fusion barrier). kind:"fusion" rows
-//           record the batch-occupancy mean and the speedup over B=1.
 //   part 7  fused sweep->encode ablation (kernel level, DESIGN.md §14): the
 //           same kernel's legacy path (raw sweep -> valid-AND into a BitVec
 //           -> encode_match_lines) against its fused encode_fn, per
@@ -30,9 +25,9 @@
 //           kind:"encode" rows carry the paired-ratio speedup_vs_unfused;
 //           the 256-deep rows are the headline figure (>= 1.3x median).
 //
-// Parts 2 (shard_scaling) and 4 (horizon) measured parallel shard stepping
-// and safe-horizon windows; both mechanisms are gone, and the remaining
-// parts keep their numbers so references to them stay valid.
+// Parts 2 (shard_scaling), 4 (horizon) and 6 (multi-key match fusion)
+// measured mechanisms that are gone; the remaining parts keep their numbers
+// so references to them stay valid.
 //
 // Flags: --warmup N --repeat N --json <path>   (default path
 // BENCH_step_rate.json so CI always collects the artifact).
@@ -184,83 +179,6 @@ struct Geometry {
   unsigned cells;
   std::uint64_t cycles;  ///< Simulated cycles per measured run.
 };
-
-struct FusionRate {
-  double cycles_per_sec = 0;
-  double searches_per_sec = 0;
-  double occupancy_mean = 0;  ///< Mean staged-batch size actually formed.
-};
-
-/// Fusion ablation stream: a CamSystem whose request FIFO is kept topped up
-/// (fusion can only batch requests that are actually queued), streaming
-/// single-key searches - optionally with one addressed write per 16 requests,
-/// each a write barrier that cuts the current batch short.
-FusionRate fusion_stream_rate(unsigned blocks, unsigned cells,
-                              std::size_t fusion_keys, bool write_mix,
-                              std::uint64_t cycles) {
-  system::CamSystem::Config sc;
-  sc.unit = unit_config(blocks, cells, cam::EvalMode::kFast);
-  sc.fusion_max_keys = fusion_keys;
-  system::CamSystem sys(sc);
-
-  const unsigned capacity = sys.capacity();
-  const unsigned preload = capacity / 2;
-  const unsigned per_beat = sys.words_per_beat();
-  std::uint64_t seq = 1;
-  unsigned stored = 0;
-  while (stored < preload) {
-    cam::UnitRequest req;
-    req.op = cam::OpKind::kUpdate;
-    for (unsigned w = 0; w < per_beat && stored + w < preload; ++w) {
-      req.words.push_back(stored + w);
-    }
-    req.seq = seq++;
-    const unsigned batch = static_cast<unsigned>(req.words.size());
-    if (sys.try_submit(std::move(req))) stored += batch;
-    sys.step();
-    while (sys.try_pop_ack()) {
-    }
-  }
-  while (!sys.idle()) {
-    sys.step();
-    while (sys.try_pop_ack()) {
-    }
-  }
-
-  std::uint64_t responses = 0, key = 0, submitted = 0;
-  const auto t0 = Clock::now();
-  for (std::uint64_t c = 0; c < cycles; ++c) {
-    while (!sys.request_fifo_full()) {
-      cam::UnitRequest req;
-      if (write_mix && (submitted & 15u) == 15u) {
-        req.op = cam::OpKind::kUpdate;
-        req.address = static_cast<std::uint32_t>(submitted % preload);
-        req.words = {static_cast<cam::Word>(submitted)};
-      } else {
-        req.op = cam::OpKind::kSearch;
-        req.keys.push_back(static_cast<cam::Word>(key++ % capacity));
-      }
-      req.seq = seq++;
-      if (!sys.try_submit(std::move(req))) break;
-      ++submitted;
-    }
-    sys.step();
-    while (sys.try_pop_response()) ++responses;
-    while (sys.try_pop_ack()) {
-    }
-  }
-  const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-
-  FusionRate r;
-  r.cycles_per_sec = static_cast<double>(cycles) / secs;
-  r.searches_per_sec = static_cast<double>(responses) / secs;
-  dspcam::telemetry::MetricRegistry reg;
-  sys.record_telemetry(reg, "sys");
-  if (const auto* h = reg.find_histogram("sys.fusion.batch_occupancy")) {
-    r.occupancy_mean = h->mean();
-  }
-  return r;
-}
 
 /// Packed pre-edge arrays for the kernel-level encode ablation: `depth`
 /// distinct stored words, the matching nmask plane (mask-free = the plain
@@ -533,80 +451,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Part 6: multi-key match fusion ablation. One deep geometry (the sweep
-  // has to dominate the fixed per-cycle unit overhead for batching to show),
-  // fusion width B in {1, 2, 4, 8}, search-only vs a 1-in-16 write mix
-  // whose barriers keep cutting batches short.
-  const unsigned f_blocks = 4, f_cells = 4096;
-  const std::uint64_t f_cycles = 5'000;
-  char f_label[32];
-  std::snprintf(f_label, sizeof(f_label), "%ux%u", f_blocks, f_cells);
-  const std::string f_kernel = kernel_name_for(
-      unit_config(f_blocks, f_cells, dspcam::cam::EvalMode::kFast));
-  std::printf("\n%-10s %-12s %-4s %14s %14s %10s %10s\n", "geometry", "mix",
-              "B", "cycles/s", "searches/s", "occupancy", "vs B=1");
-  for (const bool write_mix : {false, true}) {
-    for (const std::size_t b : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                std::size_t{8}}) {
-      // The speedup is measured PAIRED: every repetition runs the B=1
-      // baseline and the fused configuration back to back and contributes
-      // one ratio, and the reported figure is the median ratio. Comparing
-      // two independently-measured medians instead lets slow host-load
-      // drift between the two measurement windows masquerade as (or mask)
-      // a fusion effect; in each back-to-back pair the drift cancels.
-      double occupancy = 0;
-      const bool is_b1 = b == 1;
-      std::vector<double> cps, sps, ratios;
-      const auto run_pair = [&] {
-        const FusionRate base =
-            is_b1 ? FusionRate{}
-                  : fusion_stream_rate(f_blocks, f_cells, 1, write_mix,
-                                       f_cycles);
-        const FusionRate r =
-            fusion_stream_rate(f_blocks, f_cells, b, write_mix, f_cycles);
-        occupancy = r.occupancy_mean;
-        return std::pair<FusionRate, FusionRate>{base, r};
-      };
-      for (unsigned i = 0; i < opt.warmup; ++i) (void)run_pair();
-      for (unsigned i = 0; i < opt.repeat; ++i) {
-        const auto [base, r] = run_pair();
-        cps.push_back(r.cycles_per_sec);
-        sps.push_back(r.searches_per_sec);
-        if (!is_b1 && base.cycles_per_sec > 0) {
-          ratios.push_back(r.cycles_per_sec / base.cycles_per_sec);
-        }
-      }
-      const auto stats = dspcam::bench::RepeatStats::of(std::move(cps));
-      const auto sps_stats = dspcam::bench::RepeatStats::of(std::move(sps));
-      const double speedup = dspcam::bench::RepeatStats::of(ratios).median;
-      char ratio[32] = "-";
-      if (!is_b1) std::snprintf(ratio, sizeof(ratio), "%.2fx", speedup);
-      std::printf("%-10s %-12s %-4zu %14.0f %14.0f %10.2f %10s\n", f_label,
-                  write_mix ? "write_mix" : "search_only", b, stats.median,
-                  sps_stats.median, occupancy, ratio);
-      auto row = dspcam::bench::JsonLog::Row("micro_step_rate");
-      row.str("kind", "fusion")
-          .str("unit", f_label)
-          .str("mix", write_mix ? "write_mix" : "search_only")
-          .str("kernel", f_kernel)
-          .num("fusion_keys", static_cast<std::uint64_t>(b))
-          .num("blocks", static_cast<std::uint64_t>(f_blocks))
-          .num("cells_per_block", static_cast<std::uint64_t>(f_cells))
-          .num("sim_cycles", f_cycles)
-          .num("batch_occupancy_mean", occupancy);
-      dspcam::bench::add_stats(row, "cycles_per_sec", stats);
-      dspcam::bench::add_stats(row, "searches_per_sec", sps_stats);
-      if (!is_b1) row.num("speedup_vs_b1", speedup);
-      log.emit(row);
-    }
-  }
-
   // Part 7: fused sweep->encode ablation, at the kernel-call level so the
   // unit pipeline's fixed overhead cannot dilute the effect being measured.
   // For each geometry two kernel tiers are timed - the registry's pick for
   // the geometry and the scalar depth template - each against ITS OWN legacy
-  // sweep+BitVec+encode path, paired per repetition like part 6 so host
-  // drift cancels out of the ratio.
+  // sweep+BitVec+encode path. Every repetition times the two back to back
+  // and contributes one ratio, so host drift cancels out of the ratio.
   struct EncodeGeometry {
     const char* label;
     dspcam::cam::CamKind kind;

@@ -10,7 +10,6 @@
 #include "src/cam/unit.h"
 #include "src/model/resources.h"
 #include "src/model/timing.h"
-#include "src/system/cam_system.h"
 
 using namespace dspcam;
 
@@ -40,17 +39,12 @@ int main() {
   // Which simulation path answers searches: the eval mode picks the engine
   // (per-cell DSP reference vs packed-array fast path) and, for kFast, the
   // registry picks the geometry-specialized match kernel (match_kernel.h).
-  // The fusion width is what the queue-fronted CamSystem wrapper would run
-  // at for this config: up to that many queued search keys share one sweep
-  // of the stored arrays (DESIGN.md §11; override with
-  // DSPCAM_FUSION_MAX_KEYS, where 1 disables fusion). Confirm all three
-  // before benchmarking anything.
-  system::CamSystem::Config sys_cfg;
-  sys_cfg.unit = cfg;
-  std::printf("Eval mode: %s, match kernel: %s, fusion width: B=%zu\n",
+  // A deep binary plane like this one answers from its exact-match index
+  // instead of sweeping (DESIGN.md §11). Confirm all three before
+  // benchmarking anything.
+  std::printf("Eval mode: %s, match kernel: %s, exact-match index: %s\n",
               cam::to_string(cfg.block.eval_mode).c_str(),
-              unit.match_kernel_name().c_str(),
-              system::CamSystem(sys_cfg).fusion_width());
+              unit.match_kernel_name().c_str(), unit.group_indexed(0) ? "on" : "off");
 
   // 2a. Store a few values. One bus beat carries up to 16 x 32-bit words;
   //     the update lands 6 cycles later (Table VIII).

@@ -22,7 +22,7 @@ CamBlock::CamBlock(const BlockConfig& cfg) : cfg_(cfg), tags_(2), out_buf_(1) {
     }
   } else {
     store_.resize((cfg_.block_size + 63) / 64, cfg_.parity);
-    plane_.bind(cfg_, cfg_.encoding, store_, 0, cfg_.block_size, 1);
+    plane_.bind(cfg_, cfg_.encoding, store_, 0, cfg_.block_size);
     // One-hot blocks pre-seed the recycled raw buffer so the first search
     // does not allocate inside the sweep loop (DESIGN.md §14).
     if (cfg_.encoding == EncodingScheme::kOneHot) ensure_onehot_pool();
@@ -165,7 +165,6 @@ void CamBlock::set_fill(unsigned fill) {
 }
 
 void CamBlock::flush_pipeline() {
-  if (fast()) plane_.drop_staged();
   pd_pending_ = false;
   pending_update_.reset();
   pending_search_.reset();
@@ -217,12 +216,7 @@ void CamBlock::apply_reset() {
 
 void CamBlock::apply_update_path(std::optional<UpdateAck>& new_ack) {
   if (!pending_update_) return;
-  // This edge mutates the arrays (write or valid flag); every staged fused
-  // compare is computed against pre-mutation state and must be dropped.
-  // The compare retiring at this same edge already ran (the plane compare
-  // precedes this call in commit()), so nothing live is lost.
   const bool fast = this->fast();
-  if (fast) plane_.drop_staged();
   if (pending_update_->op == OpKind::kInvalidate) {
     const unsigned idx = *pending_update_->address;
     if (fast) {
@@ -287,11 +281,6 @@ void CamBlock::apply_update_path(std::optional<UpdateAck>& new_ack) {
   }
   ack.block_full = fill_ >= cfg_.block_size;
   new_ack = ack;
-}
-
-void CamBlock::stage_fused_compares(const Word* keys, std::size_t nkeys) {
-  if (!fast()) throw SimError("CamBlock: fused staging is EvalMode::kFast only");
-  plane_.stage(keys, nkeys);
 }
 
 void CamBlock::gather_match_reference() {

@@ -25,12 +25,13 @@
 //     MASK, valid flag, parity bit - in one FastPlane of block_size entries
 //     (fast_plane.h) and answers a search with one fused sweep→encode call
 //     of the geometry-specialized kernel the plane selected from the
-//     match-kernel registry (match_kernel.h). The broadcast register, the
-//     DSP C/P register stages and the encoder buffer are modelled by the
-//     same delay structures, so every response appears in the same cycle
-//     with the same payload as the reference path. (A CamUnit in kFast
-//     builds no CamBlock at all: it runs one plane per CAM group behind a
-//     shared pipeline - DESIGN.md §15.)
+//     match-kernel registry (match_kernel.h), or with one exact-match
+//     index lookup on a deep binary block (DESIGN.md §11). The broadcast
+//     register, the DSP C/P register stages and the encoder buffer are
+//     modelled by the same delay structures, so every response appears in
+//     the same cycle with the same payload as the reference path. (A
+//     CamUnit in kFast builds no CamBlock at all: it runs one plane per CAM
+//     group behind a shared pipeline - DESIGN.md §15.)
 #pragma once
 
 #include <cstdint>
@@ -135,41 +136,16 @@ class CamBlock : public sim::Component {
   /// The selected kernel's name; "reference" in EvalMode::kReference.
   std::string match_kernel_name() const;
 
-  // --- Multi-key match fusion (kFast; DESIGN.md §11). ---
-
-  /// True when `n` fused compares can be staged right now (kFast only;
-  /// always false in EvalMode::kReference).
-  bool can_stage_fused(std::size_t n) const noexcept {
-    return fast() && plane_.can_stage(n);
-  }
-
-  /// Sweeps the packed arrays once for `nkeys` keys (one multi-key kernel
-  /// call) and stages each key's finished result for the compare that will
-  /// retire it. Keys are truncated to the data width exactly as the
-  /// broadcast register would. The staged results are a pure function of
-  /// (key, arrays); any array mutation - write, invalidate, reset, fault
-  /// poke - drops them, so a consumed record is byte-identical to a fresh
-  /// compute by construction.
-  void stage_fused_compares(const Word* keys, std::size_t nkeys);
-
-  /// True while a write-class beat (update/invalidate/reset) issued this
-  /// cycle awaits its commit - the staging scan treats it as a barrier.
-  bool write_pending() const noexcept {
-    return pending_update_.has_value() || pending_reset_;
-  }
-
-  /// Fusion observability: compares staged / consumed / dropped by an
-  /// array mutation since construction (monotonic).
-  std::uint64_t fused_staged() const noexcept { return plane_.staged(); }
-  std::uint64_t fused_hits() const noexcept { return plane_.hits(); }
-  std::uint64_t fused_discards() const noexcept { return plane_.discards(); }
-
   /// True while every entry's compare mask equals the plain width mask (the
   /// precondition for the mask-free kernel family). Writes with per-entry
   /// masks and fault pokes can clear it; a reset restores it. While false,
   /// the plane dispatches the masked fallback kernel instead. Always true in
   /// EvalMode::kReference.
   bool mask_plane_uniform() const noexcept { return !fast() || plane_.mask_uniform(); }
+
+  /// True when the fast plane answers searches from its exact-match index
+  /// (FastPlane::indexed(); DESIGN.md §11); false in EvalMode::kReference.
+  bool plane_indexed() const noexcept { return fast() && plane_.indexed(); }
 
   /// Overwrites one entry's registered state outside the clocked protocol
   /// (fault injection / scrub repair, src/fault/). Works identically in both

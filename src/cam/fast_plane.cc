@@ -1,6 +1,7 @@
 #include "src/cam/fast_plane.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/cam/mask.h"
 #include "src/common/bitops.h"
@@ -13,26 +14,20 @@ void FastPlaneStore::resize(std::size_t words, bool parity_protected) {
   nmask.assign(64 * words, 0);
   valid.assign(words, 0);
   parity.assign(parity_protected ? words : 0, 0);
-  ring.assign(FastPlane::kRingRecords * words, 0);
-  scratch.assign(kMaxFusionKeys * words, 0);
 }
 
 void FastPlane::bind(const BlockConfig& cfg, EncodingScheme scheme,
-                     FastPlaneStore& store, std::size_t word0, std::size_t n,
-                     unsigned blocks) {
+                     FastPlaneStore& store, std::size_t word0, std::size_t n) {
   if (n == 0 || word0 + (n + 63) / 64 > store.words()) {
     throw SimError("FastPlane: binding runs past the backing store");
   }
-  drop_staged();  // counted at the old weight
   n_ = n;
   data_width_ = cfg.cell.data_width;
   scheme_ = scheme;
-  blocks_ = blocks;
   stored_ = store.stored.data() + 64 * word0;
   nmask_ = store.nmask.data() + 64 * word0;
   valid_ = store.valid.data() + word0;
   parity_ = cfg.parity ? store.parity.data() + word0 : nullptr;
-  scratch_ = store.scratch.data();
   // ~MASK over the DSP datapath for a never-written cell is the plain width
   // mask, i.e. "compare all data_width bits" (CamCell's initial state).
   default_nmask_ = ~width_mask(data_width_) & kDspWordMask;
@@ -54,13 +49,14 @@ void FastPlane::bind(const BlockConfig& cfg, EncodingScheme scheme,
     masked_kernel_ = kernel_;
   }
   for (const MatchKernel* k : {kernel_, masked_kernel_}) {
-    if (k->encode_fn == nullptr || k->multi_encode_fn == nullptr) {
+    if (k->encode_fn == nullptr) {
       throw SimError(std::string("FastPlane: kernel ") + k->name +
-                     " lacks the fused encode entry points");
+                     " lacks the fused encode entry point");
     }
   }
-  ring_.configure(words(), kRingRecords,
-                  store.ring.data() + kRingRecords * word0);
+  // The index stands in for the mask-free kernel only: the same binary,
+  // non-forced-generic planes, demoted together with it by a mask poke.
+  index_depth_ok_ = kernel_->needs_uniform_mask && n >= kIndexMinDepth;
   clear();
 }
 
@@ -84,23 +80,24 @@ void FastPlane::write(std::size_t i, Word value, std::uint64_t mask) {
   if (mask > kDspWordMask) {
     throw ConfigError("DSP48E2: PATTERN/MASK attributes exceed 48 bits");
   }
-  drop_staged();
+  if (valid(i)) unlink(i);
   stored_[i] = truncate(value, data_width_);
   nmask_[i] = ~mask & kDspWordMask;
   note_mask(i);
   valid_[i / 64] |= std::uint64_t{1} << (i % 64);
+  link(i);
   if (parity_ != nullptr) set_parity(i, entry_parity_of(stored_[i], mask, true));
 }
 
 void FastPlane::invalidate(std::size_t i) {
-  drop_staged();
+  if (valid(i)) unlink(i);
   valid_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
   if (parity_ != nullptr) set_parity(i, entry_parity_of(stored_[i], mask(i), false));
 }
 
 void FastPlane::poke(std::size_t i, Word stored, std::uint64_t mask, bool valid,
                      bool parity) {
-  drop_staged();
+  if (this->valid(i)) unlink(i);
   stored_[i] = truncate(stored, data_width_);
   nmask_[i] = ~(mask & kDspWordMask) & kDspWordMask;
   // Sticky by design: a later poke restoring this entry says nothing about
@@ -109,6 +106,7 @@ void FastPlane::poke(std::size_t i, Word stored, std::uint64_t mask, bool valid,
   const std::uint64_t lane = std::uint64_t{1} << (i % 64);
   if (valid) {
     valid_[i / 64] |= lane;
+    link(i);
   } else {
     valid_[i / 64] &= ~lane;
   }
@@ -116,7 +114,7 @@ void FastPlane::poke(std::size_t i, Word stored, std::uint64_t mask, bool valid,
 }
 
 void FastPlane::clear() {
-  drop_staged();
+  index_stale_ = true;
   std::fill(stored_, stored_ + n_, 0);
   std::fill(nmask_, nmask_ + n_, default_nmask_);
   std::fill(valid_, valid_ + words(), 0);
@@ -136,23 +134,13 @@ std::uint32_t FastPlane::parity_errors() const {
 }
 
 void FastPlane::compare(Word key, EncodedMatch& out, std::uint64_t* onehot) {
-  // One pattern-detect sweep: entry i latches
+  // One pattern-detect edge: entry i latches
   //   PATTERNDETECT = ((stored_i ^ key) & ~MASK_i & kDspWordMask) == 0
   // gated by its valid flag, all against the pre-edge arrays.
   key = truncate(key, data_width_);
-  // Fused fast path: the oldest staged record stands in for the sweep when
-  // it was staged for exactly this key. It was computed by the same kernel
-  // over the same arrays (any mutation clears the ring), so the
-  // substitution is bit-exact. A key mismatch means the scan staged ahead
-  // of compares already in flight: sweep fresh without popping, and the
-  // ring realigns as those compares retire.
-  if (!ring_.empty() && ring_.front_key() == key) {
-    out = ring_.front_meta();
-    if (scheme_ == EncodingScheme::kOneHot) {
-      std::copy_n(ring_.front_words(), words(), onehot);
-    }
-    ring_.pop_front();
-    hits_ += blocks_;
+  if (indexed()) {
+    if (index_stale_) rebuild_index();
+    lookup(key, out, onehot);
     return;
   }
   // Dispatch: the kernel selected at bind time, demoted to the masked
@@ -161,33 +149,92 @@ void FastPlane::compare(Word key, EncodedMatch& out, std::uint64_t* onehot) {
   dispatch()->encode_fn(stored_, nmask_, valid_, key, n_, scheme_, out, onehot);
 }
 
-void FastPlane::stage(const Word* keys, std::size_t nkeys) {
-  if (nkeys == 0) return;
-  if (nkeys > kMaxFusionKeys || !ring_.can_stage(nkeys)) {
-    throw SimError("FastPlane: fused batch exceeds staging capacity");
+// With every mask the plain width mask, PATTERNDETECT reduces to
+// stored_i == key, so the plane is an exact-match map from stored word to
+// the valid addresses holding it. One pass rebuilds it: walking the valid
+// flags downward while pushing each address onto its chain's front leaves
+// every chain in ascending address order. The table has twice as many
+// slots as the plane has entries, so it is at most half full.
+void FastPlane::rebuild_index() {
+  const std::size_t buckets = std::bit_ceil(std::max<std::size_t>(2 * n_, 16));
+  if (next_.size() < n_) {
+    // First use at this depth; no later rebuild (and no regrouping back to
+    // this depth) allocates.
+    next_.resize(n_);
+    heads_.resize(buckets);
   }
-  // Truncate exactly as the broadcast-register latch would, so records are
-  // keyed by the value compare() will look up.
-  Word tk[kMaxFusionKeys];
-  for (std::size_t i = 0; i < nkeys; ++i) tk[i] = truncate(keys[i], data_width_);
-  const MatchKernel* k = dispatch();
-  // The ring's records are key-major exactly like the kernel's output, so a
-  // batch that fits without wrapping lands straight in the staged slots;
-  // only a wrapping batch bounces through the scratch.
-  if (std::uint64_t* span = ring_.stage_span(tk, nkeys)) {
-    k->multi_encode_fn(stored_, nmask_, valid_, tk, nkeys, n_, scheme_, metas_, span);
-  } else {
-    k->multi_encode_fn(stored_, nmask_, valid_, tk, nkeys, n_, scheme_, metas_,
-                       scratch_);
-    const std::size_t w = words();
-    for (std::size_t i = 0; i < nkeys; ++i) {
-      std::copy_n(scratch_ + i * w, w, ring_.stage(tk[i]));
+  index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
+  std::fill_n(heads_.begin(), buckets, kNoEntry);
+  for (std::size_t wi = words(); wi-- > 0;) {
+    for (std::uint64_t m = valid_[wi]; m != 0;) {
+      const unsigned b = 63 - static_cast<unsigned>(std::countl_zero(m));
+      m &= ~(std::uint64_t{1} << b);
+      const auto i = static_cast<std::uint32_t>(wi * 64 + b);
+      std::uint32_t& head = heads_[slot(stored_[i])];
+      next_[i] = head;
+      head = i;
     }
   }
-  for (std::size_t i = 0; i < nkeys; ++i) {
-    ring_.meta_from_back(nkeys - 1 - i) = metas_[i];
+  index_stale_ = false;
+}
+
+std::size_t FastPlane::slot(Word key) const noexcept {
+  const std::size_t mask = (std::size_t{1} << (64 - index_shift_)) - 1;
+  std::size_t h = home(key);
+  while (heads_[h] != kNoEntry && stored_[heads_[h]] != key) h = (h + 1) & mask;
+  return h;
+}
+
+// Inserts valid address i into its word's chain, keeping it ascending.
+void FastPlane::link(std::size_t i) {
+  if (index_stale_) return;
+  const auto a = static_cast<std::uint32_t>(i);
+  std::uint32_t* at = &heads_[slot(stored_[i])];
+  while (*at != kNoEntry && *at < a) at = &next_[*at];
+  next_[i] = *at;
+  *at = a;
+}
+
+// Removes valid address i from its word's chain; an emptied chain's slot is
+// freed by backward-shift deletion, so probe runs stay unbroken.
+void FastPlane::unlink(std::size_t i) {
+  if (index_stale_) return;
+  std::size_t h = slot(stored_[i]);
+  std::uint32_t* at = &heads_[h];
+  while (*at != static_cast<std::uint32_t>(i)) at = &next_[*at];
+  *at = next_[i];
+  if (heads_[h] != kNoEntry) return;
+  const std::size_t mask = (std::size_t{1} << (64 - index_shift_)) - 1;
+  for (std::size_t j = (h + 1) & mask; heads_[j] != kNoEntry; j = (j + 1) & mask) {
+    // Slot j's chain may fill the hole unless its home lies in (h, j].
+    if (((j - home(stored_[heads_[j]])) & mask) >= ((j - h) & mask)) {
+      heads_[h] = heads_[j];
+      heads_[j] = kNoEntry;
+      h = j;
+    }
   }
-  staged_ += nkeys * blocks_;
+}
+
+// The kernel's output for `key`, read off its chain: priority is the head,
+// match-count the chain length, one-hot one bit per chain entry.
+void FastPlane::lookup(Word key, EncodedMatch& out, std::uint64_t* onehot) const {
+  const std::uint32_t head = heads_[slot(key)];
+  out = EncodedMatch{};
+  out.hit = head != kNoEntry;
+  switch (scheme_) {
+    case EncodingScheme::kPriorityIndex:
+      if (out.hit) out.first_match = head;
+      return;
+    case EncodingScheme::kOneHot:
+      std::fill_n(onehot, words(), 0);
+      for (std::uint32_t i = head; i != kNoEntry; i = next_[i]) {
+        onehot[i / 64] |= std::uint64_t{1} << (i % 64);
+      }
+      return;
+    case EncodingScheme::kMatchCount:
+      for (std::uint32_t i = head; i != kNoEntry; i = next_[i]) ++out.match_count;
+      return;
+  }
 }
 
 }  // namespace dspcam::cam

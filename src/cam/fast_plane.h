@@ -3,16 +3,16 @@
 // A FastPlane mirrors the registered state of `n` CAM entries - stored
 // word, ~MASK, valid flag and (on parity-protected geometries) the parity
 // bit - in packed contiguous arrays, and answers a search key with one
-// fused sweep→encode kernel call over all of them (match_kernel.h). It owns
-// everything the fast path needs per compare domain:
+// fused sweep→encode kernel call over all of them (match_kernel.h), or -
+// on a deep mask-uniform binary plane - with one exact-match index lookup.
+// It owns everything the fast path needs per compare domain:
 //
 //   - the packed arrays (a view into a FastPlaneStore the owner sizes);
 //   - mask-plane uniformity tracking (nmask_uniform_);
 //   - the kernel selected for depth `n` at bind time, plus the masked
 //     fallback dispatched while the mask plane is non-uniform;
-//   - the multi-key fusion staging ring and its counters (DESIGN.md §11);
-//   - encode dispatch: every registered kernel carries encode_fn and
-//     multi_encode_fn, so there is exactly one compare path.
+//   - the exact-match index (DESIGN.md §11): stored word -> the valid
+//     addresses holding it, kept in step with every mutation.
 //
 // It has two owners (DESIGN.md §15). A standalone CamBlock is one plane of
 // block_size entries. A CamUnit is one plane per CAM group, each covering
@@ -22,8 +22,9 @@
 //
 // The plane has no notion of time: owners call compare() at the edge the
 // DSP pattern-detect register would latch, against pre-edge state, and
-// mutate afterwards. Every mutation drops the staged fused records, which
-// are a pure function of (key, arrays).
+// mutate afterwards. The index is a pure function of the arrays: writes,
+// invalidates and pokes update it in place, and after a clear() the next
+// compare rebuilds it in one pass.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +35,6 @@
 #include "src/cam/match_kernel.h"
 #include "src/cam/types.h"
 #include "src/common/bitops.h"
-#include "src/sim/staging.h"
 
 namespace dspcam::cam {
 
@@ -45,8 +45,6 @@ struct FastPlaneStore {
   std::vector<std::uint64_t> nmask;    ///< ~MASK, 64 entries per word.
   std::vector<std::uint64_t> valid;    ///< Packed flags, one word per word.
   std::vector<std::uint64_t> parity;   ///< Packed bits; empty when unprotected.
-  std::vector<std::uint64_t> ring;     ///< Staged fused records.
-  std::vector<std::uint64_t> scratch;  ///< Wrapped-batch bounce / one-hot bits.
 
   /// Sizes every array for `words` plane words (allocates once).
   void resize(std::size_t words, bool parity_protected);
@@ -56,17 +54,17 @@ struct FastPlaneStore {
 /// One packed match plane over `n` entries.
 class FastPlane {
  public:
-  /// Staged fused records per plane: a few batches of kMaxFusionKeys.
-  static constexpr std::size_t kRingRecords = 4 * kMaxFusionKeys;
+  /// Shallowest plane the exact-match index serves (DESIGN.md §11): the
+  /// first depth where a lookup costs under 60% of the sweep.
+  static constexpr std::size_t kIndexMinDepth = 128;
 
   /// Binds the plane to entries [64 * word0, 64 * word0 + n) of `store`,
   /// selects the kernel for depth `n`, and resets the entries to their
   /// power-on state (stored 0, plain width mask, invalid). `scheme` is the
-  /// encoding compare() produces; `blocks` weights the fusion counters (one
-  /// staged record counts as that many per-block compares). Staging
-  /// counters survive rebinding. Allocates nothing once `store` is sized.
+  /// encoding compare() produces. Allocates nothing once `store` is sized;
+  /// the index sizes its own table at the first compare that needs it.
   void bind(const BlockConfig& cfg, EncodingScheme scheme, FastPlaneStore& store,
-            std::size_t word0, std::size_t n, unsigned blocks);
+            std::size_t word0, std::size_t n);
 
   std::size_t size() const noexcept { return n_; }
   std::size_t words() const noexcept { return (n_ + 63) / 64; }
@@ -79,6 +77,11 @@ class FastPlane {
   /// masks and pokes clear it, clear() restores it.
   bool mask_uniform() const noexcept { return nmask_uniform_; }
 
+  /// True when compare() answers from the exact-match index: the plane
+  /// selected a mask-free kernel (a binary plane, not forced generic), is at
+  /// least kIndexMinDepth deep, and its mask plane is still uniform.
+  bool indexed() const noexcept { return index_depth_ok_ && nmask_uniform_; }
+
   // --- Entry state (index < size(); unchecked). ---
   Word stored(std::size_t i) const noexcept { return stored_[i]; }
   std::uint64_t mask(std::size_t i) const noexcept { return ~nmask_[i] & kDspWordMask; }
@@ -86,7 +89,7 @@ class FastPlane {
   /// The maintained parity bit when protected, the derived value otherwise.
   bool parity(std::size_t i) const noexcept;
 
-  // --- Mutations (each drops the staged records). ---
+  // --- Mutations (each keeps a fresh index in step; clear() stales it). ---
 
   /// Clocked write: stores `value` (truncated) with compare mask `mask`,
   /// sets valid, recomputes parity. Throws ConfigError for a mask wider
@@ -97,10 +100,9 @@ class FastPlane {
   /// Out-of-protocol overwrite (fault injection / scrub): parity is written
   /// verbatim, never recomputed.
   void poke(std::size_t i, Word stored, std::uint64_t mask, bool valid, bool parity);
-  /// Every entry back to power-on state; mask plane uniform again.
+  /// Every entry back to power-on state; mask plane uniform again (which
+  /// re-arms the index on an eligible plane).
   void clear();
-  /// Drops the staged records without touching the arrays (pipeline flush).
-  void drop_staged() noexcept { discards_ += ring_.clear() * blocks_; }
 
   /// Entries whose parity bit disagrees with their state (0 if unprotected).
   std::uint32_t parity_errors() const;
@@ -109,40 +111,47 @@ class FastPlane {
 
   /// One pattern-detect sweep for `key` (truncated to the data width):
   /// fills `out` under the bound scheme and, for kOneHot, writes words()
-  /// valid-ANDed match words to `onehot`. Consumes the oldest staged record
-  /// instead of sweeping when it was staged for this key.
+  /// valid-ANDed match words to `onehot`. An indexed plane answers from the
+  /// index instead (rebuilding it first if clear() or a demotion left it
+  /// stale), with exactly the kernel's output.
   void compare(Word key, EncodedMatch& out, std::uint64_t* onehot);
 
-  /// True when `n` more keys can be staged.
-  bool can_stage(std::size_t n) const noexcept { return ring_.can_stage(n); }
-  /// Sweeps the arrays once for `nkeys` (<= kMaxFusionKeys) keys and stages
-  /// each result for the compare that will retire it.
-  void stage(const Word* keys, std::size_t nkeys);
-
-  /// Fusion counters in per-block compares (monotonic).
-  std::uint64_t staged() const noexcept { return staged_; }
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t discards() const noexcept { return discards_; }
-
  private:
+  static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
+
   const MatchKernel* dispatch() const noexcept {
     return nmask_uniform_ ? kernel_ : masked_kernel_;
   }
   void set_parity(std::size_t i, bool value) noexcept;
+  /// A non-plain mask demotes the plane to the sweep (and the index stops
+  /// following mutations until clear() and a rebuild).
   void note_mask(std::size_t i) noexcept {
-    if (nmask_[i] != default_nmask_) nmask_uniform_ = false;
+    if (nmask_[i] != default_nmask_) {
+      nmask_uniform_ = false;
+      index_stale_ = true;
+    }
   }
+  void rebuild_index();
+  /// Fibonacci hashing: the top bits of key * 2^64/phi pick the home slot.
+  std::size_t home(Word key) const noexcept {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> index_shift_);
+  }
+  /// The table slot holding `key`'s chain head, or the empty slot where it
+  /// would go (the table is at most half full, so one always exists).
+  std::size_t slot(Word key) const noexcept;
+  /// Keep a fresh index in step with one entry (no-ops while stale).
+  void link(std::size_t i);
+  void unlink(std::size_t i);
+  void lookup(Word key, EncodedMatch& out, std::uint64_t* onehot) const;
 
   std::size_t n_ = 0;
   unsigned data_width_ = 32;
   EncodingScheme scheme_ = EncodingScheme::kPriorityIndex;
-  unsigned blocks_ = 1;
 
   std::uint64_t* stored_ = nullptr;
   std::uint64_t* nmask_ = nullptr;
   std::uint64_t* valid_ = nullptr;
   std::uint64_t* parity_ = nullptr;  ///< nullptr when unprotected.
-  std::uint64_t* scratch_ = nullptr;
 
   const MatchKernel* kernel_ = nullptr;
   const MatchKernel* masked_kernel_ = nullptr;
@@ -150,11 +159,17 @@ class FastPlane {
   bool parity_init_ = false;         ///< Parity of a power-on entry.
   bool nmask_uniform_ = true;
 
-  sim::FusedMatchStaging<Word, EncodedMatch> ring_;
-  EncodedMatch metas_[kMaxFusionKeys];
-  std::uint64_t staged_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t discards_ = 0;
+  // Exact-match index: an open-addressed, linearly probed table of chain
+  // heads keyed by stored word (the head's own stored_ entry is the key),
+  // and one next_ link per address. Chains hold only valid addresses, in
+  // ascending order. Fresh, it follows every write, invalidate and poke in
+  // place; clear() and demotion leave it stale until the next compare of an
+  // indexed plane rebuilds it.
+  bool index_depth_ok_ = false;  ///< Mask-free kernel and n >= kIndexMinDepth.
+  bool index_stale_ = true;
+  unsigned index_shift_ = 64;    ///< 64 - log2(table slots in use).
+  std::vector<std::uint32_t> heads_;  ///< Sized at the first rebuild.
+  std::vector<std::uint32_t> next_;
 };
 
 }  // namespace dspcam::cam

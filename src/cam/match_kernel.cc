@@ -54,61 +54,6 @@ void generic_scalar(const std::uint64_t* stored, const std::uint64_t* nmask,
   detail::match_sweep_scalar(stored, nmask, key, count, out_bits);
 }
 
-// --- Fused multi-key variants (match fusion, DESIGN.md §11). ---
-//
-// Entry-major loops: each stored (and nmask) word is loaded once and
-// compared against every key in the batch, amortizing the operand stream.
-// Output is key-major (key k at out_bits + k * words), each key's words
-// bit-identical to the single-key kernel on that key.
-
-/// Mask-free multi-key equality sweep, any depth.
-void eq_sweep_multi(const std::uint64_t* stored, const std::uint64_t* /*nmask*/,
-                    const Word* keys, std::size_t nkeys, std::size_t count,
-                    std::uint64_t* out_bits) {
-  const std::size_t words = (count + 63) / 64;
-  for (std::size_t wi = 0; wi < words; ++wi) {
-    const std::size_t base = wi * 64;
-    const std::size_t lanes = count - base < 64 ? count - base : 64;
-    for (std::size_t k = 0; k < nkeys; ++k) out_bits[k * words + wi] = 0;
-    for (std::size_t b = 0; b < lanes; ++b) {
-      const std::uint64_t s = stored[base + b];
-      for (std::size_t k = 0; k < nkeys; ++k) {
-        out_bits[k * words + wi] |= static_cast<std::uint64_t>(s == keys[k]) << b;
-      }
-    }
-  }
-}
-
-/// Multi-key companion of fixed_depth_sweep: same compile-time trip counts,
-/// batched key compare per loaded entry.
-template <std::size_t kDepth, bool kMaskFree>
-void fixed_depth_sweep_multi(const std::uint64_t* stored,
-                             const std::uint64_t* nmask, const Word* keys,
-                             std::size_t nkeys, std::size_t /*count*/,
-                             std::uint64_t* out_bits) {
-  constexpr std::size_t kWords = (kDepth + 63) / 64;
-  constexpr std::size_t kLanes = kDepth < 64 ? kDepth : 64;
-  for (std::size_t wi = 0; wi < kWords; ++wi) {
-    const std::size_t base = wi * 64;
-    for (std::size_t k = 0; k < nkeys; ++k) out_bits[k * kWords + wi] = 0;
-    for (std::size_t b = 0; b < kLanes; ++b) {
-      const std::uint64_t s = stored[base + b];
-      const std::uint64_t nm = kMaskFree ? 0 : nmask[base + b];
-      for (std::size_t k = 0; k < nkeys; ++k) {
-        const bool match = kMaskFree ? s == keys[k] : ((s ^ keys[k]) & nm) == 0;
-        out_bits[k * kWords + wi] |= static_cast<std::uint64_t>(match) << b;
-      }
-    }
-  }
-}
-
-void generic_scalar_multi(const std::uint64_t* stored,
-                          const std::uint64_t* nmask, const Word* keys,
-                          std::size_t nkeys, std::size_t count,
-                          std::uint64_t* out_bits) {
-  detail::match_sweep_scalar_multi(stored, nmask, keys, nkeys, count, out_bits);
-}
-
 // --- Fused sweep→encode variants (match_kernel_fused.h). ---
 //
 // The scheme fold is shared with every other kernel TU; what each kernel
@@ -159,16 +104,12 @@ void fixed_depth_sweep_encode(const std::uint64_t* stored,
                              valid, kDepth, scheme, out, out_bits);
 }
 
-/// Registers one depth-templated kernel with its full fused complement
-/// (multi-key sweep, fused encode, fused multi-key encode).
+/// Registers one depth-templated kernel with its fused encode.
 template <std::size_t kDepth, bool kMaskFree>
 void push_fixed_depth(std::vector<MatchKernel>& v, const char* name) {
   v.push_back({name, &fixed_depth_sweep<kDepth, kMaskFree>, false, kMaskFree,
                0, static_cast<unsigned>(kDepth)});
-  v.back().multi_fn = &fixed_depth_sweep_multi<kDepth, kMaskFree>;
   v.back().encode_fn = &fixed_depth_sweep_encode<kDepth, kMaskFree>;
-  v.back().multi_encode_fn =
-      &detail::multi_sweep_encode<&fixed_depth_sweep_multi<kDepth, kMaskFree>>;
 }
 
 std::vector<MatchKernel> build_registry() {
@@ -179,8 +120,7 @@ std::vector<MatchKernel> build_registry() {
   detail::append_avx2_kernels(v);
 
   // Mask-free scalar family, depth-unrolled first. Each entry also carries
-  // its fused multi-key companion (same formula, batched key compare) and
-  // the fused sweep→encode entry points.
+  // its fused sweep→encode entry point.
   push_fixed_depth<16, true>(v, "eq_d16");
   push_fixed_depth<32, true>(v, "eq_d32");
   push_fixed_depth<64, true>(v, "eq_d64");
@@ -188,9 +128,7 @@ std::vector<MatchKernel> build_registry() {
   push_fixed_depth<256, true>(v, "eq_d256");
   push_fixed_depth<512, true>(v, "eq_d512");
   v.push_back({"eq", &eq_sweep, false, true, 0, 0});
-  v.back().multi_fn = &eq_sweep_multi;
   v.back().encode_fn = &sweep_encode<true>;
-  v.back().multi_encode_fn = &detail::multi_sweep_encode<&eq_sweep_multi>;
 
   // Masked scalar family (TCAM/RMCAM, and the fallback for binary blocks
   // whose mask plane a fault poke made non-uniform).
@@ -204,9 +142,7 @@ std::vector<MatchKernel> build_registry() {
   // Terminal fallback: matches every geometry unconditionally.
   v.push_back({"generic_scalar", &generic_scalar, false, false, 0, 0,
                /*generic=*/true});
-  v.back().multi_fn = &generic_scalar_multi;
   v.back().encode_fn = &sweep_encode<false>;
-  v.back().multi_encode_fn = &detail::multi_sweep_encode<&generic_scalar_multi>;
   return v;
 }
 

@@ -56,19 +56,6 @@ using MatchKernelFn = void (*)(const std::uint64_t* stored,
                                const std::uint64_t* nmask, Word key,
                                std::size_t count, std::uint64_t* out_bits);
 
-/// Fused multi-key sweep: one walk of the packed arrays answers `nkeys`
-/// keys, each output identical to `fn` on that key. Key-major layout: key
-/// k's bits start at out_bits + k * ceil(count / 64). Callers never pass
-/// more than kMaxFusionKeys keys.
-using MatchKernelMultiFn = void (*)(const std::uint64_t* stored,
-                                    const std::uint64_t* nmask,
-                                    const Word* keys, std::size_t nkeys,
-                                    std::size_t count, std::uint64_t* out_bits);
-
-/// Upper bound on a fusion batch (and on `nkeys` above). Eight keys keep
-/// the AVX2 multi kernels' broadcast-key arrays register-resident.
-inline constexpr std::size_t kMaxFusionKeys = 8;
-
 /// The scalar half of a finished block result: everything the encoder
 /// produces except the one-hot match vector (which needs a buffer). A fused
 /// encode kernel fills one of these instead of materializing match lines.
@@ -97,25 +84,10 @@ using MatchKernelEncodeFn = void (*)(const std::uint64_t* stored,
                                      std::size_t count, EncodingScheme scheme,
                                      EncodedMatch& out, std::uint64_t* out_bits);
 
-/// Fused multi-key sweep + encode: answers `nkeys` keys in one walk, each
-/// result identical to `encode_fn` on that key. `out` receives nkeys
-/// records; `out_bits` must always point at nkeys * ceil(count / 64) words
-/// of scratch (the batch sweep lands there before encoding) but its
-/// contents are only meaningful for kOneHot, where key k's valid-ANDed
-/// match words start at out_bits + k * ceil(count / 64).
-using MatchKernelMultiEncodeFn = void (*)(const std::uint64_t* stored,
-                                          const std::uint64_t* nmask,
-                                          const std::uint64_t* valid,
-                                          const Word* keys, std::size_t nkeys,
-                                          std::size_t count,
-                                          EncodingScheme scheme,
-                                          EncodedMatch* out,
-                                          std::uint64_t* out_bits);
-
 /// One registered kernel: the compiled entry points plus the descriptor the
-/// selector matches against a block geometry. Every kernel sets all four
-/// entry points (MatchKernelRegistry.DescriptorsAreSane pins it), and they
-/// all compute the same match bits.
+/// selector matches against a block geometry. Every kernel sets both entry
+/// points (MatchKernelRegistry.DescriptorsAreSane pins it), and they compute
+/// the same match bits.
 struct MatchKernel {
   const char* name;            ///< Stable identifier (stats, telemetry, bench rows).
   MatchKernelFn fn;
@@ -128,11 +100,8 @@ struct MatchKernel {
                                ///< (0 = any); such kernels may ignore `count`.
   bool generic = false;        ///< Guaranteed-fallback family (the plain
                                ///< AVX2/scalar sweeps).
-  MatchKernelMultiFn multi_fn = nullptr;  ///< Fused multi-key sweep.
   MatchKernelEncodeFn encode_fn = nullptr;  ///< Fused sweep→encode (the fast
-                                            ///< plane's single-key dispatch).
-  MatchKernelMultiEncodeFn multi_encode_fn = nullptr;  ///< Fused multi-key
-                                                       ///< sweep→encode.
+                                            ///< plane's dispatch).
 };
 
 /// The geometry fingerprint a selection runs against.

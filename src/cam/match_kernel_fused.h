@@ -1,5 +1,5 @@
-// Shared drivers for the fused sweep→encode kernel entry points
-// (MatchKernelEncodeFn / MatchKernelMultiEncodeFn in match_kernel.h).
+// Shared driver for the fused sweep→encode kernel entry point
+// (MatchKernelEncodeFn in match_kernel.h).
 //
 // Every kernel family - scalar templates (match_kernel.cc) and the AVX2
 // kernels (match_kernels_avx2.cc) - fuses the same three stages:
@@ -78,71 +78,6 @@ inline void fused_encode_sweep(const MatchWord& word_at,
       return;
     }
   }
-}
-
-/// Encodes the key-major raw sweep output a multi-key kernel just wrote to
-/// `bits` (nkeys records of ceil(count / 64) words each, tail bits zero):
-/// ANDs in the valid words and folds each record per `scheme`. For kOneHot
-/// the valid-ANDed words are written back in place, completing the
-/// MatchKernelMultiEncodeFn out_bits contract; for the other schemes `bits`
-/// is left as scratch.
-inline void encode_swept_words(const std::uint64_t* valid, std::size_t count,
-                               std::size_t nkeys, EncodingScheme scheme,
-                               EncodedMatch* out, std::uint64_t* bits) {
-  const std::size_t words = (count + 63) / 64;
-  for (std::size_t k = 0; k < nkeys; ++k) {
-    std::uint64_t* w = bits + k * words;
-    EncodedMatch em;
-    switch (scheme) {
-      case EncodingScheme::kPriorityIndex: {
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          const std::uint64_t m = w[wi] & valid[wi];
-          if (m != 0) {
-            em.hit = true;
-            em.first_match =
-                static_cast<std::uint32_t>(wi * 64) +
-                static_cast<std::uint32_t>(std::countr_zero(m));
-            break;
-          }
-        }
-        break;
-      }
-      case EncodingScheme::kOneHot: {
-        bool hit = false;
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          const std::uint64_t m = w[wi] & valid[wi];
-          w[wi] = m;
-          hit = hit || m != 0;
-        }
-        em.hit = hit;
-        break;
-      }
-      case EncodingScheme::kMatchCount: {
-        std::uint64_t total = 0;
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          total += static_cast<std::uint64_t>(std::popcount(w[wi] & valid[wi]));
-        }
-        em.match_count = static_cast<std::uint32_t>(total);
-        em.hit = total != 0;
-        break;
-      }
-    }
-    out[k] = em;
-  }
-}
-
-/// Builds a MatchKernelMultiEncodeFn from an existing multi-key sweep: the
-/// batch lands in out_bits via one kMultiFn walk, then encode_swept_words
-/// folds it. The per-record fold is O(nkeys * words) - noise next to the
-/// O(count * nkeys) sweep it rides on.
-template <auto kMultiFn>
-void multi_sweep_encode(const std::uint64_t* stored, const std::uint64_t* nmask,
-                        const std::uint64_t* valid, const Word* keys,
-                        std::size_t nkeys, std::size_t count,
-                        EncodingScheme scheme, EncodedMatch* out,
-                        std::uint64_t* out_bits) {
-  kMultiFn(stored, nmask, keys, nkeys, count, out_bits);
-  encode_swept_words(valid, count, nkeys, scheme, out, out_bits);
 }
 
 }  // namespace dspcam::cam::detail

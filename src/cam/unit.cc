@@ -33,6 +33,7 @@ CamUnit::CamUnit(const UnitConfig& cfg)
     const std::size_t words =
         (entries + 63) / 64 + (cfg_.block.block_size % 64 != 0 ? n : 0);
     store_.resize(words, cfg_.block.parity);
+    if (cfg_.block.encoding != EncodingScheme::kPriorityIndex) onehot_.assign(words, 0);
     planes_.resize(n);
     plane_blocks_.assign(n, 0);
     group_first_.assign(n + 1, 0);
@@ -73,7 +74,6 @@ void CamUnit::rebuild_controllers() {
 void CamUnit::relayout() {
   const unsigned bs = cfg_.block.block_size;
   const unsigned n_groups = routing_.groups();
-  for (auto& p : planes_) p.drop_staged();
   std::fill(group_first_.begin(), group_first_.end(), 0);
   for (unsigned b = 0; b < cfg_.unit_size; ++b) ++group_first_[routing_.group_of(b) + 1];
   for (unsigned g = 0; g < n_groups; ++g) group_first_[g + 1] += group_first_[g];
@@ -93,7 +93,7 @@ void CamUnit::relayout() {
   for (unsigned g = 0; g < n_groups; ++g) {
     const unsigned nb = group_first_[g + 1] - group_first_[g];
     const std::size_t entries = static_cast<std::size_t>(nb) * bs;
-    planes_[g].bind(cfg_.block, scheme, store_, word, entries, nb);
+    planes_[g].bind(cfg_.block, scheme, store_, word, entries);
     word += (entries + 63) / 64;
   }
 }
@@ -341,7 +341,6 @@ void CamUnit::flush_pipelines() {
   for (auto& b : blocks_) b->flush_pipeline();
   std::fill(block_active_.begin(), block_active_.end(), 0);
   active_blocks_.clear();
-  for (auto& p : planes_) p.drop_staged();
   std::fill(block_busy_until_.begin(), block_busy_until_.end(), 0);
   std::fill(group_busy_until_.begin(), group_busy_until_.end(), 0);
   busy_until_ = 0;
@@ -353,60 +352,6 @@ void CamUnit::flush_pipelines() {
   ack_pipe_.clear();
   pending_.reset();
   response_.reset();
-}
-
-bool CamUnit::write_quiescent() const noexcept {
-  if (pending_.has_value() && pending_->op != OpKind::kSearch) return false;
-  if (!update_pipe_.drained()) return false;
-  if (fast()) return writes_.empty() && !reset_pending_;
-  for (unsigned b : active_blocks_) {
-    if (blocks_[b]->write_pending()) return false;
-  }
-  return true;
-}
-
-bool CamUnit::can_stage_fused(const UnitRequest* const* beats,
-                              std::size_t nbeats) const {
-  if (!fast() || nbeats == 0 || nbeats > kMaxFusionKeys) return false;
-  for (unsigned g = 0; g < routing_.groups(); ++g) {
-    std::size_t ng = 0;
-    for (std::size_t j = 0; j < nbeats; ++j) {
-      if (g < beats[j]->keys.size()) ++ng;
-    }
-    if (ng != 0 && !planes_[g].can_stage(ng)) return false;
-  }
-  return true;
-}
-
-void CamUnit::stage_fused_searches(const UnitRequest* const* beats,
-                                   std::size_t nbeats) {
-  if (!fast()) throw SimError("CamUnit: fused staging is EvalMode::kFast only");
-  Word keys[kMaxFusionKeys];
-  for (unsigned g = 0; g < routing_.groups(); ++g) {
-    std::size_t ng = 0;
-    for (std::size_t j = 0; j < nbeats; ++j) {
-      if (g < beats[j]->keys.size()) keys[ng++] = beats[j]->keys[g];
-    }
-    planes_[g].stage(keys, ng);
-  }
-}
-
-std::uint64_t CamUnit::fused_staged() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& p : planes_) n += p.staged();
-  return n;
-}
-
-std::uint64_t CamUnit::fused_hits() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& p : planes_) n += p.hits();
-  return n;
-}
-
-std::uint64_t CamUnit::fused_discards() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& p : planes_) n += p.discards();
-  return n;
 }
 
 unsigned CamUnit::stored_per_group() const noexcept {
@@ -683,7 +628,7 @@ void CamUnit::compare_retiring() {
   out.resize(meta->keys.size());
   const unsigned bs = cfg_.block.block_size;
   const EncodingScheme scheme = cfg_.block.encoding;
-  std::uint64_t* words = store_.scratch.data();
+  std::uint64_t* words = onehot_.data();
   for (std::size_t i = 0; i < meta->keys.size(); ++i) {
     const unsigned g = meta->groups[i];
     FastPlane& plane = planes_[g];
@@ -728,7 +673,6 @@ void CamUnit::apply_plane_writes() {
   for (const PlaneWrite& w : writes_) {
     FastPlane& plane = plane_of(w.block);
     const std::size_t base = block_base_[w.block];
-    plane.drop_staged();  // the block's array mutates this edge
     if (w.op == OpKind::kInvalidate) {
       plane.invalidate(base + w.cell);
       continue;

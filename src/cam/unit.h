@@ -113,35 +113,6 @@ class CamUnit : public sim::Component {
 
   bool can_accept() const noexcept { return !pending_.has_value(); }
 
-  // --- Multi-key match fusion (kFast; DESIGN.md §11). ---
-
-  /// True when no write-class operation (update/invalidate/reset) is
-  /// anywhere in the unit: the staging scan's precondition. A scan that
-  /// staged across a write would only waste work - the blocks drop staged
-  /// bits the moment their arrays mutate - so this is a performance filter,
-  /// not a correctness gate.
-  bool write_quiescent() const noexcept;
-
-  /// True when every group plane touched by the `nbeats` search beats can
-  /// stage its share of fused compares (false in EvalMode::kReference).
-  bool can_stage_fused(const UnitRequest* const* beats,
-                       std::size_t nbeats) const;
-
-  /// Pre-computes the results every one of the `nbeats` queued search beats
-  /// will need, one multi-key sweep per group plane: beat j's key i is
-  /// served by group i (dispatch_search's mapping), so group g's plane
-  /// stages the g-th keys of the beats carrying one, in beat order - exactly
-  /// the order its compares will retire.
-  void stage_fused_searches(const UnitRequest* const* beats,
-                            std::size_t nbeats);
-
-  /// Fusion observability (monotonic), counted in per-block compares: one
-  /// staged key counts once per block of its group, as if every block had
-  /// staged it. Any write to a group drops all of that group's records.
-  std::uint64_t fused_staged() const noexcept;
-  std::uint64_t fused_hits() const noexcept;
-  std::uint64_t fused_discards() const noexcept;
-
   /// Search response that became visible this cycle, if any.
   const std::optional<UnitResponse>& response() const noexcept { return response_; }
 
@@ -159,6 +130,12 @@ class CamUnit : public sim::Component {
   /// Name of the fast-path match kernel group 0's plane selected for its
   /// depth; "reference" in EvalMode::kReference. See match_kernel.h.
   std::string match_kernel_name() const;
+
+  /// True when group `group`'s plane answers searches from its exact-match
+  /// index (FastPlane::indexed(); DESIGN.md §11); false in kReference.
+  bool group_indexed(unsigned group) const {
+    return fast() && group < routing_.groups() && planes_[group].indexed();
+  }
 
   const RoutingTable& routing() const noexcept { return routing_; }
 
@@ -263,6 +240,7 @@ class CamUnit : public sim::Component {
 
   // --- kFast state. ---
   FastPlaneStore store_;                  ///< Unit-wide, sized at construction.
+  std::vector<std::uint64_t> onehot_;     ///< One-hot/count: a compare's match words.
   std::vector<FastPlane> planes_;         ///< Slot g serves group g (unit_size slots).
   std::vector<unsigned> plane_blocks_;    ///< Group-major, ascending block ids.
   std::vector<unsigned> group_first_;     ///< Group g's run in plane_blocks_.

@@ -36,13 +36,6 @@ class CamSystem : public sim::Component, public CamBackend {
     std::size_t request_fifo_depth = 64;
     std::size_t response_fifo_depth = 64;
     std::size_t ack_fifo_depth = 64;
-
-    /// Multi-key match fusion (DESIGN.md §11): the largest run of queued
-    /// search requests swept in one fused batch. Clamped to
-    /// [1, cam::kMaxFusionKeys] at construction; <= 1 disables fusion, and
-    /// EvalMode::kReference always runs at 1. The DSPCAM_FUSION_MAX_KEYS
-    /// environment variable (read once, at construction) overrides this.
-    std::size_t fusion_max_keys = 8;
   };
 
   explicit CamSystem(const Config& cfg);
@@ -88,15 +81,10 @@ class CamSystem : public sim::Component, public CamBackend {
   /// No queued requests and nothing in the unit's pipelines.
   bool idle() const override { return request_fifo_.empty() && unit_.idle(); }
 
-  // --- Multi-key match fusion. ---
-
-  /// The effective fusion width after clamping and the environment
-  /// override: 1 = fusion off (always 1 in EvalMode::kReference).
-  std::size_t fusion_width() const noexcept { return fusion_width_; }
-
-  /// Batches staged / write-class requests that cut a scan short.
-  std::uint64_t fusion_batches() const noexcept { return fusion_occupancy_.count(); }
-  std::uint64_t fusion_barrier_breaks() const noexcept { return barrier_breaks_; }
+  /// Always 1: every search is one compare per group plane. Multi-key
+  /// match fusion is gone (DESIGN.md §11); this stays only because the
+  /// frozen bench/e2e sources read it into their provenance.
+  std::size_t fusion_width() const noexcept { return 1; }
 
   // --- Statistics. ---
 
@@ -112,8 +100,7 @@ class CamSystem : public sim::Component, public CamBackend {
   void record_telemetry(telemetry::MetricRegistry& registry,
                         const std::string& prefix) const override;
 
-  /// Utilization series: request-FIFO depth, active-block occupancy, and
-  /// the staged fusion-batch width.
+  /// Utilization series: request-FIFO depth and active-block occupancy.
   void record_counter_tracks(telemetry::SpanTracer& tracer,
                              const std::string& prefix,
                              std::uint64_t cycle) const override;
@@ -123,9 +110,8 @@ class CamSystem : public sim::Component, public CamBackend {
 
   // --- Checkpoint / restore hooks (src/fault/snapshot.h). ---
 
-  /// Crash-stop: drops the interface FIFOs, in-flight credits, fusion
-  /// staging, and the unit's pipeline contents; storage and fill cursors
-  /// survive.
+  /// Crash-stop: drops the interface FIFOs, in-flight credits, and the
+  /// unit's pipeline contents; storage and fill cursors survive.
   void purge() override;
 
   /// Group 0's copy of the contents in logical address order (all groups
@@ -147,23 +133,11 @@ class CamSystem : public sim::Component, public CamBackend {
   void commit() override;
 
  private:
-  void maybe_stage_fusion();
-
   Config cfg_;
   cam::CamUnit unit_;
   sim::Fifo<cam::UnitRequest> request_fifo_;
   sim::Fifo<cam::UnitResponse> response_fifo_;
   sim::Fifo<cam::UnitUpdateAck> ack_fifo_;
-
-  // Multi-key match fusion (DESIGN.md §11). fused_prefix_ counts upcoming
-  // search pops whose compares are already staged: while non-zero the
-  // scan is off (the batch is in flight). The occupancy histogram and
-  // barrier counter live here (like stats_) and are *pulled* into the
-  // registry by record_telemetry.
-  std::size_t fusion_width_ = 1;
-  std::size_t fused_prefix_ = 0;
-  std::uint64_t barrier_breaks_ = 0;
-  telemetry::Histogram fusion_occupancy_;
 
   // Credits: results guaranteed space in the output FIFOs.
   std::size_t searches_in_flight_ = 0;

@@ -87,14 +87,6 @@ void HealthMonitor::add_default_rules(const DefaultRuleOptions& opts) {
             .clear = 0.0,
             .severity = Severity::kWarn,
             .suffix = "parity_flagged"});
-  // Fusion barrier-break storm: write barriers cutting nearly every batch.
-  add_rule({.name = "fusion_barriers",
-            .metric = eng,
-            .predicate = Predicate::kSubtreeRateAbove,
-            .trip = opts.barrier_rate_trip,
-            .clear = opts.barrier_rate_clear,
-            .severity = Severity::kWarn,
-            .suffix = "fusion.barrier_breaks"});
   // The scrubber repairing a corruption parity never saw is the worst
   // signal in the fault plane.
   add_rule({.name = "scrub_silent",

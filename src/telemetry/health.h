@@ -84,9 +84,6 @@ class HealthMonitor {
     std::uint64_t stall_budget = std::uint64_t{1} << 20;
     double rob_backlog_trip = 512.0;
     double rob_backlog_clear = 64.0;
-    /// Fusion barrier breaks per cycle (storm = batches constantly cut).
-    double barrier_rate_trip = 0.25;
-    double barrier_rate_clear = 0.05;
   };
 
   /// Rules publish their state into `registry`; it must outlive the monitor.
@@ -100,8 +97,7 @@ class HealthMonitor {
   void add_rule(const Rule& rule);
 
   /// The stock pack covering the known failure surfaces: stall_headroom,
-  /// shard_quarantine, rob_backlog, parity_flags, fusion_barriers,
-  /// scrub_silent.
+  /// shard_quarantine, rob_backlog, parity_flags, scrub_silent.
   void add_default_rules(const DefaultRuleOptions& opts);
   void add_default_rules() { add_default_rules(DefaultRuleOptions{}); }
 

@@ -39,7 +39,7 @@ struct Span {
 };
 
 /// One sample of a utilization counter series (queue depth, active blocks,
-/// fusion batch width, ...). Exported as a Chrome trace counter event
+/// ...). Exported as a Chrome trace counter event
 /// ("ph":"C"), which Perfetto renders as a value-over-time heatline.
 struct CounterSample {
   std::string name;       ///< Series name ("engine.shard0.queue_depth").

@@ -7,8 +7,9 @@
 // operator new/delete with counting versions and asserts the delta over a
 // steady-state search loop is exactly zero - on a standalone block and on
 // a whole unit (its group planes re-sliced by configure_groups between
-// rounds), for the fused path, the staged (multi-key fusion) path, and the
-// force-generic kernels, under every encoding scheme. One level up, it
+// rounds), for the fused sweep, the masked kernels, the exact-match index
+// (its table is sized at first use, then reused through every rebuild) and
+// the force-generic kernels, under every encoding scheme. One level up, it
 // bounds what a ShardedCamEngine search beat may allocate on its way in and
 // pins its reorder-buffer pops at zero.
 //
@@ -97,10 +98,8 @@ BlockConfig steady_cfg(CamKind kind, unsigned width, unsigned size,
 }
 
 /// Runs a streaming search loop and returns the number of heap allocations
-/// observed during the measured (post-warmup) cycles. `stage_fused` also
-/// drives the multi-key fusion staging path in batches of kMaxFusionKeys.
-std::size_t measure_steady_state(const BlockConfig& cfg, bool stage_fused,
-                                 std::uint64_t* checksum) {
+/// observed during the measured (post-warmup) cycles.
+std::size_t measure_steady_state(const BlockConfig& cfg, std::uint64_t* checksum) {
   CamBlock block(cfg);
   Rng rng(0xA110C ^ cfg.block_size ^ static_cast<unsigned>(cfg.encoding));
   std::vector<Word> values(cfg.block_size / 2);
@@ -112,15 +111,9 @@ std::size_t measure_steady_state(const BlockConfig& cfg, bool stage_fused,
   for (Word& k : keys) k = rng.next_bits(6);
 
   std::uint64_t sum = 0;
-  std::size_t staged = 0;  // next key index to stage
   std::size_t measured_allocs = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const std::size_t before = g_alloc_count;
-    if (stage_fused && staged <= i && staged + kMaxFusionKeys <= keys.size() &&
-        block.can_stage_fused(kMaxFusionKeys)) {
-      block.stage_fused_compares(keys.data() + staged, kMaxFusionKeys);
-      staged += kMaxFusionKeys;
-    }
     BlockRequest req;
     req.op = OpKind::kSearch;
     req.key = keys[i];
@@ -139,9 +132,6 @@ std::size_t measure_steady_state(const BlockConfig& cfg, bool stage_fused,
     block.eval();
     block.commit();
     if (block.response().has_value()) sum += block.response()->hit;
-  }
-  if (stage_fused) {
-    EXPECT_GT(block.fused_hits(), 0u) << "fusion path never exercised";
   }
   *checksum = sum;
   return measured_allocs;
@@ -163,8 +153,7 @@ TEST_F(AllocGuard, FusedEncodePathIsAllocFreeAllSchemes) {
     for (const bool buffered : {false, true}) {
       std::uint64_t sum = 0;
       const std::size_t allocs = measure_steady_state(
-          steady_cfg(CamKind::kBinary, 32, 256, scheme, buffered),
-          /*stage_fused=*/false, &sum);
+          steady_cfg(CamKind::kBinary, 32, 256, scheme, buffered), &sum);
       EXPECT_EQ(allocs, 0u) << "scheme " << static_cast<int>(scheme)
                             << " buffered " << buffered;
       EXPECT_NE(sum, 0u) << "search loop produced no responses";
@@ -172,14 +161,13 @@ TEST_F(AllocGuard, FusedEncodePathIsAllocFreeAllSchemes) {
   }
 }
 
-TEST_F(AllocGuard, MaskedKernelsAndFusionStagingAreAllocFree) {
+TEST_F(AllocGuard, MaskedKernelsAreAllocFree) {
   for (const EncodingScheme scheme :
        {EncodingScheme::kPriorityIndex, EncodingScheme::kOneHot,
         EncodingScheme::kMatchCount}) {
     std::uint64_t sum = 0;
     const std::size_t allocs = measure_steady_state(
-        steady_cfg(CamKind::kTernary, 32, 256, scheme, /*buffered=*/true),
-        /*stage_fused=*/true, &sum);
+        steady_cfg(CamKind::kTernary, 32, 256, scheme, /*buffered=*/true), &sum);
     EXPECT_EQ(allocs, 0u) << "scheme " << static_cast<int>(scheme);
   }
 }
@@ -193,67 +181,76 @@ TEST_F(AllocGuard, LegacyForceGenericPathIsAllocFree) {
     auto cfg = steady_cfg(CamKind::kBinary, 32, 256, scheme, /*buffered=*/true);
     cfg.force_generic_kernel = true;
     std::uint64_t sum = 0;
-    const std::size_t allocs =
-        measure_steady_state(cfg, /*stage_fused=*/false, &sum);
+    const std::size_t allocs = measure_steady_state(cfg, &sum);
     EXPECT_EQ(allocs, 0u) << "scheme " << static_cast<int>(scheme);
   }
 }
 
-/// Unit-level steady state: `rounds` rounds of configure_groups(groups),
-/// an addressed reload, and a closed search loop (optionally staging every
-/// beat through fusion first), all requests pre-built. Returns the heap
-/// allocations of every round after the first (the warm-up).
-std::size_t measure_unit_rounds(const UnitConfig& cfg, unsigned groups,
-                                bool stage_fused, std::uint64_t* checksum) {
-  constexpr unsigned kRounds = 3;
+/// Unit-level steady state: one round per entry of `rounds` - regroup to
+/// that group count (changing the count reallocates the unit's address
+/// controllers, so callers keep it fixed), an addressed reload, and a
+/// closed search loop - all
+/// requests pre-built. With `churn`, the search loop also carries
+/// invalidates, single-word rewrites and a mid-loop reset with a partial
+/// reload, so every indexed plane goes stale and rebuilds many times.
+/// Returns the heap allocations of every round after the first `warm`.
+std::size_t measure_unit_rounds(const UnitConfig& cfg,
+                                const std::vector<unsigned>& rounds,
+                                std::size_t warm, bool churn,
+                                std::uint64_t* checksum) {
   constexpr std::size_t kSearches = 256;
   CamUnit unit(cfg);
   Rng rng(0xA110C ^ cfg.unit_size ^ static_cast<unsigned>(cfg.block.encoding));
-  const unsigned per_group = cfg.unit_size / groups * cfg.block.block_size;
   const unsigned wpb = cfg.words_per_beat();
 
   std::vector<UnitRequest> reqs;
-  for (unsigned r = 0; r < kRounds; ++r) {
-    for (unsigned a = 0; a < per_group; a += wpb) {
+  std::vector<std::size_t> round_end;
+  const auto reload = [&](unsigned entries) {
+    for (unsigned a = 0; a < entries; a += wpb) {
       UnitRequest w;
       w.op = OpKind::kUpdate;
       w.address = a;
       for (unsigned i = 0; i < wpb; ++i) w.words.push_back(rng.next_bits(10));
       reqs.push_back(std::move(w));
     }
+  };
+  for (const unsigned groups : rounds) {
+    const unsigned per_group = cfg.unit_size / groups * cfg.block.block_size;
+    reload(per_group);
     for (std::size_t i = 0; i < kSearches; ++i) {
       UnitRequest q;
-      q.op = OpKind::kSearch;
-      for (unsigned g = 0; g < groups; ++g) q.keys.push_back(rng.next_bits(10));
+      if (churn && i == kSearches / 2) {
+        q.op = OpKind::kReset;
+        reqs.push_back(std::move(q));
+        reload(per_group / 4);
+        continue;
+      }
+      if (churn && i % 8 == 3) {
+        q.op = OpKind::kInvalidate;
+        q.address = static_cast<std::uint32_t>(rng.next_below(per_group));
+      } else if (churn && i % 8 == 7) {
+        q.op = OpKind::kUpdate;
+        q.address = static_cast<std::uint32_t>(rng.next_below(per_group));
+        q.words = {rng.next_bits(10)};
+      } else {
+        q.op = OpKind::kSearch;
+        for (unsigned g = 0; g < groups; ++g) q.keys.push_back(rng.next_bits(10));
+      }
       reqs.push_back(std::move(q));
     }
+    round_end.push_back(reqs.size());
   }
   for (std::size_t i = 0; i < reqs.size(); ++i) reqs[i].seq = i + 1;
 
   std::uint64_t sum = 0;
   std::size_t measured = 0;
   std::size_t next = 0;
-  for (unsigned r = 0; r < kRounds; ++r) {
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
     const std::size_t before = g_alloc_count;
-    unit.configure_groups(groups);
-    const std::size_t round_end = next + per_group / wpb + kSearches;
-    std::size_t staged = next;  // first beat not yet staged
-    while (next < round_end || !unit.idle()) {
-      if (next < round_end && unit.can_accept()) {
-        UnitRequest& req = reqs[next];
-        if (stage_fused && req.op == OpKind::kSearch && staged <= next) {
-          const UnitRequest* batch[kMaxFusionKeys];
-          std::size_t n = 0;
-          while (n < kMaxFusionKeys && staged + n < round_end) {
-            batch[n] = &reqs[staged + n];
-            ++n;
-          }
-          if (unit.write_quiescent() && unit.can_stage_fused(batch, n)) {
-            unit.stage_fused_searches(batch, n);
-            staged += n;
-          }
-        }
-        unit.issue(std::move(req));
+    unit.configure_groups(rounds[r]);
+    while (next < round_end[r] || !unit.idle()) {
+      if (next < round_end[r] && unit.can_accept()) {
+        unit.issue(std::move(reqs[next]));
         ++next;
       }
       unit.eval();
@@ -264,10 +261,7 @@ std::size_t measure_unit_rounds(const UnitConfig& cfg, unsigned groups,
         }
       }
     }
-    if (r > 0) measured += g_alloc_count - before;
-  }
-  if (stage_fused) {
-    EXPECT_GT(unit.fused_hits(), 0u) << "fusion path never exercised";
+    if (r >= warm) measured += g_alloc_count - before;
   }
   *checksum = sum;
   return measured;
@@ -288,20 +282,45 @@ TEST_F(AllocGuard, UnitFastPlanesAreAllocFreeAcrossRegrouping) {
     unsigned groups;
   };
   // The lookup_8k shape (32 x 256, one group, priority) and a 4-group
-  // one-hot unit, each fused, unfused and on the force-generic kernels.
+  // one-hot unit, each on the registry's kernels (their planes indexed)
+  // and on the force-generic kernels (their planes swept).
   for (const Shape shape : {Shape{EncodingScheme::kPriorityIndex, 1},
                             Shape{EncodingScheme::kOneHot, 4}}) {
     for (const bool force_generic : {false, true}) {
-      for (const bool fused : {false, true}) {
-        if (force_generic && fused) continue;
-        UnitConfig cfg = unit_cfg(32, shape.scheme, shape.groups);
-        cfg.block.force_generic_kernel = force_generic;
-        std::uint64_t sum = 0;
-        const std::size_t allocs = measure_unit_rounds(cfg, shape.groups, fused, &sum);
-        EXPECT_EQ(allocs, 0u) << "scheme " << static_cast<int>(shape.scheme)
-                              << " fused " << fused << " generic " << force_generic;
-        EXPECT_NE(sum, 0u) << "search loop produced no hits";
+      UnitConfig cfg = unit_cfg(32, shape.scheme, shape.groups);
+      cfg.block.force_generic_kernel = force_generic;
+      std::uint64_t sum = 0;
+      const std::vector<unsigned> rounds(3, shape.groups);
+      const std::size_t allocs =
+          measure_unit_rounds(cfg, rounds, /*warm=*/1, /*churn=*/false, &sum);
+      EXPECT_EQ(allocs, 0u) << "scheme " << static_cast<int>(shape.scheme)
+                            << " generic " << force_generic;
+      EXPECT_NE(sum, 0u) << "search loop produced no hits";
+    }
+  }
+}
+
+TEST_F(AllocGuard, IndexedUnitIsAllocFreeThroughChurnAndRegrouping) {
+  // The lookup_8k shape as one 8192-entry plane and as four 2048-entry
+  // ones: every plane is indexed, and invalidates, rewrites and resets make
+  // each one rebuild over and over, round after round of regrouping. The
+  // warm-up round sizes the tables; after that nothing allocates.
+  for (const EncodingScheme scheme :
+       {EncodingScheme::kPriorityIndex, EncodingScheme::kOneHot,
+        EncodingScheme::kMatchCount}) {
+    for (const unsigned groups : {1u, 4u}) {
+      const UnitConfig cfg = unit_cfg(32, scheme, groups);
+      {
+        const CamUnit probe(cfg);
+        for (unsigned g = 0; g < groups; ++g) ASSERT_TRUE(probe.group_indexed(g)) << g;
       }
+      std::uint64_t sum = 0;
+      const std::vector<unsigned> rounds(3, groups);
+      const std::size_t allocs =
+          measure_unit_rounds(cfg, rounds, /*warm=*/1, /*churn=*/true, &sum);
+      EXPECT_EQ(allocs, 0u) << "scheme " << static_cast<int>(scheme) << " groups "
+                            << groups;
+      EXPECT_NE(sum, 0u) << "search loop produced no hits";
     }
   }
 }

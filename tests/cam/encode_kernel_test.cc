@@ -1,5 +1,5 @@
-// Golden tests for the fused sweep→encode kernel entry points
-// (MatchKernelEncodeFn / MatchKernelMultiEncodeFn, match_kernel.h):
+// Golden tests for the fused sweep→encode kernel entry point
+// (MatchKernelEncodeFn, match_kernel.h):
 //   - every registered encode kernel - scalar templates and the AVX2
 //     tier - reproduces
 //     encode_match_lines() over the valid-ANDed raw sweep, field for field,
@@ -7,10 +7,8 @@
 //   - one-hot out_bits carries exactly the valid-ANDed match words with a
 //     zero tail (poisoned-buffer checked, guard word included),
 //   - count == 0 is well-defined on flexible-depth kernels,
-//   - every multi-key encode entry point agrees with its own single-key
-//     encode kernel for every batch width fusion can form,
-//   - every registered kernel, the generic family included, carries both
-//     fused entry points (the fast plane's only dispatch path), so the
+//   - every registered kernel, the generic family included, carries the
+//     fused entry point (the fast plane's only sweep path), so the
 //     golden checks above cover generic_scalar/generic_avx2 too.
 #include "src/cam/match_kernel.h"
 
@@ -180,64 +178,13 @@ TEST(FusedEncodeKernels, ZeroCountIsWellDefinedOnFlexibleKernels) {
   }
 }
 
-TEST(FusedEncodeKernels, EveryMultiEncodeKernelMatchesPerKeyEncode) {
-  unsigned exercised = 0;
-  for (const MatchKernel& k : match_kernel_registry()) {
-    if (k.needs_avx2 && !detail::match_sweep_avx2_available()) continue;
-    ++exercised;
-    const unsigned width = golden_width(k);
-    const std::size_t count = k.depth != 0 ? k.depth : 130;
-    const std::size_t words = (count + 63) / 64;
-    Rng rng(0xBA7C4 ^ count);
-    const Arrays a = make_arrays(rng, k, width, count, /*valid_mode=*/1);
-    for (const std::size_t nkeys : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}, kMaxFusionKeys}) {
-      std::vector<Word> keys(nkeys);
-      for (std::size_t i = 0; i < nkeys; ++i) {
-        keys[i] = truncate(rng.next_bits(6), width);
-      }
-      if (nkeys >= 2) keys[1] = keys[0];  // duplicates must be harmless
-      for (const EncodingScheme scheme : kSchemes) {
-        // out_bits is mandatory scratch for multi even outside kOneHot.
-        std::vector<std::uint64_t> bits(nkeys * words + 1, kSentinel);
-        std::vector<EncodedMatch> got(nkeys);
-        k.multi_encode_fn(a.stored.data(), a.nmask.data(), a.valid.data(),
-                          keys.data(), nkeys, count, scheme, got.data(),
-                          bits.data());
-        EXPECT_EQ(bits[nkeys * words], kSentinel)
-            << k.name << ": multi encode overran its scratch";
-        for (std::size_t i = 0; i < nkeys; ++i) {
-          EncodedMatch want;
-          std::vector<std::uint64_t> want_bits(words + 1, kSentinel);
-          k.encode_fn(a.stored.data(), a.nmask.data(), a.valid.data(), keys[i],
-                      count, scheme, want,
-                      scheme == EncodingScheme::kOneHot ? want_bits.data()
-                                                        : nullptr);
-          EXPECT_EQ(got[i], want)
-              << k.name << " nkeys " << nkeys << " key " << i << " scheme "
-              << static_cast<int>(scheme);
-          if (scheme == EncodingScheme::kOneHot) {
-            for (std::size_t wi = 0; wi < words; ++wi) {
-              EXPECT_EQ(bits[i * words + wi], want_bits[wi])
-                  << k.name << " nkeys " << nkeys << " key " << i << " word "
-                  << wi;
-            }
-          }
-        }
-      }
-    }
-  }
-  EXPECT_GE(exercised, 14u);
-}
-
-/// The fast plane (fast_plane.h) dispatches only through the fused entry
-/// points, so every kernel - force_generic_kernel's generic family
-/// included - must carry both.
+/// The fast plane (fast_plane.h) sweeps only through the fused entry
+/// point, so every kernel - force_generic_kernel's generic family
+/// included - must carry it.
 TEST(FusedEncodeKernels, EveryKernelCarriesFusedEncodeEntryPoints) {
   unsigned generics = 0;
   for (const MatchKernel& k : match_kernel_registry()) {
     EXPECT_NE(k.encode_fn, nullptr) << k.name;
-    EXPECT_NE(k.multi_encode_fn, nullptr) << k.name;
     if (k.generic) ++generics;
   }
   // generic_scalar everywhere, plus generic_avx2 where the AVX2 tier runs.

@@ -61,11 +61,9 @@ TEST(MatchKernelRegistry, DescriptorsAreSane) {
   std::set<std::string> names;
   for (const MatchKernel& k : match_kernel_registry()) {
     ASSERT_NE(k.name, nullptr);
-    // Every kernel carries all four entry points; nothing loops `fn`.
+    // Every kernel carries both entry points.
     ASSERT_NE(k.fn, nullptr) << k.name;
-    ASSERT_NE(k.multi_fn, nullptr) << k.name;
     ASSERT_NE(k.encode_fn, nullptr) << k.name;
-    ASSERT_NE(k.multi_encode_fn, nullptr) << k.name;
     EXPECT_TRUE(names.insert(k.name).second) << "duplicate kernel " << k.name;
     if (k.depth != 0) {
       // Depth-specialized kernels may ignore `count`, so selection must
@@ -285,50 +283,6 @@ TEST(MatchKernelRegistry, EveryKernelMatchesGoldenFormula) {
     }
   }
   // generic_scalar and the full scalar specialized family at minimum.
-  EXPECT_GE(exercised, 14u);
-}
-
-/// Every fused multi-key entry point must reproduce its own single-key
-/// kernel exactly, key for key, for every batch width fusion can form -
-/// that equivalence is what lets a staged record stand in for a fresh
-/// compare (block.cc).
-TEST(MatchKernelRegistry, EveryMultiKernelMatchesPerKeySweep) {
-  unsigned exercised = 0;
-  for (const MatchKernel& k : match_kernel_registry()) {
-    if (k.needs_avx2 && !detail::match_sweep_avx2_available()) continue;
-    ++exercised;
-    const unsigned width = golden_width(k);
-    const std::size_t count = k.depth != 0 ? k.depth : 130;
-    Rng rng(0xFACADE ^ count);
-    std::vector<std::uint64_t> stored(count), nmask(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      stored[i] = truncate(rng.next_bits(6), width);
-      nmask[i] = k.needs_uniform_mask
-                     ? low_bits(width)
-                     : low_bits(width) &
-                           ~low_bits(static_cast<unsigned>(rng.next_below(6)));
-    }
-    const std::size_t words = (count + 63) / 64;
-    for (const std::size_t nkeys : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}, kMaxFusionKeys}) {
-      std::vector<Word> keys(nkeys);
-      for (std::size_t i = 0; i < nkeys; ++i) {
-        keys[i] = truncate(rng.next_bits(6), width);
-      }
-      if (nkeys >= 2) keys[1] = keys[0];  // duplicates must be harmless
-      std::vector<std::uint64_t> fused(nkeys * words, ~std::uint64_t{0});
-      k.multi_fn(stored.data(), nmask.data(), keys.data(), nkeys, count,
-                 fused.data());
-      for (std::size_t i = 0; i < nkeys; ++i) {
-        std::vector<std::uint64_t> want(words, 0);
-        k.fn(stored.data(), nmask.data(), keys[i], count, want.data());
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          EXPECT_EQ(fused[i * words + wi], want[wi])
-              << k.name << " nkeys " << nkeys << " key " << i << " word " << wi;
-        }
-      }
-    }
-  }
   EXPECT_GE(exercised, 14u);
 }
 

@@ -44,7 +44,7 @@ CamSystem::Config shard_config(cam::EvalMode mode) {
 }
 
 /// Health rules that read only metrics published identically in every eval
-/// mode (no fusion/kernel/fast_mode surfaces), so dumps can be compared
+/// mode (no kernel/fast_mode surfaces), so dumps can be compared
 /// byte-for-byte across modes too.
 void add_mode_invariant_rules(telemetry::HealthMonitor& mon,
                               std::uint64_t stall_budget) {

@@ -259,11 +259,11 @@ TEST(Health, DefaultRulePackCoversTheFailureSurfaces) {
   MetricRegistry reg;
   HealthMonitor mon(reg);
   mon.add_default_rules();
-  EXPECT_EQ(mon.rule_count(), 6u);
+  EXPECT_EQ(mon.rule_count(), 5u);
   const auto names = mon.rule_names();
   for (const char* expected :
        {"stall_headroom", "shard_quarantine", "rob_backlog", "parity_flags",
-        "fusion_barriers", "scrub_silent"}) {
+        "scrub_silent"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }

@@ -67,11 +67,10 @@ std::string run_workload(unsigned shards, cam::EvalMode mode,
 }
 
 TEST(StackTelemetry, CountersIdenticalAcrossEvalModes) {
-  // Fast vs reference evaluation is cycle-lockstep (PR 2), so with the
-  // fast_mode / kernel-name gauges and the fusion plane excluded (the
-  // metrics that are meant to differ: the mode flag, the selected match
-  // kernel's label, and the fused-batch machinery that only the fast path
-  // exercises) every published metric must agree.
+  // Fast vs reference evaluation is cycle-lockstep, so with the
+  // fast_mode / kernel-name gauges excluded (the metrics that are meant to
+  // differ: the mode flag and the selected match kernel's label) every
+  // published metric must agree.
   std::string fast = run_workload(2, cam::EvalMode::kFast);
   std::string ref = run_workload(2, cam::EvalMode::kReference);
   EXPECT_TRUE(telemetry::jsonv::validate(fast).ok);
@@ -80,7 +79,7 @@ TEST(StackTelemetry, CountersIdenticalAcrossEvalModes) {
   // comma when one exists, else the preceding one (last entry of its map -
   // the maps always keep at least one unstripped metric).
   const auto strip = [](std::string& json) {
-    for (const char* token : {"fast_mode", ".kernel.", ".fusion."}) {
+    for (const char* token : {"fast_mode", ".kernel."}) {
       for (std::string::size_type p;
            (p = json.find(token)) != std::string::npos;) {
         const auto start = json.rfind('"', p);
