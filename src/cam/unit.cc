@@ -11,14 +11,9 @@ namespace dspcam::cam {
 
 CamUnit::CamUnit(const UnitConfig& cfg)
     : cfg_(cfg),
-      routing_(cfg.unit_size, cfg.initial_groups),
-      search_pipe_(kSearchPipeStages),
-      update_pipe_(kUpdatePipeStages),
-      meta_pipe_(cfg.block.output_buffer ? 3u : 2u),
-      ack_pipe_(1) {
+      routing_(cfg.unit_size, cfg.initial_groups) {
   cfg_.validate();
   const unsigned n = cfg_.unit_size;
-  spare_metas_.reserve(kSearchPipeStages + 4);  // search + meta pipes in flight
   if (cfg_.block.eval_mode == EvalMode::kReference) {
     blocks_.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
@@ -40,15 +35,14 @@ CamUnit::CamUnit(const UnitConfig& cfg)
     group_next_.assign(n, 0);
     block_base_.assign(n, 0);
     fills_.assign(n, 0);
-    block_busy_until_.assign(n, 0);
-    group_busy_until_.assign(n, 0);
-    writes_.reserve(2 * n);
-    write_words_.reserve(cfg_.words_per_beat());
-    write_masks_.reserve(cfg_.words_per_beat());
-    matches_.reserve(n);
-    buffered_.reserve(n);
+    block_routed_.assign(n, 0);
+    for (auto& m : matches_) m.reserve(n);
     relayout();
   }
+  // Routed writes of one beat: up to two blocks per group when a beat is
+  // narrower than a block (the vectors keep whatever they grow to).
+  routed_.reserve(2 * n);
+  applied_.reserve(2 * n);
   rebuild_controllers();
 }
 
@@ -98,57 +92,55 @@ void CamUnit::relayout() {
   }
 }
 
-bool CamUnit::idle() const noexcept {
-  if (pending_.has_value()) return false;
-  if (!search_pipe_.drained() || !update_pipe_.drained()) return false;
-  if (!meta_pipe_.drained() || !ack_pipe_.drained()) return false;
-  if (fast()) return busy_until_ <= edge_;
-  // Blocks off the active list are quiescent, hence idle.
-  for (unsigned b : active_blocks_) {
-    if (!blocks_[b]->idle()) return false;
-  }
-  return true;
-}
-
+// A search occupies every block of groups 0..keys-1 from its dispatch
+// until its response retires, unless a reset flushes it first; a write
+// occupies the blocks it routed to at its dispatch and apply edges; a reset
+// occupies every block at its dispatch edge. Groups are laid out
+// group-major, so the search part is a prefix count, and only the two
+// newest write beats' routes are walked.
 std::size_t CamUnit::active_block_count() const noexcept {
   if (!fast()) return active_blocks_.size();
-  if (busy_until_ <= edge_) return 0;
-  std::size_t n = 0;
-  for (unsigned g = 0; g < routing_.groups(); ++g) {
-    const bool searching = group_busy_until_[g] > edge_;
-    for (unsigned i = group_first_[g]; i < group_first_[g + 1]; ++i) {
-      n += searching || block_busy_until_[plane_blocks_[i]] > edge_;
+  if (reset_edge_ == edge_) return cfg_.unit_size;
+  std::size_t keys = 0;
+  for (const Beat& s : searches_) {
+    if (s.dispatch > edge_) break;
+    if (s.retire >= edge_ && s.epoch == reset_epoch_) {
+      keys = std::max(keys, s.req.keys.size());
     }
+  }
+  std::size_t n = group_first_[keys];
+  for (const PlaneWrite& w : routed_) n += routing_.group_of(w.block) >= keys;
+  for (std::size_t i = 0; applied_edge_ == edge_ && i < applied_.size(); ++i) {
+    // A block routed again this edge was counted above.
+    const unsigned b = applied_[i].block;
+    n += routing_.group_of(b) >= keys && block_routed_[b] != edge_;
   }
   return n;
 }
 
-void CamUnit::mark_block_busy(unsigned block, std::uint64_t until) noexcept {
-  block_busy_until_[block] = std::max(block_busy_until_[block], until);
-  busy_until_ = std::max(busy_until_, until);
-}
-
-// The grouping defines the data layout: after a routing-table change the
-// controllers and planes are rebuilt and every content and pipeline stage
-// cleared (the unit reloads from empty).
 void CamUnit::apply_routing_change() {
   rebuild_controllers();
   if (fast()) relayout();  // re-slices and clears the planes
   for (auto& b : blocks_) b->hard_reset();
+  std::fill(fills_.begin(), fills_.end(), 0);
+  clear_pipelines();
+}
+
+// Drops every queued beat, routed write and registered output; the blocks
+// are reset or flushed by the caller.
+void CamUnit::clear_pipelines() {
   std::fill(block_active_.begin(), block_active_.end(), 0);
   active_blocks_.clear();
-  std::fill(fills_.begin(), fills_.end(), 0);
-  std::fill(block_busy_until_.begin(), block_busy_until_.end(), 0);
-  std::fill(group_busy_until_.begin(), group_busy_until_.end(), 0);
-  busy_until_ = 0;
-  reset_pending_ = false;
+  searches_.clear();
   writes_.clear();
-  search_pipe_.clear();
-  update_pipe_.clear();
-  meta_pipe_.clear();
-  ack_pipe_.clear();
-  pending_.reset();
-  response_.reset();
+  routed_.clear();
+  applied_.clear();
+  due_ = 0;
+  last_issue_ = 0;
+  resets_issued_ = reset_epoch_;  // the queued resets are gone
+  reset_edge_ = kNever;
+  response_edge_ = kNever;
+  ack_edge_ = kNever;
 }
 
 void CamUnit::issue_to_block(unsigned block_id, BlockRequest request) {
@@ -176,7 +168,7 @@ void CamUnit::remap_block(unsigned block, unsigned group) {
 }
 
 void CamUnit::issue(UnitRequest request) {
-  if (pending_.has_value()) {
+  if (!can_accept()) {
     throw SimError("CamUnit: two bus beats issued in one cycle");
   }
   switch (request.op) {
@@ -212,7 +204,30 @@ void CamUnit::issue(UnitRequest request) {
       *request.address + request.words.size() > capacity_per_group()) {
     throw SimError("CamUnit: addressed update runs past the group capacity");
   }
-  pending_ = std::move(request);
+  // The next edge registers the beat; every later edge it acts at is a
+  // fixed offset from there (Table VIII's latencies).
+  last_issue_ = edge_ + 1;
+  if (request.op == OpKind::kSearch) {
+    Beat& beat = searches_.emplace_back();
+    beat.dispatch = last_issue_ + kSearchPipeStages;
+    beat.compare = beat.dispatch + 3;  // the block's pattern-detect latch
+    beat.retire = beat.compare + (cfg_.block.output_buffer ? 1 : 0);
+    // Every reset issued earlier dispatches by this beat's dispatch edge
+    // (the update path is one stage longer), every later one after it.
+    beat.epoch = resets_issued_;
+    beat.req = std::move(request);
+    // kFast routes nothing at dispatch: the compare reads the beat itself.
+    mark_due(fast() ? beat.compare : beat.dispatch);
+    mark_due(beat.retire);
+    return;
+  }
+  resets_issued_ += request.op == OpKind::kReset;
+  Beat& beat = writes_.emplace_back();
+  beat.dispatch = last_issue_ + kUpdatePipeStages;
+  beat.retire = beat.dispatch + 1;  // the block's 1-cycle write
+  beat.req = std::move(request);
+  mark_due(beat.dispatch);
+  mark_due(beat.retire);
 }
 
 namespace {
@@ -339,19 +354,7 @@ void CamUnit::restore_cursors(const std::vector<std::uint64_t>& cursors) {
 
 void CamUnit::flush_pipelines() {
   for (auto& b : blocks_) b->flush_pipeline();
-  std::fill(block_active_.begin(), block_active_.end(), 0);
-  active_blocks_.clear();
-  std::fill(block_busy_until_.begin(), block_busy_until_.end(), 0);
-  std::fill(group_busy_until_.begin(), group_busy_until_.end(), 0);
-  busy_until_ = 0;
-  reset_pending_ = false;
-  writes_.clear();
-  search_pipe_.clear();
-  update_pipe_.clear();
-  meta_pipe_.clear();
-  ack_pipe_.clear();
-  pending_.reset();
-  response_.reset();
+  clear_pipelines();
 }
 
 unsigned CamUnit::stored_per_group() const noexcept {
@@ -369,19 +372,16 @@ unsigned CamUnit::capacity_per_group() const noexcept {
 // shared by both eval modes: it yields block-level writes, which kReference
 // issues to the blocks and kFast applies to the planes at the next edge
 // (the blocks' 1-cycle update path).
-void CamUnit::dispatch_update(const UnitRequest& req) {
+void CamUnit::dispatch_update(Beat& beat) {
+  const UnitRequest& req = beat.req;
   const unsigned bs = cfg_.block.block_size;
   if (req.op == OpKind::kReset) {
-    if (fast()) {
-      // Every block clears at the next edge and flushes what it had in
-      // flight, so all earlier activity ends there too; searches dispatched
-      // after this (same edge included) belong to the new epoch and survive.
-      reset_pending_ = true;
-      ++reset_epoch_;
-      std::fill(block_busy_until_.begin(), block_busy_until_.end(), edge_ + 1);
-      std::fill(group_busy_until_.begin(), group_busy_until_.end(), 0);
-      busy_until_ = edge_ + 1;
-    } else {
+    // Every block clears at the next edge and flushes what it had in
+    // flight; searches dispatched after this (same edge included) belong to
+    // the new epoch and survive.
+    ++reset_epoch_;
+    reset_edge_ = edge_;
+    if (!fast()) {
       for (unsigned b = 0; b < cfg_.unit_size; ++b) {
         BlockRequest r;
         r.op = OpKind::kReset;
@@ -392,9 +392,8 @@ void CamUnit::dispatch_update(const UnitRequest& req) {
     return;
   }
 
-  UnitUpdateAck ack;
+  UnitUpdateAck& ack = beat.ack;
   ack.seq = req.seq;
-  const std::size_t first = writes_.size();
   if (req.op == OpKind::kInvalidate) {
     // Group-local entry index -> (block offset, cell) within every group's
     // copy, via the default sequential fill layout.
@@ -405,7 +404,7 @@ void CamUnit::dispatch_update(const UnitRequest& req) {
       w.op = OpKind::kInvalidate;
       w.block = routing_.blocks_of(g).at(entry / bs);
       w.cell = entry % bs;
-      writes_.push_back(w);
+      routed_.push_back(w);
     }
   } else if (!req.masks.empty() && cfg_.block.cell.kind == CamKind::kBinary) {
     throw SimError("CamBlock: binary CAM updates cannot carry per-entry masks");
@@ -424,7 +423,7 @@ void CamUnit::dispatch_update(const UnitRequest& req) {
         w.word_pos = pos;
         w.count = std::min<unsigned>(bs - w.cell,
                                      static_cast<unsigned>(req.words.size()) - pos);
-        writes_.push_back(w);
+        routed_.push_back(w);
         pos += w.count;
         entry += w.count;
       }
@@ -441,7 +440,7 @@ void CamUnit::dispatch_update(const UnitRequest& req) {
         w.fill = true;
         w.word_pos = written;
         w.count = seg.count;
-        writes_.push_back(w);
+        routed_.push_back(w);
         written += seg.count;
       }
       ack.words_written = std::min(ack.words_written, written);
@@ -449,17 +448,12 @@ void CamUnit::dispatch_update(const UnitRequest& req) {
     }
     ack.unit_full = all_full;
   }
-  ack_pipe_.push(ack);
 
   if (fast()) {
-    write_words_.assign(req.words.begin(), req.words.end());
-    write_masks_.assign(req.masks.begin(), req.masks.end());
-    for (std::size_t i = first; i < writes_.size(); ++i) {
-      mark_block_busy(writes_[i].block, edge_ + 2);
-    }
+    for (const PlaneWrite& w : routed_) block_routed_[w.block] = edge_;
     return;
   }
-  for (const PlaneWrite& w : writes_) {
+  for (const PlaneWrite& w : routed_) {
     BlockRequest r;
     r.op = w.op;
     r.tag.seq = req.seq;
@@ -475,34 +469,19 @@ void CamUnit::dispatch_update(const UnitRequest& req) {
     }
     issue_to_block(w.block, std::move(r));
   }
-  writes_.clear();
+  routed_.clear();
 }
 
 // Routes each key to its CAM group, replicating it to every block of that
-// group for parallel comparison.
-void CamUnit::dispatch_search(const UnitRequest& req) {
-  SearchMeta meta;
-  if (!spare_metas_.empty()) {  // recycled buffers, already cleared
-    meta = std::move(spare_metas_.back());
-    spare_metas_.pop_back();
-  }
-  meta.seq = req.seq;
-  meta.epoch = reset_epoch_;
-  // kFast: the group's blocks stay active until their response retires.
-  const std::uint64_t busy = edge_ + (cfg_.block.output_buffer ? 5 : 4);
+// group for parallel comparison. Mapping function: the i-th key of the beat
+// is served by group i. Every group holds a full copy of the data, so any
+// assignment of distinct groups is equivalent; this one is the paper's
+// "each search key assigned to a distinct CAM group". kReference only: kFast
+// has nothing to route, its compare reads the beat's own keys.
+void CamUnit::dispatch_search(const Beat& beat) {
+  const UnitRequest& req = beat.req;
   for (std::size_t i = 0; i < req.keys.size(); ++i) {
-    // Mapping function: the i-th key of the beat is served by group i. Every
-    // group holds a full copy of the data, so any assignment of distinct
-    // groups is equivalent; this one is the paper's "each search key
-    // assigned to a distinct CAM group".
     const unsigned g = static_cast<unsigned>(i);
-    meta.keys.push_back(req.keys[i]);
-    meta.groups.push_back(g);
-    if (fast()) {
-      group_busy_until_[g] = busy;
-      busy_until_ = std::max(busy_until_, busy);
-      continue;
-    }
     for (unsigned block_id : routing_.blocks_of(g)) {
       BlockRequest r;
       r.op = OpKind::kSearch;
@@ -513,127 +492,81 @@ void CamUnit::dispatch_search(const UnitRequest& req) {
       issue_to_block(block_id, std::move(r));
     }
   }
-  meta_pipe_.push(std::move(meta));
 }
 
-// Gathers this cycle's block responses into per-key unit results. All blocks
-// answer a given beat in the same cycle (their pipelines are identical), so
-// the meta record popping out of meta_pipe_ names exactly the beat whose
-// responses are on the wires now.
-void CamUnit::collect_responses() {
-  // The previous response was consumed last cycle (the owner copies it out
-  // of the output register), so its result vector is dead: reclaim the heap
-  // buffer instead of freeing and re-allocating it every beat.
-  if (response_.has_value()) {
-    spare_results_ = std::move(response_->results);
-    spare_results_.clear();
-  }
-
-  const auto& meta = meta_pipe_.output();
-  if (!meta.has_value()) {
-    response_.reset();
+// Registers the unit-level response of the search collected at this edge.
+// kFast reads the compare results of its compare edge; kReference reduces
+// the block responses that just latched (all blocks answer a beat in the
+// same cycle, their pipelines being identical). A search flushed by a
+// reset dispatched after it yields no response and leaves its queue.
+void CamUnit::collect(const Beat& beat) {
+  const std::vector<Word>& keys = beat.req.keys;
+  if (fast() && beat.epoch != reset_epoch_) {
+    searches_.pop_front();
     return;
   }
-
-  UnitResponse unit_resp;
-  unit_resp.seq = meta->seq;
-  unit_resp.results = std::move(spare_results_);
-  unit_resp.results.resize(meta->keys.size());
-  for (std::size_t i = 0; i < meta->keys.size(); ++i) {
-    auto& r = unit_resp.results[i];
-    r.key = meta->keys[i];
-    r.group = static_cast<std::uint16_t>(meta->groups[i]);
-    r.hit = false;
-    r.global_address = 0;
-    r.match_count = 0;
-    r.shard = 0;
-    r.parity_error = false;
-    r.shard_failed = false;
-  }
-
-  if (fast()) {
-    if (meta->epoch != reset_epoch_) {
-      // A reset dispatched after this search flushed it from the pipeline:
-      // no result beat appears (the per-block path's collected == 0 case).
-      spare_results_ = std::move(unit_resp.results);
-      spare_results_.clear();
-      response_.reset();
-      return;
-    }
-    for (std::size_t i = 0; i < meta->keys.size(); ++i) {
-      auto& r = unit_resp.results[i];
-      const KeyMatch& m = matches_[i];
+  if (!response_.has_value()) response_.emplace();
+  UnitResponse& resp = *response_;  // reuses the last response's buffer
+  resp.seq = beat.req.seq;
+  resp.results.resize(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    auto& r = resp.results[i];
+    r = UnitSearchResult{};
+    r.key = keys[i];
+    r.group = static_cast<std::uint16_t>(i);
+    if (fast()) {
+      const KeyMatch& m = matches_[beat.compare & 1][i];
       r.hit = m.hit;
       r.global_address = m.address;
       r.match_count = m.count;
       r.parity_error = m.parity_error;
     }
-    response_ = std::move(unit_resp);
-    return;
   }
 
   unsigned collected = 0;
   // Only active blocks can hold a freshly latched response.
   for (unsigned b : active_blocks_) {
-    const auto& resp = blocks_[b]->response();
-    if (!resp.has_value()) continue;
-    if (resp->tag.seq != meta->seq) {
+    const auto& br = blocks_[b]->response();
+    if (!br.has_value()) continue;
+    if (br->tag.seq != resp.seq) {
       throw SimError("CamUnit: block response sequence mismatch (collector skew)");
     }
     ++collected;
-    auto& r = unit_resp.results.at(resp->tag.key_index);
-    r.match_count += resp->match_count;
-    if (resp->parity_errors != 0) r.parity_error = true;
-    if (resp->hit) {
-      const std::uint32_t addr = b * cfg_.block.block_size + resp->first_match;
+    auto& r = resp.results.at(br->tag.key_index);
+    r.match_count += br->match_count;
+    if (br->parity_errors != 0) r.parity_error = true;
+    if (br->hit) {
+      const std::uint32_t addr = b * cfg_.block.block_size + br->first_match;
       if (!r.hit || addr < r.global_address) r.global_address = addr;
       r.hit = true;
     }
   }
-  if (collected == 0) {
+  if (!fast() && collected == 0) {
     // A reset beat overtook this search inside the blocks and flushed it:
-    // no result beat appears on the output interface (blocks otherwise
-    // always answer, hit or miss).
-    spare_results_ = std::move(unit_resp.results);
-    spare_results_.clear();
-    response_.reset();
+    // no result beat appears (blocks otherwise always answer, hit or miss).
+    searches_.pop_front();
     return;
   }
-  response_ = std::move(unit_resp);
+  response_edge_ = edge_;
 }
 
-// Recycles the key/group vectors of the SearchMeta record that retired at
-// this edge; collect_responses() has already read it, and the register is
-// overwritten at the coming meta_pipe_ shift.
-void CamUnit::reclaim_meta_buffers() {
-  auto& retired = meta_pipe_.mutable_output();
-  if (!retired.has_value() || spare_metas_.size() == spare_metas_.capacity()) return;
-  retired->keys.clear();
-  retired->groups.clear();
-  spare_metas_.push_back(std::move(*retired));
-}
-
-// kFast: runs the compare whose pattern-detect register latches at this
-// edge - the search dispatched three edges ago - against the pre-edge
-// planes, one plane compare per key, and reduces it to the unit result.
-// Without the output buffer it is collected at this same edge (matches_);
-// with it, one edge later (buffered_ rotates into matches_).
-void CamUnit::compare_retiring() {
-  const bool buffered = cfg_.block.output_buffer;
-  if (buffered) std::swap(matches_, buffered_);
-  const auto& meta = buffered ? meta_pipe_.peek_last() : meta_pipe_.output();
-  // A reset dispatched after the search flushes its compare.
-  if (!meta.has_value() || meta->epoch != reset_epoch_) return;
-  auto& out = buffered ? buffered_ : matches_;
-  out.resize(meta->keys.size());
+// kFast: the compare whose pattern-detect register latches at this edge,
+// against the pre-edge planes, one plane compare per key, reduced to the
+// unit result. Collected at this same edge, or one edge later with the
+// output buffer; a reset dispatched after the search flushes it.
+void CamUnit::compare(const Beat& beat) {
+  if (beat.epoch != reset_epoch_) return;
+  const std::vector<Word>& keys = beat.req.keys;
+  auto& out = matches_[beat.compare & 1];
+  out.resize(keys.size());
   const unsigned bs = cfg_.block.block_size;
   const EncodingScheme scheme = cfg_.block.encoding;
   std::uint64_t* words = onehot_.data();
-  for (std::size_t i = 0; i < meta->keys.size(); ++i) {
-    const unsigned g = meta->groups[i];
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const unsigned g = static_cast<unsigned>(i);
     FastPlane& plane = planes_[g];
     EncodedMatch em;
-    plane.compare(meta->keys[i], em, words);
+    plane.compare(keys[i], em, words);
     KeyMatch& m = out[i];
     m = KeyMatch{};
     m.hit = em.hit;
@@ -660,17 +593,20 @@ void CamUnit::compare_retiring() {
   }
 }
 
-// kFast: applies the write-class beats dispatched at the previous edge,
-// after this edge's compare read the pre-edge planes.
-void CamUnit::apply_plane_writes() {
-  const unsigned bs = cfg_.block.block_size;
-  if (reset_pending_) {
+// kFast: applies the write-class beat dispatched at the previous edge,
+// after this edge's compare read the pre-edge planes. A reset clears every
+// plane and fill pointer.
+void CamUnit::apply(const Beat& beat) {
+  if (beat.req.op == OpKind::kReset) {
     for (unsigned g = 0; g < routing_.groups(); ++g) planes_[g].clear();
     std::fill(fills_.begin(), fills_.end(), 0);
-    reset_pending_ = false;
+    return;
   }
+  const unsigned bs = cfg_.block.block_size;
+  const std::vector<Word>& words = beat.req.words;
+  const std::vector<std::uint64_t>& masks = beat.req.masks;
   const std::uint64_t default_mask = width_mask(cfg_.block.cell.data_width);
-  for (const PlaneWrite& w : writes_) {
+  for (const PlaneWrite& w : routed_) {
     FastPlane& plane = plane_of(w.block);
     const std::size_t base = block_base_[w.block];
     if (w.op == OpKind::kInvalidate) {
@@ -682,56 +618,56 @@ void CamUnit::apply_plane_writes() {
       if (w.fill && fill >= bs) break;
       const std::size_t cell = w.fill ? fill++ : w.cell + k;
       const unsigned pos = w.word_pos + k;
-      plane.write(base + cell, write_words_[pos],
-                  write_masks_.empty() ? default_mask : write_masks_[pos]);
+      plane.write(base + cell, words[pos], masks.empty() ? default_mask : masks[pos]);
     }
   }
-  writes_.clear();
+  // The routed blocks stay active through this edge.
+  std::swap(routed_, applied_);
+  routed_.clear();
+  applied_edge_ = edge_;
 }
 
-void CamUnit::commit() {
-  if (fast()) {
-    // 1-3. The shared pipeline: this edge's compare (flushed if a reset
-    //      overtook it), then last edge's writes and resets.
-    ++edge_;
-    compare_retiring();
-    apply_plane_writes();
-  } else {
-    // 1. Clock the active blocks; beats dispatched last cycle are processed
-    //    now. Blocks off the list are quiescent: committing them would be a
-    //    no-op (that invariant is what activity gating rests on).
-    for (unsigned b : active_blocks_) blocks_[b]->commit();
-  }
+// An edge at which some queued beat acts. Within the edge, in order:
+//   1. kReference clocks its active blocks (beats dispatched last edge are
+//      processed now);
+//   2. beats whose output was visible at an earlier edge leave;
+//   3. kFast: the search latching now compares against the pre-edge planes;
+//   4. the write-class beat dispatched last edge applies (kFast) and acks;
+//   5. the search due for collection registers the response;
+//   6. the write-class beat due for dispatch routes to the planes or
+//      blocks, then (kReference) the search due for dispatch issues;
+//   7. kReference prunes blocks that went quiescent.
+void CamUnit::commit_due(std::uint64_t bit) {
+  for (unsigned b : active_blocks_) blocks_[b]->commit();
+  if ((due_ & bit) != 0) {
+    due_ &= ~bit;
+    while (!searches_.empty() && searches_.front().retire < edge_) searches_.pop_front();
+    while (!writes_.empty() && writes_.front().retire < edge_) writes_.pop_front();
 
-  // 2. Result collection: reduce the block responses that just latched and
-  //    register the unit-level response (the output-interface register).
-  collect_responses();
-  reclaim_meta_buffers();
-
-  // 3. Advance the unit pipelines and dispatch emerging beats to the blocks
-  //    (they will process them at the next clock edge).
-  if (pending_) {
-    if (pending_->op == OpKind::kSearch) {
-      search_pipe_.push(std::move(*pending_));
-    } else {
-      update_pipe_.push(std::move(*pending_));  // update, invalidate, reset
+    for (std::size_t i = 0; fast() && i < searches_.size() && i < 2; ++i) {
+      if (searches_[i].compare == edge_) compare(searches_[i]);
     }
-    pending_.reset();
+    if (!writes_.empty() && writes_.front().retire == edge_) {
+      const Beat& w = writes_.front();
+      if (fast()) apply(w);
+      if (w.req.op == OpKind::kReset) {
+        writes_.pop_front();
+      } else {
+        ack_ = w.ack;
+        ack_edge_ = edge_;
+      }
+    }
+    if (!searches_.empty() && searches_.front().retire == edge_) collect(searches_.front());
+
+    // The newest beats are at the back; at most one per queue dispatches.
+    for (std::size_t i = writes_.size(); i-- > 0 && writes_[i].dispatch >= edge_;) {
+      if (writes_[i].dispatch == edge_) dispatch_update(writes_[i]);
+    }
+    for (std::size_t i = searches_.size(); !fast() && i-- > 0 && searches_[i].dispatch >= edge_;) {
+      if (searches_[i].dispatch == edge_) dispatch_search(searches_[i]);
+    }
   }
-  search_pipe_.shift();
-  update_pipe_.shift();
 
-  if (update_pipe_.output().has_value()) dispatch_update(*update_pipe_.output());
-  if (search_pipe_.output().has_value()) dispatch_search(*search_pipe_.output());
-
-  // The meta/ack side pipes shift after dispatch so records pushed above are
-  // part of this clock edge.
-  meta_pipe_.shift();
-  ack_pipe_.shift();
-
-  // 4. Prune blocks that have gone quiescent (everything retired, nothing
-  //    pending). Blocks that just received a beat in step 3 are not
-  //    quiescent and stay on the list for the next edge.
   std::size_t live = 0;
   for (unsigned b : active_blocks_) {
     if (blocks_[b]->quiescent()) {

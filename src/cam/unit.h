@@ -45,8 +45,8 @@
 #include "src/cam/fast_plane.h"
 #include "src/cam/routing.h"
 #include "src/cam/transactions.h"
+#include "src/common/ring_queue.h"
 #include "src/sim/component.h"
-#include "src/sim/delay_line.h"
 
 namespace dspcam::cam {
 
@@ -89,20 +89,30 @@ class CamUnit : public sim::Component {
   /// idle+clear semantics as configure_groups.
   void remap_block(unsigned block, unsigned group);
 
-  /// True when no operation is anywhere in the unit's or blocks' pipelines.
-  bool idle() const noexcept;
-
-  /// Activity gating (see Component::quiescent): idle, nothing visible on
-  /// the unit's output registers, and every block has retired its own
-  /// visible outputs - a commit would change nothing observable.
-  bool quiescent() const noexcept override {
-    return (fast() || active_blocks_.empty()) && !response_.has_value() && idle();
+  /// True when no beat is anywhere in the unit's or blocks' pipelines: the
+  /// newest beat of each queue retired before this edge. O(1) on kFast
+  /// (kReference also asks its active blocks).
+  bool idle() const noexcept {
+    if (!searches_.empty() && searches_.back().retire >= edge_) return false;
+    if (!writes_.empty() && writes_.back().retire >= edge_) return false;
+    for (unsigned b : active_blocks_) {
+      if (!blocks_[b]->idle()) return false;
+    }
+    return true;
   }
+
+  /// Activity gating (see Component::quiescent): idle, and every block has
+  /// retired its own visible outputs - a commit would change nothing
+  /// observable. (A unit output is visible only at its beat's retire edge,
+  /// when the unit is not idle.)
+  bool quiescent() const noexcept override { return active_blocks_.empty() && idle(); }
 
   /// Blocks with live pipeline/output activity this cycle - the per-unit
   /// occupancy the telemetry counter tracks sample (the simulation's stand-in
   /// for the paper's post-hoc resource-activity readout). kFast derives it
-  /// from per-block busy-until edges; both modes agree every cycle.
+  /// from the queued beats alone - the groups a live search occupies plus
+  /// the blocks the last two write beats routed to - without walking the
+  /// unit's blocks; both modes agree every cycle.
   std::size_t active_block_count() const noexcept;
 
   // --- Per-cycle bus interface (issue during the owner's eval phase). ---
@@ -111,14 +121,16 @@ class CamUnit : public sim::Component {
   /// with up to M keys, or reset). One beat per cycle.
   void issue(UnitRequest request);
 
-  bool can_accept() const noexcept { return !pending_.has_value(); }
+  bool can_accept() const noexcept { return last_issue_ != edge_ + 1; }
 
   /// Search response that became visible this cycle, if any.
-  const std::optional<UnitResponse>& response() const noexcept { return response_; }
+  const std::optional<UnitResponse>& response() const noexcept {
+    return response_edge_ == edge_ ? response_ : kNoResponse;
+  }
 
   /// Update acknowledgement that became visible this cycle, if any.
   const std::optional<UnitUpdateAck>& update_ack() const noexcept {
-    return ack_pipe_.output();
+    return ack_edge_ == edge_ ? ack_ : kNoAck;
   }
 
   // --- Introspection. ---
@@ -184,17 +196,31 @@ class CamUnit : public sim::Component {
   void flush_pipelines();
 
   void eval() override {}
-  void commit() override;
+
+  /// One clock edge. An edge at which no queued beat acts (and, in
+  /// kReference, no block is active) only advances the edge counter.
+  void commit() override {
+    const std::uint64_t bit = std::uint64_t{1} << (++edge_ & 63);
+    if ((due_ & bit) != 0 || !active_blocks_.empty()) commit_due(bit);
+  }
 
  private:
   static constexpr unsigned kSearchPipeStages = 3;  // in_if, routing, post-route
   static constexpr unsigned kUpdatePipeStages = 4;  // + replication stage
 
-  struct SearchMeta {
-    std::uint64_t seq = 0;
-    std::vector<Word> keys;
-    std::vector<unsigned> groups;  ///< Group assigned to each key.
-    std::uint64_t epoch = 0;       ///< kFast: resets dispatched before it.
+  /// One bus beat in flight, stamped at issue with every edge it acts at.
+  /// Beats enter their queue in issue order and every stamp is a fixed
+  /// offset from the issue edge, so each queue is ordered by every stamp.
+  struct Beat {
+    UnitRequest req;
+    std::uint64_t dispatch = 0;  ///< Routed to the planes (kReference: blocks).
+    std::uint64_t compare = 0;   ///< Search, kFast: the match latches.
+    /// Search: collected into response(); write/invalidate: applied and
+    /// acked; reset: the planes flush. A flushed search or a reset leaves
+    /// its queue here, any other beat at the next edge something is due.
+    std::uint64_t retire = 0;
+    std::uint64_t epoch = 0;     ///< Search: resets issued (so dispatched) before it.
+    UnitUpdateAck ack;           ///< Write/invalidate: filled at dispatch.
   };
 
   /// One block-level write-class op routed from a unit beat. kReference
@@ -205,7 +231,7 @@ class CamUnit : public sim::Component {
     unsigned block = 0;
     std::uint32_t cell = 0;       ///< Addressed write / invalidate target.
     bool fill = false;            ///< kUpdate: append at the fill pointer.
-    unsigned word_pos = 0;        ///< kUpdate: first word in write_words_.
+    unsigned word_pos = 0;        ///< kUpdate: first word in the beat.
     unsigned count = 0;           ///< kUpdate: words for this block.
   };
 
@@ -220,17 +246,18 @@ class CamUnit : public sim::Component {
   bool fast() const noexcept { return blocks_.empty(); }
   void rebuild_controllers();
   void apply_routing_change();
+  void clear_pipelines();
   void issue_to_block(unsigned block_id, BlockRequest request);
-  void dispatch_update(const UnitRequest& req);
-  void dispatch_search(const UnitRequest& req);
-  void collect_responses();
-  void reclaim_meta_buffers();
+  void commit_due(std::uint64_t bit);
+  void dispatch_update(Beat& beat);
+  void dispatch_search(const Beat& beat);
+  void collect(const Beat& beat);
+  void mark_due(std::uint64_t edge) noexcept { due_ |= std::uint64_t{1} << (edge & 63); }
 
   // kFast plane machinery (DESIGN.md §15).
   void relayout();
-  void compare_retiring();
-  void apply_plane_writes();
-  void mark_block_busy(unsigned block, std::uint64_t until) noexcept;
+  void compare(const Beat& beat);
+  void apply(const Beat& beat);
   FastPlane& plane_of(unsigned block) { return planes_[routing_.group_of(block)]; }
 
   UnitConfig cfg_;
@@ -247,19 +274,10 @@ class CamUnit : public sim::Component {
   std::vector<unsigned> group_next_;      ///< relayout() scratch.
   std::vector<std::uint32_t> block_base_; ///< Block's first entry in its plane.
   std::vector<unsigned> fills_;           ///< Per-block fill pointers.
-  // Activity (active_block_count): a block is active after edge e while
-  // e < max(block_busy_until_[b], group_busy_until_[group of b]).
-  std::vector<std::uint64_t> block_busy_until_;  ///< Write-path activity.
-  std::vector<std::uint64_t> group_busy_until_;  ///< Search activity.
-  std::uint64_t busy_until_ = 0;  ///< Max over both arrays.
-  std::uint64_t edge_ = 0;        ///< Clock edges committed.
-  std::uint64_t reset_epoch_ = 0; ///< Reset beats dispatched.
-  bool reset_pending_ = false;    ///< Reset dispatched last edge.
-  std::vector<PlaneWrite> writes_;  ///< Routed writes (kFast: applied next edge).
-  std::vector<Word> write_words_;
-  std::vector<std::uint64_t> write_masks_;
-  std::vector<KeyMatch> matches_;   ///< Results collected this edge.
-  std::vector<KeyMatch> buffered_;  ///< Output buffer: next edge's results.
+  std::vector<std::uint64_t> block_routed_;  ///< Last edge a write routed to the block.
+  std::vector<PlaneWrite> routed_;   ///< Writes routed this edge (kFast: apply next edge).
+  std::vector<PlaneWrite> applied_;  ///< Writes applied at applied_edge_.
+  std::vector<KeyMatch> matches_[2]; ///< Compare results, by compare edge parity.
 
   // Activity gating: only blocks on this list are committed/collected each
   // cycle. A block joins when a beat is routed to it and leaves once it is
@@ -268,22 +286,26 @@ class CamUnit : public sim::Component {
   std::vector<char> block_active_;        ///< Membership flags (parallel to blocks_).
   std::vector<unsigned> active_blocks_;   ///< Insertion-ordered active block ids.
 
-  // Hot-path buffer recycling (no per-cycle heap traffic at steady state):
-  // result vectors of retired responses and the key/group vectors of retired
-  // SearchMeta records are reused for the next beat. The meta pool holds one
-  // record per beat the pipelines can carry, so a search burst after an
-  // idle gap finds every record it needs already allocated.
-  std::vector<UnitSearchResult> spare_results_;
-  std::vector<SearchMeta> spare_metas_;
+  // The unit pipeline (DESIGN.md §15): beats in issue order, one queue per
+  // path, and a wheel of the edges some beat acts at.
+  RingQueue<Beat> searches_;
+  RingQueue<Beat> writes_;  ///< Updates, invalidates and resets.
+  std::uint64_t due_ = 0;   ///< Bit (t & 63) set: a queued beat acts at edge t.
+  std::uint64_t edge_ = 0;  ///< Clock edges committed.
+  std::uint64_t last_issue_ = 0;  ///< Edge that registers the newest beat.
+  std::uint64_t resets_issued_ = 0;
+  std::uint64_t reset_epoch_ = 0;  ///< Reset beats dispatched.
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  std::uint64_t reset_edge_ = kNever;    ///< Edge the last reset dispatched.
+  std::uint64_t applied_edge_ = kNever;
 
-  std::optional<UnitRequest> pending_;
-  sim::DelayLine<UnitRequest> search_pipe_;
-  sim::DelayLine<UnitRequest> update_pipe_;
-  sim::DelayLine<SearchMeta> meta_pipe_;        ///< Aligns collection with block responses.
-  sim::DelayLine<UnitUpdateAck> ack_pipe_;      ///< Aligns acks with the stored data.
-
+  // Registered outputs, each visible only at the edge it was registered.
   std::optional<UnitResponse> response_;
-  std::uint64_t inflight_ = 0;  ///< Operations somewhere in the pipelines.
+  std::optional<UnitUpdateAck> ack_;
+  std::uint64_t response_edge_ = kNever;
+  std::uint64_t ack_edge_ = kNever;
+  static inline const std::optional<UnitResponse> kNoResponse{};
+  static inline const std::optional<UnitUpdateAck> kNoAck{};
 };
 
 }  // namespace dspcam::cam

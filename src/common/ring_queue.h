@@ -68,11 +68,14 @@ class RingQueue {
 
   T& front() { return (*this)[0]; }
   const T& front() const { return (*this)[0]; }
+  const T& back() const { return (*this)[size_ - 1]; }
 
-  void push_back(T value) {
+  void push_back(T value) { emplace_back() = std::move(value); }
+
+  /// Appends an element and returns it; it is T{}, as every free slot is.
+  T& emplace_back() {
     if (size_ == slots_.size()) grow();
-    (*this)[size_] = std::move(value);
-    ++size_;
+    return (*this)[size_++];
   }
 
   /// Drops the front element (its slot is reset to T{}).

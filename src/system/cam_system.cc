@@ -58,19 +58,8 @@ void CamSystem::eval() {
   unit_.eval();
 }
 
-void CamSystem::commit() {
-  // Activity gating: a quiescent unit's clock edge is provably a no-op
-  // (Component::quiescent contract), so skip the walk entirely. Simulated
-  // time still advances.
-  if (!unit_.quiescent()) {
-    unit_.commit();
-  } else {
-    ++stats_.gated_cycles;
-  }
-  ++stats_.cycles;
-
-  // Drain the unit's registered outputs into the interface FIFOs. Space was
-  // reserved at issue time, so these pushes cannot overflow.
+// Space was reserved at issue time, so these pushes cannot overflow.
+void CamSystem::drain_outputs() {
   if (unit_.response().has_value()) {
     for (const auto& r : unit_.response()->results) {
       if (r.parity_error) ++stats_.parity_flagged;

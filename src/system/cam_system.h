@@ -72,9 +72,11 @@ class CamSystem : public sim::Component, public CamBackend {
   /// Forwards to the unit; requires the whole system to be idle.
   void configure_groups(unsigned m) override;
 
-  /// One clock cycle (eval + commit).
+  /// One clock cycle (eval + commit). With an empty request FIFO and no
+  /// beat due in the unit it is O(1): nothing issues, the unit's edge only
+  /// advances its counter, and no output appears.
   void step() override {
-    eval();
+    if (!request_fifo_.empty()) eval();
     commit();
   }
 
@@ -130,9 +132,24 @@ class CamSystem : public sim::Component, public CamBackend {
   std::string debug_dump() const override;
 
   void eval() override;
-  void commit() override;
+
+  void commit() override {
+    // Activity gating: a quiescent unit's clock edge is provably a no-op
+    // (Component::quiescent contract), so skip it entirely. Simulated time
+    // still advances.
+    if (unit_.quiescent()) {
+      ++stats_.gated_cycles;
+    } else {
+      unit_.commit();
+    }
+    ++stats_.cycles;
+    if (unit_.response().has_value() || unit_.update_ack().has_value()) drain_outputs();
+  }
 
  private:
+  /// Moves the unit's registered outputs into the interface FIFOs.
+  void drain_outputs();
+
   Config cfg_;
   cam::CamUnit unit_;
   sim::Fifo<cam::UnitRequest> request_fifo_;

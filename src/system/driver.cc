@@ -99,12 +99,15 @@ CamDriver::Ticket CamDriver::submit_async(cam::UnitRequest request) {
   const Ticket ticket = next_ticket_++;
   request.seq = ticket;
   const cam::OpKind op = request.op;
+  const bool front = submit_queue_.empty();
   submit_queue_.push_back(std::move(request));
   ++inflight_;
   last_progress_cycle_ = polled_cycles_;  // fresh work restarts the stall clock
-  outstanding_.insert(ticket);
+  outstanding_.push_back(1);
   if (registry_ != nullptr || tracer_ != nullptr) note_submitted(ticket, op);
-  pump();  // Opportunistic: front beats reach the FIFO before the next poll.
+  // A new front may fit now. A beat behind a refused one cannot: backend
+  // acceptance changes only in step(), and poll() pumps before stepping.
+  if (front) pump();
   return ticket;
 }
 
@@ -141,10 +144,7 @@ void CamDriver::harvest() {
     c.ticket = resp->seq;
     c.op = cam::OpKind::kSearch;
     c.results = std::move(resp->results);
-    outstanding_.erase(c.ticket);
-    if (registry_ != nullptr || tracer_ != nullptr) note_completed(c.ticket);
-    completions_.push_back(std::move(c));
-    --inflight_;
+    complete(std::move(c));
   }
   while (auto ack = backend_->try_pop_ack()) {
     Completion c;
@@ -153,12 +153,22 @@ void CamDriver::harvest() {
     if (!ack_ops_.empty()) ack_ops_.pop_front();
     c.words_written = ack->words_written;
     c.full = ack->unit_full;
-    outstanding_.erase(c.ticket);
-    if (registry_ != nullptr || tracer_ != nullptr) note_completed(c.ticket);
-    completions_.push_back(std::move(c));
-    --inflight_;
+    complete(std::move(c));
   }
   if (inflight_ < before) last_progress_cycle_ = polled_cycles_;
+}
+
+void CamDriver::complete(Completion c) {
+  if (c.ticket >= window_base_ && c.ticket - window_base_ < outstanding_.size()) {
+    outstanding_[c.ticket - window_base_] = 0;
+    while (!outstanding_.empty() && outstanding_.front() == 0) {
+      outstanding_.pop_front();
+      ++window_base_;
+    }
+  }
+  if (registry_ != nullptr || tracer_ != nullptr) note_completed(c.ticket);
+  completions_.push_back(std::move(c));
+  --inflight_;
 }
 
 void CamDriver::note_submitted(Ticket ticket, cam::OpKind op) {
@@ -338,13 +348,14 @@ void CamDriver::throw_wedged(const char* where) {
                     std::to_string(inflight_) + ", submit_queue=" +
                     std::to_string(submit_queue_.size()) + ", tickets=[";
   std::size_t listed = 0;
-  for (const Ticket t : outstanding_) {
+  for (std::size_t i = 0; i < outstanding_.size(); ++i) {
+    if (outstanding_[i] == 0) continue;
     if (listed == 8) {
       msg += "...";
       break;
     }
     if (listed != 0) msg += ",";
-    msg += std::to_string(t);
+    msg += std::to_string(window_base_ + i);
     ++listed;
   }
   msg += "]";

@@ -20,16 +20,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "src/common/ring_queue.h"
 #include "src/sim/request_trace.h"
 #include "src/system/backend.h"
 #include "src/system/cam_system.h"
@@ -125,9 +124,6 @@ class CamDriver {
   /// between clock edges, so injection order is deterministic. Pass nullptr
   /// to remove.
   void set_cycle_hook(std::function<void()> hook) { cycle_hook_ = std::move(hook); }
-
-  /// Tickets submitted whose completions have not yet been harvested.
-  const std::set<Ticket>& outstanding_tickets() const noexcept { return outstanding_; }
 
   // --- Record / replay (src/sim/request_trace.h). ---
 
@@ -247,6 +243,7 @@ class CamDriver {
 
   void pump();
   void harvest();
+  void complete(Completion c);
   void wait_idle();
   Completion take_completion(Ticket ticket);
   [[noreturn]] void throw_wedged(const char* where);
@@ -257,8 +254,8 @@ class CamDriver {
   std::unique_ptr<CamBackend> owned_;
   CamBackend* backend_ = nullptr;
 
-  std::deque<cam::UnitRequest> submit_queue_;  ///< Accepted, awaiting FIFO room.
-  std::deque<cam::OpKind> ack_ops_;            ///< Op kinds of outstanding acks.
+  RingQueue<cam::UnitRequest> submit_queue_;  ///< Accepted, awaiting FIFO room.
+  RingQueue<cam::OpKind> ack_ops_;            ///< Op kinds of outstanding acks.
 
   /// Completion FIFO as a vector ring: live entries are
   /// [completions_head_, completions_.size()). Once the consumer catches up
@@ -271,7 +268,11 @@ class CamDriver {
   std::size_t inflight_ = 0;
   Ticket next_ticket_ = 1;
 
-  std::set<Ticket> outstanding_;  ///< Submitted, not yet harvested.
+  /// Ticket window_base_ + i is submitted and not yet harvested iff
+  /// outstanding_[i]; the window drops its completed front, so it spans
+  /// the oldest outstanding ticket to the newest one.
+  RingQueue<char> outstanding_;
+  Ticket window_base_ = 1;
   std::uint64_t stall_budget_ = kDefaultStallBudget;
   std::function<void()> cycle_hook_;
   sim::RequestTrace* request_trace_ = nullptr;  ///< Borrowed recorder (null = off).

@@ -6,7 +6,10 @@
 // geometries), and every cycle the complete observable surface is compared:
 // search responses (all result fields, parity flag included), update acks,
 // idle/quiescent state, the active-block occupancy - plus the full
-// stored/mask/valid/parity arrays at checkpoints. Rows marked `index` run
+// stored/mask/valid/parity arrays at checkpoints. Rows marked `sparse` issue
+// short bursts separated by long idle gaps, so most edges have nothing due,
+// and script one reset inside an idle stretch and one that lands on a
+// search in flight. Rows marked `index` run
 // planes deep enough for the exact-match index (DESIGN.md §11) and check it
 // was live, demoted by mask pokes and re-armed by resets; `block_only` rows
 // drive a standalone CamBlock pair, whose plane encodes match-count itself.
@@ -54,6 +57,9 @@ struct EquivParams {
   /// Drive a standalone CamBlock pair of block_size cells (unit_size and
   /// groups unused) instead of a unit pair.
   bool block_only = false;
+  /// Beats come in bursts of 1-6 started on 1% of idle cycles (about 3.5%
+  /// of cycles carry one), plus the two scripted resets.
+  bool sparse = false;
 };
 
 /// Readable name of one row, e.g.
@@ -73,6 +79,7 @@ std::string row_name(const EquivParams& p) {
   if (p.remap) n += "_remap";
   if (p.key_bits != 0) n += "_keys" + std::to_string(p.key_bits);
   if (p.index) n += "_index";
+  if (p.sparse) n += "_sparse";
   return n + "_s" + std::to_string(p.seed);
 }
 
@@ -320,9 +327,50 @@ TEST_P(FastEquivalence, LockstepStreamsAreBitIdentical) {
   unsigned responses = 0;
   unsigned parity_flags = 0;
   unsigned remaps = 0;
+  // Sparse rows: the burst in progress, the idle stretch so far, and the
+  // scripted resets (one inside an idle stretch, one the edge after a lone
+  // search, which it must flush: no response for that search).
+  unsigned burst_left = 0;
+  unsigned idle_run = 0;
+  bool idle_reset = false;
+  std::uint64_t flushed_seq = 0;
+  bool flush_pending = false;
+  const auto issue_both = [&](UnitRequest req) {
+    UnitRequest copy = req;
+    ref.issue(std::move(req));
+    fast.issue(std::move(copy));
+  };
 
   for (unsigned cyc = 0; cyc < p.cycles; ++cyc) {
-    const double dice = rng.next_double();
+    double dice = rng.next_double();
+    if (p.sparse) {
+      UnitRequest req;
+      req.seq = seq;
+      if (flush_pending) {
+        req.op = OpKind::kReset;
+        flush_pending = false;
+      } else if (!idle_reset && cyc >= p.cycles / 3 && idle_run >= 8) {
+        req.op = OpKind::kReset;
+        idle_reset = true;
+      } else if (flushed_seq == 0 && cyc >= 2 * p.cycles / 3 && idle_run >= 8) {
+        req.op = OpKind::kSearch;
+        req.keys = {0};
+        flushed_seq = seq;
+        flush_pending = true;
+      } else if (burst_left == 0 && rng.next_bool(0.01)) {
+        burst_left = 1 + static_cast<unsigned>(rng.next_below(6));
+      }
+      if (req.op != OpKind::kIdle) {
+        ++seq;
+        issue_both(std::move(req));
+        dice = 1.0;  // no random beat this cycle
+      } else if (burst_left == 0) {
+        dice = 1.0;  // idle gap
+      } else {
+        --burst_left;
+        dice *= 0.95;  // a beat, never the idle branch
+      }
+    }
     if (dice < 0.004) {
       UnitRequest req;
       req.op = OpKind::kReset;
@@ -403,6 +451,10 @@ TEST_P(FastEquivalence, LockstepStreamsAreBitIdentical) {
     test::step(ref);
     test::step(fast);
     index.observe(fast.group_indexed(0));
+    idle_run = fast.idle() ? idle_run + 1 : 0;
+    if (flushed_seq != 0 && fast.response().has_value()) {
+      ASSERT_NE(fast.response()->seq, flushed_seq) << "cycle " << cyc << ": reset missed it";
+    }
 
     expect_same_response(ref.response(), fast.response(), cyc);
     expect_same_ack(ref.update_ack(), fast.update_ack(), cyc);
@@ -447,7 +499,12 @@ TEST_P(FastEquivalence, LockstepStreamsAreBitIdentical) {
     }
   }
   expect_same_arrays(ref, fast, p.cycles);
-  EXPECT_GT(responses, p.cycles / 4) << "stream exercised too few searches";
+  EXPECT_GT(responses, p.sparse ? p.cycles / 100 : p.cycles / 4)
+      << "stream exercised too few searches";
+  if (p.sparse) {
+    EXPECT_TRUE(idle_reset) << "no idle stretch took the scripted reset";
+    EXPECT_NE(flushed_seq, 0u) << "the mid-search reset was never scripted";
+  }
   if (p.parity) {
     EXPECT_GT(parity_flags, 0u) << "no poke ever tripped parity";
   }
@@ -577,6 +634,25 @@ constexpr EquivParams kConfigs[] = {
                 .block_size = 256, .groups = 1, .output_buffer = false,
                 .encoding = EncodingScheme::kOneHot, .cycles = 2500,
                 .seed = 3607, .key_bits = 5, .index = true, .block_only = true},
+    // Sparse bursts between long idle gaps: multi-key searches over four
+    // groups (the active-block prefix), a buffered indexed plane, parity
+    // pokes, and routing-table remaps.
+    EquivParams{.kind = CamKind::kBinary, .data_width = 32, .unit_size = 8,
+                .block_size = 32, .groups = 4, .output_buffer = true,
+                .encoding = EncodingScheme::kPriorityIndex, .cycles = 12000,
+                .seed = 4001, .sparse = true},
+    EquivParams{.kind = CamKind::kBinary, .data_width = 32, .unit_size = 4,
+                .block_size = 64, .groups = 1, .output_buffer = false,
+                .encoding = EncodingScheme::kPriorityIndex, .cycles = 12000,
+                .seed = 4102, .key_bits = 3, .index = true, .sparse = true},
+    EquivParams{.kind = CamKind::kTernary, .data_width = 16, .unit_size = 4,
+                .block_size = 32, .groups = 2, .output_buffer = false,
+                .encoding = EncodingScheme::kMatchCount, .cycles = 12000,
+                .seed = 4203, .parity = true, .sparse = true},
+    EquivParams{.kind = CamKind::kRange, .data_width = 16, .unit_size = 8,
+                .block_size = 16, .groups = 4, .output_buffer = true,
+                .encoding = EncodingScheme::kOneHot, .cycles = 12000,
+                .seed = 4304, .remap = true, .sparse = true},
 };
 
 INSTANTIATE_TEST_SUITE_P(Configs, FastEquivalence, ::testing::ValuesIn(kConfigs),

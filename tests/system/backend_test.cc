@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <unordered_set>
 
 #include "src/cam/mask.h"
@@ -202,6 +204,132 @@ TEST(CamDriverAsync, MixedUpdateSearchStreamKeepsOrder) {
     if (c->op == cam::OpKind::kSearch && c->results.at(0).hit) {
       EXPECT_TRUE(contents.contains(c->results[0].key));
     }
+  }
+}
+
+/// A CamSystem that counts try_submit() calls: each refused one copies a
+/// beat for nothing.
+class SubmitCountingBackend final : public CamBackend {
+ public:
+  explicit SubmitCountingBackend(const CamSystem::Config& cfg) : inner_(cfg) {}
+
+  std::size_t submits = 0;
+
+  unsigned data_width() const override { return inner_.data_width(); }
+  cam::CamKind kind() const override { return inner_.kind(); }
+  unsigned capacity() const override { return inner_.capacity(); }
+  unsigned words_per_beat() const override { return inner_.words_per_beat(); }
+  unsigned max_keys_per_beat() const override { return inner_.max_keys_per_beat(); }
+  unsigned max_groups() const override { return inner_.max_groups(); }
+  void configure_groups(unsigned m) override { inner_.configure_groups(m); }
+  bool try_submit(cam::UnitRequest request) override {
+    ++submits;
+    return inner_.try_submit(std::move(request));
+  }
+  std::optional<cam::UnitResponse> try_pop_response() override {
+    return inner_.try_pop_response();
+  }
+  std::optional<cam::UnitUpdateAck> try_pop_ack() override { return inner_.try_pop_ack(); }
+  bool request_full() const override { return inner_.request_full(); }
+  std::size_t pending_requests() const override { return inner_.pending_requests(); }
+  void step() override { inner_.step(); }
+  bool idle() const override { return inner_.idle(); }
+  Stats stats() const override { return inner_.stats(); }
+  model::ResourceUsage resources() const override { return inner_.resources(); }
+
+ private:
+  CamSystem inner_;
+};
+
+// submit_async() offers a beat to the backend only when it becomes the
+// retry queue's front: backend acceptance changes only in step(), and
+// poll() pumps before stepping, so a beat queued behind a refused one
+// enters the FIFO in the same cycle an eager retry on every submit would
+// have managed. Completion cycles are checked against exactly that eager
+// loop run on a bare CamSystem.
+TEST(CamDriverAsync, SubmitPumpsOnlyANewFront) {
+  constexpr std::size_t kDepth = 4;
+  const std::vector<cam::Word> preload = {3, 5, 7, 9};
+  // Bursts submitted before poll number `at`; later ones land while the
+  // retry queue is still backed up.
+  struct Burst {
+    unsigned at;
+    unsigned beats;
+  };
+  const std::vector<Burst> bursts = {{0, 40}, {3, 5}, {10, 12}, {80, 3}};
+  const auto make_request = [](unsigned i) {
+    cam::UnitRequest req;
+    if (i % 5 == 4) {
+      req.op = cam::OpKind::kUpdate;
+      req.words = {100 + i};
+    } else {
+      req.op = cam::OpKind::kSearch;
+      req.keys = {i % 12};
+    }
+    return req;
+  };
+  constexpr unsigned kPolls = 200;
+
+  // The driver: completion poll of the i-th submitted beat.
+  SubmitCountingBackend backend(small_config(kDepth));
+  CamDriver drv(backend);
+  drv.store(preload);
+  while (drv.try_pop_completion()) {
+  }
+  std::vector<CamDriver::Ticket> tickets;
+  std::vector<unsigned> done_at;
+  for (unsigned poll = 0; poll < kPolls; ++poll) {
+    for (const Burst& b : bursts) {
+      if (b.at != poll) continue;
+      backend.submits = 0;
+      for (unsigned i = 0; i < b.beats; ++i) {
+        tickets.push_back(drv.submit_async(make_request(static_cast<unsigned>(tickets.size()))));
+      }
+      EXPECT_LE(backend.submits, kDepth + 1) << "burst at poll " << poll;
+    }
+    drv.poll();
+    while (auto c = drv.try_pop_completion()) {
+      const auto it = std::find(tickets.begin(), tickets.end(), c->ticket);
+      ASSERT_NE(it, tickets.end());
+      const std::size_t index = static_cast<std::size_t>(it - tickets.begin());
+      if (done_at.size() <= index) done_at.resize(index + 1, ~0u);
+      done_at[index] = poll;
+    }
+  }
+  ASSERT_EQ(drv.inflight(), 0u);
+
+  // The eager reference: every submit retries the whole queue.
+  CamSystem sys(small_config(kDepth));
+  cam::UnitRequest load;
+  load.op = cam::OpKind::kUpdate;
+  load.words = preload;
+  ASSERT_TRUE(sys.try_submit(std::move(load)));
+  while (!sys.idle() || sys.try_pop_ack()) sys.step();
+  std::deque<cam::UnitRequest> queue;
+  const auto pump = [&] {
+    while (!queue.empty() && sys.try_submit(queue.front())) queue.pop_front();
+  };
+  std::vector<unsigned> want(tickets.size(), ~0u);
+  unsigned submitted = 0;
+  for (unsigned poll = 0; poll < kPolls; ++poll) {
+    for (const Burst& b : bursts) {
+      if (b.at != poll) continue;
+      for (unsigned i = 0; i < b.beats; ++i) {
+        cam::UnitRequest req = make_request(submitted);
+        req.seq = submitted++;
+        queue.push_back(std::move(req));
+        pump();
+      }
+    }
+    pump();
+    sys.step();
+    while (auto r = sys.try_pop_response()) want.at(r->seq) = poll;
+    while (auto a = sys.try_pop_ack()) want.at(a->seq) = poll;
+  }
+  ASSERT_EQ(done_at.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_NE(want[i], ~0u) << "beat " << i << " never completed in the reference";
+    EXPECT_EQ(done_at[i], want[i]) << "beat " << i;
   }
 }
 

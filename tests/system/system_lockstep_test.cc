@@ -3,8 +3,11 @@
 // answered from the exact-match index, DESIGN.md §11) against the per-cell
 // DSP48E2 models - get identical bursty request streams through their
 // interface FIFOs and must stay byte-identical on every observable:
-// responses, acks, stats and stored arrays, under every CAM kind and
-// encoding scheme.
+// responses, acks, stored arrays and, every cycle, the full Stats (gated
+// and stall cycles included) and the unit's idle / quiescent state and
+// active-block count, under every CAM kind and encoding scheme. Sparse rows
+// submit on a few percent of cycles, so most edges have nothing due, and
+// script one reset inside an idle stretch and one that lands mid-search.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,7 +32,13 @@ struct LockstepParams {
   unsigned cycles;
   std::uint64_t seed;
   cam::EncodingScheme encoding = cam::EncodingScheme::kPriorityIndex;
+  double submit_rate = 0.7;  ///< Chance a cycle submits a burst.
+  unsigned max_burst = 3;    ///< Requests per burst: 1..max_burst.
+  bool output_buffer = false;
 };
+
+/// Sparse traffic: most edges have no beat due anywhere in the unit.
+bool sparse(const LockstepParams& p) { return p.submit_rate < 0.1; }
 
 class SystemLockstep : public ::testing::TestWithParam<LockstepParams> {};
 
@@ -40,7 +49,8 @@ std::string row_name(const LockstepParams& p) {
   std::replace(scheme.begin(), scheme.end(), '-', '_');  // gtest names: [A-Za-z0-9_]
   return cam::to_string(p.kind) + std::to_string(p.data_width) + "_" +
          std::to_string(p.unit_size) + "x" + std::to_string(p.block_size) + "_" + scheme +
-         "_s" + std::to_string(p.seed);
+         (p.output_buffer ? "_buf" : "") + (sparse(p) ? "_sparse" : "") + "_s" +
+         std::to_string(p.seed);
 }
 
 std::string lockstep_name(const ::testing::TestParamInfo<LockstepParams>& info) {
@@ -56,6 +66,7 @@ CamSystem::Config make_config(const LockstepParams& p, cam::EvalMode mode) {
   cfg.unit.block.block_size = p.block_size;
   cfg.unit.block.bus_width = p.data_width * 4;
   cfg.unit.block.encoding = p.encoding;
+  cfg.unit.block.output_buffer = p.output_buffer;
   cfg.unit.block.eval_mode = mode;
   cfg.unit.unit_size = p.unit_size;
   cfg.unit.bus_width = p.data_width * 4;
@@ -99,12 +110,16 @@ cam::UnitRequest random_request(Rng& rng, const LockstepParams& p,
   return req;
 }
 
-void expect_same_outputs(CamSystem& a, CamSystem& b, unsigned cyc) {
+/// Drains both systems' outputs and compares them; appends the response
+/// sequence numbers to `seqs` when given.
+void expect_same_outputs(CamSystem& a, CamSystem& b, unsigned cyc,
+                         std::vector<std::uint64_t>* seqs = nullptr) {
   for (;;) {
     auto ra = a.try_pop_response();
     auto rb = b.try_pop_response();
     ASSERT_EQ(ra.has_value(), rb.has_value()) << "cycle " << cyc;
     if (!ra.has_value()) break;
+    if (seqs != nullptr) seqs->push_back(ra->seq);
     ASSERT_EQ(ra->seq, rb->seq) << "cycle " << cyc;
     ASSERT_EQ(ra->results.size(), rb->results.size()) << "cycle " << cyc;
     for (std::size_t i = 0; i < ra->results.size(); ++i) {
@@ -132,6 +147,29 @@ void expect_same_outputs(CamSystem& a, CamSystem& b, unsigned cyc) {
   }
 }
 
+void expect_same_stats(const CamBackend::Stats& a, const CamBackend::Stats& b,
+                       unsigned cyc) {
+  EXPECT_EQ(a.cycles, b.cycles) << "cycle " << cyc;
+  EXPECT_EQ(a.issued, b.issued) << "cycle " << cyc;
+  EXPECT_EQ(a.stall_cycles, b.stall_cycles) << "cycle " << cyc;
+  EXPECT_EQ(a.responses, b.responses) << "cycle " << cyc;
+  EXPECT_EQ(a.acks, b.acks) << "cycle " << cyc;
+  EXPECT_EQ(a.parity_flagged, b.parity_flagged) << "cycle " << cyc;
+  EXPECT_EQ(a.keys_searched, b.keys_searched) << "cycle " << cyc;
+  EXPECT_EQ(a.hits, b.hits) << "cycle " << cyc;
+  EXPECT_EQ(a.gated_cycles, b.gated_cycles) << "cycle " << cyc;
+}
+
+/// Per-cycle state the two eval modes must share beyond their outputs.
+void expect_same_state(const CamSystem& a, const CamSystem& b, unsigned cyc) {
+  expect_same_stats(a.stats(), b.stats(), cyc);
+  EXPECT_EQ(a.idle(), b.idle()) << "cycle " << cyc;
+  EXPECT_EQ(a.unit().idle(), b.unit().idle()) << "cycle " << cyc;
+  EXPECT_EQ(a.unit().quiescent(), b.unit().quiescent()) << "cycle " << cyc;
+  EXPECT_EQ(a.unit().active_block_count(), b.unit().active_block_count())
+      << "cycle " << cyc;
+}
+
 void expect_same_arrays(const cam::CamUnit& a, const cam::CamUnit& b) {
   const unsigned blocks = a.config().unit_size;
   const unsigned cells = a.config().block.block_size;
@@ -156,42 +194,71 @@ TEST_P(SystemLockstep, FastStreamIsByteIdenticalToReference) {
   Rng rng(p.seed);
   const unsigned capacity = fast.capacity();
   std::uint64_t seq = 1;
+  const auto submit = [&](cam::UnitRequest req, unsigned cyc) {
+    cam::UnitRequest copy = req;
+    const bool a = fast.try_submit(std::move(req));
+    const bool b = ref.try_submit(std::move(copy));
+    EXPECT_EQ(a, b) << "cycle " << cyc;
+    if (a) ++seq;
+    return a;
+  };
+  // Sparse rows script two resets: one inside an idle stretch, and one
+  // issued the cycle after a lone search, so it dispatches while that
+  // search is in flight and flushes it (no response may appear).
+  unsigned idle_run = 0;
+  bool idle_reset = false;
+  std::uint64_t flushed_seq = 0;
+  bool flush_pending = false;
+  unsigned seen_flushed = 0;
   for (unsigned cyc = 0; cyc < p.cycles; ++cyc) {
-    // Bursty submission keeps multi-request runs queued in the FIFOs, so
-    // the credit/backpressure paths are exercised too.
-    if (rng.next_bool(0.7)) {
-      const unsigned n = 1 + static_cast<unsigned>(rng.next_below(3));
+    cam::UnitRequest reset;
+    reset.op = cam::OpKind::kReset;
+    if (flush_pending) {
+      reset.seq = seq;
+      ASSERT_TRUE(submit(reset, cyc));
+      flush_pending = false;
+    } else if (sparse(p) && !idle_reset && cyc >= p.cycles / 3 && idle_run >= 8) {
+      reset.seq = seq;
+      ASSERT_TRUE(submit(reset, cyc));
+      idle_reset = true;
+    } else if (sparse(p) && flushed_seq == 0 && cyc >= 2 * p.cycles / 3 && idle_run >= 8) {
+      cam::UnitRequest search;
+      search.op = cam::OpKind::kSearch;
+      search.keys = {0};
+      search.seq = flushed_seq = seq;
+      ASSERT_TRUE(submit(search, cyc));
+      flush_pending = true;
+    } else if (rng.next_bool(p.submit_rate)) {
+      // Bursty submission keeps multi-request runs queued in the FIFOs, so
+      // the credit/backpressure paths are exercised too.
+      const unsigned n = 1 + static_cast<unsigned>(rng.next_below(p.max_burst));
       for (unsigned i = 0; i < n; ++i) {
-        cam::UnitRequest req = random_request(rng, p, capacity, seq);
-        cam::UnitRequest copy = req;
-        const bool a = fast.try_submit(std::move(req));
-        const bool b = ref.try_submit(std::move(copy));
-        ASSERT_EQ(a, b) << "cycle " << cyc;
-        if (a) ++seq;
+        submit(random_request(rng, p, capacity, seq), cyc);
       }
     }
     fast.step();
     ref.step();
     // Drain every cycle (identically on both sides) so credits keep flowing.
-    expect_same_outputs(fast, ref, cyc);
+    std::vector<std::uint64_t> seqs;
+    expect_same_outputs(fast, ref, cyc, &seqs);
+    seen_flushed += std::count(seqs.begin(), seqs.end(), flushed_seq);
+    expect_same_state(fast, ref, cyc);
+    if (::testing::Test::HasFailure()) return;
+    idle_run = fast.idle() ? idle_run + 1 : 0;
   }
   run(fast, 64);
   run(ref, 64);
   expect_same_outputs(fast, ref, p.cycles);
-
-  // Full stats surface must agree field by field.
-  const auto sa = fast.stats();
-  const auto sb = ref.stats();
-  EXPECT_EQ(sa.issued, sb.issued);
-  EXPECT_EQ(sa.responses, sb.responses);
-  EXPECT_EQ(sa.acks, sb.acks);
-  EXPECT_EQ(sa.keys_searched, sb.keys_searched);
-  EXPECT_EQ(sa.hits, sb.hits);
-  EXPECT_EQ(sa.parity_flagged, sb.parity_flagged);
-  EXPECT_EQ(sa.stall_cycles, sb.stall_cycles);
-  EXPECT_EQ(sa.gated_cycles, sb.gated_cycles);
+  expect_same_state(fast, ref, p.cycles);
   expect_same_arrays(fast.unit(), ref.unit());
+  const auto sa = fast.stats();
   EXPECT_GT(sa.hits, 0u) << "stream never hit";
+  if (sparse(p)) {
+    EXPECT_TRUE(idle_reset) << "no idle stretch took the scripted reset";
+    EXPECT_NE(flushed_seq, 0u) << "the mid-search reset was never scripted";
+    EXPECT_EQ(seen_flushed, 0u) << "the reset did not flush the search in flight";
+    EXPECT_GT(sa.gated_cycles, sa.cycles / 2) << "sparse stream was rarely gated";
+  }
 }
 
 // Every CAM kind under every encoding scheme. The binary 2x256 rows answer
@@ -223,6 +290,26 @@ constexpr LockstepParams kLockstepConfigs[] = {
                    cam::EncodingScheme::kMatchCount},
     LockstepParams{cam::CamKind::kBinary, 32, 4, 32, 3500, 555,
                    cam::EncodingScheme::kMatchCount},
+    // Sparse bursty traffic (3-5% of cycles submit, up to 6 requests at
+    // once): long idle gaps between short bursts, both pipeline depths.
+    LockstepParams{.kind = cam::CamKind::kBinary, .data_width = 32, .unit_size = 4,
+                   .block_size = 32, .cycles = 8000, .seed = 601,
+                   .submit_rate = 0.04, .max_burst = 6},
+    LockstepParams{.kind = cam::CamKind::kBinary, .data_width = 32, .unit_size = 4,
+                   .block_size = 64, .cycles = 8000, .seed = 602,
+                   .submit_rate = 0.05, .max_burst = 6, .output_buffer = true},
+    LockstepParams{.kind = cam::CamKind::kTernary, .data_width = 16, .unit_size = 2,
+                   .block_size = 256, .cycles = 8000, .seed = 603,
+                   .encoding = cam::EncodingScheme::kOneHot, .submit_rate = 0.03,
+                   .max_burst = 6},
+    LockstepParams{.kind = cam::CamKind::kRange, .data_width = 16, .unit_size = 4,
+                   .block_size = 32, .cycles = 8000, .seed = 604,
+                   .encoding = cam::EncodingScheme::kMatchCount, .submit_rate = 0.04,
+                   .max_burst = 6, .output_buffer = true},
+    LockstepParams{.kind = cam::CamKind::kBinary, .data_width = 32, .unit_size = 2,
+                   .block_size = 256, .cycles = 8000, .seed = 605,
+                   .encoding = cam::EncodingScheme::kMatchCount, .submit_rate = 0.05,
+                   .max_burst = 6},
 };
 
 INSTANTIATE_TEST_SUITE_P(Shapes, SystemLockstep, ::testing::ValuesIn(kLockstepConfigs),

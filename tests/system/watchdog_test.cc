@@ -90,6 +90,56 @@ TEST(Watchdog, DrainThrowsSimErrorWithDiagnosticsWithinBudget) {
       << "the watchdog must fire within ~budget cycles, not spin";
 }
 
+// Answers searches for even keys at the next step and swallows odd ones,
+// so tickets complete out of order and some never do.
+class HalfWedgedBackend : public WedgedBackend {
+ public:
+  bool try_submit(cam::UnitRequest request) override {
+    if (request.keys.at(0) % 2 != 0) return WedgedBackend::try_submit(std::move(request));
+    cam::UnitResponse resp;
+    resp.seq = request.seq;
+    resp.results.resize(1);
+    ready_.push_back(std::move(resp));
+    return true;
+  }
+  std::optional<cam::UnitResponse> try_pop_response() override {
+    if (ready_.empty()) return std::nullopt;
+    cam::UnitResponse resp = std::move(ready_.back());
+    ready_.pop_back();
+    return resp;
+  }
+
+ private:
+  std::vector<cam::UnitResponse> ready_;
+};
+
+// The wedge message lists the first 8 outstanding tickets in ascending
+// order, however out of order the others completed.
+TEST(Watchdog, WedgeMessageListsTheOldestOutstandingTicketsInOrder) {
+  HalfWedgedBackend backend;
+  CamDriver drv(backend);
+  drv.set_stall_budget(50);
+  std::vector<CamDriver::Ticket> stuck;
+  for (cam::Word key = 0; key < 21; ++key) {
+    cam::UnitRequest req;
+    req.op = cam::OpKind::kSearch;
+    req.keys = {key};
+    const auto t = drv.submit_async(std::move(req));
+    if (key % 2 != 0) stuck.push_back(t);
+  }
+  std::string want = "tickets=[";
+  for (std::size_t i = 0; i < 8; ++i) want += (i != 0 ? "," : "") + std::to_string(stuck[i]);
+  want += "...]";
+  try {
+    drv.drain();
+    FAIL() << "drain() must throw with odd-key tickets outstanding";
+  } catch (const SimError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(want), std::string::npos) << msg;
+    EXPECT_NE(msg.find("inflight=10"), std::string::npos) << msg;
+  }
+}
+
 TEST(Watchdog, ResetRetryLoopIsGuardedToo) {
   WedgedBackend backend;
   backend.accept = false;  // nothing in flight, but submission never succeeds
