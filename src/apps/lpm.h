@@ -35,9 +35,9 @@ class LpmTable {
   LpmTable();  // default Config (a 2K-entry ternary unit)
   explicit LpmTable(const Config& cfg);
 
-  /// Borrows any ternary 32-bit CamBackend (e.g. a BRAM-family baseline or
-  /// a sharded engine); the backend is reconfigured to one group and
-  /// cleared. `slots_per_length` regions must fit its capacity.
+  /// Borrows any ternary 32-bit CamBackend (e.g. a CamSystem or a sharded
+  /// engine); the backend is reconfigured to one group and cleared.
+  /// `slots_per_length` regions must fit its capacity.
   LpmTable(system::CamBackend& backend, unsigned slots_per_length);
 
   /// Installs prefix/len -> next_hop. Returns false if the length's region

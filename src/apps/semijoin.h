@@ -56,7 +56,7 @@ class CamSemiJoin {
 /// and loaded in partition passes sized to the backend capacity; the probe
 /// column streams through as pipelined multi-key search beats. `matches` is
 /// exact; `cycles` is the backend clock consumed. Works with the DSP
-/// CamSystem, the LUT/BRAM baseline backends, and the sharded engine.
+/// CamSystem and the sharded engine.
 SemiJoinResult run_semijoin_on_backend(system::CamBackend& backend,
                                        std::span<const std::uint32_t> build,
                                        std::span<const std::uint32_t> probe,

@@ -64,24 +64,6 @@ class BramCam {
   /// Representative BRAM-family clock (87-135 MHz in the survey).
   double frequency_mhz() const;
 
-  /// One entry's raw storage state, exposed for the fault layer (src/fault/)
-  /// to corrupt and repair outside the modelled protocol.
-  struct RawEntry {
-    std::uint64_t value = 0;
-    std::uint64_t mask = 0;
-    bool valid = false;
-  };
-
-  RawEntry peek_raw(std::uint32_t index) const {
-    return {values_.at(index), masks_.at(index), valid_.at(index)};
-  }
-
-  void poke_raw(std::uint32_t index, const RawEntry& entry) {
-    values_.at(index) = entry.value;
-    masks_.at(index) = entry.mask;
-    valid_.at(index) = entry.valid;
-  }
-
  private:
   Config cfg_;
   std::vector<std::uint64_t> values_;

@@ -243,7 +243,7 @@ void CamBlock::apply_update_path(std::optional<UpdateAck>& new_ack) {
   const std::uint64_t default_mask = width_mask(cfg_.cell.data_width);
   if (pending_update_->address.has_value()) {
     // Addressed write: the fill pointer is untouched (entry management
-    // belongs to the host - see system::CamTable).
+    // belongs to the host).
     const std::uint32_t base = *pending_update_->address;
     for (std::size_t w = 0; w < words.size(); ++w) {
       const std::uint64_t entry_mask = masks.empty() ? default_mask : masks[w];

@@ -46,13 +46,12 @@
 #include "src/cam/fast_plane.h"
 #include "src/cam/match_kernel.h"
 #include "src/cam/transactions.h"
-#include "src/sim/component.h"
 #include "src/sim/delay_line.h"
 
 namespace dspcam::cam {
 
 /// One CAM block.
-class CamBlock : public sim::Component {
+class CamBlock {
  public:
   explicit CamBlock(const BlockConfig& cfg);
   // The plane views the block's own store: copies would alias it.
@@ -88,9 +87,9 @@ class CamBlock : public sim::Component {
            tags_.drained() && out_buf_.drained();
   }
 
-  /// Idle with no registered outputs left to retire: safe for a scheduler
-  /// to skip this cycle entirely (activity gating).
-  bool quiescent() const noexcept override {
+  /// Idle with no registered outputs left to retire: safe for the owning
+  /// unit to skip this cycle entirely (activity gating).
+  bool quiescent() const noexcept {
     return idle() && !response_.has_value() && !ack_.has_value();
   }
 
@@ -167,8 +166,8 @@ class CamBlock : public sim::Component {
   /// (src/fault/snapshot.h).
   void flush_pipeline();
 
-  void eval() override {}
-  void commit() override;
+  void eval() {}
+  void commit();
 
  private:
   bool fast() const noexcept { return cells_.empty(); }

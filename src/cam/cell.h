@@ -22,12 +22,11 @@
 #include "src/cam/config.h"
 #include "src/cam/mask.h"
 #include "src/dsp/dsp48e2.h"
-#include "src/sim/component.h"
 
 namespace dspcam::cam {
 
 /// One DSP48E2-backed CAM cell.
-class CamCell : public sim::Component {
+class CamCell {
  public:
   explicit CamCell(const CellConfig& cfg);
 
@@ -89,8 +88,8 @@ class CamCell : public sim::Component {
   /// Direct access to the underlying slice (tests, resource accounting).
   const dsp::Dsp48e2& slice() const noexcept { return dsp_; }
 
-  void eval() override {}
-  void commit() override;
+  void eval() {}
+  void commit();
 
  private:
   CellConfig cfg_;

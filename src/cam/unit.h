@@ -46,12 +46,11 @@
 #include "src/cam/routing.h"
 #include "src/cam/transactions.h"
 #include "src/common/ring_queue.h"
-#include "src/sim/component.h"
 
 namespace dspcam::cam {
 
 /// The full configurable CAM unit.
-class CamUnit : public sim::Component {
+class CamUnit {
  public:
   explicit CamUnit(const UnitConfig& cfg);
   // The group planes view the unit's own store: copies would alias it.
@@ -101,11 +100,11 @@ class CamUnit : public sim::Component {
     return true;
   }
 
-  /// Activity gating (see Component::quiescent): idle, and every block has
-  /// retired its own visible outputs - a commit would change nothing
-  /// observable. (A unit output is visible only at its beat's retire edge,
-  /// when the unit is not idle.)
-  bool quiescent() const noexcept override { return active_blocks_.empty() && idle(); }
+  /// Activity gating: idle, and every block has retired its own visible
+  /// outputs - a commit would change nothing observable and leave the unit
+  /// quiescent, so the owner may skip it. (A unit output is visible only at
+  /// its beat's retire edge, when the unit is not idle.)
+  bool quiescent() const noexcept { return active_blocks_.empty() && idle(); }
 
   /// Blocks with live pipeline/output activity this cycle - the per-unit
   /// occupancy the telemetry counter tracks sample (the simulation's stand-in
@@ -195,11 +194,11 @@ class CamUnit : public sim::Component {
   /// the crash-stop purge a shard rebuild/restore starts from.
   void flush_pipelines();
 
-  void eval() override {}
+  void eval() {}
 
   /// One clock edge. An edge at which no queued beat acts (and, in
   /// kReference, no block is active) only advances the edge counter.
-  void commit() override {
+  void commit() {
     const std::uint64_t bit = std::uint64_t{1} << (++edge_ & 63);
     if ((due_ & bit) != 0 || !active_blocks_.empty()) commit_due(bit);
   }

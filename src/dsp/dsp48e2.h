@@ -35,7 +35,6 @@
 #include <optional>
 
 #include "src/common/bitops.h"
-#include "src/sim/component.h"
 #include "src/dsp/opmode.h"
 
 namespace dspcam::dsp {
@@ -106,12 +105,12 @@ struct Dsp48e2Outputs {
 };
 
 /// One DSP48E2 slice.
-class Dsp48e2 : public sim::Component {
+class Dsp48e2 {
  public:
   explicit Dsp48e2(const Dsp48e2Attributes& attrs);
 
   /// Drives this cycle's inputs; call during the owner's eval() phase,
-  /// before the scheduler's commit. Inputs not set in a cycle keep the
+  /// before commit(). Inputs not set in a cycle keep the
   /// previous drive (buses hold their value).
   void set_inputs(const Dsp48e2Inputs& in) { in_ = in; }
 
@@ -152,12 +151,12 @@ class Dsp48e2 : public sim::Component {
   /// Synchronous reset: clears every pipeline register and the outputs.
   void reset();
 
-  // sim::Component: the slice is purely registered; all combinational work
+  // Two-phase clocking: the slice is purely registered; all combinational work
   // happens in commit() against the *pre-commit* register state, which is
   // equivalent to eval/commit splitting because nothing reads this slice's
   // combinational nets mid-cycle (outputs are registered).
-  void eval() override {}
-  void commit() override;
+  void eval() {}
+  void commit();
 
  private:
   struct CtrlState {

@@ -15,13 +15,9 @@
 #include "src/common/table.h"
 
 // Simulation kernel.
-#include "src/sim/clock.h"
-#include "src/sim/component.h"
 #include "src/sim/delay_line.h"
 #include "src/sim/fifo.h"
-#include "src/sim/scheduler.h"
 #include "src/sim/stats.h"
-#include "src/sim/vcd.h"
 
 // DSP48E2 substrate.
 #include "src/dsp/dsp48e2.h"
@@ -33,7 +29,6 @@
 #include "src/cam/config.h"
 #include "src/cam/encoder.h"
 #include "src/cam/mask.h"
-#include "src/cam/range_split.h"
 #include "src/cam/reference_cam.h"
 #include "src/cam/routing.h"
 #include "src/cam/transactions.h"
@@ -57,9 +52,7 @@
 // System integration: the backend interface, engines, async host driver,
 // multi-unit sharding, entry management.
 #include "src/system/backend.h"
-#include "src/system/baseline_backend.h"
 #include "src/system/cam_system.h"
-#include "src/system/cam_table.h"
 #include "src/system/driver.h"
 #include "src/system/sharded_engine.h"
 

@@ -60,8 +60,8 @@ inline bool parity_of(const EntryState& s) noexcept {
 ///
 /// Entry indices cover the backend's *physical* storage: for the DSP unit
 /// that is unit_size x block_size cells (every group's replica is separately
-/// corruptible), for the baselines it is the entry array, and for the
-/// sharded engine it is the concatenation of the shard windows.
+/// corruptible), and for the sharded engine it is the concatenation of the
+/// shard windows.
 class FaultTarget {
  public:
   virtual ~FaultTarget() = default;

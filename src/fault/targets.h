@@ -4,11 +4,9 @@
 // block_size cells, every group replica separately corruptible - as the flat
 // entry window the injector and scrubber operate on. Entry i maps to block
 // i / block_size, cell i % block_size, the same layout CamUnit::poke_entry
-// uses. The baseline backends carry their own adapter
-// (BehavioralCamBackend::ModelFaultTarget), and ShardedCamEngine composes
-// its shards' targets into one window; this header only covers the DSP
-// unit because it is the one target the cam layer can serve without
-// depending on src/system/.
+// uses. ShardedCamEngine composes its shards' targets into one window; this
+// header only covers the DSP unit because it is the one target the cam
+// layer can serve without depending on src/system/.
 #pragma once
 
 #include "src/cam/unit.h"

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/common/error.h"
-#include "src/sim/component.h"
 
 namespace dspcam::sim {
 

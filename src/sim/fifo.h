@@ -3,9 +3,9 @@
 // Models the bus-interface FIFOs that wrap the CAM unit (the paper notes the
 // four BRAMs in its maximum build are exactly these interface FIFOs). The
 // FIFO is deliberately simple - same-cycle visibility is the caller's
-// responsibility; producer and consumer components interact with it in their
-// eval() phases and the scheduler's ordering guarantees are provided by the
-// components' own registered state, not by the FIFO.
+// responsibility; producer and consumer interact with it in their eval()
+// phases, and ordering comes from their own registered state, not from the
+// FIFO.
 #pragma once
 
 #include <cstddef>

@@ -12,10 +12,12 @@
 #include <map>
 #include <string>
 
-#include "src/sim/clock.h"
 #include "src/telemetry/metrics.h"
 
 namespace dspcam::sim {
+
+/// Cycle count type used throughout the simulator.
+using Cycle = std::uint64_t;
 
 /// Accumulates per-operation latencies measured in cycles.
 ///

@@ -1,13 +1,12 @@
 // Backend abstraction for the system scaling layer.
 //
 // Every CAM storage engine in this library - the paper's DSP unit behind its
-// bus FIFOs (CamSystem), the LUT/BRAM baseline families (baseline_backend.h)
-// and the multi-unit ShardedCamEngine - speaks the same cycle-stepped
-// submit / poll-response / poll-ack protocol. Hosts, the async CamDriver,
-// and the applications (CamTable, LpmTable, SemiJoin, the TC flow) target
-// this interface only, so any backend can be dropped behind any consumer:
-// the integration seam that backend-specific APIs ("ad-hoc wrapper per CAM
-// family") otherwise turn into a porting project.
+// bus FIFOs (CamSystem) and the multi-unit ShardedCamEngine - speaks the
+// same cycle-stepped submit / poll-response / poll-ack protocol. Hosts, the
+// async CamDriver, and the applications (LpmTable, SemiJoin, the TC flow)
+// target this interface only, so any backend can be dropped behind any
+// consumer: the integration seam that backend-specific APIs ("ad-hoc
+// wrapper per CAM family") otherwise turn into a porting project.
 //
 // Contract:
 //  - try_submit() either accepts the whole request or rejects it leaving all

@@ -21,7 +21,6 @@
 #include "src/cam/unit.h"
 #include "src/fault/targets.h"
 #include "src/model/resources.h"
-#include "src/sim/component.h"
 #include "src/sim/fifo.h"
 #include "src/system/backend.h"
 #include "src/telemetry/metrics.h"
@@ -29,7 +28,7 @@
 namespace dspcam::system {
 
 /// The CAM unit plus its bus-interface FIFOs.
-class CamSystem : public sim::Component, public CamBackend {
+class CamSystem : public CamBackend {
  public:
   struct Config {
     cam::UnitConfig unit;
@@ -131,11 +130,11 @@ class CamSystem : public sim::Component, public CamBackend {
   /// FIFO occupancies and in-flight credits for watchdog diagnostics.
   std::string debug_dump() const override;
 
-  void eval() override;
+  void eval();
 
-  void commit() override {
+  void commit() {
     // Activity gating: a quiescent unit's clock edge is provably a no-op
-    // (Component::quiescent contract), so skip it entirely. Simulated time
+    // (CamUnit::quiescent), so skip it entirely. Simulated time
     // still advances.
     if (unit_.quiescent()) {
       ++stats_.gated_cycles;

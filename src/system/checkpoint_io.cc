@@ -1,10 +1,10 @@
 #include "src/system/checkpoint_io.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "src/common/error.h"
+#include "src/telemetry/jsonv.h"
 
 namespace dspcam::system {
 
@@ -43,7 +43,15 @@ struct Scan {
   const std::size_t lineno;
   std::size_t pos = 0;
 
-  Scan(const std::string& l, std::size_t n) : line(l), lineno(n) {}
+  /// Refuses a line that is not one well-formed JSON document, so the
+  /// field scan below never has to guess at trailing garbage.
+  Scan(const std::string& l, std::size_t n) : line(l), lineno(n) {
+    const telemetry::jsonv::Result r = telemetry::jsonv::validate(line);
+    if (!r.ok) {
+      fail("malformed JSON at offset " + std::to_string(r.error_offset) + ": " +
+           r.error);
+    }
+  }
 
   [[noreturn]] void fail(const std::string& what) const {
     throw SimError("checkpoint line " + std::to_string(lineno) + ": " + what);
@@ -67,15 +75,35 @@ struct Scan {
 
   bool peek(char c) const { return pos < line.size() && line[pos] == c; }
 
+  /// A run of decimal digits: no sign, and nothing past 64 bits.
   std::uint64_t u64() {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(line.c_str() + pos, &end, 10);
-    if (end == line.c_str() + pos || errno == ERANGE) {
-      fail("expected an unsigned integer at offset " + std::to_string(pos));
+    const std::size_t start = pos;
+    std::uint64_t v = 0;
+    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
+      const unsigned digit = static_cast<unsigned>(line[pos] - '0');
+      if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+        fail("integer at offset " + std::to_string(start) + " exceeds 64 bits");
+      }
+      v = v * 10 + digit;
+      ++pos;
     }
-    pos = static_cast<std::size_t>(end - line.c_str());
+    if (pos == start) {
+      fail("expected an unsigned integer at offset " + std::to_string(start));
+    }
     return v;
+  }
+
+  /// The unsigned value of `"key":`, refused unless it fits T.
+  template <typename T>
+  T field(const char* key) {
+    seek(key);
+    const std::uint64_t v = u64();
+    if (v > std::numeric_limits<T>::max()) {
+      fail("field '" + std::string(key) + "' value " + std::to_string(v) +
+           " is out of range (max " +
+           std::to_string(std::numeric_limits<T>::max()) + ")");
+    }
+    return static_cast<T>(v);
   }
 
   std::string str() {
@@ -122,26 +150,19 @@ fault::ShardSnapshot parse_shard_record(const std::string& line,
                                         std::size_t lineno) {
   Scan sc(line, lineno);
   fault::ShardSnapshot snap;
-  sc.seek("shard");
-  snap.shard = static_cast<unsigned>(sc.u64());
-  sc.seek("version");
-  snap.version = static_cast<std::uint32_t>(sc.u64());
-  sc.seek("data_width");
-  snap.data_width = static_cast<unsigned>(sc.u64());
+  snap.shard = sc.field<unsigned>("shard");
+  snap.version = sc.field<std::uint32_t>("version");
+  snap.data_width = sc.field<unsigned>("data_width");
   sc.seek("cam_kind");
   snap.cam_kind = sc.str();
-  sc.seek("capacity");
-  snap.capacity = static_cast<unsigned>(sc.u64());
-  sc.seek("entry_count");
-  snap.entry_count = static_cast<std::size_t>(sc.u64());
-  sc.seek("entry_bits");
-  snap.entry_bits = static_cast<unsigned>(sc.u64());
+  snap.capacity = sc.field<unsigned>("capacity");
+  snap.entry_count = sc.field<std::size_t>("entry_count");
+  snap.entry_bits = sc.field<unsigned>("entry_bits");
   sc.seek("parity_protected");
   snap.parity_protected = sc.boolean();
   sc.seek("cursors");
   snap.cursors = sc.u64_array();
-  sc.seek("checksum");
-  snap.checksum = sc.u64();
+  snap.checksum = sc.field<std::uint64_t>("checksum");
   sc.seek("entries");
   sc.expect('[');
   if (sc.peek(']')) {
@@ -149,8 +170,8 @@ fault::ShardSnapshot parse_shard_record(const std::string& line,
   } else {
     for (;;) {
       const std::vector<std::uint64_t> fields = sc.u64_array();
-      if (fields.size() != 4) {
-        sc.fail("entry tuples are [stored,mask,valid,parity]");
+      if (fields.size() != 4 || fields[2] > 1 || fields[3] > 1) {
+        sc.fail("entry tuples are [stored,mask,valid,parity] with 0/1 flags");
       }
       fault::EntryState e;
       e.stored = fields[0];
@@ -209,13 +230,12 @@ ShardedCamEngine::EngineCheckpoint load_checkpoint(const std::string& path) {
   if (!std::getline(in, line) || line.empty()) {
     throw SimError("load_checkpoint: '" + path + "' has no header record");
   }
+  Scan header(line, 1);
   if (line.find("\"kind\":\"dspcam.checkpoint\"") == std::string::npos) {
     throw SimError("load_checkpoint: '" + path +
                    "' is not a dspcam checkpoint (header kind mismatch)");
   }
-  Scan header(line, 1);
-  header.seek("version");
-  const std::uint64_t version = header.u64();
+  const std::uint64_t version = header.field<std::uint64_t>("version");
   if (version != ShardedCamEngine::EngineCheckpoint::kVersion) {
     throw SimError("load_checkpoint: unsupported checkpoint version " +
                    std::to_string(version) + " (this build reads version " +
@@ -223,14 +243,11 @@ ShardedCamEngine::EngineCheckpoint load_checkpoint(const std::string& path) {
                    ")");
   }
   ShardedCamEngine::EngineCheckpoint ckpt;
-  header.seek("shards");
-  ckpt.shards = static_cast<unsigned>(header.u64());
+  ckpt.shards = header.field<unsigned>("shards");
   header.seek("partition");
   ckpt.partition = partition_from_string(header.str());
-  header.seek("key_bits");
-  ckpt.key_bits = static_cast<unsigned>(header.u64());
-  header.seek("shard_capacity");
-  ckpt.shard_capacity = static_cast<unsigned>(header.u64());
+  ckpt.key_bits = header.field<unsigned>("key_bits");
+  ckpt.shard_capacity = header.field<unsigned>("shard_capacity");
 
   std::size_t lineno = 1;
   while (std::getline(in, line)) {

@@ -15,8 +15,7 @@
 //    keep their blocking semantics unchanged.
 //
 // The driver targets the CamBackend interface, so the same host code runs
-// against the DSP CamSystem, the LUT/BRAM baseline backends, or a
-// ShardedCamEngine.
+// against the DSP CamSystem or a ShardedCamEngine.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +49,9 @@ class CamDriver {
 
   /// Default watchdog budget: cycles without forward progress before
   /// drain()/wait_idle()/reset() declare the backend wedged and throw
-  /// SimError with a diagnostic dump. Generous: a full-capacity store on
-  /// the BRAM baseline keeps the engine busy for update_latency cycles per
-  /// word, but every completed beat resets the stagnation counter.
+  /// SimError with a diagnostic dump. Generous: every completed beat resets
+  /// the stagnation counter, so only a backend that stops making progress
+  /// for this long trips it.
   static constexpr std::uint64_t kDefaultStallBudget = 1u << 20;
 
   /// A finished operation from the completion queue.

@@ -25,9 +25,8 @@ std::uint64_t count_triangles_with_unit(const graph::CsrGraph& g,
 
 /// Same per-edge flow over an arbitrary CamBackend via the async driver:
 /// reset + group reconfigure per chunk, stream adj(u) as update beats,
-/// stream adj(v) as multi-key search beats, count hits. Lets the LUT/BRAM
-/// baseline backends and the sharded engine execute the exact same kernel
-/// the DSP unit runs. Group count per chunk is clamped to the backend's
+/// stream adj(v) as multi-key search beats, count hits. Lets the sharded
+/// engine execute the exact same kernel the DSP unit runs. Group count per chunk is clamped to the backend's
 /// max_groups(). Lists longer than `chunk_capacity` (default: the backend's
 /// capacity) are chunked.
 std::uint64_t count_triangles_with_backend(const graph::CsrGraph& g,

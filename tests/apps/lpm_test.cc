@@ -7,7 +7,7 @@
 #include "src/common/bitops.h"
 #include "src/common/error.h"
 #include "src/common/random.h"
-#include "src/system/baseline_backend.h"
+#include "src/system/cam_system.h"
 
 namespace dspcam::apps {
 namespace {
@@ -151,11 +151,9 @@ TEST(LpmTable, RandomizedAgainstSoftwareReference) {
 }
 
 // The LPM application is backend-agnostic: the same table logic runs over a
-// BRAM-family baseline CAM (with HP-TCAM-style per-entry masks) through the
-// CamBackend interface.
-TEST(LpmTable, RunsOnBramBaselineBackend) {
-  system::BramCamBackend backend(
-      system::bram_backend_config(256, 32, cam::CamKind::kTernary));
+// borrowed CamBackend, here a ternary CamSystem the caller owns.
+TEST(LpmTable, RunsOnBorrowedBackend) {
+  system::CamSystem backend(small_config().cam);
   LpmTable lpm(backend, /*slots_per_length=*/4);
 
   ASSERT_TRUE(lpm.add_route(ip(10, 0, 0, 0), 8, 100));
@@ -169,7 +167,9 @@ TEST(LpmTable, RunsOnBramBaselineBackend) {
   ASSERT_TRUE(lpm.remove_route(ip(10, 1, 2, 0), 24));
   EXPECT_EQ(lpm.lookup(ip(10, 1, 2, 3)), 200u) << "falls back to /16";
 
-  system::BramCamBackend binary(system::bram_backend_config(256, 32));
+  auto binary_cfg = small_config().cam;
+  binary_cfg.unit.block.cell.kind = cam::CamKind::kBinary;
+  system::CamSystem binary(binary_cfg);
   EXPECT_THROW(LpmTable(binary, 4), ConfigError) << "binary backend refused";
 }
 
@@ -229,12 +229,15 @@ TEST(SemiJoin, ExecutedOnCycleBackendsMatchesReference) {
   EXPECT_EQ(on_dsp.matches, expected);
   EXPECT_GT(on_dsp.cycles, 0u);
 
-  // BRAM baseline backend, sized below the build set: partition passes.
-  system::BramCamBackend bram(system::bram_backend_config(64, 32));
-  const auto on_bram = run_semijoin_on_backend(bram, build, probe);
-  EXPECT_EQ(on_bram.matches, expected);
-  EXPECT_GT(on_bram.cycles, on_dsp.cycles)
-      << "serial updates and partition passes cost the baseline more";
+  // A one-block CamSystem, sized below the build set: partition passes.
+  system::CamSystem::Config small_cfg = cam_cfg;
+  small_cfg.unit.unit_size = 1;
+  system::CamSystem small(small_cfg);
+  ASSERT_LT(small.capacity(), build.size());
+  const auto on_small = run_semijoin_on_backend(small, build, probe);
+  EXPECT_EQ(on_small.matches, expected);
+  EXPECT_GT(on_small.cycles, on_dsp.cycles)
+      << "each partition pass replays the probe column";
 }
 
 TEST(SemiJoin, PartitionPassesScaleCost) {

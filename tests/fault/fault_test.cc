@@ -1,7 +1,7 @@
 // Fault layer unit tests: parity definition, single-plane flips, injector
-// determinism and validation, scrub repair/classification, the CamUnit and
-// baseline FaultTarget adapters, and the end-to-end parity flag through a
-// CamSystem driver.
+// determinism and validation, scrub repair/classification, the CamUnit
+// FaultTarget adapter, and the end-to-end parity flag through a CamSystem
+// driver.
 #include "src/fault/fault.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "src/fault/injector.h"
 #include "src/fault/scrubber.h"
 #include "src/fault/targets.h"
-#include "src/system/baseline_backend.h"
 #include "src/system/cam_system.h"
 #include "src/system/driver.h"
 #include "tests/cam/testbench.h"
@@ -249,11 +248,13 @@ TEST(Scrubber, RepairsAndClassifiesOnProtectedTarget) {
 }
 
 TEST(Scrubber, EveryCorruptionIsSilentOnUnprotectedTarget) {
-  system::LutCamBackend backend(system::lut_backend_config(64, 32));
-  system::CamDriver drv(backend);
+  system::CamSystem::Config cfg;
+  cfg.unit = unit_config(cam::EvalMode::kFast, /*parity=*/false);
+  system::CamSystem sys(cfg);
+  system::CamDriver drv(sys);
   drv.store(std::vector<cam::Word>{10, 20, 30});
 
-  FaultTarget* target = backend.fault_target();
+  FaultTarget* target = sys.fault_target();
   ASSERT_NE(target, nullptr);
   EXPECT_FALSE(target->parity_protected());
   Scrubber scrub(*target, {});
@@ -338,27 +339,6 @@ TEST_P(UnitTargetModes, PeekPokeRoundTripMatchesBlockState) {
 INSTANTIATE_TEST_SUITE_P(BothModes, UnitTargetModes,
                          ::testing::Values(cam::EvalMode::kReference,
                                            cam::EvalMode::kFast));
-
-TEST(ModelTarget, BaselineBackendsExposeTheirEntryArrays) {
-  system::BramCamBackend backend(
-      system::bram_backend_config(32, 32, cam::CamKind::kTernary));
-  system::CamDriver drv(backend);
-  const std::vector<cam::Word> words = {0xAB00};
-  const std::vector<std::uint64_t> masks = {cam::tcam_mask(32, 0x00FF)};
-  drv.store(words, masks);
-
-  FaultTarget* target = backend.fault_target();
-  ASSERT_NE(target, nullptr);
-  EXPECT_EQ(target->entry_count(), 32u);
-  EXPECT_EQ(target->entry_bits(), 32u);
-  const EntryState s = target->peek(0);
-  EXPECT_EQ(s.stored, 0xAB00u);
-  EXPECT_TRUE(s.valid);
-  EXPECT_EQ(s.parity, parity_of(s)) << "derived parity is always consistent";
-
-  target->flip(0, FaultPlane::kStored, 8);
-  EXPECT_FALSE(drv.search(0xAB77).hit) << "corruption changed the match";
-}
 
 // --- End to end: parity flags corrupted matches through the system. ---
 

@@ -9,9 +9,8 @@
 #include "src/cam/mask.h"
 #include "src/common/error.h"
 #include "src/common/random.h"
-#include "src/system/baseline_backend.h"
-#include "src/system/cam_table.h"
 #include "src/system/driver.h"
+#include "src/system/sharded_engine.h"
 
 namespace dspcam::system {
 namespace {
@@ -340,102 +339,11 @@ TEST(CamDriver, BorrowedBackendAndLegacyAccessor) {
   EXPECT_TRUE(drv.search(2).hit);
   EXPECT_EQ(&drv.system(), &sys) << "legacy accessor resolves the CamSystem";
 
-  BramCamBackend bram(bram_backend_config(64, 32));
-  CamDriver drv2(bram);
+  ShardedCamEngine::Config ecfg;
+  ecfg.shards = 2;
+  ShardedCamEngine engine(ecfg, small_config());
+  CamDriver drv2(engine);
   EXPECT_THROW(drv2.system(), SimError);
-}
-
-// --- Baseline cycle-model backends. ---
-
-TEST(BaselineBackend, LutBackendStoresAndSearches) {
-  LutCamBackend backend(lut_backend_config(64, 32));
-  CamDriver drv(backend);
-  drv.store(std::vector<cam::Word>{10, 20, 30});
-  EXPECT_TRUE(drv.search(20).hit);
-  EXPECT_EQ(drv.search(20).global_address, 1u);
-  EXPECT_FALSE(drv.search(21).hit);
-  drv.reset();
-  EXPECT_FALSE(drv.search(20).hit);
-}
-
-TEST(BaselineBackend, BramBackendTernaryMasks) {
-  BramCamBackend backend(bram_backend_config(64, 32, cam::CamKind::kTernary));
-  CamDriver drv(backend);
-  const std::vector<cam::Word> words = {0xAB00};
-  const std::vector<std::uint64_t> masks = {cam::tcam_mask(32, 0x00FF)};
-  drv.store(words, masks);
-  EXPECT_TRUE(drv.search(0xAB77).hit);
-  EXPECT_FALSE(drv.search(0xAC77).hit);
-}
-
-TEST(BaselineBackend, UpdatesBlockSearches) {
-  // The family-defining weakness: one update occupies the engine for the
-  // full row-rewrite; a search issued right behind it waits.
-  BramCamBackend backend(bram_backend_config(64, 32));
-  CamDriver drv(backend);
-  drv.store(std::vector<cam::Word>{42});
-  const auto quiet = drv.cycles();
-  const auto quiet_result = drv.search(42);
-  const auto quiet_latency = drv.cycles() - quiet;
-  EXPECT_TRUE(quiet_result.hit);
-
-  cam::UnitRequest upd;
-  upd.op = cam::OpKind::kUpdate;
-  upd.words = {43};
-  drv.submit_async(std::move(upd));
-  cam::UnitRequest srch;
-  srch.op = cam::OpKind::kSearch;
-  srch.keys = {42};
-  const auto start = drv.cycles();
-  drv.submit_async(std::move(srch));
-  drv.drain();
-  const auto behind_update = drv.cycles() - start;
-  EXPECT_GE(behind_update, quiet_latency + backend.model().update_latency() - 1)
-      << "search must stall behind the row rewrite";
-  while (drv.try_pop_completion()) {
-  }
-
-  const auto stats = backend.stats();
-  EXPECT_GT(stats.stall_cycles, 0u);
-}
-
-TEST(BaselineBackend, SearchesPipelineAtIIOne) {
-  LutCamBackend backend(lut_backend_config(64, 32));
-  CamDriver drv(backend);
-  std::vector<cam::Word> words(32);
-  for (std::size_t i = 0; i < words.size(); ++i) words[i] = i;
-  drv.store(words);
-
-  std::vector<cam::Word> keys(64);
-  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i % 32;
-  const auto start = drv.cycles();
-  const auto results = drv.search_stream(keys);
-  const auto elapsed = drv.cycles() - start;
-  ASSERT_EQ(results.size(), keys.size());
-  for (const auto& r : results) EXPECT_TRUE(r.hit);
-  EXPECT_LT(elapsed, 2 * keys.size()) << "searches are II=1 in this family";
-}
-
-TEST(BaselineBackend, CamTableRunsOnBramBackend) {
-  BramCamBackend backend(bram_backend_config(32, 32));
-  CamTable table(backend);
-  EXPECT_EQ(table.capacity(), 32u);
-  const auto a = table.insert(100);
-  const auto b = table.insert(200);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_TRUE(table.lookup(100).hit);
-  EXPECT_EQ(table.lookup(200).slot, *b);
-  table.erase(*a);
-  EXPECT_FALSE(table.lookup(100).hit);
-  EXPECT_TRUE(table.lookup(200).hit);
-}
-
-TEST(BaselineBackend, GroupConfigurationIsRestricted) {
-  LutCamBackend backend(lut_backend_config(64, 32));
-  EXPECT_EQ(backend.max_groups(), 1u);
-  EXPECT_NO_THROW(backend.configure_groups(1));
-  EXPECT_THROW(backend.configure_groups(2), ConfigError);
 }
 
 }  // namespace

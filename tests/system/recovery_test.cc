@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -74,6 +75,12 @@ void expect_membership(ShardedCamEngine& engine,
   }
   EXPECT_FALSE(drv.search(0xdead0001).hit);
   settle(engine);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 // --- Checkpoint: snapshot/restore of shards and whole engines. ---
@@ -204,10 +211,7 @@ TEST(Checkpoint, CorruptFilesRejectedByLoader) {
   save_checkpoint(engine.checkpoint(), path);
 
   // Flip one digit of a stored checksum: the loader re-verifies content.
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
+  std::string text = read_file(path);
   const auto pos = text.find("\"checksum\":");
   ASSERT_NE(pos, std::string::npos);
   text[pos + 12] = text[pos + 12] == '9' ? '8' : '9';
@@ -283,10 +287,7 @@ TEST(Checkpoint, LoadedKeyBitsAreValidatedBeforeAdoption) {
   fill(engine, words);
   save_checkpoint(engine.checkpoint(), path);
 
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
+  std::string text = read_file(path);
   const auto pos = text.find("\"key_bits\":32");
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, 13, "\"key_bits\":0");
@@ -300,6 +301,117 @@ TEST(Checkpoint, LoadedKeyBitsAreValidatedBeforeAdoption) {
   EXPECT_EQ(engine.shard_count(), 2u);
   expect_membership(engine, words);
 }
+
+/// Replaces the first `from` in `text` with `to`; `from` must be present.
+void replace_first(std::string& text, const std::string& from, const std::string& to) {
+  const auto pos = text.find(from);
+  ASSERT_NE(pos, std::string::npos) << from;
+  text.replace(pos, from.size(), to);
+}
+
+/// The file's records, header first (the writer ends every line with '\n').
+std::vector<std::string> records_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::size_t lo = 0;
+  for (std::size_t nl; (nl = text.find('\n', lo)) != std::string::npos; lo = nl + 1) {
+    lines.push_back(text.substr(lo, nl - lo));
+  }
+  return lines;
+}
+
+std::string join_records(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+/// One hand edit of a saved checkpoint file that load_checkpoint must refuse.
+struct LoadDefect {
+  const char* name;
+  void (*edit)(std::string& text);
+};
+
+void PrintTo(const LoadDefect& defect, std::ostream* os) { *os << defect.name; }
+
+class CheckpointLoad : public ::testing::TestWithParam<LoadDefect> {};
+
+// The file holds 2 shards of 128 32-bit entries. Each of the first five
+// edits reads back as the saved value when the number is narrowed to 32 bits
+// or read with a wrapping minus sign, so a loader that did either would hand
+// restore() a checkpoint equal to the original.
+TEST_P(CheckpointLoad, RefusesTheEditedFile) {
+  const std::string path =
+      ::testing::TempDir() + "checkpoint_load_" + GetParam().name + ".jsonl";
+  ShardedCamEngine engine(engine_config(2), shard_config());
+  fill(engine, test_words(16));
+  save_checkpoint(engine.checkpoint(), path);
+  std::string text = read_file(path);
+  GetParam().edit(text);
+  std::ofstream(path, std::ios::trunc) << text;
+  EXPECT_THROW(load_checkpoint(path), SimError);
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Edits, CheckpointLoad,
+    ::testing::Values(
+        LoadDefect{"shards_over_32_bits",
+                   [](std::string& t) {
+                     replace_first(t, "\"shards\":2,", "\"shards\":4294967298,");
+                   }},
+        LoadDefect{"shards_negative",
+                   [](std::string& t) {
+                     replace_first(t, "\"shards\":2,",
+                                   "\"shards\":-18446744073709551614,");
+                   }},
+        LoadDefect{"key_bits_over_32_bits",
+                   [](std::string& t) {
+                     replace_first(t, "\"key_bits\":32,", "\"key_bits\":4294967328,");
+                   }},
+        LoadDefect{"shard_capacity_negative",
+                   [](std::string& t) {
+                     replace_first(t, "\"shard_capacity\":128}",
+                                   "\"shard_capacity\":-18446744073709551488}");
+                   }},
+        LoadDefect{"data_width_over_32_bits",
+                   [](std::string& t) {
+                     // Shard 0's record; its checksum covers the narrowed 32.
+                     replace_first(t, "\"data_width\":32,", "\"data_width\":4294967328,");
+                   }},
+        LoadDefect{"trailing_garbage",
+                   [](std::string& t) {
+                     replace_first(t, "\"shards\":2,", "\"shards\":2xyz,");
+                   }},
+        LoadDefect{"truncated_record",
+                   [](std::string& t) { t.resize(t.size() - t.size() / 4); }},
+        LoadDefect{"three_field_entry",
+                   [](std::string& t) {
+                     const auto open = t.find("\"entries\":[[");
+                     ASSERT_NE(open, std::string::npos);
+                     const auto close = t.find(']', open);
+                     const auto comma = t.rfind(',', close);
+                     t.erase(comma, close - comma);
+                   }},
+        LoadDefect{"shards_out_of_order",
+                   [](std::string& t) {
+                     auto lines = records_of(t);
+                     ASSERT_EQ(lines.size(), 3u);
+                     std::swap(lines[1], lines[2]);
+                     t = join_records(lines);
+                   }},
+        LoadDefect{"shard_duplicated",
+                   [](std::string& t) {
+                     auto lines = records_of(t);
+                     ASSERT_EQ(lines.size(), 3u);
+                     lines.insert(lines.begin() + 2, lines[1]);
+                     t = join_records(lines);
+                   }},
+        LoadDefect{"unknown_partition",
+                   [](std::string& t) {
+                     replace_first(t, "\"partition\":\"hash\"",
+                                   "\"partition\":\"modulo\"");
+                   }}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 /// One way a checkpoint can be unfit to restore, and the error it must
 /// raise.
@@ -710,28 +822,60 @@ class ReshardPairTest
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>> {};
 
 // Any old -> new shard count, including into and out of the 1-shard
-// pass-through and between counts that share no factor: every entry moves,
-// each key answers from the shard the new partitioner picks, and its
-// global address lies in that shard's slice.
+// pass-through, between counts that share no factor, and onto the same
+// count: every valid entry moves, and each new shard re-appends its bucket
+// in the old shard-major, address-minor order. Invalidated entries leave
+// holes that compact away, and a duplicated key keeps its first copy first,
+// so each key's global address is its new shard's base plus its rank in
+// that bucket.
 TEST_P(ReshardPairTest, MembershipAndRoutingSurvive) {
   const auto [from, to] = GetParam();
   ShardedCamEngine engine(engine_config(from), shard_config());
   const auto words = test_words(96);
   fill(engine, words);
 
+  CamDriver drv(engine);
+  std::vector<cam::Word> gone;
+  for (const std::size_t i : {5u, 17u, 40u, 77u}) {
+    const auto res = drv.search(words[i]);
+    ASSERT_TRUE(res.hit) << "key " << words[i];
+    drv.invalidate_at(res.global_address);
+    gone.push_back(words[i]);
+  }
+  const std::vector<cam::Word> dups = {words[0], words[9], words[60]};
+  ASSERT_EQ(drv.store(dups), dups.size());
+  settle(engine);
+
+  std::vector<cam::Word> before;  // shard-major, address-minor
+  for (unsigned s = 0; s < from; ++s) {
+    for (const fault::EntryState& e : engine.shard(s).logical_entries()) {
+      if (e.valid) before.push_back(e.stored);
+    }
+  }
+  ASSERT_EQ(before.size(), words.size() - gone.size() + dups.size());
+
   const auto report = engine.reshard(to);
   EXPECT_EQ(report.old_shards, from);
   EXPECT_EQ(report.new_shards, to);
-  EXPECT_EQ(report.entries_moved, words.size());
+  EXPECT_EQ(report.entries_moved, before.size());
   EXPECT_EQ(engine.shard_count(), to);
   EXPECT_EQ(engine.capacity(), to * 128u);
 
-  CamDriver drv(engine);
+  std::vector<std::vector<cam::Word>> buckets(to);
+  for (const cam::Word w : before) buckets[engine.shard_of(w)].push_back(w);
   for (const cam::Word w : words) {
     const auto res = drv.search(w);
+    if (std::find(gone.begin(), gone.end(), w) != gone.end()) {
+      EXPECT_FALSE(res.hit) << "invalidated key " << w << " came back";
+      continue;
+    }
     ASSERT_TRUE(res.hit) << "key " << w;
-    EXPECT_EQ(res.shard, engine.shard_of(w)) << "key " << w;
-    EXPECT_EQ(res.global_address / 128u, res.shard) << "key " << w;
+    const unsigned t = engine.shard_of(w);
+    EXPECT_EQ(res.shard, t) << "key " << w;
+    const auto& bucket = buckets[t];
+    const auto rank =
+        static_cast<unsigned>(std::find(bucket.begin(), bucket.end(), w) - bucket.begin());
+    EXPECT_EQ(res.global_address, t * 128u + rank) << "key " << w;
   }
   EXPECT_FALSE(drv.search(0xdead0001).hit);
 }
@@ -739,7 +883,8 @@ TEST_P(ReshardPairTest, MembershipAndRoutingSurvive) {
 INSTANTIATE_TEST_SUITE_P(
     Pairs, ReshardPairTest,
     ::testing::Values(std::make_tuple(1u, 4u), std::make_tuple(2u, 1u),
-                      std::make_tuple(3u, 5u), std::make_tuple(8u, 2u)),
+                      std::make_tuple(3u, 5u), std::make_tuple(8u, 2u),
+                      std::make_tuple(4u, 4u)),
     [](const auto& info) {
       return std::to_string(std::get<0>(info.param)) + "_to_" +
              std::to_string(std::get<1>(info.param));

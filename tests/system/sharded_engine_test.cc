@@ -14,7 +14,6 @@
 #include "src/cam/reference_cam.h"
 #include "src/common/error.h"
 #include "src/common/random.h"
-#include "src/system/baseline_backend.h"
 #include "src/system/driver.h"
 
 namespace dspcam::system {
@@ -289,20 +288,6 @@ TEST(ShardedCamEngine, HeterogeneousShardsRejected) {
                                   return std::make_unique<CamSystem>(c);
                                 }),
                ConfigError);
-}
-
-// The engine composes over heterogeneous backend *families* too: DSP shards
-// and baseline shards speak the same protocol (same width/kind/capacity
-// still required).
-TEST(ShardedCamEngine, WorksOverBaselineBackendShards) {
-  auto cfg = engine_config(2);
-  ShardedCamEngine engine(cfg, [](unsigned) -> std::unique_ptr<CamBackend> {
-    return std::make_unique<BramCamBackend>(bram_backend_config(128, 32));
-  });
-  CamDriver drv(engine);
-  drv.store(std::vector<cam::Word>{10, 20, 30, 40});
-  EXPECT_TRUE(drv.search(30).hit);
-  EXPECT_FALSE(drv.search(31).hit);
 }
 
 // --- Collection runs once per engine cycle. ---

@@ -8,7 +8,7 @@
 #include "src/tc/cam_accel.h"
 #include "src/tc/memory_model.h"
 #include "src/tc/dynamic_tc.h"
-#include "src/system/baseline_backend.h"
+#include "src/system/cam_system.h"
 #include "src/system/sharded_engine.h"
 #include "src/tc/merge_accel.h"
 #include "src/tc/validate.h"
@@ -154,8 +154,8 @@ TEST(Validate, CycleAccurateUnitMatchesAnalyticCounts) {
 
 TEST(Validate, BackendFlowMatchesOnEveryEngine) {
   // The same TC kernel, executed through the CamBackend interface: the DSP
-  // system, the BRAM baseline and a 2-way sharded engine must all produce
-  // the exact triangle count.
+  // system and a 2-way sharded engine must both produce the exact triangle
+  // count.
   const auto g = random_graph(30, 120, 5);
   const auto expect = graph::count_triangles_merge(graph::orient_by_degree(g));
 
@@ -167,9 +167,6 @@ TEST(Validate, BackendFlowMatchesOnEveryEngine) {
   cam_cfg.unit.bus_width = 512;
   system::CamSystem dsp(cam_cfg);
   EXPECT_EQ(count_triangles_with_backend(g, dsp), expect);
-
-  system::BramCamBackend bram(system::bram_backend_config(128, 32));
-  EXPECT_EQ(count_triangles_with_backend(g, bram), expect);
 
   system::ShardedCamEngine::Config ecfg;
   ecfg.shards = 2;
@@ -185,8 +182,14 @@ TEST(Validate, BackendFlowChunksLongLists) {
   edges.emplace_back(39, 40); // triangle 0-39-40
   const auto g = graph::build_undirected(41, edges);
 
-  system::BramCamBackend bram(system::bram_backend_config(64, 32));
-  EXPECT_EQ(count_triangles_with_backend(g, bram, /*chunk_capacity=*/16), 2u);
+  system::CamSystem::Config cam_cfg;
+  cam_cfg.unit.block.cell.data_width = 32;
+  cam_cfg.unit.block.block_size = 32;
+  cam_cfg.unit.block.bus_width = 512;
+  cam_cfg.unit.unit_size = 2;
+  cam_cfg.unit.bus_width = 512;
+  system::CamSystem dsp(cam_cfg);
+  EXPECT_EQ(count_triangles_with_backend(g, dsp, /*chunk_capacity=*/16), 2u);
 }
 
 TEST(Validate, ChunkedResidentListInRealUnit) {
