@@ -144,7 +144,9 @@ class JsonLog {
    public:
     explicit Row(std::string bench) { str("bench", std::move(bench)); }
     Row& str(const std::string& key, const std::string& value) {
-      fields_.emplace_back(key, "\"" + escape(value) + "\"");
+      std::string quoted = "\"";
+      quoted += escape(value) + "\"";
+      fields_.emplace_back(key, std::move(quoted));
       return *this;
     }
     Row& num(const std::string& key, double value) {
@@ -171,7 +173,8 @@ class JsonLog {
       std::string out = "{";
       for (std::size_t i = 0; i < fields_.size(); ++i) {
         if (i != 0) out += ", ";
-        out += "\"" + escape(fields_[i].first) + "\": " + fields_[i].second;
+        out += '"';
+        out += escape(fields_[i].first) + "\": " + fields_[i].second;
       }
       return out + "}";
     }

@@ -10,24 +10,17 @@
 //           reported as a ratio against the bare run (acceptance: within
 //           10%). The JSON row carries the registry snapshot under
 //           "telemetry".
-//   part 5  match-kernel ablation: the same saturating search stream per
-//           geometry with the registry-selected specialized kernel vs the
-//           generic sweep forced on the identical geometry
-//           (BlockConfig::force_generic_kernel) - what the per-geometry
-//           compiled kernels add on top of the generic fast path.
-//           kind:"kernel" rows carry the kernel name so tools/bench_diff
-//           attributes regressions to a kernel, not just a geometry.
 //   part 7  fused sweep->encode ablation (kernel level, DESIGN.md §14): the
-//           same kernel's legacy path (raw sweep -> valid-AND into a BitVec
-//           -> encode_match_lines) against its fused encode_fn, per
-//           encoding scheme, at 64- and 256-cell depths, across the kernel
-//           tiers (registry-selected, scalar depth template).
+//           registry's sweep's legacy path (raw sweep -> valid-AND into a
+//           BitVec -> encode_match_lines) against its fused encode_fn, per
+//           encoding scheme, at 64- and 256-cell depths.
 //           kind:"encode" rows carry the paired-ratio speedup_vs_unfused;
 //           the 256-deep rows are the headline figure (>= 1.3x median).
 //
-// Parts 2 (shard_scaling), 4 (horizon) and 6 (multi-key match fusion)
-// measured mechanisms that are gone; the remaining parts keep their numbers
-// so references to them stay valid.
+// Parts 2 (shard_scaling), 4 (horizon), 5 (specialized-vs-generic match
+// kernels) and 6 (multi-key match fusion) measured mechanisms that are
+// gone; the remaining parts keep their numbers so references to them stay
+// valid.
 //
 // Flags: --warmup N --repeat N --json <path>   (default path
 // BENCH_step_rate.json so CI always collects the artifact).
@@ -73,15 +66,10 @@ cam::UnitConfig unit_config(unsigned blocks, unsigned cells, cam::EvalMode mode,
   return cfg;
 }
 
-/// The registry's answer for a config's geometry (what the blocks will run).
+/// The sweep kernel a config's planes run ("reference" off the fast path).
 std::string kernel_name_for(const cam::UnitConfig& cfg) {
   if (cfg.block.eval_mode == cam::EvalMode::kReference) return "reference";
-  cam::MatchKernelQuery q;
-  q.kind = cfg.block.cell.kind;
-  q.data_width = cfg.block.cell.data_width;
-  q.block_size = cfg.block.block_size;
-  q.force_generic = cfg.block.force_generic_kernel;
-  return cam::select_match_kernel(q).name;
+  return cam::match_kernel_registry().front().name;
 }
 
 /// Preloads half the unit's capacity, then streams one search beat per
@@ -268,14 +256,6 @@ double fused_encode_rate(const cam::MatchKernel& k, const EncodeWorkload& w,
   return static_cast<double>(iters) / secs;
 }
 
-/// Registry lookup by exact kernel name (nullptr when absent).
-const cam::MatchKernel* kernel_named(const char* name) {
-  for (const cam::MatchKernel& k : cam::match_kernel_registry()) {
-    if (std::string(name) == k.name) return &k;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -391,70 +371,9 @@ int main(int argc, char** argv) {
     log.emit(row);
   }
 
-  // Part 5: match-kernel ablation - registry-selected specialized kernel vs
-  // the generic sweep forced on the same geometry. Geometries are chosen so
-  // each exercises a different specialized family (32-bit-lane equality,
-  // 32-bit-lane masked, full-width equality); on hosts where the registry
-  // resolves to the generic kernel anyway (e.g. no AVX2, where only the
-  // depth-templated scalar kernels differ) the rows still record which
-  // kernel actually ran, so trajectories stay honest.
-  struct KernelGeometry {
-    const char* label;
-    cam::CamKind kind;
-    unsigned data_width;
-    unsigned blocks;
-    unsigned cells;
-    std::uint64_t cycles;
-  };
-  // Deep blocks: per-cycle sweep work has to dominate the fixed unit
-  // overhead (routing, encoder, pipeline bookkeeping) for the kernel
-  // difference to be visible above runner noise.
-  const KernelGeometry kernel_geometries[] = {
-      {"bcam_w32", cam::CamKind::kBinary, 32, 32, 256, 6'000},
-      {"tcam_w16", cam::CamKind::kTernary, 16, 32, 256, 6'000},
-      {"bcam_w48", cam::CamKind::kBinary, 48, 16, 256, 10'000},
-  };
-  std::printf("\n%-10s %-16s %14s %14s %10s\n", "geometry", "kernel",
-              "cycles/s", "searches/s", "vs generic");
-  for (const auto& kg : kernel_geometries) {
-    double generic_median = 0;
-    for (const bool force_generic : {true, false}) {
-      auto cfg = unit_config(kg.blocks, kg.cells, dspcam::cam::EvalMode::kFast,
-                             kg.kind, kg.data_width);
-      cfg.block.force_generic_kernel = force_generic;
-      const std::string kernel = kernel_name_for(cfg);
-      const auto [stats, sps_stats] = dspcam::bench::measure_repeated_pair(opt, [&] {
-        const Rate r = search_stream_rate(cfg, kg.cycles);
-        return std::pair<double, double>{r.cycles_per_sec, r.searches_per_sec};
-      });
-      const double speedup =
-          !force_generic && generic_median > 0 ? stats.median / generic_median : 0;
-      if (force_generic) generic_median = stats.median;
-      char ratio[32] = "-";
-      if (!force_generic) std::snprintf(ratio, sizeof(ratio), "%.2fx", speedup);
-      std::printf("%-10s %-16s %14.0f %14.0f %10s\n", kg.label, kernel.c_str(),
-                  stats.median, sps_stats.median, ratio);
-      auto row = dspcam::bench::JsonLog::Row("micro_step_rate");
-      row.str("kind", "kernel")
-          .str("unit", kg.label)
-          .str("cam_kind", dspcam::cam::to_string(kg.kind))
-          .str("kernel", kernel)
-          .num("data_width", static_cast<std::uint64_t>(kg.data_width))
-          .num("blocks", static_cast<std::uint64_t>(kg.blocks))
-          .num("cells_per_block", static_cast<std::uint64_t>(kg.cells))
-          .num("force_generic", std::uint64_t{force_generic ? 1u : 0u})
-          .num("sim_cycles", kg.cycles);
-      dspcam::bench::add_stats(row, "cycles_per_sec", stats);
-      dspcam::bench::add_stats(row, "searches_per_sec", sps_stats);
-      if (!force_generic) row.num("speedup_vs_generic", speedup);
-      log.emit(row);
-    }
-  }
-
   // Part 7: fused sweep->encode ablation, at the kernel-call level so the
   // unit pipeline's fixed overhead cannot dilute the effect being measured.
-  // For each geometry two kernel tiers are timed - the registry's pick for
-  // the geometry and the scalar depth template - each against ITS OWN legacy
+  // For each geometry the registry's sweep is timed against ITS OWN legacy
   // sweep+BitVec+encode path. Every repetition times the two back to back
   // and contributes one ratio, so host drift cancels out of the ratio.
   struct EncodeGeometry {
@@ -471,68 +390,48 @@ int main(int argc, char** argv) {
       {"tcam_w32_d64", dspcam::cam::CamKind::kTernary, 32, 64, false, 40'000},
       {"tcam_w16_d256", dspcam::cam::CamKind::kTernary, 16, 256, false, 15'000},
   };
-  std::printf("\n%-16s %-12s %-10s %-18s %14s %12s\n", "geometry", "scheme",
-              "path", "kernel", "encodes/s", "vs unfused");
+  const dspcam::cam::MatchKernel& kernel = dspcam::cam::match_kernel_registry().front();
+  std::printf("\n%-16s %-12s %-18s %14s %12s\n", "geometry", "scheme", "kernel",
+              "encodes/s", "vs unfused");
   for (const auto& eg : encode_geometries) {
     const EncodeWorkload work =
         make_encode_workload(eg.width, eg.depth, eg.mask_free);
-    dspcam::cam::MatchKernelQuery q;
-    q.kind = eg.kind;
-    q.data_width = eg.width;
-    q.block_size = eg.depth;
-    char tmpl_name[48];
-    std::snprintf(tmpl_name, sizeof(tmpl_name), "%s_d%u",
-                  eg.mask_free ? "eq" : "masked", eg.depth);
-    const struct {
-      const char* path;
-      const dspcam::cam::MatchKernel* kernel;
-    } tiers[] = {
-        {"registry", &dspcam::cam::select_match_kernel(q)},
-        {"template", kernel_named(tmpl_name)},
-    };
     for (const auto scheme : {dspcam::cam::EncodingScheme::kPriorityIndex,
                               dspcam::cam::EncodingScheme::kOneHot,
                               dspcam::cam::EncodingScheme::kMatchCount}) {
-      for (const auto& tier : tiers) {
-        if (tier.kernel == nullptr) continue;
-        std::vector<double> eps, base_eps, ratios;
-        const auto run_pair = [&] {
-          const double base =
-              unfused_encode_rate(*tier.kernel, work, scheme, eg.iters);
-          const double fused =
-              fused_encode_rate(*tier.kernel, work, scheme, eg.iters);
-          return std::pair<double, double>{base, fused};
-        };
-        for (unsigned i = 0; i < opt.warmup; ++i) (void)run_pair();
-        for (unsigned i = 0; i < opt.repeat; ++i) {
-          const auto [base, fused] = run_pair();
-          base_eps.push_back(base);
-          eps.push_back(fused);
-          if (base > 0) ratios.push_back(fused / base);
-        }
-        const auto stats = dspcam::bench::RepeatStats::of(std::move(eps));
-        const auto base_stats =
-            dspcam::bench::RepeatStats::of(std::move(base_eps));
-        const double speedup = dspcam::bench::RepeatStats::of(ratios).median;
-        const std::string scheme_name = dspcam::cam::to_string(scheme);
-        std::printf("%-16s %-12s %-10s %-18s %14.0f %11.2fx\n", eg.label,
-                    scheme_name.c_str(), tier.path, tier.kernel->name,
-                    stats.median, speedup);
-        auto row = dspcam::bench::JsonLog::Row("micro_step_rate");
-        row.str("kind", "encode")
-            .str("unit", eg.label)
-            .str("scheme", scheme_name)
-            .str("path", tier.path)
-            .str("kernel", tier.kernel->name)
-            .str("cam_kind", dspcam::cam::to_string(eg.kind))
-            .num("data_width", static_cast<std::uint64_t>(eg.width))
-            .num("cells", static_cast<std::uint64_t>(eg.depth))
-            .num("encode_calls", eg.iters);
-        dspcam::bench::add_stats(row, "encodes_per_sec", stats);
-        dspcam::bench::add_stats(row, "unfused_encodes_per_sec", base_stats);
-        row.num("speedup_vs_unfused", speedup);
-        log.emit(row);
+      std::vector<double> eps, base_eps, ratios;
+      const auto run_pair = [&] {
+        const double base = unfused_encode_rate(kernel, work, scheme, eg.iters);
+        const double fused = fused_encode_rate(kernel, work, scheme, eg.iters);
+        return std::pair<double, double>{base, fused};
+      };
+      for (unsigned i = 0; i < opt.warmup; ++i) (void)run_pair();
+      for (unsigned i = 0; i < opt.repeat; ++i) {
+        const auto [base, fused] = run_pair();
+        base_eps.push_back(base);
+        eps.push_back(fused);
+        if (base > 0) ratios.push_back(fused / base);
       }
+      const auto stats = dspcam::bench::RepeatStats::of(std::move(eps));
+      const auto base_stats = dspcam::bench::RepeatStats::of(std::move(base_eps));
+      const double speedup = dspcam::bench::RepeatStats::of(ratios).median;
+      const std::string scheme_name = dspcam::cam::to_string(scheme);
+      std::printf("%-16s %-12s %-18s %14.0f %11.2fx\n", eg.label,
+                  scheme_name.c_str(), kernel.name, stats.median, speedup);
+      auto row = dspcam::bench::JsonLog::Row("micro_step_rate");
+      row.str("kind", "encode")
+          .str("unit", eg.label)
+          .str("scheme", scheme_name)
+          .str("path", "registry")
+          .str("kernel", kernel.name)
+          .str("cam_kind", dspcam::cam::to_string(eg.kind))
+          .num("data_width", static_cast<std::uint64_t>(eg.width))
+          .num("cells", static_cast<std::uint64_t>(eg.depth))
+          .num("encode_calls", eg.iters);
+      dspcam::bench::add_stats(row, "encodes_per_sec", stats);
+      dspcam::bench::add_stats(row, "unfused_encodes_per_sec", base_stats);
+      row.num("speedup_vs_unfused", speedup);
+      log.emit(row);
     }
   }
 

@@ -147,8 +147,8 @@ void CamBlock::poke_entry(unsigned index, Word stored, std::uint64_t entry_mask,
   if (index >= cfg_.block_size) throw SimError("CamBlock: cell index out of range");
   if (fast()) {
     // A poked mask may differ from the plain width mask even on a binary
-    // block (that is what a MASK-plane upset looks like): the plane drops
-    // to the masked kernel until a reset re-uniforms it.
+    // block (that is what a MASK-plane upset looks like): an indexed plane
+    // drops to the sweep until a reset re-uniforms it.
     plane_.poke(index, stored, entry_mask, valid, parity);
     return;
   }

@@ -24,8 +24,8 @@
 //   - kFast mirrors the cells' registered state - stored word, per-entry
 //     MASK, valid flag, parity bit - in one FastPlane of block_size entries
 //     (fast_plane.h) and answers a search with one fused sweep→encode call
-//     of the geometry-specialized kernel the plane selected from the
-//     match-kernel registry (match_kernel.h), or with one exact-match
+//     of the registry's sweep for this host's ISA (match_kernel.h), or
+//     with one exact-match
 //     index lookup on a deep binary block (DESIGN.md §11). The broadcast
 //     register, the DSP C/P register stages and the encoder buffer are
 //     modelled by the same delay structures, so every response appears in
@@ -126,19 +126,19 @@ class CamBlock {
   /// (BlockConfig::parity), the derived value otherwise.
   bool entry_parity(unsigned index) const;
 
-  /// The match kernel selected for this block's geometry at construction
-  /// (match_kernel.h), or nullptr in EvalMode::kReference.
+  /// The sweep kernel the fast plane runs (match_kernel.h), or nullptr in
+  /// EvalMode::kReference.
   const MatchKernel* match_kernel() const noexcept {
     return fast() ? plane_.kernel() : nullptr;
   }
 
-  /// The selected kernel's name; "reference" in EvalMode::kReference.
+  /// The sweep kernel's name; "reference" in EvalMode::kReference.
   std::string match_kernel_name() const;
 
   /// True while every entry's compare mask equals the plain width mask (the
-  /// precondition for the mask-free kernel family). Writes with per-entry
-  /// masks and fault pokes can clear it; a reset restores it. While false,
-  /// the plane dispatches the masked fallback kernel instead. Always true in
+  /// precondition for the exact-match index). Writes with per-entry masks
+  /// and fault pokes can clear it; a reset restores it. While false, a
+  /// binary plane sweeps instead of using its index. Always true in
   /// EvalMode::kReference.
   bool mask_plane_uniform() const noexcept { return !fast() || plane_.mask_uniform(); }
 

@@ -19,11 +19,12 @@ namespace dspcam::cam {
 /// cycle- and bit-identical (asserted by the lockstep fuzz equivalence
 /// tests); they differ only in host cost:
 ///   kReference - every cell is a full Dsp48e2 behavioural model. Needed when
-///                per-slice state must be observable (CamBlock::cell(),
-///                VCD-style tracing of DSP internals).
+///                per-slice state must be observable (CamBlock::cell() hands
+///                out each cell's DSP48E2 registers).
 ///   kFast      - the block mirrors stored words / per-entry masks / valid
 ///                flags into packed arrays and answers a search with a
-///                branch-free ((stored ^ key) & ~mask) == 0 sweep behind the
+///                branch-free ((stored ^ key) & ~mask) == 0 sweep - or, on a
+///                deep binary plane, an exact-match index lookup - behind the
 ///                same pipeline registers. Orders of magnitude faster.
 /// This is a simulation-host choice, not an architecture parameter: resource
 /// and timing models are unaffected.
@@ -51,11 +52,6 @@ struct BlockConfig {
                                   ///< MASK + valid (robustness extension; see
                                   ///< src/fault/). Zero cost when off.
   EvalMode eval_mode = EvalMode::kFast;  ///< Simulator evaluation path.
-  bool force_generic_kernel = false;     ///< kFast only: skip the specialized
-                                         ///< match-kernel registry and stay on
-                                         ///< the generic AVX2/scalar sweep
-                                         ///< (match_kernel.h). Bit-identical
-                                         ///< either way; host cost only.
 
   /// Data words carried per bus beat (update parallelism).
   unsigned words_per_beat() const noexcept { return bus_width / cell.data_width; }

@@ -33,30 +33,11 @@ void FastPlane::bind(const BlockConfig& cfg, EncodingScheme scheme,
   default_nmask_ = ~width_mask(data_width_) & kDspWordMask;
   parity_init_ = entry_parity_of(0, width_mask(data_width_), false);
 
-  // Configure-time kernel selection at this plane's depth, plus the masked
-  // fallback dispatched if a poke or per-entry mask de-uniforms a binary
-  // plane's mask plane.
-  MatchKernelQuery q;
-  q.kind = cfg.cell.kind;
-  q.data_width = data_width_;
-  q.block_size = static_cast<unsigned>(n);
-  q.force_generic = cfg.force_generic_kernel;
-  kernel_ = &select_match_kernel(q);
-  if (kernel_->needs_uniform_mask) {
-    q.allow_mask_free = false;
-    masked_kernel_ = &select_match_kernel(q);
-  } else {
-    masked_kernel_ = kernel_;
-  }
-  for (const MatchKernel* k : {kernel_, masked_kernel_}) {
-    if (k->encode_fn == nullptr) {
-      throw SimError(std::string("FastPlane: kernel ") + k->name +
-                     " lacks the fused encode entry point");
-    }
-  }
-  // The index stands in for the mask-free kernel only: the same binary,
-  // non-forced-generic planes, demoted together with it by a mask poke.
-  index_depth_ok_ = kernel_->needs_uniform_mask && n >= kIndexMinDepth;
+  // The registry lists the best sweep this host runs first. A binary plane
+  // deep enough for the index answers from it while its mask plane stays
+  // uniform; a TCAM or RMCAM plane always sweeps.
+  kernel_ = &match_kernel_registry().front();
+  index_depth_ok_ = cfg.cell.kind == CamKind::kBinary && n >= kIndexMinDepth;
   clear();
 }
 
@@ -143,10 +124,9 @@ void FastPlane::compare(Word key, EncodedMatch& out, std::uint64_t* onehot) {
     lookup(key, out, onehot);
     return;
   }
-  // Dispatch: the kernel selected at bind time, demoted to the masked
-  // fallback while the mask plane is non-uniform. Every kernel is a pure
-  // integer transform, so the choice never leaks into results.
-  dispatch()->encode_fn(stored_, nmask_, valid_, key, n_, scheme_, out, onehot);
+  // The kernel is a pure integer transform, so the ISA it runs on never
+  // leaks into results.
+  kernel_->encode_fn(stored_, nmask_, valid_, key, n_, scheme_, out, onehot);
 }
 
 // With every mask the plain width mask, PATTERNDETECT reduces to

@@ -8,9 +8,8 @@
 // It owns everything the fast path needs per compare domain:
 //
 //   - the packed arrays (a view into a FastPlaneStore the owner sizes);
-//   - mask-plane uniformity tracking (nmask_uniform_);
-//   - the kernel selected for depth `n` at bind time, plus the masked
-//     fallback dispatched while the mask plane is non-uniform;
+//   - mask-plane uniformity tracking (nmask_uniform_), which only the index
+//     needs: the sweep is the full masked formula;
 //   - the exact-match index (DESIGN.md §11): stored word -> the valid
 //     addresses holding it, kept in step with every mutation.
 //
@@ -59,27 +58,28 @@ class FastPlane {
   static constexpr std::size_t kIndexMinDepth = 128;
 
   /// Binds the plane to entries [64 * word0, 64 * word0 + n) of `store`,
-  /// selects the kernel for depth `n`, and resets the entries to their
-  /// power-on state (stored 0, plain width mask, invalid). `scheme` is the
-  /// encoding compare() produces. Allocates nothing once `store` is sized;
-  /// the index sizes its own table at the first compare that needs it.
+  /// decides whether its kind and depth earn the index, and resets the
+  /// entries to their power-on state (stored 0, plain width mask, invalid).
+  /// `scheme` is the encoding compare() produces. Allocates nothing once
+  /// `store` is sized; the index sizes its own table at the first compare
+  /// that needs it.
   void bind(const BlockConfig& cfg, EncodingScheme scheme, FastPlaneStore& store,
             std::size_t word0, std::size_t n);
 
   std::size_t size() const noexcept { return n_; }
   std::size_t words() const noexcept { return (n_ + 63) / 64; }
 
-  /// The kernel selected at bind time (before any mask-plane fallback).
+  /// The sweep kernel: the registry's first entry (match_kernel.h).
   const MatchKernel* kernel() const noexcept { return kernel_; }
 
   /// True while every entry's compare mask is the plain width mask (the
-  /// precondition of the mask-free kernel family); writes with per-entry
-  /// masks and pokes clear it, clear() restores it.
+  /// precondition of the exact-match index); writes with per-entry masks
+  /// and pokes clear it, clear() restores it.
   bool mask_uniform() const noexcept { return nmask_uniform_; }
 
-  /// True when compare() answers from the exact-match index: the plane
-  /// selected a mask-free kernel (a binary plane, not forced generic), is at
-  /// least kIndexMinDepth deep, and its mask plane is still uniform.
+  /// True when compare() answers from the exact-match index: the plane is
+  /// binary, at least kIndexMinDepth deep, and its mask plane is still
+  /// uniform.
   bool indexed() const noexcept { return index_depth_ok_ && nmask_uniform_; }
 
   // --- Entry state (index < size(); unchecked). ---
@@ -119,9 +119,6 @@ class FastPlane {
  private:
   static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
 
-  const MatchKernel* dispatch() const noexcept {
-    return nmask_uniform_ ? kernel_ : masked_kernel_;
-  }
   void set_parity(std::size_t i, bool value) noexcept;
   /// A non-plain mask demotes the plane to the sweep (and the index stops
   /// following mutations until clear() and a rebuild).
@@ -154,7 +151,6 @@ class FastPlane {
   std::uint64_t* parity_ = nullptr;  ///< nullptr when unprotected.
 
   const MatchKernel* kernel_ = nullptr;
-  const MatchKernel* masked_kernel_ = nullptr;
   std::uint64_t default_nmask_ = 0;  ///< ~width_mask: the uniform-plane value.
   bool parity_init_ = false;         ///< Parity of a power-on entry.
   bool nmask_uniform_ = true;
@@ -165,7 +161,7 @@ class FastPlane {
   // ascending order. Fresh, it follows every write, invalidate and poke in
   // place; clear() and demotion leave it stale until the next compare of an
   // indexed plane rebuilds it.
-  bool index_depth_ok_ = false;  ///< Mask-free kernel and n >= kIndexMinDepth.
+  bool index_depth_ok_ = false;  ///< Binary plane and n >= kIndexMinDepth.
   bool index_stale_ = true;
   unsigned index_shift_ = 64;    ///< 64 - log2(table slots in use).
   std::vector<std::uint32_t> heads_;  ///< Sized at the first rebuild.

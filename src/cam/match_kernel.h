@@ -1,45 +1,28 @@
-// Geometry-specialized match-kernel registry for the EvalMode::kFast path.
+// Match-kernel registry for the EvalMode::kFast sweep: one full-formula
+// sweep per ISA.
 //
-// The paper's DSP-CAM wins by specializing the match datapath to a concrete
-// geometry (key width, block depth, mask mode); this registry is the
-// simulator-side analogue. Instead of funnelling every configuration through
-// one generic sweep, a family of kernels is compiled ahead of time - each a
-// template instantiation with the geometry constant-folded - and the best
-// one is selected per BlockConfig when the block is constructed:
+// The paper's DSP48E2 CAM has one compare datapath - (A:B) XOR C fed to the
+// pattern detector under MASK - and BCAM, TCAM and RMCAM differ only in the
+// MASK. The simulator mirrors that with one sweep formula for every
+// geometry, compiled once per instruction set:
 //
-//   - mask-free BCAM kernels (eq*): a binary CAM whose mask plane is still
-//     uniform (every entry carries the plain width mask) reduces the match
-//     to stored[i] == key, skipping the ~MASK load entirely.
-//   - narrow-width kernels (eq32/masked32, AVX2): when data_width <= 32,
-//     stored words and compare masks occupy only the low half of each
-//     packed u64, so 8 entries are compared per 256-bit vector instead
-//     of 4 (the "constant-folded key width" specialization).
-//   - depth-unrolled kernels (eq_dN/masked_dN): the block depth is a
-//     template parameter, so the sweep has compile-time trip counts the
-//     compiler fully unrolls/auto-vectorizes - the win on scalar-only
-//     builds (DSPCAM_NO_SIMD) and non-AVX2 hosts.
-//   - generic kernels (generic_avx2/generic_scalar): the plain
-//     ((stored ^ key) & nmask) == 0 sweep on u64 lanes (match_sweep.h for
-//     the scalar loop), matching every geometry. generic_scalar is the
-//     guaranteed terminal fallback.
+//   - generic_avx2: four u64 lanes per 256-bit compare
+//     (match_kernels_avx2.cc, the only -mavx2 TU). Registered only where
+//     match_sweep_avx2_available() is true, ahead of the scalar sweep.
+//   - generic_scalar: the portable loop (match_sweep.h), always registered
+//     and always last.
 //
-// Every kernel computes the same function over the packed pre-edge arrays
+// A plane sweeps with the registry's first entry (fast_plane.h). Deep binary
+// planes with a uniform mask plane answer from the exact-match index
+// instead, so no benchmark workload sweeps at all (DESIGN.md §10).
+//
+// Both kernels compute the same function over the packed pre-edge arrays
 // (fast_plane.h):  out_bits[i / 64] bit (i % 64) = ((stored[i] ^ key) & nmask[i]) == 0
 // for i in [0, count), with tail bits at or above `count` in the last
 // written word guaranteed zero. Kernels are PURE INTEGER transforms, so
-// every registered kernel is bit-identical to the reference DSP model by
-// construction - pinned by tests/cam/match_kernel_test.cc against the
-// golden formula and by the ref-vs-fast lockstep fuzz end to end.
-//
-// Mask-free kernels are only *selected* for binary planes, and only
-// *dispatched* while the plane's mask plane is uniform: a fault-injection
-// poke (src/fault/) can write an arbitrary per-entry MASK even on a BCAM,
-// so FastPlane tracks uniformity and falls back to `masked_fallback`
-// (a kernel ignoring no operand) the moment the plane diverges.
-//
-// BlockConfig::force_generic_kernel restricts the selection to the generic
-// family; the lockstep fuzz runs forced-generic configurations so the
-// fallback path stays exercised.
+// each is bit-identical to the reference DSP model by construction -
+// pinned by tests/cam/match_kernel_test.cc against the golden formula and
+// by the ref-vs-fast lockstep fuzz end to end.
 #pragma once
 
 #include <cstddef>
@@ -84,50 +67,35 @@ using MatchKernelEncodeFn = void (*)(const std::uint64_t* stored,
                                      std::size_t count, EncodingScheme scheme,
                                      EncodedMatch& out, std::uint64_t* out_bits);
 
-/// One registered kernel: the compiled entry points plus the descriptor the
-/// selector matches against a block geometry. Every kernel sets both entry
-/// points (MatchKernelRegistry.DescriptorsAreSane pins it), and they compute
-/// the same match bits.
+/// One registered kernel: both entry points compute the same match bits
+/// (MatchKernelRegistry.DescriptorsAreSane pins that both are set).
 struct MatchKernel {
-  const char* name;            ///< Stable identifier (stats, telemetry, bench rows).
+  const char* name;  ///< Stable identifier (stats, telemetry, bench rows).
   MatchKernelFn fn;
-  bool needs_avx2 = false;     ///< Selectable only when the AVX2 sweep runs here.
-  bool needs_uniform_mask = false;  ///< Mask-free family: every entry's compare
-                                    ///< mask must equal the plain width mask
-                                    ///< (binary blocks; dispatch-checked).
-  unsigned max_width = 0;      ///< Selectable when data_width <= this (0 = any).
-  unsigned depth = 0;          ///< Selectable only at this exact block_size
-                               ///< (0 = any); such kernels may ignore `count`.
-  bool generic = false;        ///< Guaranteed-fallback family (the plain
-                               ///< AVX2/scalar sweeps).
   MatchKernelEncodeFn encode_fn = nullptr;  ///< Fused sweep→encode (the fast
-                                            ///< plane's dispatch).
+                                            ///< plane's sweep).
 };
 
-/// The geometry fingerprint a selection runs against.
+/// Geometry a caller may describe to select_match_kernel(). No field is
+/// read: every geometry gets the same sweep. The type stays because the
+/// end-to-end bench fills it in.
 struct MatchKernelQuery {
-  CamKind kind = CamKind::kBinary;
   unsigned data_width = 32;
   unsigned block_size = 128;
-  bool force_generic = false;   ///< Restrict to the generic family.
-  bool allow_mask_free = true;  ///< false: skip needs_uniform_mask kernels
-                                ///< (used to pick the non-uniform fallback).
 };
 
-/// Every compiled kernel, priority order (first matching entry wins). AVX2
-/// entries are present even on hosts that cannot run them; the selector
-/// skips them there.
+/// Every kernel this host runs, best first: generic_avx2 (where it runs),
+/// then generic_scalar.
 const std::vector<MatchKernel>& match_kernel_registry();
 
-/// The best kernel for `q`; never fails (generic_scalar matches everything).
-/// The returned reference is valid for the process lifetime.
+/// The registry's first entry, whatever the query; the returned reference
+/// is valid for the process lifetime.
 const MatchKernel& select_match_kernel(const MatchKernelQuery& q);
 
 namespace detail {
 /// Registration hook for the AVX2 translation unit (match_kernels_avx2.cc,
-/// the only -mavx2 TU): the specialized AVX2 tier followed by generic_avx2.
-/// Appends nothing when the toolchain lacks AVX2 support or DSPCAM_NO_SIMD
-/// is on.
+/// the only -mavx2 TU): appends generic_avx2 when
+/// match_sweep_avx2_available(), nothing otherwise.
 void append_avx2_kernels(std::vector<MatchKernel>& out);
 }  // namespace detail
 

@@ -1,8 +1,8 @@
 // Shared driver for the fused sweep→encode kernel entry point
 // (MatchKernelEncodeFn in match_kernel.h).
 //
-// Every kernel family - scalar templates (match_kernel.cc) and the AVX2
-// kernels (match_kernels_avx2.cc) - fuses the same three stages:
+// Both sweeps - generic_scalar (match_kernel.cc) and generic_avx2
+// (match_kernels_avx2.cc) - fuse the same three stages:
 //
 //   match word  ->  & valid word  ->  scheme-specific fold
 //

@@ -138,8 +138,8 @@ class CamUnit {
   unsigned stored_per_group() const noexcept;
   unsigned capacity_per_group() const noexcept;
 
-  /// Name of the fast-path match kernel group 0's plane selected for its
-  /// depth; "reference" in EvalMode::kReference. See match_kernel.h.
+  /// Name of the sweep kernel the fast planes run (match_kernel.h);
+  /// "reference" in EvalMode::kReference.
   std::string match_kernel_name() const;
 
   /// True when group `group`'s plane answers searches from its exact-match

@@ -134,7 +134,7 @@ void CamSystem::record_telemetry(telemetry::MetricRegistry& registry,
       .set(cfg_.unit.block.eval_mode == cam::EvalMode::kFast ? 1 : 0);
   // Kernel-as-label gauge: one child per kernel name so bench_diff /
   // dashboards can attribute a perf shift to a kernel change without
-  // maintaining a name <-> id mapping ("...kernel.eq32_avx2" = 1).
+  // maintaining a name <-> id mapping ("...kernel.generic_avx2" = 1).
   registry.gauge(prefix + ".kernel." + unit_.match_kernel_name()).set(1);
 }
 

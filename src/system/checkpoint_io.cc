@@ -30,7 +30,8 @@ void append_snapshot(std::string& out, const fault::ShardSnapshot& snap) {
   for (std::size_t i = 0; i < snap.entries.size(); ++i) {
     const fault::EntryState& e = snap.entries[i];
     if (i != 0) out += ",";
-    out += "[" + std::to_string(e.stored) + "," + std::to_string(e.mask) + "," +
+    out += '[';
+    out += std::to_string(e.stored) + "," + std::to_string(e.mask) + "," +
            (e.valid ? "1" : "0") + "," + (e.parity ? "1" : "0") + "]";
   }
   out += "]}";

@@ -132,8 +132,9 @@ std::string FlightRecorder::dump_json(std::uint64_t cycle,
            json_escape(ev.what) + "\", \"args\": {";
     for (std::size_t i = 0; i < ev.args.size(); ++i) {
       if (i != 0) out += ", ";
-      out += "\"" + json_escape(ev.args[i].first) +
-             "\": " + std::to_string(ev.args[i].second);
+      out += '"';
+      out += json_escape(ev.args[i].first) + "\": " +
+             std::to_string(ev.args[i].second);
     }
     out += "}}";
   }

@@ -59,7 +59,7 @@ class HealthMonitor {
     double clear = 0.0;  ///< Recovering past this clears it (hysteresis).
     Severity severity = Severity::kWarn;
     double quantile = 0.99;  ///< kQuantileAbove only; in (0, 1].
-    std::string suffix;      ///< kSubtreeRateAbove only; may be empty
+    std::string suffix{};    ///< kSubtreeRateAbove only; may be empty
                              ///< (whole subtree).
   };
 

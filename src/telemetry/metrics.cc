@@ -218,21 +218,24 @@ std::string MetricRegistry::to_json() const {
   for (const auto& [name, c] : counters_) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + json_escape(name) + "\": " + std::to_string(c->value());
+    out += '"';
+    out += json_escape(name) + "\": " + std::to_string(c->value());
   }
   out += "}, \"gauges\": {";
   first = true;
   for (const auto& [name, g] : gauges_) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + json_escape(name) + "\": " + std::to_string(g->value());
+    out += '"';
+    out += json_escape(name) + "\": " + std::to_string(g->value());
   }
   out += "}, \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms_) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + json_escape(name) + "\": {\"count\": " +
+    out += '"';
+    out += json_escape(name) + "\": {\"count\": " +
            std::to_string(h->count()) + ", \"min\": " + std::to_string(h->min()) +
            ", \"max\": " + std::to_string(h->max()) +
            ", \"mean\": " + fmt_double(h->mean()) +

@@ -156,8 +156,9 @@ std::string SpanTracer::chrome_json() const {
     out += ", \"args\": {";
     for (std::size_t i = 0; i < span.args.size(); ++i) {
       if (i != 0) out += ", ";
-      out += "\"" + json_escape(span.args[i].first) +
-             "\": " + std::to_string(span.args[i].second);
+      out += '"';
+      out += json_escape(span.args[i].first) + "\": " +
+             std::to_string(span.args[i].second);
     }
     out += "}}";
   }

@@ -7,9 +7,9 @@
 // operator new/delete with counting versions and asserts the delta over a
 // steady-state search loop is exactly zero - on a standalone block and on
 // a whole unit (its group planes re-sliced by configure_groups between
-// rounds), for the fused sweep, the masked kernels, the exact-match index
-// (its table is sized at first use, then reused through every rebuild) and
-// the force-generic kernels, under every encoding scheme. One level up, it
+// rounds), for the fused sweep on binary and masked planes and the
+// exact-match index (its table is sized at first use, then reused through
+// every rebuild), under every encoding scheme. One level up, it
 // bounds what a ShardedCamEngine search beat may allocate on its way in and
 // pins its reorder-buffer pops at zero.
 //
@@ -172,20 +172,6 @@ TEST_F(AllocGuard, MaskedKernelsAreAllocFree) {
   }
 }
 
-TEST_F(AllocGuard, LegacyForceGenericPathIsAllocFree) {
-  // force_generic_kernel pins the generic kernels, which run the
-  // same fused encode path as every other kernel.
-  for (const EncodingScheme scheme :
-       {EncodingScheme::kPriorityIndex, EncodingScheme::kOneHot,
-        EncodingScheme::kMatchCount}) {
-    auto cfg = steady_cfg(CamKind::kBinary, 32, 256, scheme, /*buffered=*/true);
-    cfg.force_generic_kernel = true;
-    std::uint64_t sum = 0;
-    const std::size_t allocs = measure_steady_state(cfg, &sum);
-    EXPECT_EQ(allocs, 0u) << "scheme " << static_cast<int>(scheme);
-  }
-}
-
 /// Unit-level steady state: one round per entry of `rounds` - regroup to
 /// that group count (changing the count reallocates the unit's address
 /// controllers, so callers keep it fixed), an addressed reload, and a
@@ -282,19 +268,19 @@ TEST_F(AllocGuard, UnitFastPlanesAreAllocFreeAcrossRegrouping) {
     unsigned groups;
   };
   // The lookup_8k shape (32 x 256, one group, priority) and a 4-group
-  // one-hot unit, each on the registry's kernels (their planes indexed)
-  // and on the force-generic kernels (their planes swept).
+  // one-hot unit, each as a BCAM (its planes indexed) and as a TCAM (its
+  // planes swept).
   for (const Shape shape : {Shape{EncodingScheme::kPriorityIndex, 1},
                             Shape{EncodingScheme::kOneHot, 4}}) {
-    for (const bool force_generic : {false, true}) {
+    for (const CamKind kind : {CamKind::kBinary, CamKind::kTernary}) {
       UnitConfig cfg = unit_cfg(32, shape.scheme, shape.groups);
-      cfg.block.force_generic_kernel = force_generic;
+      cfg.block.cell.kind = kind;
       std::uint64_t sum = 0;
       const std::vector<unsigned> rounds(3, shape.groups);
       const std::size_t allocs =
           measure_unit_rounds(cfg, rounds, /*warm=*/1, /*churn=*/false, &sum);
       EXPECT_EQ(allocs, 0u) << "scheme " << static_cast<int>(shape.scheme)
-                            << " generic " << force_generic;
+                            << " kind " << to_string(kind);
       EXPECT_NE(sum, 0u) << "search loop produced no hits";
     }
   }

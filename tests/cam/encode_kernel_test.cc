@@ -1,15 +1,13 @@
 // Golden tests for the fused sweep→encode kernel entry point
 // (MatchKernelEncodeFn, match_kernel.h):
-//   - every registered encode kernel - scalar templates and the AVX2
-//     tier - reproduces
-//     encode_match_lines() over the valid-ANDed raw sweep, field for field,
-//     under all three encoding schemes,
+//   - every registered encode kernel - generic_scalar, and generic_avx2
+//     where it runs - reproduces encode_match_lines() over the valid-ANDed
+//     raw sweep, field for field, under all three encoding schemes,
 //   - one-hot out_bits carries exactly the valid-ANDed match words with a
 //     zero tail (poisoned-buffer checked, guard word included),
-//   - count == 0 is well-defined on flexible-depth kernels,
-//   - every registered kernel, the generic family included, carries the
-//     fused entry point (the fast plane's only sweep path), so the
-//     golden checks above cover generic_scalar/generic_avx2 too.
+//   - count == 0 is well-defined,
+//   - every registered kernel carries the fused entry point (the fast
+//     plane's only sweep path).
 #include "src/cam/match_kernel.h"
 
 #include <gtest/gtest.h>
@@ -32,12 +30,6 @@ constexpr EncodingScheme kSchemes[] = {EncodingScheme::kPriorityIndex,
                                        EncodingScheme::kOneHot,
                                        EncodingScheme::kMatchCount};
 
-/// A width the kernel is selectable at: the cap for narrow-width kernels,
-/// full DSP width otherwise.
-unsigned golden_width(const MatchKernel& k) {
-  return k.max_width != 0 ? k.max_width : 48;
-}
-
 struct Arrays {
   std::vector<std::uint64_t> stored;
   std::vector<std::uint64_t> nmask;
@@ -45,20 +37,17 @@ struct Arrays {
 };
 
 /// Randomized packed arrays for `count` entries at `width`: low-entropy
-/// stored words (so hits happen), wildcard/partial/full masks unless the
-/// kernel requires a uniform plane, and the requested valid pattern.
-/// valid_mode: 0 = all valid, 1 = random, 2 = none valid.
-Arrays make_arrays(Rng& rng, const MatchKernel& k, unsigned width,
-                   std::size_t count, int valid_mode) {
+/// stored words (so hits happen), wildcard/partial/full masks, and the
+/// requested valid pattern. valid_mode: 0 = all valid, 1 = random, 2 = none
+/// valid.
+Arrays make_arrays(Rng& rng, unsigned width, std::size_t count, int valid_mode) {
   Arrays a;
   a.stored.resize(count);
   a.nmask.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
     a.stored[i] = truncate(rng.next_bits(6), width);
-    a.nmask[i] = k.needs_uniform_mask
-                     ? low_bits(width)
-                     : low_bits(width) &
-                           ~low_bits(static_cast<unsigned>(rng.next_below(6)));
+    a.nmask[i] = low_bits(width) &
+                 ~low_bits(static_cast<unsigned>(rng.next_below(6)));
   }
   const std::size_t words = (count + 63) / 64;
   a.valid.assign(words, 0);
@@ -110,20 +99,15 @@ void expect_encoded_eq(const BlockResponse& want, const EncodedMatch& got,
 }
 
 TEST(FusedEncodeKernels, EveryEncodeKernelMatchesGoldenEncoder) {
+  constexpr unsigned width = 48;
   unsigned exercised = 0;
   for (const MatchKernel& k : match_kernel_registry()) {
-    if (k.needs_avx2 && !detail::match_sweep_avx2_available()) continue;
     ++exercised;
-    const unsigned width = golden_width(k);
-    // Depth-pinned kernels may ignore `count`; flexible ones also get
-    // ragged counts to pin the partial tail word.
-    const std::vector<std::size_t> counts =
-        k.depth != 0 ? std::vector<std::size_t>{k.depth}
-                     : std::vector<std::size_t>{1, 64, 100, 130};
-    for (const std::size_t count : counts) {
+    // Ragged counts pin the partial tail word.
+    for (const std::size_t count : {1u, 16u, 64u, 100u, 130u, 256u}) {
       for (int valid_mode = 0; valid_mode < 3; ++valid_mode) {
         Rng rng(0xE11C0DE ^ count ^ (valid_mode << 20));
-        const Arrays a = make_arrays(rng, k, width, count, valid_mode);
+        const Arrays a = make_arrays(rng, width, count, valid_mode);
         const std::size_t words = (count + 63) / 64;
         for (const EncodingScheme scheme : kSchemes) {
           const BlockResponse want = golden_encode(k, a, /*key=*/a.stored[0],
@@ -154,15 +138,12 @@ TEST(FusedEncodeKernels, EveryEncodeKernelMatchesGoldenEncoder) {
       }
     }
   }
-  // The scalar eq/masked template family, "eq" and generic_scalar at
-  // minimum (plus the AVX2 tier, generic included, where it runs).
-  EXPECT_GE(exercised, 14u);
+  // generic_scalar, plus generic_avx2 where it runs.
+  EXPECT_EQ(exercised, detail::match_sweep_avx2_available() ? 2u : 1u);
 }
 
 TEST(FusedEncodeKernels, ZeroCountIsWellDefinedOnFlexibleKernels) {
   for (const MatchKernel& k : match_kernel_registry()) {
-    if (k.depth != 0) continue;
-    if (k.needs_avx2 && !detail::match_sweep_avx2_available()) continue;
     for (const EncodingScheme scheme : kSchemes) {
       EncodedMatch got;
       got.hit = true;
@@ -179,16 +160,11 @@ TEST(FusedEncodeKernels, ZeroCountIsWellDefinedOnFlexibleKernels) {
 }
 
 /// The fast plane (fast_plane.h) sweeps only through the fused entry
-/// point, so every kernel - force_generic_kernel's generic family
-/// included - must carry it.
+/// point, so every kernel must carry it.
 TEST(FusedEncodeKernels, EveryKernelCarriesFusedEncodeEntryPoints) {
-  unsigned generics = 0;
   for (const MatchKernel& k : match_kernel_registry()) {
     EXPECT_NE(k.encode_fn, nullptr) << k.name;
-    if (k.generic) ++generics;
   }
-  // generic_scalar everywhere, plus generic_avx2 where the AVX2 tier runs.
-  EXPECT_GE(generics, detail::match_sweep_avx2_available() ? 2u : 1u);
 }
 
 }  // namespace

@@ -39,9 +39,6 @@ struct EquivParams {
   EncodingScheme encoding;
   unsigned cycles;
   std::uint64_t seed;
-  /// Pin the generic sweep instead of the registry's specialized kernel
-  /// (the fallback path must stay just as bit-identical).
-  bool force_generic = false;
   /// Parity-protected blocks, with random fault pokes corrupting entries.
   bool parity = false;
   /// Periodically drain both units and remap a random block to another
@@ -74,7 +71,6 @@ std::string row_name(const EquivParams& p) {
   std::replace(scheme.begin(), scheme.end(), '-', '_');  // gtest names: [A-Za-z0-9_]
   n += "_" + scheme;
   if (p.output_buffer) n += "_buf";
-  if (p.force_generic) n += "_generic";
   if (p.parity) n += "_parity";
   if (p.remap) n += "_remap";
   if (p.key_bits != 0) n += "_keys" + std::to_string(p.key_bits);
@@ -100,7 +96,6 @@ BlockConfig make_block_config(const EquivParams& p, EvalMode mode) {
   cfg.output_buffer = p.output_buffer;
   cfg.encoding = p.encoding;
   cfg.eval_mode = mode;
-  cfg.force_generic_kernel = p.force_generic;
   cfg.parity = p.parity;
   return cfg;
 }
@@ -515,13 +510,12 @@ TEST_P(FastEquivalence, LockstepStreamsAreBitIdentical) {
 }
 
 // >= 15k lockstep cycles PER ENCODING SCHEME over all three mask modes,
-// both pipeline depths (output buffer off/on), and - through the registry -
-// every specialized kernel family this host can run (narrow-width and
-// full-width, mask-free and masked, depth-matched and ragged, with their
-// fused sweep→encode entry points) and force_generic_kernel, which runs
-// the generic kernels' fused entry points end to end. Binary planes of at
-// least FastPlane::kIndexMinDepth entries answer from the exact-match index;
-// the mask-free kernels still sweep the shallower planes regrouping makes.
+// both pipeline depths (output buffer off/on), and the registry's sweep
+// for this host's ISA through its fused sweep→encode entry point, at
+// narrow and full widths and at 64-aligned and ragged plane depths. Binary
+// planes of at least FastPlane::kIndexMinDepth entries answer from the
+// exact-match index; the sweep still serves the shallower planes
+// regrouping makes.
 constexpr EquivParams kConfigs[] = {
     EquivParams{CamKind::kBinary, 32, 4, 32, 1, false,
                 EncodingScheme::kPriorityIndex, 4000, 101},
@@ -535,17 +529,16 @@ constexpr EquivParams kConfigs[] = {
                 EncodingScheme::kOneHot, 2500, 505},
     EquivParams{CamKind::kRange, 24, 4, 16, 2, true,
                 EncodingScheme::kPriorityIndex, 2000, 606},
-    // 48-bit binary: the full-width mask-free (eq64) kernel family.
+    // 48-bit binary: full-width stored words.
     EquivParams{CamKind::kBinary, 48, 2, 64, 1, false,
                 EncodingScheme::kPriorityIndex, 2000, 707},
-    // Same geometries as the first and third configs with the generic
-    // sweep forced: the fallback must be lockstep-identical too.
+    // The first and third configs' geometries on other streams.
     EquivParams{CamKind::kBinary, 32, 4, 32, 1, false,
-                EncodingScheme::kPriorityIndex, 2000, 808, true},
+                EncodingScheme::kPriorityIndex, 2000, 808},
     EquivParams{CamKind::kTernary, 16, 4, 32, 2, false,
-                EncodingScheme::kMatchCount, 2000, 909, true},
-    // 64- and 256-deep geometries (the scalar depth templates on a
-    // no-SIMD build) and the fused encode fast path, under every scheme.
+                EncodingScheme::kMatchCount, 2000, 909},
+    // 64- and 256-deep geometries and the fused encode fast path, under
+    // every scheme.
     EquivParams{CamKind::kBinary, 32, 2, 256, 1, true,
                 EncodingScheme::kOneHot, 4000, 1001},
     EquivParams{CamKind::kTernary, 16, 2, 256, 2, false,
@@ -562,10 +555,10 @@ constexpr EquivParams kConfigs[] = {
                 EncodingScheme::kMatchCount, 3500, 1607},
     EquivParams{CamKind::kBinary, 32, 2, 256, 1, false,
                 EncodingScheme::kPriorityIndex, 2500, 1708},
-    // Force-generic one-hot: the generic kernels' one-hot words must
-    // stay bit-identical under mutations too.
+    // Buffered one-hot on a 512-entry plane: one-hot words must stay
+    // bit-identical under mutations too.
     EquivParams{CamKind::kBinary, 32, 2, 256, 1, true,
-                EncodingScheme::kOneHot, 2000, 1809, true},
+                EncodingScheme::kOneHot, 2000, 1809},
     // The lookup_8k shape: 32 blocks x 256 cells in one group, output
     // buffer on (Table VIII's 8192x32 unit).
     EquivParams{CamKind::kBinary, 32, 32, 256, 1, true,
@@ -573,29 +566,26 @@ constexpr EquivParams kConfigs[] = {
     // Parity-protected geometries under random fault pokes: the
     // parity flag must latch on the same cycle in both modes.
     EquivParams{CamKind::kTernary, 16, 4, 32, 2, false,
-                EncodingScheme::kMatchCount, 3000, 2011, false, true},
+                EncodingScheme::kMatchCount, 3000, 2011, true},
     EquivParams{CamKind::kBinary, 32, 4, 64, 2, true,
-                EncodingScheme::kPriorityIndex, 3000, 2112, false, true},
+                EncodingScheme::kPriorityIndex, 3000, 2112, true},
     // Routing-table remaps: groups become uneven and non-contiguous
     // (e.g. {0,1,3} and {2}), with 16-cell blocks so no group starts
     // on a 64-entry boundary, under every encoding scheme.
     EquivParams{CamKind::kBinary, 16, 4, 16, 2, true,
-                EncodingScheme::kPriorityIndex, 4000, 2213, false, false,
-                true},
+                EncodingScheme::kPriorityIndex, 4000, 2213, false, true},
     EquivParams{CamKind::kRange, 16, 8, 16, 4, false,
-                EncodingScheme::kOneHot, 4000, 2314, false, true, true},
+                EncodingScheme::kOneHot, 4000, 2314, true, true},
     EquivParams{CamKind::kTernary, 16, 6, 32, 3, true,
-                EncodingScheme::kMatchCount, 4000, 2415, false, false,
-                true},
-    // Forced generic on the geometries the specialized kernels own: the
-    // 48-bit binary (eq64_avx2) shape, a range CAM under parity pokes,
-    // and the lookup_8k shape (swept: forced-generic planes get no index).
+                EncodingScheme::kMatchCount, 4000, 2415, false, true},
+    // More streams on the 48-bit binary shape, a range CAM under parity
+    // pokes, and the lookup_8k shape.
     EquivParams{CamKind::kBinary, 48, 2, 64, 1, false,
-                EncodingScheme::kPriorityIndex, 2000, 2516, true},
+                EncodingScheme::kPriorityIndex, 2000, 2516},
     EquivParams{CamKind::kRange, 16, 4, 32, 2, true,
-                EncodingScheme::kOneHot, 3000, 2617, true, true},
+                EncodingScheme::kOneHot, 3000, 2617, true},
     EquivParams{CamKind::kBinary, 32, 32, 256, 1, true,
-                EncodingScheme::kPriorityIndex, 1500, 2718, true},
+                EncodingScheme::kPriorityIndex, 1500, 2718},
     // Exact-match index rows (DESIGN.md §11): planes of >= 256 entries
     // over a 3-5 bit key space, so every value sits at several addresses
     // and half the invalidates strike a value's lowest copy.
@@ -620,7 +610,7 @@ constexpr EquivParams kConfigs[] = {
                 .encoding = EncodingScheme::kOneHot, .cycles = 3000,
                 .seed = 3304, .key_bits = 4, .index = true},
     // Standalone blocks: match-count is the chain length, plus a parity
-    // block and a 48-bit (eq64) one-hot block.
+    // block and a 48-bit one-hot block.
     EquivParams{.kind = CamKind::kBinary, .data_width = 32, .unit_size = 1,
                 .block_size = 256, .groups = 1, .output_buffer = false,
                 .encoding = EncodingScheme::kMatchCount, .cycles = 3000,

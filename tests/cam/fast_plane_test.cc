@@ -137,13 +137,11 @@ TEST(FastPlane, IndexServesOnlyDeepMaskFreePlanes) {
   EXPECT_FALSE(IndexedPlane(EncodingScheme::kPriorityIndex, FastPlane::kIndexMinDepth,
                             plane_cfg(CamKind::kTernary))
                    .plane.indexed())
-      << "only the mask-free (binary) family is an exact-match map";
-  BlockConfig generic = plane_cfg(CamKind::kBinary);
-  generic.force_generic_kernel = true;
+      << "only a binary plane is an exact-match map";
   EXPECT_FALSE(IndexedPlane(EncodingScheme::kPriorityIndex, FastPlane::kIndexMinDepth,
-                            generic)
+                            plane_cfg(CamKind::kRange))
                    .plane.indexed())
-      << "force_generic_kernel pins the generic sweep";
+      << "only a binary plane is an exact-match map";
 }
 
 TEST(FastPlane, IndexMatchesGoldenEncoderOverDuplicatesUnderEveryScheme) {
@@ -341,8 +339,8 @@ TEST(FastPlane, PokesDeUniformTheMaskPlaneAndTripParity) {
   EXPECT_EQ(p.parity_errors(), 0u);
   EXPECT_TRUE(p.mask_uniform());
 
-  // A MASK-plane upset keeping the old parity bit: masked fallback kernel,
-  // and exactly one parity error.
+  // A MASK-plane upset keeping the old parity bit: the mask plane is no
+  // longer uniform, and exactly one parity error.
   p.poke(9, p.stored(9), width_mask(16) | 1u, true, p.parity(9));
   EXPECT_FALSE(p.mask_uniform());
   EXPECT_EQ(p.parity_errors(), 1u);

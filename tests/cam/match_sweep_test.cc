@@ -127,28 +127,18 @@ TEST(MatchSweep, TailBitsAboveCountAreZero) {
 }
 
 /// match_sweep_avx2_available() is the flag bench/e2e reports and the
-/// selector gates the AVX2 tier on. Whenever it is true the registry must
-/// carry generic_avx2, or Avx2MatchesScalarBitForBit would skip instead of
-/// fail; when false, no AVX2 kernel may be selectable.
+/// registry gates generic_avx2 on. Whenever it is true the registry must
+/// lead with generic_avx2, or Avx2MatchesScalarBitForBit would skip instead
+/// of fail; when false, only generic_scalar may be registered.
 TEST(MatchSweep, Avx2AvailabilityAgreesWithRegistry) {
-  const MatchKernel* generic = nullptr;
-  for (const MatchKernel& k : match_kernel_registry()) {
-    if (std::string(k.name) == "generic_avx2") generic = &k;
-  }
+  const MatchKernel& front = match_kernel_registry().front();
   if (match_sweep_avx2_available()) {
-    ASSERT_NE(generic, nullptr);
-    EXPECT_TRUE(generic->needs_avx2);
-    EXPECT_TRUE(generic->generic);
-    EXPECT_EQ(generic->max_width, 0u);
-    EXPECT_EQ(generic->depth, 0u);
-    EXPECT_EQ(generic_avx2_sweep(), generic->fn);
+    EXPECT_STREQ(front.name, "generic_avx2");
+    EXPECT_EQ(generic_avx2_sweep(), front.fn);
   } else {
     EXPECT_EQ(generic_avx2_sweep(), nullptr);
-    MatchKernelQuery q;
-    for (const bool forced : {false, true}) {
-      q.force_generic = forced;
-      EXPECT_FALSE(select_match_kernel(q).needs_avx2) << "forced " << forced;
-    }
+    EXPECT_STREQ(front.name, "generic_scalar");
+    EXPECT_EQ(match_kernel_registry().size(), 1u);
   }
 }
 

@@ -207,7 +207,9 @@ TEST(Injector, TargetedCampaignHitsThePinnedBit) {
 
   EXPECT_EQ(target.peek(5).stored, before.stored ^ (1ULL << 7));
   for (std::size_t e = 0; e < target.entry_count(); ++e) {
-    if (e != 5) ASSERT_EQ(target.peek(e), empty_entry()) << "entry " << e;
+    if (e != 5) {
+      ASSERT_EQ(target.peek(e), empty_entry()) << "entry " << e;
+    }
   }
 }
 

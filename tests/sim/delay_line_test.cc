@@ -114,8 +114,7 @@ TEST(DelayLine, RingMatchesShiftRegisterModel) {
         ASSERT_TRUE(dl.drained());
         // A fresh value: N shifts after the one that ingests it.
         dl.push({-1});
-        dl.shift();
-        for (unsigned k = 1; k < stages; ++k) {
+        for (unsigned k = 0; k < stages; ++k) {
           dl.shift();
           ASSERT_FALSE(dl.output().has_value()) << "clear left a stage occupied";
         }

@@ -128,7 +128,10 @@ TEST(Watchdog, WedgeMessageListsTheOldestOutstandingTicketsInOrder) {
     if (key % 2 != 0) stuck.push_back(t);
   }
   std::string want = "tickets=[";
-  for (std::size_t i = 0; i < 8; ++i) want += (i != 0 ? "," : "") + std::to_string(stuck[i]);
+  for (std::size_t i = 0; i < 8; ++i) {
+    if (i != 0) want += ",";
+    want += std::to_string(stuck[i]);
+  }
   want += "...]";
   try {
     drv.drain();

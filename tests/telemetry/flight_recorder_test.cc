@@ -43,8 +43,9 @@ TEST(FlightRecorder, RingOverwritesOldestAndKeepsSeq) {
   cfg.capacity = 4;
   FlightRecorder rec(cfg);
   for (int i = 0; i < 10; ++i) {
-    rec.record(static_cast<std::uint64_t>(i), Kind::kCustom, Severity::kInfo,
-               "e" + std::to_string(i));
+    std::string what = "e";
+    what += std::to_string(i);
+    rec.record(static_cast<std::uint64_t>(i), Kind::kCustom, Severity::kInfo, std::move(what));
   }
   EXPECT_EQ(rec.size(), 4u);
   EXPECT_EQ(rec.recorded(), 10u);

@@ -70,7 +70,9 @@ TEST(SpanTracer, RingOverwritesOldestAndCountsDropped) {
   cfg.capacity = 4;
   SpanTracer tracer(cfg);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    const auto id = tracer.begin("s" + std::to_string(i), 0, i);
+    std::string name = "s";
+    name += std::to_string(i);
+    const auto id = tracer.begin(name, 0, i);
     tracer.end(id, i + 1);
   }
   EXPECT_EQ(tracer.finished(), 10u);

@@ -158,7 +158,7 @@ TEST(TraceLint, BlackboxRejectsMissingSections) {
     const auto pos = broken.find(key);
     ASSERT_NE(pos, std::string::npos) << key;
     // Rename the key (keep the document valid JSON).
-    broken.replace(pos + 1, 1, "z");
+    broken[pos + 1] = 'z';
     EXPECT_FALSE(lint_blackbox(broken).ok) << key;
   }
 }
