@@ -3,8 +3,10 @@
 // two evaluation paths sustain, and what the host-side add-ons cost.
 //
 //   part 1  reference vs fast CamUnit on a saturating search stream at
-//           {16x16, 64x64, 256x64} (blocks x cells/block) - the tentpole
-//           speedup of the vectorized match kernel.
+//           {16x16, 64x64, 256x64} (blocks x cells/block). Every part-1
+//           plane holds at least 256 entries, so the fast rows measure the
+//           exact-match index plus activity gating, not the sweep kernel;
+//           their "kernel" label says which one answered.
 //   part 3  telemetry overhead: a 4-shard ShardedCamEngine search stream
 //           with the metric registry + sampled span tracer attached,
 //           reported as a ratio against the bare run (acceptance: within
@@ -66,10 +68,16 @@ cam::UnitConfig unit_config(unsigned blocks, unsigned cells, cam::EvalMode mode,
   return cfg;
 }
 
-/// The sweep kernel a config's planes run ("reference" off the fast path).
+/// What answers a config's searches: "reference" off the fast path,
+/// "index+gating" when every group plane is indexed (FastPlane::indexed()),
+/// else the sweep kernel the planes run.
 std::string kernel_name_for(const cam::UnitConfig& cfg) {
   if (cfg.block.eval_mode == cam::EvalMode::kReference) return "reference";
-  return cam::match_kernel_registry().front().name;
+  const cam::CamUnit unit(cfg);
+  for (unsigned g = 0; g < unit.groups(); ++g) {
+    if (!unit.group_indexed(g)) return cam::match_kernel_registry().front().name;
+  }
+  return "index+gating";
 }
 
 /// Preloads half the unit's capacity, then streams one search beat per

@@ -31,10 +31,10 @@ void drain(cam::CamUnit& unit) {
   while (!unit.idle()) clock_cycle(unit);
 }
 
-void show_search(cam::CamUnit& unit, std::vector<cam::Word> keys, std::uint64_t seq) {
+void show_search(cam::CamUnit& unit, const std::vector<cam::Word>& keys, std::uint64_t seq) {
   cam::UnitRequest req;
   req.op = cam::OpKind::kSearch;
-  req.keys = std::move(keys);
+  req.keys.assign(keys.begin(), keys.end());
   req.seq = seq;
   unit.issue(std::move(req));
   while (!unit.response().has_value() || unit.response()->seq != seq) {

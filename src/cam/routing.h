@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/error.h"
@@ -25,31 +26,44 @@ class RoutingTable {
   /// Throws ConfigError unless n_groups divides n_blocks.
   RoutingTable(unsigned n_blocks, unsigned n_groups);
 
-  unsigned blocks() const noexcept { return static_cast<unsigned>(block_to_group_.size()); }
-  unsigned groups() const noexcept { return static_cast<unsigned>(group_to_blocks_.size()); }
+  unsigned blocks() const noexcept { return n_blocks_; }
+  unsigned groups() const noexcept { return n_groups_; }
 
   unsigned group_of(unsigned block) const;
-  const std::vector<unsigned>& blocks_of(unsigned group) const;
+  /// The group's blocks in fill order. The view stays valid until the next
+  /// rebuild() or remap().
+  std::span<const unsigned> blocks_of(unsigned group) const;
 
   /// Rebuilds the default contiguous mapping with a new group count.
   void rebuild(unsigned n_groups);
 
   /// Reassigns one block to another group ("dynamic reassignment of
-  /// resources"). Group sizes may become unequal; searches still broadcast
-  /// to every block of the key's group.
+  /// resources"); it joins the end of that group's fill order. Group sizes
+  /// may become unequal; searches still broadcast to every block of the
+  /// key's group.
   void remap(unsigned block, unsigned group);
 
  private:
-  std::vector<unsigned> block_to_group_;
-  std::vector<std::vector<unsigned>> group_to_blocks_;
+  unsigned* block_to_group() noexcept { return table_.data(); }
+  unsigned* order() noexcept { return table_.data() + n_blocks_; }
+  unsigned* group_start() noexcept { return table_.data() + 2 * n_blocks_; }
+  const unsigned* group_start() const noexcept { return table_.data() + 2 * n_blocks_; }
+
+  unsigned n_blocks_ = 0;
+  unsigned n_groups_ = 0;
+  /// One allocation, sized at construction: [group of each block | every
+  /// group's blocks, group-major | group g's run starts at entry g, n_groups
+  /// + 1 entries used].
+  std::vector<unsigned> table_;
 };
 
 /// Round-robin sequential fill over one group's blocks.
 class BlockAddressController {
  public:
-  /// `block_ids` lists the group's blocks in fill order; `block_size` is the
-  /// per-block entry capacity.
-  BlockAddressController(std::vector<unsigned> block_ids, unsigned block_size);
+  /// `block_ids` lists the group's blocks in fill order (borrowed: the
+  /// caller keeps it alive and rebinds the controller when it changes);
+  /// `block_size` is the per-block entry capacity.
+  BlockAddressController(std::span<const unsigned> block_ids, unsigned block_size);
 
   /// A run of consecutive cell slots inside one block.
   struct Segment {
@@ -57,10 +71,25 @@ class BlockAddressController {
     unsigned count = 0;  ///< Number of words directed to it.
   };
 
-  /// Claims slots for `n_words` new entries, spilling into following blocks
-  /// when the current one fills. Returns the (possibly shortened) segment
-  /// list; the total segment count may be < n_words if the group is full.
-  std::vector<Segment> allocate(unsigned n_words);
+  /// Claims up to `n_words` slots inside the current block and advances the
+  /// fill cursor past them, to the next block when this one fills. Returns
+  /// the run; its count is below `n_words` when the block filled first
+  /// (claim the rest, which spills into the following block) and 0 once
+  /// the group is full.
+  Segment claim(unsigned n_words) {
+    if (n_words == 0 || current_ >= block_ids_.size()) return {};
+    const unsigned room = block_size_ - offset_;
+    const Segment seg{block_ids_[current_], n_words < room ? n_words : room};
+    offset_ += seg.count;
+    stored_ += seg.count;
+    if (offset_ == block_size_) {
+      // Current block full: the controller points to the next block in the
+      // group (round-robin fill order).
+      ++current_;
+      offset_ = 0;
+    }
+    return seg;
+  }
 
   unsigned stored() const noexcept { return stored_; }
   unsigned capacity() const noexcept {
@@ -68,7 +97,7 @@ class BlockAddressController {
   }
   bool full() const noexcept { return stored_ >= capacity(); }
 
-  const std::vector<unsigned>& block_ids() const noexcept { return block_ids_; }
+  std::span<const unsigned> block_ids() const noexcept { return block_ids_; }
 
   /// Fill-cursor introspection for checkpoint/restore (src/fault/snapshot.h):
   /// the cursor triple is registered state the FaultTarget plane does not
@@ -94,17 +123,8 @@ class BlockAddressController {
     offset_ = 0;
   }
 
-  /// Rebinds the controller to another block list (same block size) and
-  /// resets its cursors; reuses the list's storage, so regrouping a unit
-  /// with an unchanged group count allocates nothing.
-  void assign_blocks(const std::vector<unsigned>& block_ids) {
-    if (block_ids.empty()) throw ConfigError("BlockAddressController: empty group");
-    block_ids_.assign(block_ids.begin(), block_ids.end());
-    reset();
-  }
-
  private:
-  std::vector<unsigned> block_ids_;
+  std::span<const unsigned> block_ids_;
   unsigned block_size_;
   unsigned stored_ = 0;   ///< Total entries in the group.
   unsigned current_ = 0;  ///< Index into block_ids_ of the block being filled.

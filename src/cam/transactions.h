@@ -8,14 +8,26 @@
 // positional (results come back in issue order at fixed latency).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "src/common/bitvec.h"
+#include "src/common/inline_vec.h"
 #include "src/cam/types.h"
 
 namespace dspcam::cam {
+
+/// Elements one unit bus beat carries inline: a 512-bit beat holds 16
+/// 32-bit words, and a 16-group unit takes one key per group. Wider
+/// payloads spill to the heap.
+inline constexpr std::size_t kBeatLanes = 16;
+
+/// A bus beat's payload: held inside the request/response record, so beats
+/// move through the FIFOs and reorder buffers without touching the heap.
+template <typename T>
+using BeatVec = InlineVec<T, kBeatLanes>;
 
 /// Identifies an in-flight operation end-to-end.
 struct QueryTag {
@@ -82,11 +94,13 @@ struct UnitRequest {
 
   /// kUpdate: data words (at most the unit's words_per_beat). Replicated to
   /// every CAM group by the routing logic.
-  std::vector<Word> words;
-  std::vector<std::uint64_t> masks;  ///< Optional per-entry masks.
+  BeatVec<Word> words;
+  /// Optional per-entry masks (TCAM/RMCAM updates only), so kept off the
+  /// record: an empty vector costs a search beat nothing.
+  std::vector<std::uint64_t> masks;
 
   /// kSearch: up to M keys, one per CAM group (multi-query).
-  std::vector<Word> keys;
+  BeatVec<Word> keys;
 
   /// kUpdate/kInvalidate extension: group-local entry index to write at /
   /// invalidate (applied to every group's copy). Without it, updates append
@@ -97,13 +111,15 @@ struct UnitRequest {
 };
 
 /// Per-key result of a unit-level search.
+/// Fields are ordered widest first, so the record packs into 24 bytes: a
+/// beat's results travel inline (BeatVec), 16 of them per response.
 struct UnitSearchResult {
   Word key = 0;
-  bool hit = false;
   std::uint32_t global_address = 0;  ///< block_id * block_size + cell index.
   std::uint32_t match_count = 0;     ///< Aggregated across the group's blocks.
   std::uint16_t group = 0;
   std::uint16_t shard = 0;  ///< Shard that answered (engine deployments).
+  bool hit = false;
 
   /// A parity-protected block contributing to this result held at least one
   /// entry whose parity check failed when the compare latched: treat hit /
@@ -119,7 +135,7 @@ struct UnitSearchResult {
 /// A completed unit-level search beat (all keys of one request).
 struct UnitResponse {
   std::uint64_t seq = 0;
-  std::vector<UnitSearchResult> results;
+  BeatVec<UnitSearchResult> results;
 };
 
 /// Acknowledgement of a completed unit update beat.

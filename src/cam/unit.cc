@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
+#include <stdexcept>
 
 #include "src/cam/mask.h"
 #include "src/cam/match_kernel.h"
@@ -30,31 +32,27 @@ CamUnit::CamUnit(const UnitConfig& cfg)
     store_.resize(words, cfg_.block.parity);
     if (cfg_.block.encoding != EncodingScheme::kPriorityIndex) onehot_.assign(words, 0);
     planes_.resize(n);
-    plane_blocks_.assign(n, 0);
-    group_first_.assign(n + 1, 0);
-    group_next_.assign(n, 0);
-    block_base_.assign(n, 0);
-    fills_.assign(n, 0);
-    block_routed_.assign(n, 0);
-    for (auto& m : matches_) m.reserve(n);
+    index_.reset(new unsigned[6 * std::size_t{n} + 1]());
+    plane_blocks_ = index_.get();
+    block_base_ = plane_blocks_ + n;
+    fills_ = block_base_ + n;
+    block_routed_ = fills_ + n;
+    group_next_ = block_routed_ + n;
+    group_first_ = group_next_ + n;  // n + 1 entries
     relayout();
   }
-  // Routed writes of one beat: up to two blocks per group when a beat is
-  // narrower than a block (the vectors keep whatever they grow to).
-  routed_.reserve(2 * n);
-  applied_.reserve(2 * n);
+  // routed_/applied_ grow on the first write beats and keep their capacity
+  // (a beat routes to at most two blocks per group), so construction leaves
+  // them unallocated.
+  controllers_.reserve(n);
   rebuild_controllers();
 }
 
+// One controller per group, each borrowing its group's run of the routing
+// table; rebound (cursors reset) whenever the routing changes. controllers_
+// was reserved for unit_size groups, so this never allocates.
 void CamUnit::rebuild_controllers() {
-  if (controllers_.size() == routing_.groups()) {
-    for (unsigned g = 0; g < routing_.groups(); ++g) {
-      controllers_[g].assign_blocks(routing_.blocks_of(g));
-    }
-    return;
-  }
   controllers_.clear();
-  controllers_.reserve(routing_.groups());
   for (unsigned g = 0; g < routing_.groups(); ++g) {
     controllers_.emplace_back(routing_.blocks_of(g), cfg_.block.block_size);
   }
@@ -68,10 +66,10 @@ void CamUnit::rebuild_controllers() {
 void CamUnit::relayout() {
   const unsigned bs = cfg_.block.block_size;
   const unsigned n_groups = routing_.groups();
-  std::fill(group_first_.begin(), group_first_.end(), 0);
+  std::fill_n(group_first_, n_groups + 1, 0u);
   for (unsigned b = 0; b < cfg_.unit_size; ++b) ++group_first_[routing_.group_of(b) + 1];
   for (unsigned g = 0; g < n_groups; ++g) group_first_[g + 1] += group_first_[g];
-  std::copy(group_first_.begin(), group_first_.begin() + n_groups, group_next_.begin());
+  std::copy_n(group_first_, n_groups, group_next_);
   for (unsigned b = 0; b < cfg_.unit_size; ++b) {
     const unsigned g = routing_.group_of(b);
     const unsigned slot = group_next_[g]++;
@@ -113,7 +111,7 @@ std::size_t CamUnit::active_block_count() const noexcept {
   for (std::size_t i = 0; applied_edge_ == edge_ && i < applied_.size(); ++i) {
     // A block routed again this edge was counted above.
     const unsigned b = applied_[i].block;
-    n += routing_.group_of(b) >= keys && block_routed_[b] != edge_;
+    n += routing_.group_of(b) >= keys && block_routed_[b] != static_cast<unsigned>(edge_);
   }
   return n;
 }
@@ -122,7 +120,7 @@ void CamUnit::apply_routing_change() {
   rebuild_controllers();
   if (fast()) relayout();  // re-slices and clears the planes
   for (auto& b : blocks_) b->hard_reset();
-  std::fill(fills_.begin(), fills_.end(), 0);
+  if (fast()) std::fill_n(fills_, cfg_.unit_size, 0u);
   clear_pipelines();
 }
 
@@ -231,6 +229,13 @@ void CamUnit::issue(UnitRequest request) {
 }
 
 namespace {
+
+/// The i-th block of a group's fill order; a group shrunk by remap_block()
+/// may hold fewer blocks than group 0, whose capacity bounds addresses.
+unsigned block_at(std::span<const unsigned> ids, std::size_t i) {
+  if (i >= ids.size()) throw std::out_of_range("CamUnit: entry past the group's blocks");
+  return ids[i];
+}
 
 void check_entry_index(const char* what, std::size_t entry, std::size_t entries) {
   if (entry >= entries) {
@@ -402,7 +407,7 @@ void CamUnit::dispatch_update(Beat& beat) {
     for (unsigned g = 0; g < routing_.groups(); ++g) {
       PlaneWrite w;
       w.op = OpKind::kInvalidate;
-      w.block = routing_.blocks_of(g).at(entry / bs);
+      w.block = block_at(routing_.blocks_of(g), entry / bs);
       w.cell = entry % bs;
       routed_.push_back(w);
     }
@@ -413,12 +418,12 @@ void CamUnit::dispatch_update(Beat& beat) {
     // group's copy; the Block Address Controllers are untouched.
     ack.words_written = static_cast<unsigned>(req.words.size());
     for (unsigned g = 0; g < routing_.groups(); ++g) {
-      const auto& ids = routing_.blocks_of(g);
+      const std::span<const unsigned> ids = routing_.blocks_of(g);
       unsigned pos = 0;
       std::uint32_t entry = *req.address;
       while (pos < req.words.size()) {
         PlaneWrite w;
-        w.block = ids.at(entry / bs);
+        w.block = block_at(ids, entry / bs);
         w.cell = entry % bs;
         w.word_pos = pos;
         w.count = std::min<unsigned>(bs - w.cell,
@@ -434,7 +439,11 @@ void CamUnit::dispatch_update(Beat& beat) {
     bool all_full = true;
     for (unsigned g = 0; g < routing_.groups(); ++g) {
       unsigned written = 0;
-      for (const auto& seg : controllers_[g].allocate(n_words)) {
+      // Fill the current block, spilling into the next ones, until the
+      // words run out or the group is full.
+      while (written < n_words) {
+        const BlockAddressController::Segment seg = controllers_[g].claim(n_words - written);
+        if (seg.count == 0) break;
         PlaneWrite w;
         w.block = seg.block;
         w.fill = true;
@@ -450,7 +459,7 @@ void CamUnit::dispatch_update(Beat& beat) {
   }
 
   if (fast()) {
-    for (const PlaneWrite& w : routed_) block_routed_[w.block] = edge_;
+    for (const PlaneWrite& w : routed_) block_routed_[w.block] = static_cast<unsigned>(edge_);
     return;
   }
   for (const PlaneWrite& w : routed_) {
@@ -500,7 +509,7 @@ void CamUnit::dispatch_search(const Beat& beat) {
 // same cycle, their pipelines being identical). A search flushed by a
 // reset dispatched after it yields no response and leaves its queue.
 void CamUnit::collect(const Beat& beat) {
-  const std::vector<Word>& keys = beat.req.keys;
+  const BeatVec<Word>& keys = beat.req.keys;
   if (fast() && beat.epoch != reset_epoch_) {
     searches_.pop_front();
     return;
@@ -556,7 +565,7 @@ void CamUnit::collect(const Beat& beat) {
 // output buffer; a reset dispatched after the search flushes it.
 void CamUnit::compare(const Beat& beat) {
   if (beat.epoch != reset_epoch_) return;
-  const std::vector<Word>& keys = beat.req.keys;
+  const BeatVec<Word>& keys = beat.req.keys;
   auto& out = matches_[beat.compare & 1];
   out.resize(keys.size());
   const unsigned bs = cfg_.block.block_size;
@@ -599,11 +608,11 @@ void CamUnit::compare(const Beat& beat) {
 void CamUnit::apply(const Beat& beat) {
   if (beat.req.op == OpKind::kReset) {
     for (unsigned g = 0; g < routing_.groups(); ++g) planes_[g].clear();
-    std::fill(fills_.begin(), fills_.end(), 0);
+    std::fill_n(fills_, cfg_.unit_size, 0u);
     return;
   }
   const unsigned bs = cfg_.block.block_size;
-  const std::vector<Word>& words = beat.req.words;
+  const BeatVec<Word>& words = beat.req.words;
   const std::vector<std::uint64_t>& masks = beat.req.masks;
   const std::uint64_t default_mask = width_mask(cfg_.block.cell.data_width);
   for (const PlaneWrite& w : routed_) {

@@ -268,15 +268,21 @@ class CamUnit {
   FastPlaneStore store_;                  ///< Unit-wide, sized at construction.
   std::vector<std::uint64_t> onehot_;     ///< One-hot/count: a compare's match words.
   std::vector<FastPlane> planes_;         ///< Slot g serves group g (unit_size slots).
-  std::vector<unsigned> plane_blocks_;    ///< Group-major, ascending block ids.
-  std::vector<unsigned> group_first_;     ///< Group g's run in plane_blocks_.
-  std::vector<unsigned> group_next_;      ///< relayout() scratch.
-  std::vector<std::uint32_t> block_base_; ///< Block's first entry in its plane.
-  std::vector<unsigned> fills_;           ///< Per-block fill pointers.
-  std::vector<std::uint64_t> block_routed_;  ///< Last edge a write routed to the block.
+  /// The per-block and per-group plane index: one allocation of
+  /// 6 * unit_size + 1 entries, carved into the runs below.
+  std::unique_ptr<unsigned[]> index_;
+  unsigned* plane_blocks_ = nullptr;  ///< Group-major, ascending block ids.
+  unsigned* group_first_ = nullptr;   ///< Group g's run in plane_blocks_ (M + 1 used).
+  unsigned* group_next_ = nullptr;    ///< relayout() scratch.
+  unsigned* block_base_ = nullptr;    ///< Block's first entry in its plane.
+  unsigned* fills_ = nullptr;         ///< Per-block fill pointers.
+  /// Low 32 bits of the last edge a write routed to the block. Only ever
+  /// compared against the current edge for a block routed at this edge or
+  /// the one before, so the truncation is exact.
+  unsigned* block_routed_ = nullptr;
   std::vector<PlaneWrite> routed_;   ///< Writes routed this edge (kFast: apply next edge).
   std::vector<PlaneWrite> applied_;  ///< Writes applied at applied_edge_.
-  std::vector<KeyMatch> matches_[2]; ///< Compare results, by compare edge parity.
+  BeatVec<KeyMatch> matches_[2];     ///< Compare results, by compare edge parity.
 
   // Activity gating: only blocks on this list are committed/collected each
   // cycle. A block joins when a beat is routed to it and leaves once it is

@@ -8,16 +8,22 @@
 // (elements' own heap buffers aside). Random access is relative to the
 // front, which is what reorder buffers index by.
 //
-// Popped and cleared slots are reset to T{}, so a queued element's
-// resources are released when it leaves the queue, as with std::deque.
-// T must be default-constructible and move-assignable.
+// Only live slots hold objects: a push constructs its element in place and
+// a pop or clear destroys it, so an element's resources are released when
+// it leaves the queue, as with std::deque, and slots never used are never
+// touched - a queue of wide records (a bus beat's inline payload) pays for
+// the depth it reaches, not for zero-filling or default-constructing its
+// whole slot array. T must be move-constructible; emplace_back() also
+// needs it default-constructible.
 #pragma once
 
 #include <cstddef>
 #include <iterator>
+#include <memory>
+#include <new>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace dspcam {
 
@@ -51,13 +57,26 @@ class RingQueue {
   using iterator = Iter<RingQueue, T>;
   using const_iterator = Iter<const RingQueue, const T>;
 
+  RingQueue() = default;
+  RingQueue(RingQueue&& o) noexcept { take(o); }
+  RingQueue& operator=(RingQueue&& o) noexcept {
+    if (this != &o) {
+      release();
+      take(o);
+    }
+    return *this;
+  }
+  RingQueue(const RingQueue&) = delete;
+  RingQueue& operator=(const RingQueue&) = delete;
+  ~RingQueue() { release(); }
+
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
 
   /// Element `i` counted from the front (unchecked).
-  T& operator[](std::size_t i) { return slots_[(head_ + i) & (slots_.size() - 1)]; }
+  T& operator[](std::size_t i) { return slots_[(head_ + i) & (capacity_ - 1)]; }
   const T& operator[](std::size_t i) const {
-    return slots_[(head_ + i) & (slots_.size() - 1)];
+    return slots_[(head_ + i) & (capacity_ - 1)];
   }
 
   /// Bounds-checked operator[]; throws std::out_of_range.
@@ -70,18 +89,39 @@ class RingQueue {
   const T& front() const { return (*this)[0]; }
   const T& back() const { return (*this)[size_ - 1]; }
 
-  void push_back(T value) { emplace_back() = std::move(value); }
-
-  /// Appends an element and returns it; it is T{}, as every free slot is.
-  T& emplace_back() {
-    if (size_ == slots_.size()) grow();
-    return (*this)[size_++];
+  void push_back(T&& value) {
+    if (size_ == capacity_) {
+      T moved(std::move(value));  // `value` may be an element grow() relocates
+      grow();
+      return push_back(std::move(moved));
+    }
+    ::new (static_cast<void*>(back_slot())) T(std::move(value));
+    ++size_;
+  }
+  void push_back(const T& value) {
+    if (size_ == capacity_) return push_back(T(value));
+    ::new (static_cast<void*>(back_slot())) T(value);
+    ++size_;
   }
 
-  /// Drops the front element (its slot is reset to T{}).
+  /// Appends a default-initialised element (T{} for trivially copyable T,
+  /// else whatever T's default member initialisers set) and returns it.
+  T& emplace_back() {
+    if (size_ == capacity_) grow();
+    T* slot = back_slot();
+    if constexpr (std::is_trivially_copyable_v<T>) {
+      ::new (static_cast<void*>(slot)) T{};
+    } else {
+      ::new (static_cast<void*>(slot)) T;
+    }
+    ++size_;
+    return *slot;
+  }
+
+  /// Drops (destroys) the front element.
   void pop_front() {
-    front() = T{};
-    head_ = (head_ + 1) & (slots_.size() - 1);
+    std::destroy_at(&front());
+    head_ = (head_ + 1) & (capacity_ - 1);
     --size_;
   }
 
@@ -96,14 +136,40 @@ class RingQueue {
   const_iterator end() const { return {this, size_}; }
 
  private:
+  /// The free slot behind the back element (the array must not be full).
+  T* back_slot() { return &slots_[(head_ + size_) & (capacity_ - 1)]; }
+
   void grow() {
-    std::vector<T> bigger(slots_.empty() ? 8 : slots_.size() * 2);
-    for (std::size_t i = 0; i < size_; ++i) bigger[i] = std::move((*this)[i]);
-    slots_ = std::move(bigger);
+    const std::size_t n = capacity_ == 0 ? 8 : capacity_ * 2;
+    T* bigger = std::allocator<T>().allocate(n);
+    for (std::size_t i = 0; i < size_; ++i) {
+      ::new (static_cast<void*>(bigger + i)) T(std::move((*this)[i]));
+      std::destroy_at(&(*this)[i]);
+    }
+    if (slots_ != nullptr) std::allocator<T>().deallocate(slots_, capacity_);
+    slots_ = bigger;
+    capacity_ = n;
     head_ = 0;
   }
 
-  std::vector<T> slots_;  ///< Power-of-two size (or empty).
+  void release() noexcept {
+    clear();
+    if (slots_ != nullptr) std::allocator<T>().deallocate(slots_, capacity_);
+    slots_ = nullptr;
+    capacity_ = 0;
+    head_ = 0;
+  }
+
+  void take(RingQueue& o) noexcept {
+    slots_ = std::exchange(o.slots_, nullptr);
+    capacity_ = std::exchange(o.capacity_, 0);
+    head_ = std::exchange(o.head_, 0);
+    size_ = std::exchange(o.size_, 0);
+  }
+
+  T* slots_ = nullptr;  ///< capacity_ slots (a power of two, or none); live
+                        ///< ones are [head_, head_ + size_) mod capacity_.
+  std::size_t capacity_ = 0;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <utility>
 
 #include "src/common/error.h"
 #include "src/common/ring_queue.h"
@@ -31,9 +33,13 @@ class Fifo {
 
   /// Enqueues a value; throws SimError if full (callers must check full()
   /// and apply backpressure, as the RTL would).
-  void push(T value) {
+  void push(T&& value) {
     if (full()) throw SimError("Fifo: push on full FIFO");
     items_.push_back(std::move(value));
+  }
+  void push(const T& value) {
+    if (full()) throw SimError("Fifo: push on full FIFO");
+    items_.push_back(value);
   }
 
   /// Front element; throws SimError if empty.
@@ -51,6 +57,15 @@ class Fifo {
   T pop() {
     if (empty()) throw SimError("Fifo: pop on empty FIFO");
     T value = std::move(items_.front());
+    items_.pop_front();
+    return value;
+  }
+
+  /// Dequeues the front element straight into an optional (one move of a
+  /// possibly wide record); empty when the FIFO is.
+  std::optional<T> try_pop() {
+    if (empty()) return std::nullopt;
+    std::optional<T> value(std::in_place, std::move(items_.front()));
     items_.pop_front();
     return value;
   }

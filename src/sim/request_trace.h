@@ -61,7 +61,7 @@ class CompletionStream {
     unsigned op = 0;  ///< static_cast of cam::OpKind.
     unsigned words_written = 0;
     bool full = false;
-    std::vector<cam::UnitSearchResult> results;  ///< Searches only.
+    cam::BeatVec<cam::UnitSearchResult> results;  ///< Searches only.
   };
 
   explicit CompletionStream(Placement placement = Placement::kFull)

@@ -1,6 +1,7 @@
 #include "src/system/cam_system.h"
 
 #include <cstdio>
+#include <span>
 
 #include "src/common/error.h"
 #include "src/telemetry/metrics.h"
@@ -22,14 +23,10 @@ bool CamSystem::try_submit(cam::UnitRequest request) {
 }
 
 std::optional<cam::UnitResponse> CamSystem::try_pop_response() {
-  if (response_fifo_.empty()) return std::nullopt;
-  return response_fifo_.pop();
+  return response_fifo_.try_pop();
 }
 
-std::optional<cam::UnitUpdateAck> CamSystem::try_pop_ack() {
-  if (ack_fifo_.empty()) return std::nullopt;
-  return ack_fifo_.pop();
-}
+std::optional<cam::UnitUpdateAck> CamSystem::try_pop_ack() { return ack_fifo_.try_pop(); }
 
 void CamSystem::eval() {
   // Pop at most one request per cycle into the unit, but only when its
@@ -46,10 +43,9 @@ void CamSystem::eval() {
       ok = updates_in_flight_ + ack_fifo_.size() < ack_fifo_.capacity();
     }
     if (ok) {
-      cam::UnitRequest req = request_fifo_.pop();
-      if (req.op == cam::OpKind::kSearch) ++searches_in_flight_;
+      if (front.op == cam::OpKind::kSearch) ++searches_in_flight_;
       if (acks) ++updates_in_flight_;
-      unit_.issue(std::move(req));
+      unit_.issue(request_fifo_.pop());
       ++stats_.issued;
     } else {
       ++stats_.stall_cycles;
@@ -95,11 +91,11 @@ std::vector<fault::EntryState> CamSystem::logical_entries() {
   // Every group holds a full replica, so group 0's copy in fill order IS the
   // logical contents: address a lives in block ids[a / bs], cell a % bs.
   const unsigned bs = cfg_.unit.block.block_size;
-  const auto& ids = unit_.routing().blocks_of(0);
+  const std::span<const unsigned> ids = unit_.routing().blocks_of(0);
   std::vector<fault::EntryState> entries;
   entries.reserve(capacity());
   for (unsigned a = 0; a < capacity(); ++a) {
-    entries.push_back(unit_.entry(static_cast<std::size_t>(ids.at(a / bs)) * bs + a % bs));
+    entries.push_back(unit_.entry(static_cast<std::size_t>(ids[a / bs]) * bs + a % bs));
   }
   return entries;
 }

@@ -112,19 +112,49 @@ CamDriver::Ticket CamDriver::submit_async(cam::UnitRequest request) {
 }
 
 std::optional<CamDriver::Completion> CamDriver::try_pop_completion() {
-  if (completions_head_ == completions_.size()) return std::nullopt;
-  Completion c = std::move(completions_[completions_head_]);
-  ++completions_head_;
-  if (completions_head_ == completions_.size()) {
-    completions_.clear();  // rewind; capacity is retained
-    completions_head_ = 0;
+  if (finished_head_ == finished_.size()) return std::nullopt;
+  return take(finished_head_);
+}
+
+namespace {
+
+/// Drops entry `i` of a vector ring whose live entries start at `head`: the
+/// front by advancing `head`, any other by erasing it. Rewinds the ring,
+/// capacity intact, once it is empty.
+template <typename T>
+void drop(std::vector<T>& ring, std::size_t& head, std::size_t i) {
+  if (i == head) {
+    ++head;
+  } else {
+    ring.erase(ring.begin() + static_cast<std::ptrdiff_t>(i));
   }
+  if (head == ring.size()) {
+    ring.clear();
+    head = 0;
+  }
+}
+
+}  // namespace
+
+CamDriver::Completion CamDriver::take(std::size_t i) {
+  const Finished f = finished_[i];
+  Completion c{f.ticket, f.op, {}, f.words_written, f.full};
+  if (f.op == cam::OpKind::kSearch) {
+    // The searches queued ahead of this one own the result sets ahead of its.
+    std::size_t r = results_head_;
+    for (std::size_t j = finished_head_; j < i; ++j) r += finished_[j].op == cam::OpKind::kSearch;
+    c.results = std::move(results_[r]);
+    drop(results_, results_head_, r);
+  }
+  drop(finished_, finished_head_, i);
   return c;
 }
 
 void CamDriver::pump() {
   while (!submit_queue_.empty()) {
-    if (!backend_->try_submit(submit_queue_.front())) break;  // copies; retry later
+    // A copy, so a refused beat stays queued for the next try: the payload
+    // is inline (cam::BeatVec), so the copy is a memcpy, not an allocation.
+    if (!backend_->try_submit(submit_queue_.front())) break;
     if (tracer_ != nullptr) {
       // The beat left the retry queue: close its backpressure-wait span.
       const auto it = ticket_traces_.find(submit_queue_.front().seq);
@@ -140,34 +170,27 @@ void CamDriver::pump() {
 void CamDriver::harvest() {
   const std::size_t before = inflight_;
   while (auto resp = backend_->try_pop_response()) {
-    Completion c;
-    c.ticket = resp->seq;
-    c.op = cam::OpKind::kSearch;
-    c.results = std::move(resp->results);
-    complete(std::move(c));
+    results_.push_back(std::move(resp->results));
+    complete({resp->seq, cam::OpKind::kSearch, 0, false});
   }
   while (auto ack = backend_->try_pop_ack()) {
-    Completion c;
-    c.ticket = ack->seq;
-    c.op = ack_ops_.empty() ? cam::OpKind::kUpdate : ack_ops_.front();
+    const cam::OpKind op = ack_ops_.empty() ? cam::OpKind::kUpdate : ack_ops_.front();
     if (!ack_ops_.empty()) ack_ops_.pop_front();
-    c.words_written = ack->words_written;
-    c.full = ack->unit_full;
-    complete(std::move(c));
+    complete({ack->seq, op, ack->words_written, ack->unit_full});
   }
   if (inflight_ < before) last_progress_cycle_ = polled_cycles_;
 }
 
-void CamDriver::complete(Completion c) {
-  if (c.ticket >= window_base_ && c.ticket - window_base_ < outstanding_.size()) {
-    outstanding_[c.ticket - window_base_] = 0;
+void CamDriver::complete(const Finished& f) {
+  if (f.ticket >= window_base_ && f.ticket - window_base_ < outstanding_.size()) {
+    outstanding_[f.ticket - window_base_] = 0;
     while (!outstanding_.empty() && outstanding_.front() == 0) {
       outstanding_.pop_front();
       ++window_base_;
     }
   }
-  if (registry_ != nullptr || tracer_ != nullptr) note_completed(c.ticket);
-  completions_.push_back(std::move(c));
+  if (registry_ != nullptr || tracer_ != nullptr) note_completed(f.ticket);
+  finished_.push_back(f);
   --inflight_;
 }
 
@@ -435,16 +458,8 @@ void CamDriver::wait_idle() {
 }
 
 CamDriver::Completion CamDriver::take_completion(Ticket ticket) {
-  for (std::size_t i = completions_head_; i < completions_.size(); ++i) {
-    if (completions_[i].ticket == ticket) {
-      Completion c = std::move(completions_[i]);
-      completions_.erase(completions_.begin() + static_cast<std::ptrdiff_t>(i));
-      if (completions_head_ == completions_.size()) {
-        completions_.clear();
-        completions_head_ = 0;
-      }
-      return c;
-    }
+  for (std::size_t i = finished_head_; i < finished_.size(); ++i) {
+    if (finished_[i].ticket == ticket) return take(i);
   }
   throw SimError("CamDriver: completion not found for ticket");
 }
@@ -457,8 +472,7 @@ unsigned CamDriver::store(std::span<const cam::Word> words,
     throw ConfigError("CamDriver::store: mask array must parallel the words");
   }
   const unsigned per_beat = std::max(1u, backend_->words_per_beat());
-  std::vector<Ticket> tickets;
-  tickets.reserve(words.size() / per_beat + 1);
+  const Ticket first = next_ticket_;  // the beats take consecutive tickets
   std::size_t pos = 0;
   while (pos < words.size()) {
     const std::size_t n = std::min<std::size_t>(per_beat, words.size() - pos);
@@ -468,12 +482,13 @@ unsigned CamDriver::store(std::span<const cam::Word> words,
     if (!masks.empty()) {
       req.masks.assign(masks.begin() + pos, masks.begin() + pos + n);
     }
-    tickets.push_back(submit_async(std::move(req)));
+    submit_async(std::move(req));
     pos += n;
   }
+  const Ticket end = next_ticket_;
   drain();
   unsigned accepted = 0;
-  for (const Ticket t : tickets) accepted += take_completion(t).words_written;
+  for (Ticket t = first; t < end; ++t) accepted += take_completion(t).words_written;
   return accepted;
 }
 
@@ -514,7 +529,8 @@ std::vector<cam::UnitSearchResult> CamDriver::search_many(
   req.keys.assign(keys.begin(), keys.end());
   const Ticket t = submit_async(std::move(req));
   drain();
-  return take_completion(t).results;
+  const Completion c = take_completion(t);
+  return {c.results.begin(), c.results.end()};
 }
 
 std::vector<cam::UnitSearchResult> CamDriver::search_stream(
@@ -530,10 +546,7 @@ std::vector<cam::UnitSearchResult> CamDriver::search_stream(
   drain();
   std::vector<cam::UnitSearchResult> out;
   out.reserve(keys.size());
-  for (const Ticket t : tickets) {
-    auto results = take_completion(t).results;
-    out.push_back(results.front());
-  }
+  for (const Ticket t : tickets) out.push_back(take_completion(t).results.front());
   return out;
 }
 

@@ -58,9 +58,9 @@ class CamDriver {
   struct Completion {
     Ticket ticket = 0;
     cam::OpKind op = cam::OpKind::kIdle;
-    std::vector<cam::UnitSearchResult> results;  ///< kSearch only.
-    unsigned words_written = 0;                  ///< kUpdate/kInvalidate only.
-    bool full = false;                           ///< Backend reported full.
+    cam::BeatVec<cam::UnitSearchResult> results;  ///< kSearch only.
+    unsigned words_written = 0;                   ///< kUpdate/kInvalidate only.
+    bool full = false;                            ///< Backend reported full.
   };
 
   /// Owns a DSP CamSystem built from `cfg` (the classic deployment).
@@ -240,10 +240,22 @@ class CamDriver {
     cam::OpKind op = cam::OpKind::kIdle;
   };
 
+  /// One harvested operation awaiting its pop. A search's results wait in
+  /// results_ instead, so the burst of acks a bulk store leaves queued costs
+  /// a few words each, not a beat's worth of result slots.
+  struct Finished {
+    Ticket ticket = 0;
+    cam::OpKind op = cam::OpKind::kIdle;
+    unsigned words_written = 0;
+    bool full = false;
+  };
+
   void pump();
   void harvest();
-  void complete(Completion c);
+  void complete(const Finished& f);
   void wait_idle();
+  /// Removes queued completion `i` (an index into finished_) and returns it.
+  Completion take(std::size_t i);
   Completion take_completion(Ticket ticket);
   [[noreturn]] void throw_wedged(const char* where);
   void note_submitted(Ticket ticket, cam::OpKind op);
@@ -256,13 +268,16 @@ class CamDriver {
   RingQueue<cam::UnitRequest> submit_queue_;  ///< Accepted, awaiting FIFO room.
   RingQueue<cam::OpKind> ack_ops_;            ///< Op kinds of outstanding acks.
 
-  /// Completion FIFO as a vector ring: live entries are
-  /// [completions_head_, completions_.size()). Once the consumer catches up
-  /// the vector is rewound with its capacity intact, so steady-state
-  /// harvest/pop cycles touch no allocator (a deque churns chunk
-  /// allocations under the same traffic).
-  std::vector<Completion> completions_;
-  std::size_t completions_head_ = 0;
+  /// Completion FIFO as vector rings: live entries are
+  /// [finished_head_, finished_.size()), and the searches among them own
+  /// results_[results_head_, ...) in the same order. Once the consumer
+  /// catches up a vector is rewound with its capacity intact, so
+  /// steady-state harvest/pop cycles touch no allocator (a deque churns
+  /// chunk allocations under the same traffic).
+  std::vector<Finished> finished_;
+  std::size_t finished_head_ = 0;
+  std::vector<cam::BeatVec<cam::UnitSearchResult>> results_;
+  std::size_t results_head_ = 0;
 
   std::size_t inflight_ = 0;
   Ticket next_ticket_ = 1;

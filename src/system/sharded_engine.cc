@@ -62,7 +62,8 @@ unsigned ShardedCamEngine::shard_of(cam::Word key, unsigned s) const {
     x ^= x >> 27;
     x *= 0x94D049BB133111EBULL;
     x ^= x >> 31;
-    return static_cast<unsigned>(x % s);
+    // x % s; a power-of-two fleet takes the low bits, which is the same.
+    return static_cast<unsigned>((s & (s - 1)) == 0 ? x & (s - 1) : x % s);
   }
   const std::uint64_t space =
       cfg_.key_bits >= 64 ? ~0ULL : (1ULL << cfg_.key_bits);
@@ -107,38 +108,11 @@ void ShardedCamEngine::configure_groups(unsigned m) {
 void ShardedCamEngine::plan(const cam::UnitRequest& request) {
   const unsigned s_count = shard_count();
   subs_.clear();
-  const auto add_sub = [&](unsigned s) -> SubRequest& {
-    SubRequest& sub = subs_.emplace_back();
-    sub.shard = s;
-    sub.req.op = request.op;
-    sub.req.seq = request.seq;
-    return sub;
-  };
-  // Beat positions by the shard their value partitions to.
-  const auto bucket = [&](const std::vector<cam::Word>& values) {
-    buckets_.resize(s_count);
-    for (auto& b : buckets_) b.clear();
-    for (std::uint32_t i = 0; i < values.size(); ++i) {
-      buckets_[shard_of(values[i])].push_back(i);
-    }
-  };
   switch (request.op) {
-    case cam::OpKind::kSearch: {
-      bucket(request.keys);
-      for (unsigned s = 0; s < s_count; ++s) {
-        const auto& b = buckets_[s];
-        const unsigned lanes = std::max(1u, shards_[s]->max_keys_per_beat());
-        for (std::size_t lo = 0; lo < b.size(); lo += lanes) {
-          SubRequest& sub = add_sub(s);
-          sub.positions = positions_pool_.acquire();
-          sub.positions.assign(b.begin() + lo, b.begin() + std::min(b.size(), lo + lanes));
-        }
-      }
-      break;
-    }
+    case cam::OpKind::kSearch:
     case cam::OpKind::kUpdate: {
       const unsigned shard_cap = shards_.front()->capacity();
-      if (request.address.has_value()) {
+      if (request.op == cam::OpKind::kUpdate && request.address.has_value()) {
         // Addressed writes use the global (range-partitioned) address space.
         const std::uint32_t addr = *request.address;
         const unsigned s = addr / shard_cap;
@@ -148,7 +122,7 @@ void ShardedCamEngine::plan(const cam::UnitRequest& request) {
         const unsigned per_beat = std::max(1u, shards_[s]->words_per_beat());
         for (std::size_t lo = 0; lo < request.words.size(); lo += per_beat) {
           const std::size_t hi = std::min(request.words.size(), lo + per_beat);
-          SubRequest& sub = add_sub(s);
+          SubRequest& sub = subs_.emplace_back(s, request);
           sub.req.address = addr % shard_cap + static_cast<std::uint32_t>(lo);
           sub.req.words.assign(request.words.begin() + lo, request.words.begin() + hi);
           if (!request.masks.empty()) {
@@ -156,23 +130,35 @@ void ShardedCamEngine::plan(const cam::UnitRequest& request) {
                                  request.masks.begin() + std::min(hi, request.masks.size()));
           }
         }
-      } else {
-        // Append: each word lands on the shard its key value hashes to.
-        bucket(request.words);
-        for (unsigned s = 0; s < s_count; ++s) {
-          const auto& b = buckets_[s];
-          const unsigned per_beat = std::max(1u, shards_[s]->words_per_beat());
-          for (std::size_t lo = 0; lo < b.size(); lo += per_beat) {
-            const std::size_t hi = std::min(b.size(), lo + per_beat);
-            SubRequest& sub = add_sub(s);
-            for (std::size_t i = lo; i < hi; ++i) {
-              const std::uint32_t w = b[i];
-              sub.req.words.push_back(request.words[w]);
-              if (!request.masks.empty() && w < request.masks.size()) {
-                sub.req.masks.push_back(request.masks[w]);
-              }
-            }
-          }
+        break;
+      }
+      // One pass over the search keys (or append words): each value joins
+      // the open sub-request of the shard it partitions to, and a shard
+      // whose open sub-request is full (one key per group, or a bus beat of
+      // words) opens another.
+      const bool search = request.op == cam::OpKind::kSearch;
+      const cam::BeatVec<cam::Word>& values = search ? request.keys : request.words;
+      const auto full = [&](const SubRequest& sub) {
+        const CamBackend& shard = *shards_[sub.shard];
+        return (search ? sub.req.keys : sub.req.words).size() >=
+               std::max(1u, search ? shard.max_keys_per_beat() : shard.words_per_beat());
+      };
+      constexpr unsigned kNone = ~0u;
+      open_.assign(s_count, kNone);
+      for (std::uint32_t i = 0; i < values.size(); ++i) {
+        const unsigned s = shard_of(values[i]);
+        unsigned& open = open_[s];
+        if (open == kNone || full(subs_[open])) {
+          open = static_cast<unsigned>(subs_.size());
+          subs_.emplace_back(s, request);
+        }
+        SubRequest& sub = subs_[open];
+        if (search) {
+          sub.req.keys.push_back(values[i]);
+          sub.positions.push_back(i);
+        } else {
+          sub.req.words.push_back(values[i]);
+          if (i < request.masks.size()) sub.req.masks.push_back(request.masks[i]);
         }
       }
       break;
@@ -184,11 +170,11 @@ void ShardedCamEngine::plan(const cam::UnitRequest& request) {
       if (s >= s_count) {
         throw SimError("ShardedCamEngine: invalidate beyond capacity");
       }
-      add_sub(s).req.address = addr % shard_cap;
+      subs_.emplace_back(s, request).req.address = addr % shard_cap;
       break;
     }
     case cam::OpKind::kReset: {
-      for (unsigned s = 0; s < s_count; ++s) add_sub(s);
+      for (unsigned s = 0; s < s_count; ++s) subs_.emplace_back(s, request);
       break;
     }
     case cam::OpKind::kIdle:
@@ -234,11 +220,7 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
            (expected_search_[s].empty() && expected_ack_[s].empty());
   };
   for (unsigned s = 0; s < shard_count(); ++s) {
-    if (need_[s] == 0 || feasible(s)) continue;
-    if (request.op == cam::OpKind::kSearch) {
-      for (auto& sub : subs_) positions_pool_.release(std::move(sub.positions));
-    }
-    return false;
+    if (need_[s] != 0 && !feasible(s)) return false;
   }
 
   // Allocate the reorder-buffer entry. Sampled beats open their dispatch ->
@@ -246,14 +228,13 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
   const bool traced = tracer_ != nullptr && tracer_->sampled(request.seq);
   std::uint64_t beat_id = 0;
   if (request.op == cam::OpKind::kSearch) {
-    SearchBeat beat;
+    beat_id = search_rob_base_ + search_rob_.size();
+    SearchBeat& beat = search_rob_.emplace_back();
     beat.seq = request.seq;
     beat.pending = live_subs;
     beat.ready = cycles_;  // beats settled entirely at submit pop right away
     // Every result slot carries its key from the start: a live shard's
     // response overwrites the slot, quarantine back-fill keeps the key.
-    beat.results = results_pool_.acquire();
-    beat.results.clear();
     beat.results.resize(request.keys.size());
     for (std::size_t i = 0; i < request.keys.size(); ++i) {
       beat.results[i].key = request.keys[i];
@@ -272,10 +253,7 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
         beat.results[pos].shard = static_cast<std::uint16_t>(sub.shard);
         beat.results[pos].shard_failed = true;
       }
-      positions_pool_.release(std::move(sub.positions));
     }
-    beat_id = search_rob_base_ + search_rob_.size();
-    search_rob_.push_back(std::move(beat));
   } else if (completes) {
     AckBeat beat;
     beat.seq = request.seq;
@@ -302,8 +280,6 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
     if (quarantined_[s]) continue;
     std::uint64_t sub_span = telemetry::SpanTracer::kNone;
     if (request.op == cam::OpKind::kSearch) {
-      sub.req.keys.reserve(sub.positions.size());
-      for (const std::uint32_t pos : sub.positions) sub.req.keys.push_back(request.keys[pos]);
       if (traced) {
         sub_span = tracer_->begin("sub.search", kTrackShardBase + s, cycles_);
         tracer_->arg(sub_span, "ticket", request.seq);
@@ -362,11 +338,7 @@ void ShardedCamEngine::collect() {
       --beat.pending;
       beat.ready = std::max(beat.ready, cycles_ + 1);
       ++credits_[s];
-      positions_pool_.release(std::move(exp.positions));
       expected_search_[s].pop_front();
-      // The scattered shard response is an empty shell now - recycle its
-      // heap buffer for a future SearchBeat.
-      results_pool_.release(std::move(resp->results));
     }
     while (auto ack = shards_[s]->try_pop_ack()) {
       if (expected_ack_[s].empty()) {
@@ -388,9 +360,7 @@ void ShardedCamEngine::collect() {
 std::optional<cam::UnitResponse> ShardedCamEngine::try_pop_response() {
   if (search_rob_.empty() || search_rob_.front().pending != 0) return std::nullopt;
   SearchBeat& beat = search_rob_.front();
-  cam::UnitResponse resp;
-  resp.seq = beat.seq;
-  resp.results = std::move(beat.results);
+  std::optional<cam::UnitResponse> resp(std::in_place, beat.seq, std::move(beat.results));
   last_completion_cycle_ = beat.ready;
   if (tracer_ != nullptr) tracer_->end(beat.span, cycles_);
   search_rob_.pop_front();
@@ -488,7 +458,6 @@ void ShardedCamEngine::quarantine_shard(unsigned s) {
     }
     --beat.pending;
     beat.ready = std::max(beat.ready, cycles_);
-    positions_pool_.release(std::move(exp.positions));
   }
   expected_search_[s].clear();
 
@@ -809,9 +778,9 @@ void ShardedCamEngine::install_fleet(std::vector<std::unique_ptr<CamBackend>> fl
   credits_.assign(n, cfg_.credits_per_shard);
   resetting_.assign(n, 0);
   quarantined_.assign(n, 0);
-  pending_issue_.assign(n, {});
-  expected_search_.assign(n, {});
-  expected_ack_.assign(n, {});
+  pending_issue_ = decltype(pending_issue_)(n);
+  expected_search_ = decltype(expected_search_)(n);
+  expected_ack_ = decltype(expected_ack_)(n);
   // Compose the shards' fault windows when every shard exposes one; a
   // single opaque shard disables injection for the whole engine (a partial
   // window would silently skew campaign statistics).

@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/freelist.h"
 #include "src/common/ring_queue.h"
 #include "src/fault/fault.h"
 #include "src/fault/snapshot.h"
@@ -279,19 +278,26 @@ class ShardedCamEngine : public CamBackend {
 
  private:
   /// One planned sub-request: what goes to which shard, and which beat
-  /// positions its results fill. A search sub-request's keys are gathered
-  /// from `positions` only once the beat is accepted.
+  /// positions its results fill.
   struct SubRequest {
+    /// An empty sub-request of `beat`'s op and ticket for shard `s`. A
+    /// constructor, not an aggregate, so subs_.emplace_back() does not
+    /// zero-fill the inline payloads before use.
+    SubRequest(unsigned s, const cam::UnitRequest& beat) : shard(s) {
+      req.op = beat.op;
+      req.seq = beat.seq;
+    }
+
     unsigned shard = 0;
     cam::UnitRequest req;
-    std::vector<std::uint32_t> positions;  ///< Search: key indices in the beat.
+    cam::BeatVec<std::uint32_t> positions;  ///< Search: key indices in the beat.
   };
 
   /// Reorder-buffer entry for one host search beat.
   struct SearchBeat {
     std::uint64_t seq = 0;
     unsigned pending = 0;
-    std::vector<cam::UnitSearchResult> results;
+    cam::BeatVec<cam::UnitSearchResult> results;
     std::uint64_t span = 0;  ///< Beat-level span (SpanTracer::kNone if unsampled).
     std::uint64_t ready = 0; ///< Cycle the beat completed (last sub-op landed).
   };
@@ -310,7 +316,7 @@ class ShardedCamEngine : public CamBackend {
   /// is where quarantine back-fill reads them.
   struct ExpectedSearch {
     std::uint64_t beat_id = 0;
-    std::vector<std::uint32_t> positions;  ///< Recycled via positions_pool_.
+    cam::BeatVec<std::uint32_t> positions;  ///< Key indices in the beat.
     std::uint64_t span = 0;                ///< Per-shard sub-operation span.
   };
 
@@ -431,19 +437,11 @@ class ShardedCamEngine : public CamBackend {
   /// written exclusively from the control-plane entry points.
   telemetry::FlightRecorder* recorder_ = nullptr;
 
-  /// Recycles search-result vectors: a shard response's vector is released
-  /// here after its contents are scattered into the reorder buffer, and
-  /// reacquired for the next accepted search beat.
-  FreeList<std::vector<cam::UnitSearchResult>> results_pool_;
-
-  /// Recycles ExpectedSearch::positions once their sub-op lands or settles.
-  FreeList<std::vector<std::uint32_t>> positions_pool_;
-
-  // Per-beat scratch for plan()/try_submit(), reused so a beat does not
-  // rebuild its bucket and sub-request vectors on the heap.
+  // Per-beat scratch for plan()/try_submit(); it keeps its capacity, so a
+  // warm beat path allocates nothing.
   std::vector<SubRequest> subs_;
-  std::vector<std::vector<std::uint32_t>> buckets_;
-  std::vector<unsigned> need_;
+  std::vector<unsigned> open_;  ///< plan(): each shard's open sub in subs_.
+  std::vector<unsigned> need_;  ///< try_submit(): live subs per shard.
 };
 
 }  // namespace dspcam::system

@@ -94,7 +94,8 @@ TEST_P(UnitFuzz, PipelinedRandomStreamMatchesReference) {
       }
       if (!masks.empty()) req.masks = masks;
       // Mirror into the reference with identical truncation.
-      const unsigned accepted = ref.update(req.words, req.masks);
+      const unsigned accepted =
+          ref.update({req.words.begin(), req.words.end()}, req.masks);
       (void)accepted;
       unit.issue(std::move(req));
     } else if (dice < 0.95) {

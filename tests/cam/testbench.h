@@ -70,7 +70,7 @@ inline UnitResponse run_unit_search(CamUnit& unit, const std::vector<Word>& keys
                                     unsigned* latency = nullptr, std::uint64_t seq = 7) {
   UnitRequest req;
   req.op = OpKind::kSearch;
-  req.keys = keys;
+  req.keys.assign(keys.begin(), keys.end());
   req.seq = seq;
   unit.issue(std::move(req));
   for (unsigned cycle = 1; cycle <= 32; ++cycle) {

@@ -301,7 +301,7 @@ TEST(CamDriverAsync, SubmitPumpsOnlyANewFront) {
   CamSystem sys(small_config(kDepth));
   cam::UnitRequest load;
   load.op = cam::OpKind::kUpdate;
-  load.words = preload;
+  load.words.assign(preload.begin(), preload.end());
   ASSERT_TRUE(sys.try_submit(std::move(load)));
   while (!sys.idle() || sys.try_pop_ack()) sys.step();
   std::deque<cam::UnitRequest> queue;

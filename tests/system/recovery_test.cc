@@ -204,6 +204,40 @@ TEST(Checkpoint, FileRoundTripRestoresFreshEngine) {
   std::remove(path.c_str());
 }
 
+// A restore carries the shards' fill cursors, so appends after it land past
+// the restored entries instead of overwriting them from fill 0 (a restore
+// that dropped the cursors passed every other case here).
+TEST(Checkpoint, AppendAfterRestoreKeepsRestoredEntries) {
+  ShardedCamEngine source(engine_config(4), shard_config());
+  const auto words = test_words(64);
+  fill(source, words);
+  std::vector<std::uint32_t> address;
+  {
+    CamDriver drv(source);
+    for (const cam::Word w : words) {
+      const auto res = drv.search(w);
+      ASSERT_TRUE(res.hit) << "key " << w;
+      address.push_back(res.global_address);
+    }
+  }
+  settle(source);
+  const auto ckpt = source.checkpoint();
+
+  ShardedCamEngine fresh(engine_config(4), shard_config());
+  fresh.restore(ckpt);
+  std::vector<cam::Word> appended;
+  for (unsigned i = 0; i < 16; ++i) appended.push_back(0x100000 + i * 7);
+  fill(fresh, appended);
+
+  CamDriver drv(fresh);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    const auto res = drv.search(words[i]);
+    EXPECT_TRUE(res.hit) << "restored key " << words[i];
+    EXPECT_EQ(res.global_address, address[i]) << "restored key " << words[i];
+  }
+  for (const cam::Word w : appended) EXPECT_TRUE(drv.search(w).hit) << "appended key " << w;
+}
+
 TEST(Checkpoint, CorruptFilesRejectedByLoader) {
   const std::string path = ::testing::TempDir() + "recovery_bad_ckpt.jsonl";
   ShardedCamEngine engine(engine_config(2), shard_config());

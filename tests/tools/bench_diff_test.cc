@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace dspcam::tools::benchdiff {
 namespace {
 
@@ -54,31 +56,43 @@ TEST(BenchDiffIdentity, StatAndVolatileFieldsStayOutOfTheKey) {
 }
 
 TEST(BenchDiffIdentity, EncodeRowsKeyOnTierAndSchemeWithSpeedupVolatile) {
-  // The part-7 fused-encode rows: (unit, scheme, path, kernel) separate the
-  // kernel tiers, while the paired-ratio speedup and the per-host rate
-  // stats stay out of the identity.
-  const Row a = parse(
-      R"({"kind": "encode", "unit": "bcam_w32_d256", "scheme": "priority-index", )"
-      R"("path": "template", "kernel": "eq_d256", "cells": 256, )"
-      R"("encodes_per_sec_median": 4e6, "speedup_vs_unfused": 1.6})");
-  const Row b = parse(
-      R"({"kind": "encode", "unit": "bcam_w32_d256", "scheme": "priority-index", )"
-      R"("path": "template", "kernel": "eq_d256", "cells": 256, )"
-      R"("encodes_per_sec_median": 9e6, "speedup_vs_unfused": 1.2})");
-  const Row c = parse(
-      R"({"kind": "encode", "unit": "bcam_w32_d256", "scheme": "priority-index", )"
-      R"("path": "registry", "kernel": "eq32_avx2", "cells": 256, )"
-      R"("encodes_per_sec_median": 4e6, "speedup_vs_unfused": 1.6})");
+  // The part-7 fused-encode rows of micro_step_rate: (unit, scheme, path,
+  // kernel, ...) separate the kernel tiers (the AVX2 sweep and the scalar
+  // one a DSPCAM_NO_SIMD build registers) and the encoding schemes, while
+  // the paired-ratio speedup and the per-host rate stats stay out of the
+  // identity.
+  const auto encode_row = [](const char* scheme, const char* kernel, double median,
+                             double speedup) {
+    return parse(std::string(R"({"bench": "micro_step_rate", "kind": "encode", )") +
+                 R"("unit": "bcam_w32_d256", "scheme": ")" + scheme +
+                 R"(", "path": "registry", "kernel": ")" + kernel +
+                 R"(", "cam_kind": "BCAM", "data_width": 32, "cells": 256, )" +
+                 R"("encode_calls": 15000, "encodes_per_sec_median": )" +
+                 std::to_string(median) + R"(, "speedup_vs_unfused": )" +
+                 std::to_string(speedup) + "}");
+  };
+  const Row a = encode_row("priority-index", "generic_avx2", 4e6, 1.6);
+  const Row b = encode_row("priority-index", "generic_avx2", 9e6, 1.2);
+  const Row scalar = encode_row("priority-index", "generic_scalar", 4e6, 1.6);
+  const Row one_hot = encode_row("one-hot", "generic_avx2", 4e6, 1.6);
   EXPECT_EQ(identity_of(a), identity_of(b));
-  EXPECT_NE(identity_of(a), identity_of(c));
+  EXPECT_NE(identity_of(a), identity_of(scalar));
+  EXPECT_NE(identity_of(a), identity_of(one_hot));
   EXPECT_TRUE(is_volatile_field("speedup_vs_unfused"));
   EXPECT_TRUE(is_stat_field("unfused_encodes_per_sec_median"));
 }
 
 TEST(BenchDiffIdentity, BooleansAndNumbersParticipate) {
-  const Row a = parse(R"({"kind": "kernel", "force_generic": true, "x_median": 1})");
-  const Row b = parse(R"({"kind": "kernel", "force_generic": false, "x_median": 1})");
-  EXPECT_NE(identity_of(a), identity_of(b));
+  // fault_campaign rows: the parity flag is a boolean, the injection rate a
+  // number; either one separates two otherwise identical rows.
+  const auto campaign_row = [](const char* parity, const char* rate) {
+    return parse(std::string(R"({"bench": "fault_campaign", "geometry": "8x64", )") +
+                 R"("parity": )" + parity + R"(, "rate_per_cycle": )" + rate + "}");
+  };
+  const Row on = campaign_row("true", "0.001");
+  EXPECT_NE(identity_of(on), identity_of(campaign_row("false", "0.001")));
+  EXPECT_NE(identity_of(on), identity_of(campaign_row("true", "0.002")));
+  EXPECT_EQ(identity_of(on), identity_of(campaign_row("true", "0.001")));
 }
 
 TEST(BenchDiffParser, NestedTelemetryObjectsAreSkippedNotFatal) {
