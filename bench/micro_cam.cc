@@ -1,6 +1,8 @@
 // Host-side microbenchmarks of the CAM block/unit simulation (google-
 // benchmark): simulated cycles per host second across block sizes, i.e. the
-// cost of running the reproduction itself.
+// cost of running the reproduction itself. BM_BlockSearchCycle times the
+// per-cell CamBlock model (a Dsp48e2 per cell); the unit rows time the
+// default EvalMode::kFast unit.
 #include <benchmark/benchmark.h>
 
 #include "src/cam/block.h"

@@ -3,10 +3,11 @@
 // two evaluation paths sustain, and what the host-side add-ons cost.
 //
 //   part 1  reference vs fast CamUnit on a saturating search stream at
-//           {16x16, 64x64, 256x64} (blocks x cells/block). Every part-1
-//           plane holds at least 256 entries, so the fast rows measure the
-//           exact-match index plus activity gating, not the sweep kernel;
-//           their "kernel" label says which one answered.
+//           {16x16, 64x64, 256x64} (blocks x cells/block) BCAM and a 64x64
+//           TCAM. Every BCAM plane holds at least 256 entries, so those fast
+//           rows measure the exact-match index plus activity gating; the
+//           TCAM row's 4096-entry plane is swept by the match kernel. The
+//           "kernel" label says which one answered.
 //   part 3  telemetry overhead: a 4-shard ShardedCamEngine search stream
 //           with the metric registry + sampled span tracer attached,
 //           reported as a ratio against the bare run (acceptance: within
@@ -62,7 +63,7 @@ cam::UnitConfig unit_config(unsigned blocks, unsigned cells, cam::EvalMode mode,
   cfg.block.cell.data_width = data_width;
   cfg.block.block_size = cells;
   cfg.block.bus_width = data_width * 16;
-  cfg.block.eval_mode = mode;
+  cfg.eval_mode = mode;
   cfg.unit_size = blocks;
   cfg.bus_width = data_width * 16;
   return cfg;
@@ -72,7 +73,7 @@ cam::UnitConfig unit_config(unsigned blocks, unsigned cells, cam::EvalMode mode,
 /// "index+gating" when every group plane is indexed (FastPlane::indexed()),
 /// else the sweep kernel the planes run.
 std::string kernel_name_for(const cam::UnitConfig& cfg) {
-  if (cfg.block.eval_mode == cam::EvalMode::kReference) return "reference";
+  if (cfg.eval_mode == cam::EvalMode::kReference) return "reference";
   const cam::CamUnit unit(cfg);
   for (unsigned g = 0; g < unit.groups(); ++g) {
     if (!unit.group_indexed(g)) return cam::match_kernel_registry().front().name;
@@ -174,6 +175,7 @@ struct Geometry {
   unsigned blocks;
   unsigned cells;
   std::uint64_t cycles;  ///< Simulated cycles per measured run.
+  cam::CamKind kind = cam::CamKind::kBinary;
 };
 
 /// Packed pre-edge arrays for the kernel-level encode ablation: `depth`
@@ -275,9 +277,11 @@ int main(int argc, char** argv) {
   std::printf("warmup %u, repeat %u, values are medians\n\n", opt.warmup, opt.repeat);
 
   // Part 1: reference vs fast evaluation path.
-  const Geometry geometries[] = {
-      {16, 16, 50'000}, {64, 64, 10'000}, {256, 64, 4'000}};
-  std::printf("%-10s %-10s %14s %14s %10s\n", "unit", "mode", "cycles/s",
+  const Geometry geometries[] = {{16, 16, 50'000},
+                                 {64, 64, 10'000},
+                                 {256, 64, 4'000},
+                                 {64, 64, 10'000, dspcam::cam::CamKind::kTernary}};
+  std::printf("%-10s %-6s %-10s %14s %14s %10s\n", "unit", "kind", "mode", "cycles/s",
               "searches/s", "speedup");
   for (const auto& g : geometries) {
     char label[32];
@@ -287,7 +291,7 @@ int main(int argc, char** argv) {
          {dspcam::cam::EvalMode::kReference, dspcam::cam::EvalMode::kFast}) {
       const auto [stats, sps_stats] = dspcam::bench::measure_repeated_pair(opt, [&] {
         const Rate r =
-            search_stream_rate(unit_config(g.blocks, g.cells, mode), g.cycles);
+            search_stream_rate(unit_config(g.blocks, g.cells, mode, g.kind), g.cycles);
         return std::pair<double, double>{r.cycles_per_sec, r.searches_per_sec};
       });
       const bool fast = mode == dspcam::cam::EvalMode::kFast;
@@ -295,14 +299,16 @@ int main(int argc, char** argv) {
       if (!fast) ref_median = stats.median;
       char ratio[32] = "-";
       if (fast) std::snprintf(ratio, sizeof(ratio), "%.2fx", speedup);
-      std::printf("%-10s %-10s %14.0f %14.0f %10s\n", label,
+      const std::string kind = dspcam::cam::to_string(g.kind);
+      std::printf("%-10s %-6s %-10s %14.0f %14.0f %10s\n", label, kind.c_str(),
                   dspcam::cam::to_string(mode).c_str(), stats.median,
                   sps_stats.median, ratio);
       auto row = dspcam::bench::JsonLog::Row("micro_step_rate");
       row.str("kind", "eval_mode")
           .str("unit", label)
+          .str("cam_kind", kind)
           .str("mode", dspcam::cam::to_string(mode))
-          .str("kernel", kernel_name_for(unit_config(g.blocks, g.cells, mode)))
+          .str("kernel", kernel_name_for(unit_config(g.blocks, g.cells, mode, g.kind)))
           .num("blocks", static_cast<std::uint64_t>(g.blocks))
           .num("cells_per_block", static_cast<std::uint64_t>(g.cells))
           .num("sim_cycles", g.cycles);

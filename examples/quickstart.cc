@@ -43,7 +43,7 @@ int main() {
   // instead of sweeping (DESIGN.md §11). Confirm all three before
   // benchmarking anything.
   std::printf("Eval mode: %s, match kernel: %s, exact-match index: %s\n",
-              cam::to_string(cfg.block.eval_mode).c_str(),
+              cam::to_string(cfg.eval_mode).c_str(),
               unit.match_kernel_name().c_str(), unit.group_indexed(0) ? "on" : "off");
 
   // 2a. Store a few values. One bus beat carries up to 16 x 32-bit words;

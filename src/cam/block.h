@@ -18,33 +18,21 @@
 // pattern-detect register (1) = 3 cycles, +1 with the encoder buffer.
 // Both paths are pipelined with initiation interval 1.
 //
-// Two evaluation paths (BlockConfig::eval_mode) produce bit- and
-// cycle-identical behaviour:
-//   - kReference drives one Dsp48e2 model per cell (the golden path).
-//   - kFast mirrors the cells' registered state - stored word, per-entry
-//     MASK, valid flag, parity bit - in one FastPlane of block_size entries
-//     (fast_plane.h) and answers a search with one fused sweep→encode call
-//     of the registry's sweep for this host's ISA (match_kernel.h), or
-//     with one exact-match
-//     index lookup on a deep binary block (DESIGN.md §11). The broadcast
-//     register, the DSP C/P register stages and the encoder buffer are
-//     modelled by the same delay structures, so every response appears in
-//     the same cycle with the same payload as the reference path. (A
-//     CamUnit in kFast builds no CamBlock at all: it runs one plane per CAM
-//     group behind a shared pipeline - DESIGN.md §15.)
+// This is the cycle-accurate microarchitecture model: one Dsp48e2 per cell,
+// each with its own C and P registers, so a search walks every cell. It is
+// the golden path the simulator's fast evaluation is checked against. A
+// CamUnit in EvalMode::kFast builds no CamBlock at all: it runs one packed
+// match plane per CAM group behind a shared pipeline (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/cam/cell.h"
 #include "src/cam/config.h"
 #include "src/cam/encoder.h"
-#include "src/cam/fast_plane.h"
-#include "src/cam/match_kernel.h"
 #include "src/cam/transactions.h"
 #include "src/sim/delay_line.h"
 
@@ -54,9 +42,6 @@ namespace dspcam::cam {
 class CamBlock {
  public:
   explicit CamBlock(const BlockConfig& cfg);
-  // The plane views the block's own store: copies would alias it.
-  CamBlock(const CamBlock&) = delete;
-  CamBlock& operator=(const CamBlock&) = delete;
 
   const BlockConfig& config() const noexcept { return cfg_; }
 
@@ -110,14 +95,11 @@ class CamBlock {
   /// restore, src/fault/snapshot.h). Throws SimError past the block size.
   void set_fill(unsigned fill);
 
-  /// Direct cell access for tests and resource accounting. Only the
-  /// reference path instantiates Dsp48e2 cells; throws SimError in kFast
-  /// mode (use stored_word()/entry_mask()/entry_valid(), which work in
-  /// both modes).
+  /// Direct cell access for tests and resource accounting.
   const CamCell& cell(unsigned index) const;
   unsigned size() const noexcept { return cfg_.block_size; }
 
-  /// Mode-independent views of one entry's registered state.
+  /// Views of one entry's registered state.
   Word stored_word(unsigned index) const;
   std::uint64_t entry_mask(unsigned index) const;
   bool entry_valid(unsigned index) const;
@@ -126,33 +108,13 @@ class CamBlock {
   /// (BlockConfig::parity), the derived value otherwise.
   bool entry_parity(unsigned index) const;
 
-  /// The sweep kernel the fast plane runs (match_kernel.h), or nullptr in
-  /// EvalMode::kReference.
-  const MatchKernel* match_kernel() const noexcept {
-    return fast() ? plane_.kernel() : nullptr;
-  }
-
-  /// The sweep kernel's name; "reference" in EvalMode::kReference.
-  std::string match_kernel_name() const;
-
-  /// True while every entry's compare mask equals the plain width mask (the
-  /// precondition for the exact-match index). Writes with per-entry masks
-  /// and fault pokes can clear it; a reset restores it. While false, a
-  /// binary plane sweeps instead of using its index. Always true in
-  /// EvalMode::kReference.
-  bool mask_plane_uniform() const noexcept { return !fast() || plane_.mask_uniform(); }
-
-  /// True when the fast plane answers searches from its exact-match index
-  /// (FastPlane::indexed(); DESIGN.md §11); false in EvalMode::kReference.
-  bool plane_indexed() const noexcept { return fast() && plane_.indexed(); }
-
   /// Overwrites one entry's registered state outside the clocked protocol
-  /// (fault injection / scrub repair, src/fault/). Works identically in both
-  /// eval modes; `stored` is truncated to the data width. The parity bit is
-  /// written *verbatim* (never recomputed) on protected blocks - a poke that
-  /// corrupts the stored word while keeping the old parity is exactly what
-  /// an SEU looks like, and what the parity check must catch. Ignored when
-  /// the block is unprotected.
+  /// (fault injection / scrub repair, src/fault/); `stored` is truncated to
+  /// the data width. The parity bit is written *verbatim* (never
+  /// recomputed) on protected blocks - a poke that corrupts the stored word
+  /// while keeping the old parity is exactly what an SEU looks like, and
+  /// what the parity check must catch. Ignored when the block is
+  /// unprotected.
   void poke_entry(unsigned index, Word stored, std::uint64_t entry_mask, bool valid,
                   bool parity);
 
@@ -170,20 +132,12 @@ class CamBlock {
   void commit();
 
  private:
-  bool fast() const noexcept { return cells_.empty(); }
   void apply_reset();
   void apply_update_path(std::optional<UpdateAck>& new_ack);
-  void gather_match_reference();
+  void gather_match_lines();
 
-  /// Guarantees onehot_pool_ holds a live block_size-bit buffer (it is
-  /// emptied whenever a one-hot response steals it in commit()).
-  void ensure_onehot_pool() {
-    if (onehot_pool_.word_count() == 0) onehot_pool_ = BitVec(cfg_.block_size);
-  }
-
-  // Reference-path parity (kFast keeps it in the plane): one maintained bit
-  // per entry, packed 64/word. Legitimate writes recompute it; pokes
-  // (src/fault/) write it verbatim.
+  // Parity: one maintained bit per entry, packed 64/word. Legitimate writes
+  // recompute it; pokes (src/fault/) write it verbatim.
   void reset_parity_bits();
   void set_parity_bit(unsigned index, bool value) noexcept;
   bool parity_bit(unsigned index) const noexcept {
@@ -192,22 +146,9 @@ class CamBlock {
   std::uint32_t count_parity_errors() const;
 
   BlockConfig cfg_;
-  std::vector<std::unique_ptr<CamCell>> cells_;  ///< kReference only.
-  std::vector<std::uint64_t> parity_;            ///< kReference + parity only.
-  BitVec match_scratch_;  ///< kReference match-line bus, reused every cycle.
-
-  // kFast: the packed match plane and its backing arrays.
-  FastPlaneStore store_;
-  FastPlane plane_;
-  Word cmp_key_ = 0;         ///< Fast path's C-register mirror.
-  bool pd_pending_ = false;  ///< A key latched last cycle awaits its compare.
-
-  // The retiring compare's finished result. onehot_pool_ is a recycled
-  // buffer: a one-hot response moves it out, and the next commit reclaims
-  // the retiring response's buffer back into it, so steady state never
-  // allocates.
-  EncodedMatch enc_;
-  BitVec onehot_pool_;
+  std::vector<std::unique_ptr<CamCell>> cells_;
+  std::vector<std::uint64_t> parity_;  ///< Empty when unprotected.
+  BitVec match_scratch_;  ///< Match-line bus, reused every cycle.
 
   unsigned fill_ = 0;  ///< Cell Address Controller write pointer.
 

@@ -15,19 +15,21 @@
 
 namespace dspcam::cam {
 
-/// How a block's CAM cells are evaluated by the simulator. Both modes are
-/// cycle- and bit-identical (asserted by the lockstep fuzz equivalence
-/// tests); they differ only in host cost:
-///   kReference - every cell is a full Dsp48e2 behavioural model. Needed when
-///                per-slice state must be observable (CamBlock::cell() hands
-///                out each cell's DSP48E2 registers).
-///   kFast      - the block mirrors stored words / per-entry masks / valid
-///                flags into packed arrays and answers a search with a
-///                branch-free ((stored ^ key) & ~mask) == 0 sweep - or, on a
-///                deep binary plane, an exact-match index lookup - behind the
-///                same pipeline registers. Orders of magnitude faster.
+/// How a CamUnit is evaluated by the simulator. Both modes are cycle- and
+/// bit-identical (asserted by the lockstep fuzz equivalence tests); they
+/// differ only in host cost:
+///   kReference - the unit builds every CamBlock, and every cell is a full
+///                Dsp48e2 behavioural model (CamUnit::block() and
+///                CamBlock::cell() expose each slice's registers).
+///   kFast      - the unit builds no CamBlock: it mirrors stored words,
+///                per-entry masks and valid flags into one packed FastPlane
+///                per CAM group and answers a search with a branch-free
+///                ((stored ^ key) & ~mask) == 0 sweep - or, on a deep binary
+///                plane, an exact-match index lookup - behind the same
+///                pipeline timing. Orders of magnitude faster.
 /// This is a simulation-host choice, not an architecture parameter: resource
-/// and timing models are unaffected.
+/// and timing models are unaffected. A standalone CamBlock is always the
+/// per-cell model.
 enum class EvalMode : std::uint8_t { kReference, kFast };
 
 std::string to_string(EvalMode mode);
@@ -51,7 +53,6 @@ struct BlockConfig {
   bool parity = false;            ///< Per-entry parity bit over stored word +
                                   ///< MASK + valid (robustness extension; see
                                   ///< src/fault/). Zero cost when off.
-  EvalMode eval_mode = EvalMode::kFast;  ///< Simulator evaluation path.
 
   /// Data words carried per bus beat (update parallelism).
   unsigned words_per_beat() const noexcept { return bus_width / cell.data_width; }
@@ -70,6 +71,7 @@ struct UnitConfig {
   unsigned unit_size = 16;      ///< Blocks per unit (>= 1).
   unsigned bus_width = 512;     ///< Unit input data-path width in bits.
   unsigned initial_groups = 1;  ///< Runtime group count at reset; must divide unit_size.
+  EvalMode eval_mode = EvalMode::kFast;  ///< Simulator evaluation path.
 
   unsigned total_entries() const noexcept { return unit_size * block.block_size; }
   unsigned words_per_beat() const noexcept { return bus_width / block.cell.data_width; }

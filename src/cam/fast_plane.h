@@ -13,13 +13,12 @@
 //   - the exact-match index (DESIGN.md §11): stored word -> the valid
 //     addresses holding it, kept in step with every mutation.
 //
-// It has two owners (DESIGN.md §15). A standalone CamBlock is one plane of
-// block_size entries. A CamUnit is one plane per CAM group, each covering
-// every block of the group laid out in ascending physical id and starting
-// on a 64-entry word boundary of one unit-wide store, so a key costs one
-// kernel call per group instead of one per block.
+// Its owner is CamUnit in EvalMode::kFast (DESIGN.md §15): one plane per
+// CAM group, each covering every block of the group laid out in ascending
+// physical id and starting on a 64-entry word boundary of one unit-wide
+// store, so a key costs one kernel call per group instead of one per block.
 //
-// The plane has no notion of time: owners call compare() at the edge the
+// The plane has no notion of time: the owner calls compare() at the edge the
 // DSP pattern-detect register would latch, against pre-edge state, and
 // mutate afterwards. The index is a pure function of the arrays: writes,
 // invalidates and pokes update it in place, and after a clear() the next

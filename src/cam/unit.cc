@@ -16,7 +16,7 @@ CamUnit::CamUnit(const UnitConfig& cfg)
       routing_(cfg.unit_size, cfg.initial_groups) {
   cfg_.validate();
   const unsigned n = cfg_.unit_size;
-  if (cfg_.block.eval_mode == EvalMode::kReference) {
+  if (cfg_.eval_mode == EvalMode::kReference) {
     blocks_.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
       blocks_.push_back(std::make_unique<CamBlock>(cfg_.block));

@@ -25,7 +25,7 @@
 // is set purely by the clock frequency (and the words-per-beat factor for
 // updates) - exactly how the paper derives Tables VI and VIII.
 //
-// Evaluation (BlockConfig::eval_mode): kReference instantiates every
+// Evaluation (UnitConfig::eval_mode): kReference instantiates every
 // CamBlock and clocks each block's own pipeline. kFast builds no CamBlock:
 // all blocks of a group run identical pipelines, so the unit keeps one
 // shared search pipeline and one packed FastPlane per group (the group's

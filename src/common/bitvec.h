@@ -73,13 +73,6 @@ class BitVec {
   /// Raw word storage (little-endian bit order), for tests and dumps.
   const std::vector<std::uint64_t>& words() const noexcept { return words_; }
 
-  /// Mutable raw word storage, for kernels that fill the vector wholesale
-  /// (the fused sweep→encode one-hot path writes ceil(size/64) words here
-  /// with no per-word bounds re-check). Callers MUST keep bits at or above
-  /// size() in the top word clear - the invariant set_word enforces - or
-  /// count()/any()/find_first() lie.
-  std::uint64_t* mutable_words() noexcept { return words_.data(); }
-
   /// Writes one whole 64-bit word of the vector at once (a match kernel
   /// filling 64 match lines per step). Bits above size() in the top word
   /// are forced clear so count()/any()/find_first() stay correct.

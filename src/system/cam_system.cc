@@ -127,7 +127,7 @@ void CamSystem::record_telemetry(telemetry::MetricRegistry& registry,
   registry.gauge(prefix + ".stored_entries")
       .set(static_cast<std::int64_t>(unit_.stored_per_group()));
   registry.gauge(prefix + ".fast_mode")
-      .set(cfg_.unit.block.eval_mode == cam::EvalMode::kFast ? 1 : 0);
+      .set(cfg_.unit.eval_mode == cam::EvalMode::kFast ? 1 : 0);
   // Kernel-as-label gauge: one child per kernel name so bench_diff /
   // dashboards can attribute a perf shift to a kernel change without
   // maintaining a name <-> id mapping ("...kernel.generic_avx2" = 1).

@@ -157,10 +157,10 @@ void CamDriver::pump() {
     if (!backend_->try_submit(submit_queue_.front())) break;
     if (tracer_ != nullptr) {
       // The beat left the retry queue: close its backpressure-wait span.
-      const auto it = ticket_traces_.find(submit_queue_.front().seq);
-      if (it != ticket_traces_.end() && it->second.queue_span != 0) {
-        tracer_->end(it->second.queue_span, polled_cycles_);
-        it->second.queue_span = 0;
+      TicketTrace* tr = trace_of(submit_queue_.front().seq);
+      if (tr != nullptr && tr->queue_span != 0) {
+        tracer_->end(tr->queue_span, polled_cycles_);
+        tr->queue_span = 0;
       }
     }
     submit_queue_.pop_front();
@@ -194,39 +194,56 @@ void CamDriver::complete(const Finished& f) {
   --inflight_;
 }
 
+CamDriver::TicketTrace* CamDriver::trace_of(Ticket ticket) {
+  if (ticket < trace_base_ || ticket - trace_base_ >= ticket_traces_.size()) return nullptr;
+  TicketTrace& tr = ticket_traces_[ticket - trace_base_];
+  return tr.live ? &tr : nullptr;
+}
+
 void CamDriver::note_submitted(Ticket ticket, cam::OpKind op) {
-  TicketTrace tr;
+  // Tickets are traced in submission order, so each one extends the window,
+  // unless telemetry was detached in between: the traces before the gap
+  // can no longer drain in order, so they are dropped.
+  if (ticket_traces_.empty() || ticket != trace_base_ + ticket_traces_.size()) {
+    ticket_traces_.clear();
+    trace_base_ = ticket;
+  }
+  TicketTrace& tr = ticket_traces_.emplace_back();
   tr.submit_cycle = polled_cycles_;
   tr.op = op;
+  tr.live = true;
   if (tracer_ != nullptr && tracer_->sampled(ticket)) {
     tr.ticket_span = tracer_->begin(ticket_span_name(op), kTrackTickets, polled_cycles_);
     tracer_->arg(tr.ticket_span, "ticket", ticket);
     tr.queue_span = tracer_->begin("queue.wait", kTrackQueue, polled_cycles_);
     tracer_->arg(tr.queue_span, "ticket", ticket);
   }
-  ticket_traces_.emplace(ticket, tr);
   if (m_submitted_ != nullptr) m_submitted_->inc();
 }
 
 void CamDriver::note_completed(Ticket ticket) {
-  const auto it = ticket_traces_.find(ticket);
-  if (it == ticket_traces_.end()) return;  // submitted before attach
-  const std::uint64_t latency = polled_cycles_ - it->second.submit_cycle;
+  TicketTrace* tr = trace_of(ticket);
+  if (tr == nullptr) return;  // submitted before attach
+  const std::uint64_t latency = polled_cycles_ - tr->submit_cycle;
   if (m_completed_ != nullptr) m_completed_->inc();
   if (m_latency_ != nullptr) m_latency_->record(latency);
-  if (it->second.op == cam::OpKind::kSearch) {
+  if (tr->op == cam::OpKind::kSearch) {
     if (m_search_latency_ != nullptr) m_search_latency_->record(latency);
   } else if (m_update_latency_ != nullptr) {
     m_update_latency_->record(latency);
   }
   if (tracer_ != nullptr) {
-    if (it->second.queue_span != 0) tracer_->end(it->second.queue_span, polled_cycles_);
-    if (it->second.ticket_span != 0) {
-      tracer_->arg(it->second.ticket_span, "latency_cycles", latency);
-      tracer_->end(it->second.ticket_span, polled_cycles_);
+    if (tr->queue_span != 0) tracer_->end(tr->queue_span, polled_cycles_);
+    if (tr->ticket_span != 0) {
+      tracer_->arg(tr->ticket_span, "latency_cycles", latency);
+      tracer_->end(tr->ticket_span, polled_cycles_);
     }
   }
-  ticket_traces_.erase(it);
+  tr->live = false;
+  while (!ticket_traces_.empty() && !ticket_traces_.front().live) {
+    ticket_traces_.pop_front();
+    ++trace_base_;
+  }
 }
 
 void CamDriver::attach_telemetry(telemetry::MetricRegistry* registry,

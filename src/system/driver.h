@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -238,6 +237,7 @@ class CamDriver {
     std::uint64_t ticket_span = 0;  ///< Track 0 span (0 = unsampled).
     std::uint64_t queue_span = 0;   ///< Track 1 span, ends at backend accept.
     cam::OpKind op = cam::OpKind::kIdle;
+    bool live = false;              ///< Submitted and not yet completed.
   };
 
   /// One harvested operation awaiting its pop. A search's results wait in
@@ -260,6 +260,8 @@ class CamDriver {
   [[noreturn]] void throw_wedged(const char* where);
   void note_submitted(Ticket ticket, cam::OpKind op);
   void note_completed(Ticket ticket);
+  /// The live trace of `ticket`, or nullptr (submitted untraced, or done).
+  TicketTrace* trace_of(Ticket ticket);
   void evaluate_health();
 
   std::unique_ptr<CamBackend> owned_;
@@ -298,7 +300,12 @@ class CamDriver {
   telemetry::SpanTracer* tracer_ = nullptr;
   std::uint64_t snapshot_every_ = 1024;
   std::uint64_t polled_cycles_ = 0;  ///< Driver clock: poll() calls so far.
-  std::map<Ticket, TicketTrace> ticket_traces_;
+  /// Ticket trace_base_ + i's trace is ticket_traces_[i]: like
+  /// outstanding_, the window drops its completed front, so it spans the
+  /// oldest traced ticket still in flight to the newest one. It is only
+  /// filled while telemetry is attached, so it never allocates otherwise.
+  RingQueue<TicketTrace> ticket_traces_;
+  Ticket trace_base_ = 1;
   telemetry::Counter* m_submitted_ = nullptr;
   telemetry::Counter* m_completed_ = nullptr;
   telemetry::Histogram* m_latency_ = nullptr;

@@ -871,7 +871,7 @@ ShardedCamEngine::ReshardReport ShardedCamEngine::reshard(unsigned new_shard_cou
 
   // Redistribute through each new shard's own protocol port, so parity and
   // fill bookkeeping follow the legitimate write path. Per-entry masks only
-  // exist off the binary mode (CamBlock refuses masked appends on kBinary).
+  // exist off the binary mode (CamUnit refuses masked updates on kBinary).
   const bool masked = kind() != cam::CamKind::kBinary;
   for (unsigned s = 0; s < new_shard_count; ++s) {
     CamBackend& shard = *shards_[s];

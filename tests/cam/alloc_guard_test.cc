@@ -1,19 +1,20 @@
 // Steady-state allocation guard for the fast search path (DESIGN.md §14).
 //
 // The fused sweep→encode plane exists so a streaming search workload never
-// touches the heap once warm: kernels write into preallocated scratch, the
-// one-hot raw buffer rotates through a pool, and responses move (never
-// copy) through the output register. This binary replaces the global
-// operator new/delete with counting versions and asserts the delta over a
-// steady-state search loop is exactly zero - on a standalone block and on
-// a whole unit (its group planes re-sliced by configure_groups between
-// rounds), for the fused sweep on binary and masked planes and the
-// exact-match index (its table is sized at first use, then reused through
-// every rebuild), under every encoding scheme. One level up, beats carry
-// their keys, words and results inline (cam::BeatVec), so a ShardedCamEngine
-// beat (submit, step, reorder-buffer pops) and whole CamDriver turns on the
-// end-to-end bench shapes (lookup_8k, sharded_churn, tc_paper with its
-// per-chunk regroup and store) are pinned at zero too.
+// touches the heap once warm: kernels write into preallocated scratch and
+// responses travel inline. This binary replaces the global operator
+// new/delete with counting versions and asserts the delta over a
+// steady-state search loop is exactly zero on whole kFast units (their
+// group planes re-sliced by configure_groups between rounds), for the
+// fused sweep on binary and masked planes and the exact-match index (its
+// table is sized at first use, then reused through every rebuild), under
+// every encoding scheme, with and without the encoder output register. One
+// level up, beats carry their keys, words and results inline
+// (cam::BeatVec), so a ShardedCamEngine beat (submit, step, reorder-buffer
+// pops) and whole CamDriver turns on the end-to-end bench shapes
+// (lookup_8k, sharded_churn, tc_paper with its per-chunk regroup and
+// store) are pinned at zero too, and so are driver turns with a metric
+// registry attached.
 //
 // The guard is its own test executable: replacing ::operator new is a
 // program-wide decision that must not leak into the other suites. Under
@@ -28,13 +29,12 @@
 #include <optional>
 #include <vector>
 
-#include "src/cam/block.h"
 #include "src/cam/unit.h"
 #include "src/common/random.h"
 #include "src/system/driver.h"
 #include "src/system/sharded_engine.h"
 #include "src/tc/cam_accel.h"
-#include "tests/cam/testbench.h"
+#include "src/telemetry/metrics.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define DSPCAM_ALLOC_GUARD_DISABLED 1
@@ -86,9 +86,6 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace dspcam::cam {
 namespace {
 
-constexpr std::size_t kWarmup = 64;
-constexpr std::size_t kMeasure = 512;
-
 BlockConfig steady_cfg(CamKind kind, unsigned width, unsigned size,
                        EncodingScheme scheme, bool buffered) {
   BlockConfig cfg;
@@ -96,50 +93,9 @@ BlockConfig steady_cfg(CamKind kind, unsigned width, unsigned size,
   cfg.cell.data_width = width;
   cfg.block_size = size;
   cfg.bus_width = 512;
-  cfg.eval_mode = EvalMode::kFast;
   cfg.encoding = scheme;
   cfg.output_buffer = buffered;
   return cfg;
-}
-
-/// Runs a streaming search loop and returns the number of heap allocations
-/// observed during the measured (post-warmup) cycles.
-std::size_t measure_steady_state(const BlockConfig& cfg, std::uint64_t* checksum) {
-  CamBlock block(cfg);
-  Rng rng(0xA110C ^ cfg.block_size ^ static_cast<unsigned>(cfg.encoding));
-  std::vector<Word> values(cfg.block_size / 2);
-  for (Word& v : values) v = rng.next_bits(6);
-  test::load_block(block, values);
-
-  // Pre-built key schedule: the loop itself must not construct anything.
-  std::vector<Word> keys(kWarmup + kMeasure);
-  for (Word& k : keys) k = rng.next_bits(6);
-
-  std::uint64_t sum = 0;
-  std::size_t measured_allocs = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const std::size_t before = g_alloc_count;
-    BlockRequest req;
-    req.op = OpKind::kSearch;
-    req.key = keys[i];
-    req.tag.seq = i;
-    block.issue(std::move(req));
-    block.eval();
-    block.commit();
-    if (block.response().has_value()) {
-      const BlockResponse& r = *block.response();
-      sum += r.hit + r.first_match + r.match_count + r.raw.count();
-    }
-    if (i >= kWarmup) measured_allocs += g_alloc_count - before;
-  }
-  // Drain the pipeline (outside the measured window).
-  for (unsigned i = 0; i < 8; ++i) {
-    block.eval();
-    block.commit();
-    if (block.response().has_value()) sum += block.response()->hit;
-  }
-  *checksum = sum;
-  return measured_allocs;
 }
 
 class AllocGuard : public ::testing::Test {
@@ -150,32 +106,6 @@ class AllocGuard : public ::testing::Test {
 #endif
   }
 };
-
-TEST_F(AllocGuard, FusedEncodePathIsAllocFreeAllSchemes) {
-  for (const EncodingScheme scheme :
-       {EncodingScheme::kPriorityIndex, EncodingScheme::kOneHot,
-        EncodingScheme::kMatchCount}) {
-    for (const bool buffered : {false, true}) {
-      std::uint64_t sum = 0;
-      const std::size_t allocs = measure_steady_state(
-          steady_cfg(CamKind::kBinary, 32, 256, scheme, buffered), &sum);
-      EXPECT_EQ(allocs, 0u) << "scheme " << static_cast<int>(scheme)
-                            << " buffered " << buffered;
-      EXPECT_NE(sum, 0u) << "search loop produced no responses";
-    }
-  }
-}
-
-TEST_F(AllocGuard, MaskedKernelsAreAllocFree) {
-  for (const EncodingScheme scheme :
-       {EncodingScheme::kPriorityIndex, EncodingScheme::kOneHot,
-        EncodingScheme::kMatchCount}) {
-    std::uint64_t sum = 0;
-    const std::size_t allocs = measure_steady_state(
-        steady_cfg(CamKind::kTernary, 32, 256, scheme, /*buffered=*/true), &sum);
-    EXPECT_EQ(allocs, 0u) << "scheme " << static_cast<int>(scheme);
-  }
-}
 
 /// Unit-level steady state: one round per entry of `rounds` - regroup to
 /// that group count (changing the count reallocates the unit's address
@@ -268,25 +198,28 @@ UnitConfig unit_cfg(unsigned blocks, EncodingScheme scheme, unsigned groups) {
 }
 
 TEST_F(AllocGuard, UnitFastPlanesAreAllocFreeAcrossRegrouping) {
-  struct Shape {
-    EncodingScheme scheme;
-    unsigned groups;
-  };
-  // The lookup_8k shape (32 x 256, one group, priority) and a 4-group
-  // one-hot unit, each as a BCAM (its planes indexed) and as a TCAM (its
-  // planes swept).
-  for (const Shape shape : {Shape{EncodingScheme::kPriorityIndex, 1},
-                            Shape{EncodingScheme::kOneHot, 4}}) {
-    for (const CamKind kind : {CamKind::kBinary, CamKind::kTernary}) {
-      UnitConfig cfg = unit_cfg(32, shape.scheme, shape.groups);
-      cfg.block.cell.kind = kind;
-      std::uint64_t sum = 0;
-      const std::vector<unsigned> rounds(3, shape.groups);
-      const std::size_t allocs =
-          measure_unit_rounds(cfg, rounds, /*warm=*/1, /*churn=*/false, &sum);
-      EXPECT_EQ(allocs, 0u) << "scheme " << static_cast<int>(shape.scheme)
-                            << " kind " << to_string(kind);
-      EXPECT_NE(sum, 0u) << "search loop produced no hits";
+  // 32 x 256 units in one group (the lookup_8k shape) and in four, each as
+  // a BCAM (its planes indexed) and as a TCAM (its planes swept), under
+  // every encoding scheme, with and without the encoder output register.
+  for (const EncodingScheme scheme :
+       {EncodingScheme::kPriorityIndex, EncodingScheme::kOneHot,
+        EncodingScheme::kMatchCount}) {
+    for (const unsigned groups : {1u, 4u}) {
+      for (const CamKind kind : {CamKind::kBinary, CamKind::kTernary}) {
+        for (const bool buffered : {false, true}) {
+          UnitConfig cfg = unit_cfg(32, scheme, groups);
+          cfg.block.cell.kind = kind;
+          cfg.block.output_buffer = buffered;
+          std::uint64_t sum = 0;
+          const std::vector<unsigned> rounds(3, groups);
+          const std::size_t allocs =
+              measure_unit_rounds(cfg, rounds, /*warm=*/1, /*churn=*/false, &sum);
+          EXPECT_EQ(allocs, 0u) << "scheme " << static_cast<int>(scheme) << " groups "
+                                << groups << " kind " << to_string(kind)
+                                << " buffered " << buffered;
+          EXPECT_NE(sum, 0u) << "search loop produced no hits";
+        }
+      }
     }
   }
 }
@@ -325,6 +258,21 @@ system::CamSystem::Config sharded_shard_cfg() {
   sc.unit.unit_size = 16;
   sc.unit.bus_width = 512;
   return sc;
+}
+
+/// Beat `i` of the sharded_churn stream: a 4-key search, or an addressed
+/// single-word rewrite every 16th beat.
+UnitRequest churn_beat(Rng& rng, unsigned capacity, std::size_t i) {
+  UnitRequest q;
+  if (i % 16 == 15) {
+    q.op = OpKind::kUpdate;
+    q.address = static_cast<std::uint32_t>(rng.next_below(capacity));
+    q.words = {rng.next_bits(20)};
+  } else {
+    q.op = OpKind::kSearch;
+    for (unsigned k = 0; k < 4; ++k) q.keys.push_back(rng.next_bits(20));
+  }
+  return q;
 }
 
 TEST_F(AllocGuard, EngineBeatPathAllocatesOnlyHandedOverBuffers) {
@@ -484,18 +432,7 @@ TEST_F(AllocGuard, DriverTurnsAreAllocFreeOnTheBenchShapes) {
     std::uint64_t sum = 0;
     const std::size_t allocs = measure_driver_rounds(
         drv, kRounds, kWarm, kBeats, 16,
-        [&](std::size_t, std::size_t i) {
-          UnitRequest q;
-          if (i % 16 == 15) {
-            q.op = OpKind::kUpdate;
-            q.address = static_cast<std::uint32_t>(rng.next_below(cap));
-            q.words = {rng.next_bits(20)};
-          } else {
-            q.op = OpKind::kSearch;
-            for (unsigned k = 0; k < 4; ++k) q.keys.push_back(rng.next_bits(20));
-          }
-          return q;
-        },
+        [&](std::size_t, std::size_t i) { return churn_beat(rng, cap, i); },
         nothing, &sum);
     EXPECT_EQ(allocs, 0u) << "sharded_churn shape";
     EXPECT_NE(sum, 0u);
@@ -528,6 +465,34 @@ TEST_F(AllocGuard, DriverTurnsAreAllocFreeOnTheBenchShapes) {
     EXPECT_EQ(allocs, 0u) << "tc_paper shape";
     EXPECT_NE(sum, 0u);
   }
+}
+
+TEST_F(AllocGuard, DriverTurnsWithMetricsAttachedAreAllocFree) {
+  // The sharded_churn shape with a metric registry attached: each ticket's
+  // trace (submit cycle, op) rides in the driver's ring and every
+  // completion lands in the latency histograms. snapshot_every is longer
+  // than the run, so no snapshot falls inside it and only the per-ticket
+  // telemetry work is measured.
+  constexpr std::size_t kRounds = 4;
+  constexpr std::size_t kBeats = 3000;
+  system::ShardedCamEngine::Config ec;
+  ec.shards = 4;
+  ec.credits_per_shard = 64;
+  system::ShardedCamEngine engine(ec, sharded_shard_cfg());
+  system::CamDriver drv(engine);
+  telemetry::MetricRegistry registry;
+  drv.attach_telemetry(&registry, nullptr, /*snapshot_every=*/std::uint64_t{1} << 40);
+  const unsigned cap = engine.capacity();
+  Rng rng(0xC4A3);
+  std::uint64_t sum = 0;
+  const std::size_t allocs = measure_driver_rounds(
+      drv, kRounds, /*warm=*/1, kBeats, 16,
+      [&](std::size_t, std::size_t i) { return churn_beat(rng, cap, i); },
+      [](std::size_t) {}, &sum);
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_NE(sum, 0u);
+  EXPECT_EQ(registry.counter("driver.completed").value(), kRounds * kBeats);
+  EXPECT_EQ(registry.histogram("driver.latency_cycles").count(), kRounds * kBeats);
 }
 
 }  // namespace

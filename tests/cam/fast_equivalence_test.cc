@@ -11,8 +11,9 @@
 // and script one reset inside an idle stretch and one that lands on a
 // search in flight. Rows marked `index` run
 // planes deep enough for the exact-match index (DESIGN.md §11) and check it
-// was live, demoted by mask pokes and re-armed by resets; `block_only` rows
-// drive a standalone CamBlock pair, whose plane encodes match-count itself.
+// was live, demoted by mask pokes and re-armed by resets. Rows of shape
+// 1xN_m1 are one-block units: a single indexed block under match-count,
+// parity pokes and 48-bit one-hot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -51,9 +52,6 @@ struct EquivParams {
   /// Every fast plane starts indexed; the row checks it stayed live and,
   /// with parity pokes, was demoted and re-armed.
   bool index = false;
-  /// Drive a standalone CamBlock pair of block_size cells (unit_size and
-  /// groups unused) instead of a unit pair.
-  bool block_only = false;
   /// Beats come in bursts of 1-6 started on 1% of idle cycles (about 3.5%
   /// of cycles carry one), plus the two scripted resets.
   bool sparse = false;
@@ -64,9 +62,8 @@ struct EquivParams {
 /// and what gtest prints for the parameter.
 std::string row_name(const EquivParams& p) {
   std::string n = to_string(p.kind) + std::to_string(p.data_width) + "_";
-  n += p.block_only ? "block" + std::to_string(p.block_size)
-                    : std::to_string(p.unit_size) + "x" + std::to_string(p.block_size) +
-                          "_m" + std::to_string(p.groups);
+  n += std::to_string(p.unit_size) + "x" + std::to_string(p.block_size) + "_m" +
+       std::to_string(p.groups);
   std::string scheme = to_string(p.encoding);
   std::replace(scheme.begin(), scheme.end(), '-', '_');  // gtest names: [A-Za-z0-9_]
   n += "_" + scheme;
@@ -87,22 +84,16 @@ void PrintTo(const EquivParams& p, std::ostream* os) { *os << row_name(p); }
 
 class FastEquivalence : public ::testing::TestWithParam<EquivParams> {};
 
-BlockConfig make_block_config(const EquivParams& p, EvalMode mode) {
-  BlockConfig cfg;
-  cfg.cell.kind = p.kind;
-  cfg.cell.data_width = p.data_width;
-  cfg.block_size = p.block_size;
-  cfg.bus_width = p.data_width * 4;
-  cfg.output_buffer = p.output_buffer;
-  cfg.encoding = p.encoding;
-  cfg.eval_mode = mode;
-  cfg.parity = p.parity;
-  return cfg;
-}
-
 UnitConfig make_config(const EquivParams& p, EvalMode mode) {
   UnitConfig cfg;
-  cfg.block = make_block_config(p, mode);
+  cfg.block.cell.kind = p.kind;
+  cfg.block.cell.data_width = p.data_width;
+  cfg.block.block_size = p.block_size;
+  cfg.block.bus_width = p.data_width * 4;
+  cfg.block.output_buffer = p.output_buffer;
+  cfg.block.encoding = p.encoding;
+  cfg.block.parity = p.parity;
+  cfg.eval_mode = mode;
   cfg.unit_size = p.unit_size;
   cfg.bus_width = p.data_width * 4;
   cfg.initial_groups = p.groups;
@@ -208,105 +199,8 @@ struct IndexTrace {
   }
 };
 
-void expect_same_block_response(const std::optional<BlockResponse>& ref,
-                                const std::optional<BlockResponse>& fast,
-                                unsigned cyc) {
-  ASSERT_EQ(ref.has_value(), fast.has_value()) << "cycle " << cyc;
-  if (!ref.has_value()) return;
-  ASSERT_EQ(ref->tag.seq, fast->tag.seq) << "cycle " << cyc;
-  ASSERT_EQ(ref->hit, fast->hit) << "cycle " << cyc;
-  ASSERT_EQ(ref->first_match, fast->first_match) << "cycle " << cyc;
-  ASSERT_EQ(ref->match_count, fast->match_count) << "cycle " << cyc;
-  ASSERT_EQ(ref->raw, fast->raw) << "cycle " << cyc;
-  ASSERT_EQ(ref->parity_errors, fast->parity_errors) << "cycle " << cyc;
-}
-
-void expect_same_block_arrays(const CamBlock& ref, const CamBlock& fast, unsigned cyc) {
-  for (unsigned i = 0; i < ref.size(); ++i) {
-    ASSERT_EQ(ref.entry_valid(i), fast.entry_valid(i)) << "cycle " << cyc << " entry " << i;
-    ASSERT_EQ(ref.stored_word(i), fast.stored_word(i)) << "cycle " << cyc << " entry " << i;
-    ASSERT_EQ(ref.entry_mask(i), fast.entry_mask(i)) << "cycle " << cyc << " entry " << i;
-    ASSERT_EQ(ref.entry_parity(i), fast.entry_parity(i)) << "cycle " << cyc << " entry " << i;
-  }
-  ASSERT_EQ(ref.fill(), fast.fill()) << "cycle " << cyc;
-}
-
-/// The block_only rows: the same kind of stream into a standalone CamBlock
-/// pair, whose fast plane encodes under the block's own scheme.
-void run_block_lockstep(const EquivParams& p) {
-  CamBlock ref(make_block_config(p, EvalMode::kReference));
-  CamBlock fast(make_block_config(p, EvalMode::kFast));
-  if (p.index) {
-    ASSERT_TRUE(fast.plane_indexed());
-  }
-  Rng rng(p.seed);
-  const unsigned value_bits = key_space_bits(p);
-  const unsigned wpb = ref.config().words_per_beat();
-  IndexTrace index;
-  std::uint64_t seq = 1;
-  unsigned responses = 0;
-  for (unsigned cyc = 0; cyc < p.cycles; ++cyc) {
-    const double dice = rng.next_double();
-    BlockRequest req;
-    req.tag.seq = seq++;
-    if (dice < 0.004) {
-      req.op = OpKind::kReset;
-    } else if (p.parity && dice < 0.012) {
-      const unsigned entry = static_cast<unsigned>(rng.next_below(p.block_size));
-      const Word stored = rng.next_bits(value_bits);
-      const std::uint64_t mask =
-          rng.next_bool(0.2) ? rng.next_bits(p.data_width) : width_mask(p.data_width);
-      const bool valid = rng.next_bool();
-      const bool parity = rng.next_bool();
-      ref.poke_entry(entry, stored, mask, valid, parity);
-      fast.poke_entry(entry, stored, mask, valid, parity);
-    } else if (dice < 0.05) {
-      req.op = OpKind::kInvalidate;
-      req.address = invalidate_address(rng, p, p.block_size);
-    } else if (dice < 0.10) {
-      req.op = OpKind::kUpdate;
-      req.address = static_cast<std::uint32_t>(rng.next_below(p.block_size));
-      req.words = {rng.next_bits(value_bits)};
-    } else if (dice < 0.45) {
-      req.op = OpKind::kUpdate;
-      const unsigned n = 1 + static_cast<unsigned>(rng.next_below(wpb));
-      for (unsigned i = 0; i < n; ++i) req.words.push_back(rng.next_bits(value_bits));
-    } else if (dice < 0.95) {
-      req.op = OpKind::kSearch;
-      req.key = rng.next_bits(value_bits);
-    }
-    BlockRequest copy = req;
-    ref.issue(std::move(req));
-    fast.issue(std::move(copy));
-    test::step(ref);
-    test::step(fast);
-    index.observe(fast.plane_indexed());
-
-    expect_same_block_response(ref.response(), fast.response(), cyc);
-    ASSERT_EQ(ref.update_ack().has_value(), fast.update_ack().has_value()) << "cycle " << cyc;
-    if (ref.update_ack().has_value()) {
-      ASSERT_EQ(ref.update_ack()->seq, fast.update_ack()->seq) << "cycle " << cyc;
-      ASSERT_EQ(ref.update_ack()->words_written, fast.update_ack()->words_written)
-          << "cycle " << cyc;
-      ASSERT_EQ(ref.update_ack()->block_full, fast.update_ack()->block_full)
-          << "cycle " << cyc;
-    }
-    ASSERT_EQ(ref.idle(), fast.idle()) << "cycle " << cyc;
-    ASSERT_EQ(ref.quiescent(), fast.quiescent()) << "cycle " << cyc;
-    responses += ref.response().has_value();
-    if ((cyc & 1023u) == 1023u) expect_same_block_arrays(ref, fast, cyc);
-  }
-  expect_same_block_arrays(ref, fast, p.cycles);
-  EXPECT_GT(responses, p.cycles / 4) << "stream exercised too few searches";
-  index.expect_exercised(p);
-}
-
 TEST_P(FastEquivalence, LockstepStreamsAreBitIdentical) {
   const auto p = GetParam();
-  if (p.block_only) {
-    run_block_lockstep(p);
-    return;
-  }
   CamUnit ref(make_config(p, EvalMode::kReference));
   CamUnit fast(make_config(p, EvalMode::kFast));
   Rng rng(p.seed);
@@ -609,21 +503,20 @@ constexpr EquivParams kConfigs[] = {
                 .block_size = 256, .groups = 1, .output_buffer = false,
                 .encoding = EncodingScheme::kOneHot, .cycles = 3000,
                 .seed = 3304, .key_bits = 4, .index = true},
-    // Standalone blocks: match-count is the chain length, plus a parity
+    // One-block units: match-count is the chain length, plus a parity
     // block and a 48-bit one-hot block.
     EquivParams{.kind = CamKind::kBinary, .data_width = 32, .unit_size = 1,
                 .block_size = 256, .groups = 1, .output_buffer = false,
                 .encoding = EncodingScheme::kMatchCount, .cycles = 3000,
-                .seed = 3405, .key_bits = 3, .index = true, .block_only = true},
+                .seed = 3405, .key_bits = 3, .index = true},
     EquivParams{.kind = CamKind::kBinary, .data_width = 32, .unit_size = 1,
                 .block_size = 512, .groups = 1, .output_buffer = true,
                 .encoding = EncodingScheme::kPriorityIndex, .cycles = 3000,
-                .seed = 3506, .parity = true, .key_bits = 4, .index = true,
-                .block_only = true},
+                .seed = 3506, .parity = true, .key_bits = 4, .index = true},
     EquivParams{.kind = CamKind::kBinary, .data_width = 48, .unit_size = 1,
                 .block_size = 256, .groups = 1, .output_buffer = false,
                 .encoding = EncodingScheme::kOneHot, .cycles = 2500,
-                .seed = 3607, .key_bits = 5, .index = true, .block_only = true},
+                .seed = 3607, .key_bits = 5, .index = true},
     // Sparse bursts between long idle gaps: multi-key searches over four
     // groups (the active-block prefix), a buffered indexed plane, parity
     // pokes, and routing-table remaps.

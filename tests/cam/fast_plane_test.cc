@@ -1,5 +1,7 @@
-// FastPlane (src/cam/fast_plane.h): the packed kFast match plane shared by
-// CamBlock (one plane per block) and CamUnit (one plane per CAM group).
+// FastPlane (src/cam/fast_plane.h): the packed kFast match plane a CamUnit
+// runs per CAM group. The plane-level cases drive planes bound straight
+// into a FastPlaneStore; the unit-level ones check which bench geometries
+// get the exact-match index.
 #include "src/cam/fast_plane.h"
 
 #include <gtest/gtest.h>
@@ -24,7 +26,6 @@ BlockConfig plane_cfg(CamKind kind, bool parity = false) {
   cfg.block_size = 64;
   cfg.bus_width = 64;
   cfg.parity = parity;
-  cfg.eval_mode = EvalMode::kFast;
   return cfg;
 }
 
@@ -299,7 +300,7 @@ UnitConfig bench_unit(unsigned blocks, unsigned cells) {
   cfg.block.cell.data_width = 32;
   cfg.block.block_size = cells;
   cfg.block.bus_width = 512;
-  cfg.block.eval_mode = EvalMode::kFast;
+  cfg.eval_mode = EvalMode::kFast;
   cfg.unit_size = blocks;
   cfg.bus_width = 512;
   return cfg;
@@ -324,7 +325,7 @@ TEST(FastPlane, BenchShapesThatGetTheIndex) {
   }
   // The reference path has no planes at all.
   UnitConfig ref = bench_unit(32, 256);
-  ref.block.eval_mode = EvalMode::kReference;
+  ref.eval_mode = EvalMode::kReference;
   EXPECT_FALSE(CamUnit(ref).group_indexed(0));
 }
 

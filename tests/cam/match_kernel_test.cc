@@ -1,12 +1,13 @@
 // Match-kernel registry tests (match_kernel.h):
 //   - the registry holds exactly one sweep per SIMD tier: generic_avx2
 //     (where it runs) ahead of generic_scalar, both entry points set,
-//   - every geometry, and every fast CamBlock, gets the registry's first
-//     entry,
+//   - every geometry, and every kind of fast CamUnit, gets the registry's
+//     first entry,
 //   - every registered kernel is bit-identical to the golden match formula
 //     (tail bits included),
-//   - a mask-plane poke on an indexed binary block demotes it to the sweep
-//     without changing a single result bit vs the reference model.
+//   - a mask-plane poke on an indexed one-block binary unit demotes its
+//     plane to the sweep without changing a single result bit vs the
+//     reference model.
 #include "src/cam/match_kernel.h"
 
 #include <gtest/gtest.h>
@@ -15,10 +16,10 @@
 #include <string>
 #include <vector>
 
-#include "src/cam/block.h"
 #include "src/cam/fast_plane.h"
 #include "src/cam/mask.h"
 #include "src/cam/match_sweep.h"
+#include "src/cam/unit.h"
 #include "src/common/bitops.h"
 #include "src/common/random.h"
 #include "tests/cam/testbench.h"
@@ -69,15 +70,18 @@ TEST(MatchKernelRegistry, DescriptorsAreSane) {
   }
 }
 
-BlockConfig fast_block(CamKind kind = CamKind::kBinary, unsigned width = 32,
-                       unsigned size = 64) {
-  BlockConfig b;
-  b.cell.kind = kind;
-  b.cell.data_width = width;
-  b.block_size = size;
-  b.bus_width = 512;
-  b.eval_mode = EvalMode::kFast;
-  return b;
+/// A one-block unit: the block's plane is the group's plane.
+UnitConfig one_block_unit(CamKind kind = CamKind::kBinary, unsigned size = 64,
+                          EvalMode mode = EvalMode::kFast) {
+  UnitConfig u;
+  u.block.cell.kind = kind;
+  u.block.cell.data_width = 32;
+  u.block.block_size = size;
+  u.block.bus_width = 512;
+  u.unit_size = 1;
+  u.bus_width = 512;
+  u.eval_mode = mode;
+  return u;
 }
 
 /// Every geometry gets the registry's first entry: the query is not read.
@@ -92,20 +96,17 @@ TEST(MatchKernelRegistry, SelectionTableIsPinned) {
           << "width " << width << " depth " << depth;
     }
   }
-  // Every kind of fast block sweeps with that same kernel.
+  // Every kind of fast unit sweeps with that same kernel.
   for (const CamKind kind : {CamKind::kBinary, CamKind::kTernary, CamKind::kRange}) {
-    CamBlock block(fast_block(kind));
-    ASSERT_NE(block.match_kernel(), nullptr) << to_string(kind);
-    EXPECT_EQ(block.match_kernel()->name, want) << to_string(kind);
+    EXPECT_EQ(CamUnit(one_block_unit(kind)).match_kernel_name(), want) << to_string(kind);
   }
 }
 
 TEST(MatchKernelRegistry, ReferenceModeSelectsNoKernel) {
-  auto cfg = fast_block();
-  cfg.eval_mode = EvalMode::kReference;
-  CamBlock block(cfg);
-  EXPECT_EQ(block.match_kernel(), nullptr);
-  EXPECT_EQ(block.match_kernel_name(), "reference");
+  const CamUnit unit(one_block_unit(CamKind::kBinary, FastPlane::kIndexMinDepth,
+                                    EvalMode::kReference));
+  EXPECT_EQ(unit.match_kernel_name(), "reference");
+  EXPECT_FALSE(unit.group_indexed(0));
 }
 
 /// Every registered kernel must reproduce the golden formula bit for bit -
@@ -140,31 +141,27 @@ TEST(MatchKernelRegistry, EveryKernelMatchesGoldenFormula) {
   EXPECT_EQ(exercised, expect_avx2_tier() ? 2u : 1u);
 }
 
-/// A fault-style poke that de-uniforms an indexed binary block's mask plane
+/// A fault-style poke that de-uniforms an indexed binary plane's mask plane
 /// must demote it from the exact-match index to the masked sweep -
-/// observable only through mask_plane_uniform() and plane_indexed(), never
-/// through results, which stay bit-identical to the reference model
-/// before, during, and after.
+/// observable only through group_indexed(), never through results, which
+/// stay bit-identical to the reference model before, during, and after.
 TEST(MatchKernelRegistry, MaskPokeDemotesToMaskedFallbackBitIdentically) {
-  auto fast_cfg = fast_block(CamKind::kBinary, 32, FastPlane::kIndexMinDepth);
-  auto ref_cfg = fast_cfg;
-  ref_cfg.eval_mode = EvalMode::kReference;
-  CamBlock fast(fast_cfg);
-  CamBlock ref(ref_cfg);
+  CamUnit fast(one_block_unit(CamKind::kBinary, FastPlane::kIndexMinDepth));
+  CamUnit ref(one_block_unit(CamKind::kBinary, FastPlane::kIndexMinDepth,
+                             EvalMode::kReference));
 
   const std::vector<Word> values = {5, 9, 12, 21, 33};
-  test::load_block(fast, values);
-  test::load_block(ref, values);
-  EXPECT_TRUE(fast.mask_plane_uniform());
-  EXPECT_TRUE(fast.plane_indexed());
+  test::load_unit(fast, values);
+  test::load_unit(ref, values);
+  EXPECT_TRUE(fast.group_indexed(0));
 
   const auto expect_same_results = [&](const char* when) {
     for (Word key = 0; key < 40; ++key) {
-      const auto f = test::run_search(fast, key);
-      const auto r = test::run_search(ref, key);
+      const auto f = test::run_unit_search(fast, {key}).results[0];
+      const auto r = test::run_unit_search(ref, {key}).results[0];
       ASSERT_EQ(f.hit, r.hit) << when << " key " << key;
       if (r.hit) {
-        ASSERT_EQ(f.first_match, r.first_match) << when << " key " << key;
+        ASSERT_EQ(f.global_address, r.global_address) << when << " key " << key;
       }
     }
   };
@@ -176,29 +173,31 @@ TEST(MatchKernelRegistry, MaskPokeDemotesToMaskedFallbackBitIdentically) {
   const std::uint64_t upset_mask = bcam_mask(32) | low_bits(4);
   fast.poke_entry(1, 9, upset_mask, true, false);
   ref.poke_entry(1, 9, upset_mask, true, false);
-  EXPECT_FALSE(fast.mask_plane_uniform());
-  EXPECT_FALSE(fast.plane_indexed());
+  EXPECT_FALSE(fast.group_indexed(0));
   expect_same_results("non-uniform");
   {
-    const auto f = test::run_search(fast, 14);
+    const auto f = test::run_unit_search(fast, {14}).results[0];
     ASSERT_TRUE(f.hit);  // 14 ^ 9 = 7, entirely inside the ignored low bits
-    EXPECT_EQ(f.first_match, 1u);
+    EXPECT_EQ(f.global_address, 1u);
   }
 
   // Poking the entry back does NOT restore uniformity (sticky by design) -
   // but results must still be identical.
   fast.poke_entry(1, 9, bcam_mask(32), true, false);
   ref.poke_entry(1, 9, bcam_mask(32), true, false);
-  EXPECT_FALSE(fast.mask_plane_uniform());
+  EXPECT_FALSE(fast.group_indexed(0));
   expect_same_results("restored entry, sticky flag");
 
-  // A hard reset re-uniforms the plane and re-arms the index.
-  fast.hard_reset();
-  ref.hard_reset();
-  EXPECT_TRUE(fast.mask_plane_uniform());
-  EXPECT_TRUE(fast.plane_indexed());
-  test::load_block(fast, values);
-  test::load_block(ref, values);
+  // A reset beat re-uniforms the plane and re-arms the index.
+  for (CamUnit* unit : {&fast, &ref}) {
+    UnitRequest reset;
+    reset.op = OpKind::kReset;
+    unit->issue(std::move(reset));
+    test::steps(*unit, CamUnit::update_latency() + 2);
+  }
+  EXPECT_TRUE(fast.group_indexed(0));
+  test::load_unit(fast, values);
+  test::load_unit(ref, values);
   expect_same_results("after reset");
 }
 

@@ -38,7 +38,7 @@ cam::UnitConfig make_config(const LockstepParams& p, cam::EvalMode mode) {
   cfg.block.block_size = p.block_size;
   cfg.block.bus_width = p.data_width * 4;
   cfg.block.parity = true;
-  cfg.block.eval_mode = mode;
+  cfg.eval_mode = mode;
   cfg.unit_size = p.unit_size;
   cfg.bus_width = p.data_width * 4;
   return cfg;

@@ -40,7 +40,7 @@ cam::UnitConfig unit_config(cam::EvalMode mode, bool parity) {
   cfg.block.block_size = 32;
   cfg.block.bus_width = 512;
   cfg.block.parity = parity;
-  cfg.block.eval_mode = mode;
+  cfg.eval_mode = mode;
   cfg.unit_size = 2;
   cfg.bus_width = 512;
   return cfg;

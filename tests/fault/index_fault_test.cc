@@ -26,7 +26,7 @@ system::CamSystem::Config make_config(cam::EvalMode mode) {
   cfg.unit.block.block_size = 64;
   cfg.unit.block.bus_width = 128;
   cfg.unit.block.parity = true;
-  cfg.unit.block.eval_mode = mode;
+  cfg.unit.eval_mode = mode;
   cfg.unit.unit_size = 4;
   cfg.unit.bus_width = 128;
   return cfg;

@@ -28,7 +28,7 @@ CamSystem::Config shard_config(cam::EvalMode mode = cam::EvalMode::kFast,
   cfg.unit.block.block_size = 32;
   cfg.unit.block.bus_width = 512;
   cfg.unit.block.parity = parity;
-  cfg.unit.block.eval_mode = mode;
+  cfg.unit.eval_mode = mode;
   cfg.unit.unit_size = 4;
   cfg.unit.bus_width = 512;
   return cfg;

@@ -426,7 +426,7 @@ CamSystem::Config small_shard_config(cam::EvalMode mode = cam::EvalMode::kFast) 
   cfg.unit.block.cell.data_width = 32;
   cfg.unit.block.block_size = 16;
   cfg.unit.block.bus_width = 128;
-  cfg.unit.block.eval_mode = mode;
+  cfg.unit.eval_mode = mode;
   cfg.unit.unit_size = 4;
   cfg.unit.bus_width = 128;
   return cfg;

@@ -67,7 +67,7 @@ CamSystem::Config make_config(const LockstepParams& p, cam::EvalMode mode) {
   cfg.unit.block.bus_width = p.data_width * 4;
   cfg.unit.block.encoding = p.encoding;
   cfg.unit.block.output_buffer = p.output_buffer;
-  cfg.unit.block.eval_mode = mode;
+  cfg.unit.eval_mode = mode;
   cfg.unit.unit_size = p.unit_size;
   cfg.unit.bus_width = p.data_width * 4;
   return cfg;

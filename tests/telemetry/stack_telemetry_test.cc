@@ -28,7 +28,7 @@ CamSystem::Config shard_config(cam::EvalMode mode = cam::EvalMode::kFast) {
   cfg.unit.block.cell.data_width = 32;
   cfg.unit.block.block_size = 16;
   cfg.unit.block.bus_width = 128;
-  cfg.unit.block.eval_mode = mode;
+  cfg.unit.eval_mode = mode;
   cfg.unit.unit_size = 4;
   cfg.unit.bus_width = 128;
   return cfg;
@@ -100,6 +100,43 @@ TEST(StackTelemetry, CountersIdenticalAcrossEvalModes) {
   strip(fast);
   strip(ref);
   EXPECT_EQ(fast, ref);
+}
+
+TEST(StackTelemetry, DriverTracesOnlyTicketsSubmittedWhileAttached) {
+  // The driver records a ticket's latency when the ticket was submitted
+  // and completed with a registry attached. Tickets submitted before the
+  // attach, or completing while detached, are never recorded, and a
+  // re-attach after a detach traces the new tickets from scratch.
+  ShardedCamEngine::Config ec;
+  ec.shards = 2;
+  ShardedCamEngine engine(ec, shard_config());
+  CamDriver drv(engine);
+  telemetry::MetricRegistry registry;
+  const auto submit = [&](unsigned n) {
+    for (unsigned i = 0; i < n; ++i) {
+      cam::UnitRequest req;
+      req.op = cam::OpKind::kSearch;
+      req.keys = {cam::Word{i}};
+      drv.submit_async(std::move(req));
+    }
+  };
+
+  submit(2);  // in flight at attach: untraced
+  drv.attach_telemetry(&registry);
+  submit(8);
+  drv.drain();
+  submit(4);  // traced, then completes while detached
+  drv.attach_telemetry(nullptr);
+  drv.drain();
+  submit(5);  // submitted while detached
+  drv.drain();
+  drv.attach_telemetry(&registry);
+  submit(3);
+  drv.drain();
+
+  EXPECT_EQ(registry.find_counter("driver.submitted")->value(), 15u);
+  EXPECT_EQ(registry.find_counter("driver.completed")->value(), 11u);
+  EXPECT_EQ(registry.find_histogram("driver.latency_cycles")->count(), 11u);
 }
 
 TEST(StackTelemetry, DriverPublishesLatencyPercentilesAndEngineDetail) {
