@@ -21,6 +21,10 @@ void FastPlane::bind(const BlockConfig& cfg, EncodingScheme scheme,
   if (n == 0 || word0 + (n + 63) / 64 > store.words()) {
     throw SimError("FastPlane: binding runs past the backing store");
   }
+  if (scheme == EncodingScheme::kMatchCount) {
+    throw ConfigError("FastPlane: binds priority or one-hot; a match count is "
+                      "reduced from the one-hot words");
+  }
   n_ = n;
   data_width_ = cfg.cell.data_width;
   scheme_ = scheme;
@@ -196,24 +200,18 @@ void FastPlane::unlink(std::size_t i) {
 }
 
 // The kernel's output for `key`, read off its chain: priority is the head,
-// match-count the chain length, one-hot one bit per chain entry.
+// one-hot one bit per chain entry.
 void FastPlane::lookup(Word key, EncodedMatch& out, std::uint64_t* onehot) const {
   const std::uint32_t head = heads_[slot(key)];
   out = EncodedMatch{};
   out.hit = head != kNoEntry;
-  switch (scheme_) {
-    case EncodingScheme::kPriorityIndex:
-      if (out.hit) out.first_match = head;
-      return;
-    case EncodingScheme::kOneHot:
-      std::fill_n(onehot, words(), 0);
-      for (std::uint32_t i = head; i != kNoEntry; i = next_[i]) {
-        onehot[i / 64] |= std::uint64_t{1} << (i % 64);
-      }
-      return;
-    case EncodingScheme::kMatchCount:
-      for (std::uint32_t i = head; i != kNoEntry; i = next_[i]) ++out.match_count;
-      return;
+  if (scheme_ == EncodingScheme::kPriorityIndex) {
+    if (out.hit) out.first_match = head;
+    return;
+  }
+  std::fill_n(onehot, words(), 0);
+  for (std::uint32_t i = head; i != kNoEntry; i = next_[i]) {
+    onehot[i / 64] |= std::uint64_t{1} << (i % 64);
   }
 }
 

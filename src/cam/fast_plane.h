@@ -59,9 +59,10 @@ class FastPlane {
   /// Binds the plane to entries [64 * word0, 64 * word0 + n) of `store`,
   /// decides whether its kind and depth earn the index, and resets the
   /// entries to their power-on state (stored 0, plain width mask, invalid).
-  /// `scheme` is the encoding compare() produces. Allocates nothing once
-  /// `store` is sized; the index sizes its own table at the first compare
-  /// that needs it.
+  /// `scheme` is the encoding compare() produces: priority or one-hot
+  /// (ConfigError for match-count, which the owner reduces from the one-hot
+  /// words). Allocates nothing once `store` is sized; the index sizes its
+  /// own table at the first compare that needs it.
   void bind(const BlockConfig& cfg, EncodingScheme scheme, FastPlaneStore& store,
             std::size_t word0, std::size_t n);
 

@@ -165,7 +165,7 @@ void CamUnit::remap_block(unsigned block, unsigned group) {
   apply_routing_change();
 }
 
-void CamUnit::issue(UnitRequest request) {
+void CamUnit::issue(UnitRequest&& request) {
   if (!can_accept()) {
     throw SimError("CamUnit: two bus beats issued in one cycle");
   }
@@ -206,24 +206,22 @@ void CamUnit::issue(UnitRequest request) {
   // fixed offset from there (Table VIII's latencies).
   last_issue_ = edge_ + 1;
   if (request.op == OpKind::kSearch) {
-    Beat& beat = searches_.emplace_back();
-    beat.dispatch = last_issue_ + kSearchPipeStages;
-    beat.compare = beat.dispatch + 3;  // the block's pattern-detect latch
-    beat.retire = beat.compare + (cfg_.block.output_buffer ? 1 : 0);
+    const std::uint64_t dispatch = last_issue_ + kSearchPipeStages;
+    const std::uint64_t compare = dispatch + 3;  // the block's pattern-detect latch
     // Every reset issued earlier dispatches by this beat's dispatch edge
     // (the update path is one stage longer), every later one after it.
-    beat.epoch = resets_issued_;
-    beat.req = std::move(request);
+    const Beat& beat =
+        searches_.emplace_back(std::move(request), dispatch, compare,
+                               compare + (cfg_.block.output_buffer ? 1 : 0), resets_issued_);
     // kFast routes nothing at dispatch: the compare reads the beat itself.
     mark_due(fast() ? beat.compare : beat.dispatch);
     mark_due(beat.retire);
     return;
   }
   resets_issued_ += request.op == OpKind::kReset;
-  Beat& beat = writes_.emplace_back();
-  beat.dispatch = last_issue_ + kUpdatePipeStages;
-  beat.retire = beat.dispatch + 1;  // the block's 1-cycle write
-  beat.req = std::move(request);
+  const std::uint64_t dispatch = last_issue_ + kUpdatePipeStages;
+  // Retires after the block's 1-cycle write.
+  const Beat& beat = writes_.emplace_back(std::move(request), dispatch, 0, dispatch + 1, 0);
   mark_due(beat.dispatch);
   mark_due(beat.retire);
 }

@@ -117,8 +117,9 @@ class CamUnit {
   // --- Per-cycle bus interface (issue during the owner's eval phase). ---
 
   /// Presents one bus beat (update with up to words_per_beat words, search
-  /// with up to M keys, or reset). One beat per cycle.
-  void issue(UnitRequest request);
+  /// with up to M keys, or reset). One beat per cycle. The beat's record is
+  /// built in place from `request`, which is left moved-from.
+  void issue(UnitRequest&& request);
 
   bool can_accept() const noexcept { return last_issue_ != edge_ + 1; }
 
@@ -211,6 +212,14 @@ class CamUnit {
   /// Beats enter their queue in issue order and every stamp is a fixed
   /// offset from the issue edge, so each queue is ordered by every stamp.
   struct Beat {
+    Beat(UnitRequest&& request, std::uint64_t dispatch_edge, std::uint64_t compare_edge,
+         std::uint64_t retire_edge, std::uint64_t reset_epoch)
+        : req(std::move(request)),
+          dispatch(dispatch_edge),
+          compare(compare_edge),
+          retire(retire_edge),
+          epoch(reset_epoch) {}
+
     UnitRequest req;
     std::uint64_t dispatch = 0;  ///< Routed to the planes (kReference: blocks).
     std::uint64_t compare = 0;   ///< Search, kFast: the match latches.

@@ -13,8 +13,8 @@
 // it leaves the queue, as with std::deque, and slots never used are never
 // touched - a queue of wide records (a bus beat's inline payload) pays for
 // the depth it reaches, not for zero-filling or default-constructing its
-// whole slot array. T must be move-constructible; emplace_back() also
-// needs it default-constructible.
+// whole slot array. T must be move-constructible; emplace_back() with no
+// arguments also needs it default-constructible.
 #pragma once
 
 #include <cstddef>
@@ -104,12 +104,24 @@ class RingQueue {
     ++size_;
   }
 
-  /// Appends a default-initialised element (T{} for trivially copyable T,
-  /// else whatever T's default member initialisers set) and returns it.
-  T& emplace_back() {
-    if (size_ == capacity_) grow();
+  /// Appends an element constructed in place from `args` and returns it.
+  /// With no arguments it is default-initialised (T{} for trivially
+  /// copyable T, else whatever T's default member initialisers set).
+  template <typename... Args>
+  T& emplace_back(Args&&... args) {
+    if constexpr (sizeof...(Args) != 0) {
+      if (size_ == capacity_) {
+        T made(std::forward<Args>(args)...);  // `args` may be elements grow() relocates
+        grow();
+        return emplace_back(std::move(made));
+      }
+    } else if (size_ == capacity_) {
+      grow();
+    }
     T* slot = back_slot();
-    if constexpr (std::is_trivially_copyable_v<T>) {
+    if constexpr (sizeof...(Args) != 0) {
+      ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
+    } else if constexpr (std::is_trivially_copyable_v<T>) {
       ::new (static_cast<void*>(slot)) T{};
     } else {
       ::new (static_cast<void*>(slot)) T;

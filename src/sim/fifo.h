@@ -48,18 +48,22 @@ class Fifo {
     return items_.front();
   }
 
+  T& front() {
+    if (empty()) throw SimError("Fifo: front on empty FIFO");
+    return items_.front();
+  }
+
+  /// Drops the front element (after the consumer moved it out of front());
+  /// throws SimError if empty.
+  void pop_front() {
+    if (empty()) throw SimError("Fifo: pop on empty FIFO");
+    items_.pop_front();
+  }
+
   /// Read-only iteration, front (oldest) to back - occupancy inspection.
   using const_iterator = typename RingQueue<T>::const_iterator;
   const_iterator begin() const noexcept { return items_.begin(); }
   const_iterator end() const noexcept { return items_.end(); }
-
-  /// Dequeues and returns the front element; throws SimError if empty.
-  T pop() {
-    if (empty()) throw SimError("Fifo: pop on empty FIFO");
-    T value = std::move(items_.front());
-    items_.pop_front();
-    return value;
-  }
 
   /// Dequeues the front element straight into an optional (one move of a
   /// possibly wide record); empty when the FIFO is.

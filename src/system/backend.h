@@ -112,6 +112,11 @@ class CamBackend {
   /// Pops the oldest update/invalidate acknowledgement, if any.
   virtual std::optional<cam::UnitUpdateAck> try_pop_ack() = 0;
 
+  /// Output-ready hint: false only when both pops would return nothing, so
+  /// a collector may skip them. The default answers "maybe" (true), which
+  /// keeps a wrapper that does not forward it correct.
+  virtual bool has_output() const { return true; }
+
   /// True when try_submit would currently refuse every request.
   virtual bool request_full() const = 0;
 

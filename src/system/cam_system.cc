@@ -45,7 +45,9 @@ void CamSystem::eval() {
     if (ok) {
       if (front.op == cam::OpKind::kSearch) ++searches_in_flight_;
       if (acks) ++updates_in_flight_;
-      unit_.issue(request_fifo_.pop());
+      // The beat moves from the FIFO slot straight into the unit's record.
+      unit_.issue(std::move(request_fifo_.front()));
+      request_fifo_.pop_front();
       ++stats_.issued;
     } else {
       ++stats_.stall_cycles;

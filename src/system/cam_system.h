@@ -55,6 +55,11 @@ class CamSystem : public CamBackend {
   /// Pops the oldest update acknowledgement, if any.
   std::optional<cam::UnitUpdateAck> try_pop_ack() override;
 
+  /// Either output FIFO holds something.
+  bool has_output() const override {
+    return !response_fifo_.empty() || !ack_fifo_.empty();
+  }
+
   bool request_fifo_full() const noexcept { return request_fifo_.full(); }
   bool request_full() const override { return request_fifo_.full(); }
   std::size_t pending_requests() const override { return request_fifo_.size(); }

@@ -98,16 +98,15 @@ CamDriver::Ticket CamDriver::submit_async(cam::UnitRequest request) {
   if (request_trace_ != nullptr) request_trace_->record(request);
   const Ticket ticket = next_ticket_++;
   request.seq = ticket;
-  const cam::OpKind op = request.op;
-  const bool front = submit_queue_.empty();
-  submit_queue_.push_back(std::move(request));
   ++inflight_;
   last_progress_cycle_ = polled_cycles_;  // fresh work restarts the stall clock
   outstanding_.push_back(1);
-  if (registry_ != nullptr || tracer_ != nullptr) note_submitted(ticket, op);
-  // A new front may fit now. A beat behind a refused one cannot: backend
+  if (registry_ != nullptr || tracer_ != nullptr) note_submitted(ticket, request.op);
+  // With nothing queued ahead the beat is offered at once; only a refused
+  // one is queued. A beat behind a refused one is not offered: backend
   // acceptance changes only in step(), and poll() pumps before stepping.
-  if (front) pump();
+  if (submit_queue_.empty() && offer(request)) return ticket;
+  submit_queue_.push_back(std::move(request));
   return ticket;
 }
 
@@ -150,21 +149,24 @@ CamDriver::Completion CamDriver::take(std::size_t i) {
   return c;
 }
 
-void CamDriver::pump() {
-  while (!submit_queue_.empty()) {
-    // A copy, so a refused beat stays queued for the next try: the payload
-    // is inline (cam::BeatVec), so the copy is a memcpy, not an allocation.
-    if (!backend_->try_submit(submit_queue_.front())) break;
-    if (tracer_ != nullptr) {
-      // The beat left the retry queue: close its backpressure-wait span.
-      TicketTrace* tr = trace_of(submit_queue_.front().seq);
-      if (tr != nullptr && tr->queue_span != 0) {
-        tracer_->end(tr->queue_span, polled_cycles_);
-        tr->queue_span = 0;
-      }
+bool CamDriver::offer(const cam::UnitRequest& request) {
+  // A copy, so a refused beat stays with the caller for the next try: the
+  // payload is inline (cam::BeatVec), so the copy is a memcpy, not an
+  // allocation.
+  if (!backend_->try_submit(request)) return false;
+  if (tracer_ != nullptr) {
+    // The beat left the retry path: close its backpressure-wait span.
+    TicketTrace* tr = trace_of(request.seq);
+    if (tr != nullptr && tr->queue_span != 0) {
+      tracer_->end(tr->queue_span, polled_cycles_);
+      tr->queue_span = 0;
     }
-    submit_queue_.pop_front();
   }
+  return true;
+}
+
+void CamDriver::pump() {
+  while (!submit_queue_.empty() && offer(submit_queue_.front())) submit_queue_.pop_front();
 }
 
 void CamDriver::harvest() {

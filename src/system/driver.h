@@ -250,6 +250,9 @@ class CamDriver {
     bool full = false;
   };
 
+  /// Offers `request` to the backend; on acceptance closes its queue-wait
+  /// span. Returns whether the backend took it.
+  bool offer(const cam::UnitRequest& request);
   void pump();
   void harvest();
   void complete(const Finished& f);
@@ -267,7 +270,7 @@ class CamDriver {
   std::unique_ptr<CamBackend> owned_;
   CamBackend* backend_ = nullptr;
 
-  RingQueue<cam::UnitRequest> submit_queue_;  ///< Accepted, awaiting FIFO room.
+  RingQueue<cam::UnitRequest> submit_queue_;  ///< Refused beats and those behind them.
   RingQueue<cam::OpKind> ack_ops_;            ///< Op kinds of outstanding acks.
 
   /// Completion FIFO as vector rings: live entries are

@@ -7,6 +7,7 @@
 #include "src/cam/types.h"
 #include "src/common/error.h"
 #include "src/fault/scrubber.h"
+#include "src/system/driver.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/span.h"
@@ -19,6 +20,9 @@ namespace {
 // track 2, per-shard sub-operations on 16 + shard.
 constexpr std::uint64_t kTrackEngineBeats = 2;
 constexpr std::uint64_t kTrackShardBase = 16;
+
+/// try_submit(): set in a value's route entry when it opens a sub-request.
+constexpr std::uint32_t kOpens = 1u << 31;
 
 }  // namespace
 
@@ -105,129 +109,88 @@ void ShardedCamEngine::configure_groups(unsigned m) {
   }
 }
 
-void ShardedCamEngine::plan(const cam::UnitRequest& request) {
-  const unsigned s_count = shard_count();
-  subs_.clear();
-  switch (request.op) {
-    case cam::OpKind::kSearch:
-    case cam::OpKind::kUpdate: {
-      const unsigned shard_cap = shards_.front()->capacity();
-      if (request.op == cam::OpKind::kUpdate && request.address.has_value()) {
-        // Addressed writes use the global (range-partitioned) address space.
-        const std::uint32_t addr = *request.address;
-        const unsigned s = addr / shard_cap;
-        if (s >= s_count) {
-          throw SimError("ShardedCamEngine: addressed update beyond capacity");
-        }
-        const unsigned per_beat = std::max(1u, shards_[s]->words_per_beat());
-        for (std::size_t lo = 0; lo < request.words.size(); lo += per_beat) {
-          const std::size_t hi = std::min(request.words.size(), lo + per_beat);
-          SubRequest& sub = subs_.emplace_back(s, request);
-          sub.req.address = addr % shard_cap + static_cast<std::uint32_t>(lo);
-          sub.req.words.assign(request.words.begin() + lo, request.words.begin() + hi);
-          if (!request.masks.empty()) {
-            sub.req.masks.assign(request.masks.begin() + lo,
-                                 request.masks.begin() + std::min(hi, request.masks.size()));
-          }
-        }
-        break;
-      }
-      // One pass over the search keys (or append words): each value joins
-      // the open sub-request of the shard it partitions to, and a shard
-      // whose open sub-request is full (one key per group, or a bus beat of
-      // words) opens another.
-      const bool search = request.op == cam::OpKind::kSearch;
-      const cam::BeatVec<cam::Word>& values = search ? request.keys : request.words;
-      const auto full = [&](const SubRequest& sub) {
-        const CamBackend& shard = *shards_[sub.shard];
-        return (search ? sub.req.keys : sub.req.words).size() >=
-               std::max(1u, search ? shard.max_keys_per_beat() : shard.words_per_beat());
-      };
-      constexpr unsigned kNone = ~0u;
-      open_.assign(s_count, kNone);
-      for (std::uint32_t i = 0; i < values.size(); ++i) {
-        const unsigned s = shard_of(values[i]);
-        unsigned& open = open_[s];
-        if (open == kNone || full(subs_[open])) {
-          open = static_cast<unsigned>(subs_.size());
-          subs_.emplace_back(s, request);
-        }
-        SubRequest& sub = subs_[open];
-        if (search) {
-          sub.req.keys.push_back(values[i]);
-          sub.positions.push_back(i);
-        } else {
-          sub.req.words.push_back(values[i]);
-          if (i < request.masks.size()) sub.req.masks.push_back(request.masks[i]);
-        }
-      }
-      break;
-    }
-    case cam::OpKind::kInvalidate: {
-      const unsigned shard_cap = shards_.front()->capacity();
-      const std::uint32_t addr = request.address.value_or(0);
-      const unsigned s = addr / shard_cap;
-      if (s >= s_count) {
-        throw SimError("ShardedCamEngine: invalidate beyond capacity");
-      }
-      subs_.emplace_back(s, request).req.address = addr % shard_cap;
-      break;
-    }
-    case cam::OpKind::kReset: {
-      for (unsigned s = 0; s < s_count; ++s) subs_.emplace_back(s, request);
-      break;
-    }
-    case cam::OpKind::kIdle:
-      break;
-  }
-}
-
-void ShardedCamEngine::settle() {
-  for (unsigned s = 0; s < shard_count(); ++s) {
-    if (quarantined_[s]) continue;
-    if (resetting_[s] && shards_[s]->idle()) resetting_[s] = 0;
-  }
+unsigned ShardedCamEngine::per_sub(unsigned s, bool search) const {
+  const CamBackend& shard = *shards_[s];
+  return std::max(1u, search ? shard.max_keys_per_beat() : shard.words_per_beat());
 }
 
 bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
-  settle();
-  plan(request);
+  const unsigned s_count = shard_count();
+  for (unsigned s = 0; s < s_count; ++s) {  // a settled reset lifts its fence
+    if (resetting_[s] && !quarantined_[s] && shards_[s]->idle()) resetting_[s] = 0;
+  }
+  const cam::OpKind op = request.op;
+  const bool search = op == cam::OpKind::kSearch;
+  const bool completes =
+      search || op == cam::OpKind::kUpdate || op == cam::OpKind::kInvalidate;
+  // Searches and appends send each key (word) to the shard it partitions to.
+  // Addressed writes and invalidates go to the shard owning the global
+  // (range-partitioned) address, and a reset to every shard.
+  const bool keyed =
+      search || (op == cam::OpKind::kUpdate && !request.address.has_value());
+  const cam::BeatVec<cam::Word>& values = search ? request.keys : request.words;
+  unsigned target = 0;     // addressed: the shard owning the address,
+  std::uint32_t addr = 0;  // the address within it,
+  unsigned per_beat = 1;   // and the words per sub-request
+
+  // Route: count each shard's sub-requests straight from the beat. A keyed
+  // value opens one when its shard has none open or the open one is full
+  // (one key per group, or a bus beat of words); routed_ counts the values.
+  routed_.assign(s_count, op == cam::OpKind::kReset ? 1 : 0);
+  if (keyed) {
+    route_.resize(values.size());
+    for (std::uint32_t i = 0; i < values.size(); ++i) {
+      const unsigned s = shard_of(values[i]);
+      unsigned& n = routed_[s];
+      route_[i] = s | (n == 0 || n % per_sub(s, search) == 0 ? kOpens : 0);
+      ++n;
+    }
+  } else if (completes) {
+    const unsigned shard_cap = shards_.front()->capacity();
+    const std::uint32_t global = request.address.value_or(0);
+    target = global / shard_cap;
+    if (target >= s_count) {
+      throw SimError(op == cam::OpKind::kUpdate
+                         ? "ShardedCamEngine: addressed update beyond capacity"
+                         : "ShardedCamEngine: invalidate beyond capacity");
+    }
+    addr = global % shard_cap;
+    if (op == cam::OpKind::kUpdate) per_beat = per_sub(target, false);
+    routed_[target] = op == cam::OpKind::kInvalidate
+                          ? 1
+                          : static_cast<unsigned>((request.words.size() + per_beat - 1) / per_beat);
+  }
 
   // Feasibility first: the whole beat is accepted or refused atomically.
   // Sub-requests bound for a quarantined shard never reach it - they are
   // settled below as shard_failed / zero-word results - so only the live
   // shards gate acceptance.
-  need_.assign(shard_count(), 0);
   unsigned live_subs = 0;
-  for (const auto& sub : subs_) {
-    if (quarantined_[sub.shard]) continue;
-    ++need_[sub.shard];
-    ++live_subs;
-  }
-  const bool completes = request.op == cam::OpKind::kSearch ||
-                         request.op == cam::OpKind::kUpdate ||
-                         request.op == cam::OpKind::kInvalidate;
-  const auto feasible = [&](unsigned s) {
-    if (!pending_issue_[s].empty() || shards_[s]->request_full()) return false;
-    if (completes && credits_[s] < need_[s]) return false;
+  for (unsigned s = 0; s < s_count; ++s) {
+    unsigned& need = routed_[s];
+    if (need == 0 || quarantined_[s]) continue;
+    if (keyed && need > 1) {
+      const unsigned per = per_sub(s, search);
+      need = (need + per - 1) / per;
+    }
     // A reset beat flushes any search still inside the unit pipeline (the
     // hardware produces no result beat for it), which would orphan the
     // engine's completion bookkeeping. The engine therefore fences: a reset
     // waits for the shard's outstanding completions, and fresh work waits
     // for a settling reset.
-    if (resetting_[s]) return false;
-    return request.op != cam::OpKind::kReset ||
-           (expected_search_[s].empty() && expected_ack_[s].empty());
-  };
-  for (unsigned s = 0; s < shard_count(); ++s) {
-    if (need_[s] != 0 && !feasible(s)) return false;
+    const bool owes = !expected_search_[s].empty() || !expected_ack_[s].empty();
+    if (!pending_issue_[s].empty() || shards_[s]->request_full() || resetting_[s] ||
+        (completes && credits_[s] < need) || (op == cam::OpKind::kReset && owes)) {
+      return false;
+    }
+    live_subs += need;
   }
 
   // Allocate the reorder-buffer entry. Sampled beats open their dispatch ->
   // reorder-completion span here (serial path; the tracer is lock-free).
   const bool traced = tracer_ != nullptr && tracer_->sampled(request.seq);
   std::uint64_t beat_id = 0;
-  if (request.op == cam::OpKind::kSearch) {
+  if (search) {
     beat_id = search_rob_base_ + search_rob_.size();
     SearchBeat& beat = search_rob_.emplace_back();
     beat.seq = request.seq;
@@ -235,9 +198,17 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
     beat.ready = cycles_;  // beats settled entirely at submit pop right away
     // Every result slot carries its key from the start: a live shard's
     // response overwrites the slot, quarantine back-fill keeps the key.
+    // Keys routed to a quarantined shard settle now: no search happens, the
+    // result says so instead of reporting a miss.
     beat.results.resize(request.keys.size());
     for (std::size_t i = 0; i < request.keys.size(); ++i) {
-      beat.results[i].key = request.keys[i];
+      cam::UnitSearchResult& r = beat.results[i];
+      r.key = request.keys[i];
+      const unsigned s = route_[i] & ~kOpens;
+      if (quarantined_[s]) {
+        r.shard = static_cast<std::uint16_t>(s);
+        r.shard_failed = true;
+      }
     }
     if (traced) {
       beat.span = tracer_->begin("beat.search", kTrackEngineBeats, cycles_);
@@ -245,65 +216,104 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
       tracer_->arg(beat.span, "keys", request.keys.size());
       tracer_->arg(beat.span, "sub_ops", live_subs);
     }
-    // Keys routed to quarantined shards settle now: no search happens, the
-    // result says so instead of reporting a miss.
-    for (auto& sub : subs_) {
-      if (!quarantined_[sub.shard]) continue;
-      for (const std::uint32_t pos : sub.positions) {
-        beat.results[pos].shard = static_cast<std::uint16_t>(sub.shard);
-        beat.results[pos].shard_failed = true;
-      }
-    }
   } else if (completes) {
-    AckBeat beat;
+    beat_id = ack_rob_base_ + ack_rob_.size();
+    AckBeat& beat = ack_rob_.emplace_back();
     beat.seq = request.seq;
     beat.pending = live_subs;
     beat.ready = cycles_;
     beat.ack.seq = request.seq;
     if (traced) {
       beat.span = tracer_->begin(
-          request.op == cam::OpKind::kUpdate ? "beat.update" : "beat.invalidate",
+          op == cam::OpKind::kUpdate ? "beat.update" : "beat.invalidate",
           kTrackEngineBeats, cycles_);
       tracer_->arg(beat.span, "ticket", request.seq);
       tracer_->arg(beat.span, "sub_ops", live_subs);
     }
-    beat_id = ack_rob_base_ + ack_rob_.size();
-    ack_rob_.push_back(std::move(beat));
   }
 
-  // Expect each live sub-operation back, then issue it: straight into the
-  // shard FIFO when it has room, else park in the per-shard issue queue
-  // (pumped every cycle). Credits are held from issue to collection either
-  // way.
-  for (auto& sub : subs_) {
-    const unsigned s = sub.shard;
-    if (quarantined_[s]) continue;
-    std::uint64_t sub_span = telemetry::SpanTracer::kNone;
-    if (request.op == cam::OpKind::kSearch) {
-      if (traced) {
-        sub_span = tracer_->begin("sub.search", kTrackShardBase + s, cycles_);
-        tracer_->arg(sub_span, "ticket", request.seq);
-        tracer_->arg(sub_span, "shard", s);
-        tracer_->arg(sub_span, "keys", sub.req.keys.size());
-      }
-      expected_search_[s].push_back({beat_id, std::move(sub.positions), sub_span});
-    } else if (completes) {
-      if (traced) {
-        sub_span = tracer_->begin("sub.update", kTrackShardBase + s, cycles_);
-        tracer_->arg(sub_span, "ticket", request.seq);
-        tracer_->arg(sub_span, "shard", s);
-      }
-      expected_ack_[s].push_back({beat_id, sub_span});
+  // Issue every live sub-request in the order the beat opens them: build it
+  // straight from the beat, hand it to its shard, and expect it back (a
+  // search's `exp` entry, else an ack), holding a credit until collection.
+  const auto expect = [&](unsigned s, ExpectedSearch* exp) {
+    std::uint64_t span = telemetry::SpanTracer::kNone;
+    if (traced) {
+      span = tracer_->begin(exp ? "sub.search" : "sub.update", kTrackShardBase + s, cycles_);
+      tracer_->arg(span, "ticket", request.seq);
+      tracer_->arg(span, "shard", s);
+      if (exp) tracer_->arg(span, "keys", exp->positions.size());
     }
-    if (request.op == cam::OpKind::kReset) resetting_[s] = 1;
-    if (completes) --credits_[s];
-    if (shards_[s]->request_full()) {
-      pending_issue_[s].push_back(std::move(sub.req));
-    } else if (!shards_[s]->try_submit(std::move(sub.req))) {
-      throw SimError("ShardedCamEngine: shard refused despite request_full() == false");
+    if (exp) {
+      exp->beat_id = beat_id;
+      exp->span = span;
+    } else {
+      expected_ack_[s].push_back({beat_id, span});
+    }
+    --credits_[s];
+  };
+  if (keyed) {
+    for (std::uint32_t i = 0; i < values.size(); ++i) {
+      const unsigned s = route_[i] & ~kOpens;
+      if ((route_[i] & kOpens) == 0 || quarantined_[s]) continue;
+      // The sub-request opened here takes its shard's next per_sub() values.
+      ExpectedSearch* exp = search ? &expected_search_[s].emplace_back() : nullptr;
+      const unsigned per = per_sub(s, search);
+      issue(s, request, [&](cam::UnitRequest& sub) {
+        for (std::uint32_t j = i, n = 0; n < per && j < values.size(); ++j) {
+          if ((route_[j] & ~kOpens) != s) continue;
+          ++n;
+          if (search) {
+            sub.keys.push_back(values[j]);
+            exp->positions.push_back(j);
+          } else {
+            sub.words.push_back(values[j]);
+            if (j < request.masks.size()) sub.masks.push_back(request.masks[j]);
+          }
+        }
+      });
+      expect(s, exp);
+    }
+  } else if (op == cam::OpKind::kReset) {
+    for (unsigned s = 0; s < s_count; ++s) {
+      if (quarantined_[s]) continue;
+      resetting_[s] = 1;
+      issue(s, request, [](cam::UnitRequest&) {});
+    }
+  } else if (completes && !quarantined_[target]) {  // addressed write, invalidate
+    const std::size_t words = op == cam::OpKind::kUpdate ? request.words.size() : 0;
+    for (std::size_t lo = 0, k = 0; k < routed_[target]; ++k, lo += per_beat) {
+      const std::size_t hi = std::min(words, lo + per_beat);
+      issue(target, request, [&](cam::UnitRequest& sub) {
+        sub.address = addr + static_cast<std::uint32_t>(lo);
+        sub.words.assign(request.words.begin() + lo, request.words.begin() + hi);
+        if (lo < request.masks.size()) {
+          sub.masks.assign(request.masks.begin() + lo,
+                           request.masks.begin() + std::min(hi, request.masks.size()));
+        }
+      });
+      expect(target, nullptr);
     }
   }
   return true;
+}
+
+template <typename Fill>
+void ShardedCamEngine::issue(unsigned s, const cam::UnitRequest& beat, const Fill& fill) {
+  // Built where it lives next: parked, or as the argument the shard takes.
+  const auto build = [&](cam::UnitRequest& sub) {
+    sub.op = beat.op;
+    sub.seq = beat.seq;
+    fill(sub);
+  };
+  if (shards_[s]->request_full()) {
+    build(pending_issue_[s].emplace_back());
+  } else if (!shards_[s]->try_submit([&] {
+               cam::UnitRequest sub;
+               build(sub);
+               return sub;
+             }())) {
+    throw SimError("ShardedCamEngine: shard refused despite request_full() == false");
+  }
 }
 
 void ShardedCamEngine::pump(unsigned s) {
@@ -317,9 +327,11 @@ void ShardedCamEngine::pump(unsigned s) {
 }
 
 void ShardedCamEngine::collect() {
-  const unsigned shard_cap = shards_.front()->capacity();
   for (unsigned s = 0; s < shard_count(); ++s) {
-    if (quarantined_[s]) continue;  // owed nothing; stale output stays put
+    // A quarantined shard is owed nothing (stale output stays put); a shard
+    // with no output ready costs no pops.
+    if (quarantined_[s] || !shards_[s]->has_output()) continue;
+    const unsigned base = s * shards_[s]->capacity();  // shard-local -> global
     // Each output lands in its reorder beat, returns its credit and ends its
     // sub-op span.
     while (auto resp = shards_[s]->try_pop_response()) {
@@ -333,7 +345,7 @@ void ShardedCamEngine::collect() {
         cam::UnitSearchResult& r = beat.results.at(exp.positions.at(j));
         r = resp->results[j];
         r.shard = static_cast<std::uint16_t>(s);
-        r.global_address += s * shard_cap;
+        r.global_address += base;
       }
       --beat.pending;
       beat.ready = std::max(beat.ready, cycles_ + 1);
@@ -869,59 +881,23 @@ ShardedCamEngine::ReshardReport ShardedCamEngine::reshard(unsigned new_shard_cou
 
   rebuild_fleet(new_shard_count);
 
-  // Redistribute through each new shard's own protocol port, so parity and
-  // fill bookkeeping follow the legitimate write path. Per-entry masks only
-  // exist off the binary mode (CamUnit refuses masked updates on kBinary).
+  // Redistribute through each new shard's own protocol port (a driver's
+  // store()), so parity and fill bookkeeping follow the legitimate write
+  // path. Per-entry masks only exist off the binary mode (CamUnit refuses
+  // masked updates on kBinary).
   const bool masked = kind() != cam::CamKind::kBinary;
   for (unsigned s = 0; s < new_shard_count; ++s) {
-    CamBackend& shard = *shards_[s];
-    const unsigned per_beat = std::max(1u, shard.words_per_beat());
-    std::size_t submitted_words = 0;
-    std::size_t submitted_beats = 0;
-    std::size_t acked_words = 0;
-    std::size_t acks_seen = 0;
-    std::uint64_t guard = 0;
-    for (std::size_t lo = 0; lo < buckets[s].size(); lo += per_beat) {
-      const std::size_t hi = std::min(buckets[s].size(), lo + per_beat);
-      cam::UnitRequest req;
-      req.op = cam::OpKind::kUpdate;
-      for (std::size_t i = lo; i < hi; ++i) {
-        req.words.push_back(buckets[s][i]->stored);
-        if (masked) req.masks.push_back(buckets[s][i]->mask);
-      }
-      submitted_words += hi - lo;
-      ++submitted_beats;
-      while (!shard.try_submit(req)) {
-        shard.step();
-        while (auto ack = shard.try_pop_ack()) {
-          acked_words += ack->words_written;
-          ++acks_seen;
-        }
-        if (++guard > (1ull << 20)) {
-          throw SimError("ShardedCamEngine::reshard: new shard " +
-                         std::to_string(s) + " refused re-appends; " +
-                         shard.debug_dump());
-        }
-      }
+    std::vector<cam::Word> words;
+    std::vector<std::uint64_t> masks;
+    for (const fault::EntryState* e : buckets[s]) {
+      words.push_back(e->stored);
+      if (masked) masks.push_back(e->mask);
     }
-    while (acks_seen < submitted_beats) {
-      if (auto ack = shard.try_pop_ack()) {
-        acked_words += ack->words_written;
-        ++acks_seen;
-        continue;
-      }
-      shard.step();
-      if (++guard > (1ull << 20)) {
-        throw SimError("ShardedCamEngine::reshard: re-appends failed to "
-                       "settle on new shard " + std::to_string(s) + "; " +
-                       shard.debug_dump());
-      }
-    }
-    if (acked_words != submitted_words) {
-      throw SimError("ShardedCamEngine::reshard: new shard " +
-                     std::to_string(s) + " wrote " +
-                     std::to_string(acked_words) + " of " +
-                     std::to_string(submitted_words) +
+    const unsigned written = CamDriver(*shards_[s]).store(words, masks);
+    if (written != words.size()) {
+      throw SimError("ShardedCamEngine::reshard: new shard " + std::to_string(s) +
+                     " wrote " + std::to_string(written) + " of " +
+                     std::to_string(words.size()) +
                      " re-appended words - repartitioning lost entries");
     }
   }

@@ -141,7 +141,7 @@ class ShardedCamEngine : public CamBackend {
   /// sub-requests are dropped, every in-flight sub-operation it owed is
   /// settled immediately - searches complete with `shard_failed` results
   /// (hit forced false) at their beat positions, acks complete with zero
-  /// words contributed - and from then on the shard is skipped by planning,
+  /// words contributed - and from then on the shard is skipped by issue,
   /// stepping and collection: keys routed to it come back `shard_failed`
   /// instead of silently missing or blocking the beat. Re-admitting a shard
   /// whose contents diverged would serve wrong answers, so the only way back
@@ -277,22 +277,6 @@ class ShardedCamEngine : public CamBackend {
                              std::uint64_t cycle) const override;
 
  private:
-  /// One planned sub-request: what goes to which shard, and which beat
-  /// positions its results fill.
-  struct SubRequest {
-    /// An empty sub-request of `beat`'s op and ticket for shard `s`. A
-    /// constructor, not an aggregate, so subs_.emplace_back() does not
-    /// zero-fill the inline payloads before use.
-    SubRequest(unsigned s, const cam::UnitRequest& beat) : shard(s) {
-      req.op = beat.op;
-      req.seq = beat.seq;
-    }
-
-    unsigned shard = 0;
-    cam::UnitRequest req;
-    cam::BeatVec<std::uint32_t> positions;  ///< Search: key indices in the beat.
-  };
-
   /// Reorder-buffer entry for one host search beat.
   struct SearchBeat {
     std::uint64_t seq = 0;
@@ -355,13 +339,18 @@ class ShardedCamEngine : public CamBackend {
 
   /// The partitioner over a fleet of `count` shards.
   unsigned shard_of(cam::Word key, unsigned count) const;
-  /// Splits `request` into subs_ (scratch reused across beats).
-  void plan(const cam::UnitRequest& request);
+  /// Values one sub-request to shard `s` carries: keys per search beat,
+  /// words per update beat.
+  unsigned per_sub(unsigned s, bool search) const;
+  /// Hands shard `s` a sub-request of `beat`'s op and seq whose payload
+  /// `fill(sub)` writes: into its FIFO when it has room, else parked in
+  /// pending_issue_[s].
+  template <typename Fill>
+  void issue(unsigned s, const cam::UnitRequest& beat, const Fill& fill);
   void pump(unsigned s);
   /// Drains every live shard's outputs into the reorder buffers, ascending
   /// shard order.
   void collect();
-  void settle();
 
   /// True when shard `s` owes nothing to the reorder buffers and has no
   /// parked sub-requests (and, unless quarantined, its backend is idle).
@@ -437,11 +426,10 @@ class ShardedCamEngine : public CamBackend {
   /// written exclusively from the control-plane entry points.
   telemetry::FlightRecorder* recorder_ = nullptr;
 
-  // Per-beat scratch for plan()/try_submit(); it keeps its capacity, so a
-  // warm beat path allocates nothing.
-  std::vector<SubRequest> subs_;
-  std::vector<unsigned> open_;  ///< plan(): each shard's open sub in subs_.
-  std::vector<unsigned> need_;  ///< try_submit(): live subs per shard.
+  // try_submit() scratch; it keeps its capacity, so a warm beat path
+  // allocates nothing.
+  std::vector<unsigned> routed_;      ///< Per shard: values (keyed beats) or sub-ops.
+  std::vector<std::uint32_t> route_;  ///< Per key/word: shard, | kOpens if it opens a sub.
 };
 
 }  // namespace dspcam::system

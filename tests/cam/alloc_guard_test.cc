@@ -465,6 +465,31 @@ TEST_F(AllocGuard, DriverTurnsAreAllocFreeOnTheBenchShapes) {
     EXPECT_EQ(allocs, 0u) << "tc_paper shape";
     EXPECT_NE(sum, 0u);
   }
+  {
+    // A 2-deep request FIFO under 16-beat bursts: the beats the backend
+    // takes at submit and the refused ones, queued and pumped by poll(),
+    // both stay off the heap.
+    system::CamSystem::Config sc = sharded_shard_cfg();
+    sc.request_fifo_depth = 2;
+    system::CamSystem sys(sc);
+    system::CamDriver drv(sys);
+    std::vector<Word> stored(sys.capacity());
+    for (std::size_t i = 0; i < stored.size(); ++i) stored[i] = 5 * i;
+    ASSERT_EQ(drv.store(stored), stored.size());
+    Rng rng(0xF1F0);
+    std::uint64_t sum = 0;
+    const std::size_t allocs = measure_driver_rounds(
+        drv, kRounds, kWarm, kBeats, 16,
+        [&](std::size_t, std::size_t) {
+          UnitRequest q;
+          q.op = OpKind::kSearch;
+          q.keys.push_back(rng.next_below(5 * stored.size()));
+          return q;
+        },
+        nothing, &sum);
+    EXPECT_EQ(allocs, 0u) << "2-deep FIFO bursts";
+    EXPECT_NE(sum, 0u);
+  }
 }
 
 TEST_F(AllocGuard, DriverTurnsWithMetricsAttachedAreAllocFree) {

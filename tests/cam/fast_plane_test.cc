@@ -69,9 +69,7 @@ TEST(FastPlane, PlanesSharingAStoreStayIndependent) {
 
 TEST(FastPlane, CompareMatchesGoldenEncoderUnderEveryScheme) {
   Rng rng(0xFA57);
-  for (const EncodingScheme scheme : {EncodingScheme::kPriorityIndex,
-                                      EncodingScheme::kOneHot,
-                                      EncodingScheme::kMatchCount}) {
+  for (const EncodingScheme scheme : {EncodingScheme::kPriorityIndex, EncodingScheme::kOneHot}) {
     FastPlaneStore store;
     store.resize(3, false);
     FastPlane p;
@@ -146,9 +144,7 @@ TEST(FastPlane, IndexServesOnlyDeepMaskFreePlanes) {
 }
 
 TEST(FastPlane, IndexMatchesGoldenEncoderOverDuplicatesUnderEveryScheme) {
-  for (const EncodingScheme scheme : {EncodingScheme::kPriorityIndex,
-                                      EncodingScheme::kOneHot,
-                                      EncodingScheme::kMatchCount}) {
+  for (const EncodingScheme scheme : {EncodingScheme::kPriorityIndex, EncodingScheme::kOneHot}) {
     IndexedPlane ip(scheme, 2 * FastPlane::kIndexMinDepth + 3);
     FastPlane& p = ip.plane;
     ASSERT_TRUE(p.indexed());
@@ -212,9 +208,7 @@ TEST(FastPlane, IndexStaysExactThroughRandomMutations) {
   // A 9-bit key space over 256 entries: hundreds of distinct words share
   // the 512-slot table, so probe runs are long and emptied chains keep
   // shifting their neighbours back; some words also repeat.
-  for (const EncodingScheme scheme : {EncodingScheme::kPriorityIndex,
-                                      EncodingScheme::kOneHot,
-                                      EncodingScheme::kMatchCount}) {
+  for (const EncodingScheme scheme : {EncodingScheme::kPriorityIndex, EncodingScheme::kOneHot}) {
     IndexedPlane ip(scheme, 256);
     FastPlane& p = ip.plane;
     Rng rng(0x5EED + static_cast<unsigned>(scheme));
@@ -277,19 +271,31 @@ TEST(FastPlane, MaskPokeDemotesTheIndexUntilClear) {
 }
 
 TEST(FastPlane, IndexKeysAreTruncatedToTheDataWidth) {
-  IndexedPlane ip(EncodingScheme::kMatchCount);  // 16-bit entries
+  IndexedPlane ip(EncodingScheme::kOneHot);  // 16-bit entries
   FastPlane& p = ip.plane;
   p.write(4, 0xABCD1234, width_mask(16));  // stored as 0x1234
   p.write(6, 0x1234, width_mask(16));
   EXPECT_EQ(p.stored(4), 0x1234u);
+  const std::uint64_t both = (std::uint64_t{1} << 4) | (std::uint64_t{1} << 6);
   EncodedMatch m;
-  p.compare(0xFFFF1234, m, nullptr);  // the key's high bits never reach a cell
+  std::vector<std::uint64_t> bits(p.words());
+  p.compare(0xFFFF1234, m, bits.data());  // the key's high bits never reach a cell
   EXPECT_TRUE(m.hit);
-  EXPECT_EQ(m.match_count, 2u);
-  p.compare(0x1234, m, nullptr);
-  EXPECT_EQ(m.match_count, 2u);
-  p.compare(0xABCD, m, nullptr);
+  EXPECT_EQ(bits[0], both);
+  p.compare(0x1234, m, bits.data());
+  EXPECT_EQ(bits[0], both);
+  p.compare(0xABCD, m, bits.data());
   EXPECT_FALSE(m.hit);
+}
+
+TEST(FastPlane, BindRefusesMatchCount) {
+  // Its one owner binds priority or one-hot and counts from the one-hot
+  // words, so a plane never encodes a match count itself.
+  FastPlaneStore store;
+  store.resize(1, false);
+  FastPlane p;
+  EXPECT_THROW(p.bind(plane_cfg(CamKind::kBinary), EncodingScheme::kMatchCount, store, 0, 64),
+               ConfigError);
 }
 
 /// The 32-bit binary units of the end-to-end benchmark (bench/e2e): every

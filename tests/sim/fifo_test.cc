@@ -12,10 +12,11 @@ TEST(Fifo, FifoOrdering) {
   f.push(1);
   f.push(2);
   f.push(3);
-  EXPECT_EQ(f.pop(), 1);
-  EXPECT_EQ(f.pop(), 2);
-  EXPECT_EQ(f.pop(), 3);
+  EXPECT_EQ(f.try_pop().value_or(-1), 1);
+  EXPECT_EQ(f.try_pop().value_or(-1), 2);
+  EXPECT_EQ(f.try_pop().value_or(-1), 3);
   EXPECT_TRUE(f.empty());
+  EXPECT_FALSE(f.try_pop().has_value());
 }
 
 TEST(Fifo, CapacityEnforced) {
@@ -28,8 +29,9 @@ TEST(Fifo, CapacityEnforced) {
 
 TEST(Fifo, EmptyAccessThrows) {
   Fifo<int> f(1);
-  EXPECT_THROW(f.pop(), SimError);
+  EXPECT_THROW(f.pop_front(), SimError);
   EXPECT_THROW(f.front(), SimError);
+  EXPECT_THROW(static_cast<const Fifo<int>&>(f).front(), SimError);
 }
 
 TEST(Fifo, ZeroCapacityRejected) {
@@ -41,7 +43,8 @@ TEST(Fifo, FrontPeeksWithoutConsuming) {
   f.push(9);
   EXPECT_EQ(f.front(), 9);
   EXPECT_EQ(f.size(), 1u);
-  EXPECT_EQ(f.pop(), 9);
+  f.front() = 4;  // a consumer may move the front out before pop_front()
+  EXPECT_EQ(f.try_pop().value_or(-1), 4);
 }
 
 TEST(Fifo, ClearEmpties) {
@@ -51,7 +54,9 @@ TEST(Fifo, ClearEmpties) {
   f.clear();
   EXPECT_TRUE(f.empty());
   f.push(7);
-  EXPECT_EQ(f.pop(), 7);
+  EXPECT_EQ(f.front(), 7);
+  f.pop_front();
+  EXPECT_TRUE(f.empty());
 }
 
 }  // namespace

@@ -240,9 +240,9 @@ class SubmitCountingBackend final : public CamBackend {
   CamSystem inner_;
 };
 
-// submit_async() offers a beat to the backend only when it becomes the
-// retry queue's front: backend acceptance changes only in step(), and
-// poll() pumps before stepping, so a beat queued behind a refused one
+// submit_async() offers a beat to the backend only when nothing is queued
+// ahead of it: backend acceptance changes only in step(), and poll() pumps
+// before stepping, so a beat queued behind a refused one
 // enters the FIFO in the same cycle an eager retry on every submit would
 // have managed. Completion cycles are checked against exactly that eager
 // loop run on a bare CamSystem.
@@ -330,6 +330,36 @@ TEST(CamDriverAsync, SubmitPumpsOnlyANewFront) {
     ASSERT_NE(want[i], ~0u) << "beat " << i << " never completed in the reference";
     EXPECT_EQ(done_at[i], want[i]) << "beat " << i;
   }
+}
+
+// With nothing queued ahead, submit_async() offers a beat to the backend at
+// once. A refused beat is queued and gets no second offer before poll(),
+// and the beats behind it get none at all.
+TEST(CamDriverAsync, RefusedDirectOfferQueuesWithoutASecondOffer) {
+  SubmitCountingBackend backend(small_config(2));
+  CamDriver drv(backend);
+  const auto search = [](cam::Word key) {
+    cam::UnitRequest req;
+    req.op = cam::OpKind::kSearch;
+    req.keys = {key};
+    return req;
+  };
+  drv.submit_async(search(1));
+  drv.submit_async(search(2));
+  EXPECT_EQ(backend.submits, 2u) << "each beat is offered once, at submit";
+  EXPECT_EQ(backend.pending_requests(), 2u);
+  drv.submit_async(search(3));  // the FIFO is full: refused, queued
+  EXPECT_EQ(backend.submits, 3u);
+  drv.submit_async(search(4));
+  drv.submit_async(search(5));
+  EXPECT_EQ(backend.submits, 3u) << "a beat behind a refused one was offered";
+  EXPECT_EQ(drv.inflight(), 5u);
+  drv.poll();  // pumps before the clock edge, while the FIFO is still full
+  EXPECT_EQ(backend.submits, 4u);
+  drv.drain();
+  std::vector<cam::Word> keys;
+  while (auto c = drv.try_pop_completion()) keys.push_back(c->results.at(0).key);
+  EXPECT_EQ(keys, (std::vector<cam::Word>{1, 2, 3, 4, 5}));
 }
 
 TEST(CamDriver, BorrowedBackendAndLegacyAccessor) {

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/cam/mask.h"
 #include "src/cam/reference_cam.h"
 #include "src/common/error.h"
 #include "src/common/random.h"
@@ -295,6 +296,8 @@ TEST(ShardedCamEngine, HeterogeneousShardsRejected) {
 /// Per-shard poll counters. A collection sweep pops until the first empty
 /// pop, so the empty pops count the sweeps.
 struct PollCounts {
+  std::uint64_t hints = 0;        ///< has_output() calls.
+  std::uint64_t hints_ready = 0;  ///< ... that answered true.
   std::uint64_t response_calls = 0;
   std::uint64_t response_sweeps = 0;
   std::uint64_t ack_calls = 0;
@@ -302,7 +305,8 @@ struct PollCounts {
 };
 
 /// A CamSystem shard that counts how the engine polls it, and can hand the
-/// engine one response it never asked for.
+/// engine one response it never asked for. Its output hint is the inner
+/// system's, and true while a stray response is pending.
 class CountingShard final : public CamBackend {
  public:
   CountingShard(const CamSystem::Config& cfg, PollCounts& counts)
@@ -338,6 +342,12 @@ class CountingShard final : public CamBackend {
     if (!ack.has_value()) ++counts_->ack_sweeps;
     return ack;
   }
+  bool has_output() const override {
+    ++counts_->hints;
+    const bool ready = inject_response || inner_.has_output();
+    counts_->hints_ready += ready;
+    return ready;
+  }
   bool request_full() const override { return inner_.request_full(); }
   std::size_t pending_requests() const override { return inner_.pending_requests(); }
   void step() override { inner_.step(); }
@@ -365,8 +375,9 @@ struct CountedEngine {
   std::unique_ptr<ShardedCamEngine> engine;
 };
 
-// Shards emit output only on their own clock edge, so the engine sweeps
-// each live shard exactly once per step(), and host pops are reorder-buffer
+// Shards emit output only on their own clock edge, so the engine asks each
+// live shard once per step() whether output is ready and sweeps it once if
+// so; a shard with nothing ready gets no pop. Host pops are reorder-buffer
 // pops that never reach a shard - however often the host polls.
 TEST(ShardedCamEngine, CollectsEachLiveShardOncePerStep) {
   CountedEngine ce(4);
@@ -374,6 +385,7 @@ TEST(ShardedCamEngine, CollectsEachLiveShardOncePerStep) {
   Rng rng(404);
   std::uint64_t seq = 1;
   std::size_t popped = 0;
+  std::size_t idle_sweeps_skipped = 0;
   for (unsigned cycle = 0; cycle < 600; ++cycle) {
     if (cycle == 300) engine.quarantine_shard(2);
     if (rng.next_bool(0.7)) {
@@ -391,11 +403,21 @@ TEST(ShardedCamEngine, CollectsEachLiveShardOncePerStep) {
     const std::vector<PollCounts> before = ce.counts;
     engine.step();
     for (unsigned s = 0; s < 4; ++s) {
-      const unsigned sweeps = engine.shard_quarantined(s) ? 0 : 1;
+      const bool live = !engine.shard_quarantined(s);
+      ASSERT_EQ(ce.counts[s].hints - before[s].hints, live ? 1u : 0u)
+          << "shard " << s << " cycle " << cycle;
+      const std::uint64_t sweeps = ce.counts[s].hints_ready - before[s].hints_ready;
+      idle_sweeps_skipped += live && sweeps == 0;
       ASSERT_EQ(ce.counts[s].response_sweeps - before[s].response_sweeps, sweeps)
           << "shard " << s << " cycle " << cycle;
       ASSERT_EQ(ce.counts[s].ack_sweeps - before[s].ack_sweeps, sweeps)
           << "shard " << s << " cycle " << cycle;
+      if (sweeps == 0) {
+        ASSERT_EQ(ce.counts[s].response_calls, before[s].response_calls)
+            << "shard " << s << " had nothing ready but was popped at cycle " << cycle;
+        ASSERT_EQ(ce.counts[s].ack_calls, before[s].ack_calls)
+            << "shard " << s << " had nothing ready but was popped at cycle " << cycle;
+      }
     }
     const std::vector<PollCounts> after_step = ce.counts;
     for (unsigned poll = 0; poll < 3; ++poll) {
@@ -410,13 +432,219 @@ TEST(ShardedCamEngine, CollectsEachLiveShardOncePerStep) {
     }
   }
   EXPECT_GT(popped, 300u);
+  EXPECT_GT(idle_sweeps_skipped, 100u) << "the stream never left a live shard idle";
 }
 
 TEST(ShardedCamEngine, StrayShardResponseStillThrowsFromStep) {
   CountedEngine ce(4);
   ce.engine->step();
-  ce.shards[1]->inject_response = true;
+  EXPECT_EQ(ce.counts[1].response_calls, 0u) << "an idle shard was popped";
+  ce.shards[1]->inject_response = true;  // a stray output makes the hint true
   EXPECT_THROW(ce.engine->step(), SimError);
+}
+
+// --- The sub-operation stream the engine hands its shards. ---
+
+/// A CamSystem shard that logs every try_submit() it receives: shard, its
+/// own cycle, op, seq, payload and address.
+class RecordingShard final : public CamBackend {
+ public:
+  RecordingShard(const CamSystem::Config& cfg, unsigned id, std::vector<std::string>& log)
+      : inner_(cfg), id_(id), log_(&log) {}
+
+  unsigned data_width() const override { return inner_.data_width(); }
+  cam::CamKind kind() const override { return inner_.kind(); }
+  unsigned capacity() const override { return inner_.capacity(); }
+  unsigned words_per_beat() const override { return inner_.words_per_beat(); }
+  unsigned max_keys_per_beat() const override { return inner_.max_keys_per_beat(); }
+  unsigned max_groups() const override { return inner_.max_groups(); }
+  void configure_groups(unsigned m) override { inner_.configure_groups(m); }
+  bool try_submit(cam::UnitRequest request) override {
+    // Built with +=: GCC 12 warns (-Wrestrict) on "literal" + std::string.
+    std::string line = "s";
+    line += std::to_string(id_);
+    line += " @";
+    line += std::to_string(cycle_);
+    line += ' ';
+    line += cam::to_string(request.op);
+    line += " seq=";
+    line += std::to_string(request.seq);
+    const auto list = [&](const char* name, const auto& values) {
+      if (values.empty()) return;
+      line += ' ';
+      line += name;
+      line += '=';
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        if (i != 0) line += ',';
+        line += std::to_string(values[i]);
+      }
+    };
+    list("keys", request.keys);
+    list("words", request.words);
+    list("masks", request.masks);
+    if (request.address.has_value()) {
+      line += " addr=";
+      line += std::to_string(*request.address);
+    }
+    const bool ok = inner_.try_submit(std::move(request));
+    if (!ok) line += " REFUSED";
+    log_->push_back(line);
+    return ok;
+  }
+  std::optional<cam::UnitResponse> try_pop_response() override {
+    return inner_.try_pop_response();
+  }
+  std::optional<cam::UnitUpdateAck> try_pop_ack() override { return inner_.try_pop_ack(); }
+  bool request_full() const override { return inner_.request_full(); }
+  std::size_t pending_requests() const override { return inner_.pending_requests(); }
+  void step() override {
+    inner_.step();
+    ++cycle_;
+  }
+  bool idle() const override { return inner_.idle(); }
+  Stats stats() const override { return inner_.stats(); }
+  model::ResourceUsage resources() const override { return inner_.resources(); }
+
+ private:
+  CamSystem inner_;
+  unsigned id_;
+  std::uint64_t cycle_ = 0;
+  std::vector<std::string>* log_;
+};
+
+// Golden sub-operation stream for a mixed program on 3 TCAM shards (2 keys
+// and 4 words per sub-request, 2-deep request FIFOs, 3 credits): which shard
+// gets which sub-request, in what order, at what cycle and with what payload.
+TEST(ShardedCamEngine, SubOperationStreamIsPinned) {
+  CamSystem::Config sc;
+  sc.unit.block.cell.kind = cam::CamKind::kTernary;
+  sc.unit.block.cell.data_width = 16;
+  sc.unit.block.block_size = 8;
+  sc.unit.block.bus_width = 64;
+  sc.unit.unit_size = 4;
+  sc.unit.bus_width = 64;
+  sc.unit.initial_groups = 2;
+  sc.request_fifo_depth = 2;
+  ShardedCamEngine::Config ec = engine_config(3);
+  ec.credits_per_shard = 3;
+  std::vector<std::string> log;
+  ShardedCamEngine engine(ec, [&](unsigned s) -> std::unique_ptr<CamBackend> {
+    return std::make_unique<RecordingShard>(sc, s, log);
+  });
+  ASSERT_EQ(engine.max_keys_per_beat(), 6u);
+  ASSERT_EQ(engine.shard(0).words_per_beat(), 4u);
+  ASSERT_EQ(engine.shard(0).capacity(), 16u);
+
+  std::uint64_t seq = 1;
+  const auto submit = [&](cam::UnitRequest req) {
+    req.seq = seq++;
+    return engine.try_submit(std::move(req));
+  };
+  const auto drain = [&] {
+    for (unsigned guard = 0; !engine.idle(); ++guard) {
+      ASSERT_LT(guard, 1000u);
+      engine.step();
+    }
+    while (engine.try_pop_response() || engine.try_pop_ack()) {
+    }
+  };
+  const auto search = [](std::vector<cam::Word> keys) {
+    cam::UnitRequest req;
+    req.op = cam::OpKind::kSearch;
+    req.keys.assign(keys.begin(), keys.end());
+    return req;
+  };
+
+  // A masked append: 16 words, more than a bus beat to some shards.
+  cam::UnitRequest append;
+  append.op = cam::OpKind::kUpdate;
+  for (unsigned i = 0; i < 16; ++i) {
+    append.words.push_back(100 + 7 * i);
+    append.masks.push_back(cam::tcam_mask(16, i % 3 == 0 ? 0x1 : 0));
+  }
+  ASSERT_TRUE(submit(append));
+  drain();
+  // More keys per shard than a sub-request holds, interleaved across shards.
+  ASSERT_TRUE(submit(search({100, 107, 114, 121, 128, 135, 142, 149, 156})));
+  drain();
+  // An addressed update spanning three sub-beats of shard 1.
+  cam::UnitRequest addressed;
+  addressed.op = cam::OpKind::kUpdate;
+  addressed.address = 16 + 3;
+  for (unsigned i = 0; i < 10; ++i) addressed.words.push_back(900 + i);
+  ASSERT_TRUE(submit(addressed));
+  drain();
+
+  // Refused for credits: single-key searches to one shard until a beat is
+  // refused. The refused beat issues nothing, and takes no reorder-buffer
+  // entry and no credit.
+  bool refused = false;
+  for (unsigned i = 0; i < 8 && !refused; ++i) {
+    const std::size_t logged = log.size();
+    const std::string before = engine.debug_dump();
+    refused = !submit(search({121}));
+    if (refused) {
+      EXPECT_EQ(log.size(), logged) << "a refused beat issued a sub-request";
+      EXPECT_EQ(engine.debug_dump(), before) << "a refused beat changed engine state";
+    }
+    engine.step();
+  }
+  EXPECT_TRUE(refused);
+  drain();
+
+  // A quarantined shard receives nothing; its keys and words settle.
+  engine.quarantine_shard(2);
+  ASSERT_TRUE(submit(search({100, 107, 114, 121, 128, 135})));
+  drain();
+  ASSERT_TRUE(submit(append));
+  drain();
+  cam::UnitRequest invalidate;
+  invalidate.op = cam::OpKind::kInvalidate;
+  invalidate.address = 5;
+  ASSERT_TRUE(submit(invalidate));
+  drain();
+  cam::UnitRequest reset;
+  reset.op = cam::OpKind::kReset;
+  ASSERT_TRUE(submit(reset));
+  drain();
+
+  const std::vector<std::string> golden = {
+      "s0 @0 update seq=1 words=100,142,149,170 masks=281474976645121,281474976645121,281474976645120,281474976645120",
+      "s1 @0 update seq=1 words=107,114,135,163 masks=281474976645120,281474976645120,281474976645120,281474976645121",
+      "s2 @0 update seq=1 words=121,128,156,177 masks=281474976645121,281474976645120,281474976645120,281474976645120",
+      "s2 @0 update seq=1 words=184,205 masks=281474976645121,281474976645121",
+      "s1 @0 update seq=1 words=191 masks=281474976645120",
+      "s0 @0 update seq=1 words=198 masks=281474976645120",
+      "s0 @8 search seq=2 keys=100,142",
+      "s1 @8 search seq=2 keys=107,114",
+      "s2 @8 search seq=2 keys=121,128",
+      "s1 @8 search seq=2 keys=135",
+      "s0 @8 search seq=2 keys=149",
+      "s2 @8 search seq=2 keys=156",
+      "s1 @17 update seq=3 words=900,901,902,903 addr=3",
+      "s1 @17 update seq=3 words=904,905,906,907 addr=7",
+      "s1 @18 update seq=3 words=908,909 addr=11",
+      "s2 @26 search seq=4 keys=121",
+      "s2 @27 search seq=5 keys=121",
+      "s2 @28 search seq=6 keys=121",
+      "s0 @36 search seq=8 keys=100",
+      "s1 @36 search seq=8 keys=107,114",
+      "s1 @36 search seq=8 keys=135",
+      "s0 @45 update seq=9 words=100,142,149,170 masks=281474976645121,281474976645121,281474976645120,281474976645120",
+      "s1 @45 update seq=9 words=107,114,135,163 masks=281474976645120,281474976645120,281474976645120,281474976645121",
+      "s1 @45 update seq=9 words=191 masks=281474976645120",
+      "s0 @45 update seq=9 words=198 masks=281474976645120",
+      "s0 @53 invalidate seq=10 addr=5",
+      "s0 @60 reset seq=11",
+      "s1 @60 reset seq=11",
+  };
+  std::string got;
+  for (const std::string& line : log) {
+    got += "      \"";
+    got += line;
+    got += "\",\n";
+  }
+  EXPECT_EQ(log, golden) << got;
 }
 
 // --- Fast vs reference evaluation, observed at the engine boundary. ---
