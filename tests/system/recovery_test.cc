@@ -1,7 +1,8 @@
 // Recovery plane of ShardedCamEngine: checkpoint/restore (Checkpoint*),
 // quarantined-shard rebuild (Rebuild*), live resharding (Reshard*), and the
 // record/replay determinism harness proving byte-identical completion
-// streams across mid-trace recovery actions (RecoveryReplay*).
+// streams across mid-trace recovery actions (RecoveryReplay*), and the
+// recovery telemetry pinned against a golden file (RecoveryTelemetry*).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,9 @@
 #include "src/system/checkpoint_io.h"
 #include "src/system/driver.h"
 #include "src/system/sharded_engine.h"
+#include "src/telemetry/flight_recorder.h"
+#include "src/telemetry/metrics.h"
+#include "src/telemetry/span.h"
 
 namespace dspcam::system {
 namespace {
@@ -1008,6 +1012,136 @@ TEST(RecoveryReplay, TraceRecordsSubmittedRequestsOnly) {
   drv.drain();
   while (drv.try_pop_completion()) {
   }
+}
+
+
+// --- RecoveryTelemetry: what every recovery action tells an operator. ---
+
+/// One line per completion: ticket, then hit / shard_failed / shard per key.
+std::string describe(const CamDriver::Completion& c) {
+  std::string out = "ticket ";
+  out += std::to_string(c.ticket) + ":";
+  for (const auto& r : c.results) {
+    out += ' ';
+    out += std::to_string(r.key) + (r.hit ? "=hit" : "=miss") +
+           (r.shard_failed ? "/failed" : "") + "@" + std::to_string(r.shard);
+  }
+  return out + "\n";
+}
+
+/// Submits `beats` 2-key searches over `words` without stepping the engine.
+void submit_pairs(CamDriver& drv, const std::vector<cam::Word>& words,
+                  std::size_t first, std::size_t beats) {
+  for (std::size_t b = 0; b < beats; ++b) {
+    cam::UnitRequest req;
+    req.op = cam::OpKind::kSearch;
+    req.keys = {words[(first + 2 * b) % words.size()],
+                words[(first + 2 * b + 1) % words.size()]};
+    drv.submit_async(std::move(req));
+  }
+}
+
+/// The debug dump's history tail (its last four transitions).
+std::string history_tail(const ShardedCamEngine& engine) {
+  const std::string dump = engine.debug_dump();
+  const auto history = dump.find("; history:");
+  return history == std::string::npos ? "(none)" : dump.substr(history);
+}
+
+std::string drain_completions(CamDriver& drv) {
+  drv.drain();
+  std::string out;
+  while (auto c = drv.try_pop_completion()) out += describe(*c);
+  return out;
+}
+
+// Every recovery action - a quarantine with searches in flight, a rebuild
+// from a snapshot and from a golden shadow, a checkpoint, a reshard with
+// searches in flight, a whole-engine restore and a shard restore - leaves
+// the same history lines, flight-recorder events, recovery spans and
+// counters as the golden file records. The registry holds only the
+// engine's own recovery counters: the shards' subtrees name the SIMD
+// tier's match kernel. On a mismatch the actual text is written next to
+// the test's temp files for review.
+TEST(RecoveryTelemetry, TransitionRecordsArePinned) {
+  ShardedCamEngine engine(engine_config(4), shard_config());
+  telemetry::FlightRecorder recorder;
+  telemetry::SpanTracer::Config span_cfg;
+  span_cfg.sample_every = 1;
+  telemetry::SpanTracer tracer(span_cfg);
+  engine.set_flight_recorder(&recorder);
+  engine.set_span_tracer(&tracer);
+
+  const auto words = test_words(64);
+  fill(engine, words);
+  fault::Scrubber scrubber(*engine.fault_target(), {});
+  scrubber.capture();
+  const fault::ShardSnapshot snap1 = engine.snapshot_shard(1);
+
+  std::string out = "-- quarantine with searches in flight\n";
+  CamDriver drv(engine);
+  submit_pairs(drv, words, 0, 6);
+  engine.step();
+  engine.quarantine_shard(1);
+  out += drain_completions(drv);
+  settle(engine);
+
+  engine.rebuild_shard(1, snap1);
+  engine.quarantine_shard(2);
+  engine.rebuild_shard(2, scrubber);
+  const auto ckpt = engine.checkpoint();
+  out += "-- history after the rebuilds\n" + history_tail(engine) + "\n";
+
+  out += "-- reshard with searches in flight\n";
+  submit_pairs(drv, words, 20, 6);
+  engine.step();
+  const auto report = engine.reshard(6);
+  out += drain_completions(drv);
+  settle(engine);
+  out += "report: " + std::to_string(report.old_shards) + " -> " +
+         std::to_string(report.new_shards) + ", " +
+         std::to_string(report.entries_moved) + " moved, " +
+         std::to_string(report.pause_cycles) + " pause cycles\n";
+
+  engine.restore(ckpt);
+  engine.restore_shard(0, ckpt.shard_snaps[0]);
+  out += "-- history after the restores\n" + history_tail(engine) + "\n";
+
+  out += "-- recovery spans\n";
+  for (const auto& span : tracer.finished_spans()) {
+    bool recovery = span.name.rfind("engine.", 0) == 0;
+    for (const auto& [key, value] : span.args) recovery |= key == "quarantined";
+    if (!recovery) continue;
+    out += span.name + " track " + std::to_string(span.track) + " @" +
+           std::to_string(span.start) + ".." + std::to_string(span.end);
+    for (const auto& [key, value] : span.args) {
+      out += " " + key + "=" + std::to_string(value);
+    }
+    out += "\n";
+  }
+
+  telemetry::MetricRegistry all;
+  engine.record_telemetry(all, "engine");
+  telemetry::MetricRegistry registry;
+  for (const char* name : {"engine.quarantine_events", "engine.rebuild_events",
+                           "engine.reshard_events", "engine.reshard.entries_moved",
+                           "engine.reshard.pause_cycles"}) {
+    registry.counter(name).update_to(all.find_counter(name)->value());
+  }
+  registry.gauge("engine.quarantined_shards")
+      .set(all.find_gauge("engine.quarantined_shards")->value());
+  out += "-- black box\n" +
+         recorder.dump_json(engine.stats().cycles, "pin", &registry, &tracer) + "\n";
+
+  const std::string golden =
+      read_file(std::string(DSPCAM_GOLDEN_DIR) + "/recovery_telemetry.txt");
+  if (out != golden) {
+    const std::string actual = ::testing::TempDir() + "recovery_telemetry.actual.txt";
+    std::ofstream(actual, std::ios::trunc) << out;
+    ADD_FAILURE() << "recovery telemetry diverged from the golden file; actual "
+                     "text in " << actual;
+  }
+  expect_membership(engine, words);
 }
 
 }  // namespace
