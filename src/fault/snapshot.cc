@@ -103,11 +103,4 @@ void check_restorable(const FaultTarget& target, const ShardSnapshot& snap) {
   }
 }
 
-void restore_target(FaultTarget& target, const ShardSnapshot& snap) {
-  check_restorable(target, snap);
-  for (std::size_t i = 0; i < snap.entries.size(); ++i) {
-    target.poke(i, snap.entries[i]);
-  }
-}
-
 }  // namespace dspcam::fault

@@ -67,8 +67,4 @@ void snapshot_target(const FaultTarget& target, ShardSnapshot& snap);
 /// must match `target`. Throws SimError naming the mismatch.
 void check_restorable(const FaultTarget& target, const ShardSnapshot& snap);
 
-/// Pokes `snap.entries` back into `target` after check_restorable(). Never
-/// partially applies on a detected mismatch.
-void restore_target(FaultTarget& target, const ShardSnapshot& snap);
-
 }  // namespace dspcam::fault

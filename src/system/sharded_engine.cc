@@ -8,7 +8,6 @@
 #include "src/common/error.h"
 #include "src/fault/scrubber.h"
 #include "src/system/driver.h"
-#include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/span.h"
 
@@ -43,7 +42,7 @@ void ShardedCamEngine::Config::validate() const {
 ShardedCamEngine::ShardedCamEngine(const Config& cfg, const ShardFactory& make_shard)
     : cfg_(cfg), make_shard_(make_shard) {
   cfg_.validate();
-  install_fleet(build_fleet(cfg_.shards));
+  install_fleet(cfg_.shards);
 }
 
 ShardedCamEngine::ShardedCamEngine(const Config& cfg, const CamSystem::Config& shard_cfg)
@@ -430,30 +429,18 @@ bool ShardedCamEngine::idle() const {
 }
 
 void ShardedCamEngine::quarantine_shard(unsigned s) {
-  if (s >= shard_count()) {
-    throw ConfigError("ShardedCamEngine::quarantine_shard: no such shard");
-  }
+  require_shard(s, "ShardedCamEngine::quarantine_shard");
   if (quarantined_[s]) return;  // idempotent
-  quarantined_[s] = 1;
-  ++quarantine_events_;
-  push_history("quarantine shard " + std::to_string(s));
-  if (recorder_ != nullptr) {
-    recorder_->record(cycles_, telemetry::FlightRecorder::EventKind::kQuarantine,
-                      telemetry::Severity::kCritical,
-                      "quarantine shard " + std::to_string(s),
-                      {{"shard", s},
-                       {"settled_searches", expected_search_[s].size()},
-                       {"settled_acks", expected_ack_[s].size()}});
-  }
-
-  // Parked sub-requests never reached the shard: drop them (their beats are
-  // settled through the expectation queues below, which cover every
-  // accepted-but-incomplete sub-operation regardless of issue state).
-  pending_issue_[s].clear();
+  const std::string what = "quarantine shard " + std::to_string(s);
+  record_transition(EventKind::kQuarantine, telemetry::Severity::kCritical, what, what,
+                    {{"shard", s},
+                     {"settled_searches", expected_search_[s].size()},
+                     {"settled_acks", expected_ack_[s].size()}});
 
   // Settle every search sub-operation the shard still owed: its beat
   // positions become shard_failed results, never misses. Each slot still
-  // holds the key try_submit wrote there.
+  // holds the key try_submit wrote there. The expectation queues cover every
+  // accepted-but-incomplete sub-operation, parked or issued.
   for (ExpectedSearch& exp : expected_search_[s]) {
     if (tracer_ != nullptr) {
       tracer_->arg(exp.span, "quarantined", 1);
@@ -471,7 +458,6 @@ void ShardedCamEngine::quarantine_shard(unsigned s) {
     --beat.pending;
     beat.ready = std::max(beat.ready, cycles_);
   }
-  expected_search_[s].clear();
 
   // Outstanding acks complete with zero words contributed from this shard.
   for (const ExpectedAck& exp : expected_ack_[s]) {
@@ -483,12 +469,11 @@ void ShardedCamEngine::quarantine_shard(unsigned s) {
     --beat.pending;
     beat.ready = std::max(beat.ready, cycles_);
   }
-  expected_ack_[s].clear();
 
-  // Full credit line back; a dead shard must not throttle the live ones
+  // Parked sub-requests never reached the shard and are dropped; the full
+  // credit line comes back, so a dead shard cannot throttle the live ones
   // through request_full()'s conservative any-shard check.
-  credits_[s] = cfg_.credits_per_shard;
-  resetting_[s] = 0;
+  reopen_shard(s, true);
 }
 
 unsigned ShardedCamEngine::quarantined_count() const noexcept {
@@ -497,7 +482,35 @@ unsigned ShardedCamEngine::quarantined_count() const noexcept {
   return n;
 }
 
-// --- Checkpoint / restore / rebuild / reshard. ---
+// --- Control plane: checkpoint / restore / rebuild / reshard. ---
+
+void ShardedCamEngine::require_shard(unsigned s, const char* who) const {
+  if (s >= shard_count()) throw ConfigError(std::string(who) + ": no such shard");
+}
+
+void ShardedCamEngine::require_drained(const char* who) const {
+  if (!idle() || !search_rob_.empty() || !ack_rob_.empty()) {
+    throw SimError(std::string(who) +
+                   " requires an idle engine with both reorder buffers drained "
+                   "by the host; " + debug_dump());
+  }
+}
+
+void ShardedCamEngine::require_in_service(const char* who) const {
+  if (quarantined_count() != 0) {
+    throw SimError(std::string(who) + ": rebuild quarantined shards first (" +
+                   std::to_string(quarantined_count()) + " out of service)");
+  }
+}
+
+void ShardedCamEngine::require_rebuildable(unsigned s) const {
+  require_shard(s, "ShardedCamEngine::rebuild_shard");
+  if (!quarantined_[s]) {
+    throw SimError("ShardedCamEngine::rebuild_shard: shard " + std::to_string(s) +
+                   " is in service; rebuild only re-admits quarantined shards "
+                   "(restore_shard overwrites live ones)");
+  }
+}
 
 bool ShardedCamEngine::shard_settled(unsigned s) const {
   if (!expected_search_[s].empty() || !expected_ack_[s].empty() ||
@@ -522,14 +535,100 @@ void ShardedCamEngine::require_settled(unsigned s, const char* who) const {
   }
 }
 
-void ShardedCamEngine::push_history(const std::string& what) {
-  history_.push_back({cycles_, what});
+std::uint64_t ShardedCamEngine::drain_to_idle(std::uint64_t budget, const char* who) {
+  std::uint64_t spent = 0;
+  while (!all_settled()) {
+    if (spent >= budget) {
+      throw SimError(std::string(who) + ": in-flight work failed to settle "
+                     "within " + std::to_string(budget) + " cycles; " +
+                     debug_dump());
+    }
+    step();
+    ++spent;
+  }
+  return spent;
+}
+
+void ShardedCamEngine::reopen_shard(unsigned s, bool quarantined) {
+  credits_[s] = cfg_.credits_per_shard;
+  resetting_[s] = 0;
+  quarantined_[s] = quarantined ? 1 : 0;
+  pending_issue_[s].clear();
+  expected_search_[s].clear();
+  expected_ack_[s].clear();
+}
+
+void ShardedCamEngine::install_fleet(unsigned count) {
+  if (!all_settled()) {
+    throw SimError("ShardedCamEngine: internal error - fleet rebuild with "
+                   "unsettled shard state");
+  }
+  if (!make_shard_) throw ConfigError("ShardedCamEngine: no shard factory");
+  // 0 at construction: the factory's own grouping stands.
+  const unsigned groups = shards_.empty() ? 0 : shards_.front()->max_keys_per_beat();
+  std::vector<std::unique_ptr<CamBackend>> fleet;
+  fleet.reserve(count);
+  for (unsigned s = 0; s < count; ++s) {
+    auto shard = make_shard_(s);
+    if (!shard) throw ConfigError("ShardedCamEngine: factory returned null shard");
+    if (groups != 0 && shard->max_keys_per_beat() != groups) shard->configure_groups(groups);
+    fleet.push_back(std::move(shard));
+  }
+  const CamBackend& like = shards_.empty() ? *fleet.front() : *shards_.front();
+  for (const auto& shard : fleet) {
+    if (shard->data_width() != like.data_width() || shard->kind() != like.kind() ||
+        shard->capacity() != like.capacity()) {
+      throw ConfigError("ShardedCamEngine: shards must be homogeneous (same "
+                        "data width, kind and capacity)");
+    }
+  }
+  shards_ = std::move(fleet);
+  cfg_.shards = count;
+  credits_.resize(count);
+  resetting_.resize(count);
+  quarantined_.resize(count);
+  pending_issue_.resize(count);
+  expected_search_.resize(count);
+  expected_ack_.resize(count);
+  for (unsigned s = 0; s < count; ++s) reopen_shard(s, false);
+  // Compose the shards' fault windows when every shard exposes one; a
+  // single opaque shard disables injection for the whole engine (a partial
+  // window would silently skew campaign statistics).
+  fault_target_.reset();
+  std::vector<fault::FaultTarget*> parts;
+  parts.reserve(count);
+  for (auto& shard : shards_) {
+    fault::FaultTarget* target = shard->fault_target();
+    if (target == nullptr) {
+      parts.clear();
+      break;
+    }
+    parts.push_back(target);
+  }
+  if (!parts.empty()) {
+    fault_target_ = std::make_unique<CompositeFaultTarget>(std::move(parts));
+  }
+  if (tracer_ != nullptr) set_span_tracer(tracer_);  // name the new shard tracks
+}
+
+void ShardedCamEngine::record_transition(
+    EventKind kind, telemetry::Severity severity, std::string history, std::string what,
+    std::vector<std::pair<std::string, std::uint64_t>> args, const char* span,
+    std::size_t span_args) {
+  ++transitions_[kind];
+  if (!history.empty()) history_.push_back("@" + std::to_string(cycles_) + " " + history);
+  if (tracer_ != nullptr && span != nullptr) {
+    const std::uint64_t id = tracer_->begin(span, kTrackEngineBeats, cycles_);
+    for (std::size_t i = 0; i < span_args; ++i) tracer_->arg(id, args[i].first, args[i].second);
+    tracer_->end(id, cycles_);
+  }
+  if (recorder_ != nullptr) {
+    recorder_->record(cycles_, kind, severity, std::move(what), std::move(args));
+  }
 }
 
 fault::ShardSnapshot ShardedCamEngine::snapshot_shard(unsigned s) {
-  if (s >= shard_count()) {
-    throw ConfigError("ShardedCamEngine::snapshot_shard: no such shard");
-  }
+  require_shard(s, "ShardedCamEngine::snapshot_shard");
   require_settled(s, "ShardedCamEngine::snapshot_shard");
   fault::FaultTarget* target = shards_[s]->fault_target();
   if (target == nullptr) {
@@ -573,17 +672,16 @@ void ShardedCamEngine::check_snapshot(unsigned s, const fault::ShardSnapshot& sn
   }
 }
 
-void ShardedCamEngine::load_shard(unsigned s, const RebuildSource& src) {
+void ShardedCamEngine::load_shard(unsigned s, std::span<const fault::EntryState> entries,
+                                  const std::vector<std::uint64_t>* cursors) {
   shards_[s]->purge();
   fault::FaultTarget* target = shards_[s]->fault_target();
-  for (std::size_t i = 0; i < src.entries.size(); ++i) target->poke(i, src.entries[i]);
-  if (src.cursors != nullptr) shards_[s]->restore_cursors(*src.cursors);
+  for (std::size_t i = 0; i < entries.size(); ++i) target->poke(i, entries[i]);
+  if (cursors != nullptr) shards_[s]->restore_cursors(*cursors);
 }
 
 void ShardedCamEngine::restore_shard(unsigned s, const fault::ShardSnapshot& snap) {
-  if (s >= shard_count()) {
-    throw ConfigError("ShardedCamEngine::restore_shard: no such shard");
-  }
+  require_shard(s, "ShardedCamEngine::restore_shard");
   if (quarantined_[s]) {
     throw SimError(
         "ShardedCamEngine::restore_shard: shard " + std::to_string(s) +
@@ -591,15 +689,14 @@ void ShardedCamEngine::restore_shard(unsigned s, const fault::ShardSnapshot& sna
   }
   require_settled(s, "ShardedCamEngine::restore_shard");
   check_snapshot(s, snap);
-  load_shard(s, {snap.entries, &snap.cursors});
+  load_shard(s, snap.entries, &snap.cursors);
 }
 
 ShardedCamEngine::EngineCheckpoint ShardedCamEngine::checkpoint() {
-  if (!idle() || !search_rob_.empty() || !ack_rob_.empty()) {
-    throw SimError(
-        "ShardedCamEngine::checkpoint requires an idle engine with both "
-        "reorder buffers drained by the host; " + debug_dump());
-  }
+  require_drained("ShardedCamEngine::checkpoint");
+  // restore() readmits every shard it loads, so a quarantined shard's suspect
+  // entries must not enter a checkpoint.
+  require_in_service("ShardedCamEngine::checkpoint");
   EngineCheckpoint ckpt;
   ckpt.shards = shard_count();
   ckpt.partition = cfg_.partition;
@@ -609,11 +706,8 @@ ShardedCamEngine::EngineCheckpoint ShardedCamEngine::checkpoint() {
   for (unsigned s = 0; s < shard_count(); ++s) {
     ckpt.shard_snaps.push_back(snapshot_shard(s));
   }
-  if (recorder_ != nullptr) {
-    recorder_->record(cycles_, telemetry::FlightRecorder::EventKind::kCheckpoint,
-                      telemetry::Severity::kInfo, "checkpoint captured",
-                      {{"shards", ckpt.shards}});
-  }
+  record_transition(EventKind::kCheckpoint, telemetry::Severity::kInfo, "",
+                    "checkpoint captured", {{"shards", ckpt.shards}});
   return ckpt;
 }
 
@@ -628,11 +722,7 @@ void ShardedCamEngine::restore(const EngineCheckpoint& ckpt) {
                    std::to_string(ckpt.shards) + " shards but carries " +
                    std::to_string(ckpt.shard_snaps.size()) + " snapshots");
   }
-  if (!idle() || !search_rob_.empty() || !ack_rob_.empty()) {
-    throw SimError(
-        "ShardedCamEngine::restore requires an idle engine with both reorder "
-        "buffers drained by the host; " + debug_dump());
-  }
+  require_drained("ShardedCamEngine::restore");
   // Every refusal happens here, before the fleet or any entry changes.
   Config adopted = cfg_;
   adopted.shards = ckpt.shards;
@@ -648,184 +738,78 @@ void ShardedCamEngine::restore(const EngineCheckpoint& ckpt) {
   }
   for (unsigned s = 0; s < ckpt.shards; ++s) check_snapshot(s, ckpt.shard_snaps[s]);
 
-  if (ckpt.shards != shard_count()) rebuild_fleet(ckpt.shards);
+  if (ckpt.shards != shard_count()) install_fleet(ckpt.shards);
   cfg_ = adopted;
   for (unsigned s = 0; s < shard_count(); ++s) {
-    quarantined_[s] = 0;  // every restored shard re-enters service
-    resetting_[s] = 0;
-    credits_[s] = cfg_.credits_per_shard;
-    pending_issue_[s].clear();
-    const fault::ShardSnapshot& snap = ckpt.shard_snaps[s];
-    load_shard(s, {snap.entries, &snap.cursors});
+    reopen_shard(s, false);  // every restored shard re-enters service
+    load_shard(s, ckpt.shard_snaps[s].entries, &ckpt.shard_snaps[s].cursors);
   }
-  push_history("restore checkpoint (" + std::to_string(ckpt.shards) + " shards)");
-  if (recorder_ != nullptr) {
-    recorder_->record(cycles_, telemetry::FlightRecorder::EventKind::kRestore,
-                      telemetry::Severity::kWarn, "restore checkpoint",
-                      {{"shards", ckpt.shards}});
-  }
+  record_transition(EventKind::kRestore, telemetry::Severity::kWarn,
+                    "restore checkpoint (" + std::to_string(ckpt.shards) + " shards)",
+                    "restore checkpoint", {{"shards", ckpt.shards}});
 }
 
-void ShardedCamEngine::readmit_shard(unsigned s, const char* source) {
-  quarantined_[s] = 0;
-  credits_[s] = cfg_.credits_per_shard;
-  resetting_[s] = 0;
-  ++rebuild_events_;
-  push_history("rebuild shard " + std::to_string(s) + " (" + source + ")");
-  if (recorder_ != nullptr) {
-    recorder_->record(cycles_, telemetry::FlightRecorder::EventKind::kRebuild,
-                      telemetry::Severity::kInfo,
-                      "rebuild shard " + std::to_string(s) + " (" + source +
-                          "), verified and readmitted",
-                      {{"shard", s}});
-  }
-  if (tracer_ != nullptr) {
-    const std::uint64_t span =
-        tracer_->begin("engine.rebuild", kTrackEngineBeats, cycles_);
-    tracer_->arg(span, "shard", s);
-    tracer_->end(span, cycles_);
-  }
-}
-
-void ShardedCamEngine::rebuild_from(unsigned s, const char* source_name,
-                                    const std::function<RebuildSource()>& source) {
-  if (s >= shard_count()) {
-    throw ConfigError("ShardedCamEngine::rebuild_shard: no such shard");
-  }
-  if (!quarantined_[s]) {
-    throw SimError("ShardedCamEngine::rebuild_shard: shard " + std::to_string(s) +
-                   " is in service; rebuild only re-admits quarantined shards "
-                   "(restore_shard overwrites live ones)");
-  }
-  const RebuildSource src = source();
-  load_shard(s, src);  // purge drops the failed shard's crash-stop leftovers
+void ShardedCamEngine::rebuild(unsigned s, const char* source,
+                               std::span<const fault::EntryState> entries,
+                               const std::vector<std::uint64_t>* cursors) {
+  load_shard(s, entries, cursors);  // purge drops the failed shard's crash-stop leftovers
   // Scrub-style read-back: a mismatch leaves the shard quarantined.
   const fault::FaultTarget* target = shards_[s]->fault_target();
-  for (std::size_t i = 0; i < src.entries.size(); ++i) {
-    if (!(target->peek(i) == src.entries[i])) {
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (!(target->peek(i) == entries[i])) {
       throw SimError("ShardedCamEngine::rebuild_shard: read-back verification "
                      "failed at entry " + std::to_string(i) + " of shard " +
                      std::to_string(s) + " - the shard stays quarantined");
     }
   }
-  readmit_shard(s, source_name);
+  reopen_shard(s, false);
+  const std::string what = "rebuild shard " + std::to_string(s) + " (" + source + ")";
+  record_transition(EventKind::kRebuild, telemetry::Severity::kInfo, what,
+                    what + ", verified and readmitted", {{"shard", s}}, "engine.rebuild", 1);
 }
 
 void ShardedCamEngine::rebuild_shard(unsigned s, const fault::ShardSnapshot& snap) {
-  rebuild_from(s, "snapshot", [&] {
-    check_snapshot(s, snap);
-    return RebuildSource{snap.entries, &snap.cursors};
-  });
+  require_rebuildable(s);
+  check_snapshot(s, snap);
+  rebuild(s, "snapshot", snap.entries, &snap.cursors);
 }
 
 void ShardedCamEngine::rebuild_shard(unsigned s, const fault::Scrubber& scrubber) {
-  rebuild_from(s, "golden shadow", [&] {
-    if (!scrubber.captured()) {
-      throw SimError(
-          "ShardedCamEngine::rebuild_shard: the scrubber holds no golden shadow "
-          "(capture() it before the shard fails)");
-    }
-    if (fault_target_ == nullptr) {
-      throw SimError(
-          "ShardedCamEngine::rebuild_shard: engine exposes no composite fault "
-          "target to map the golden shadow onto");
-    }
-    const std::vector<fault::EntryState>& golden = scrubber.golden();
-    if (golden.size() != fault_target_->entry_count()) {
-      throw SimError("ShardedCamEngine::rebuild_shard: golden shadow covers " +
-                     std::to_string(golden.size()) +
-                     " entries but the engine's fault window holds " +
-                     std::to_string(fault_target_->entry_count()) +
-                     " - the scrubber was captured over a different target");
-    }
-    std::size_t base = 0;  // this shard's offset in the composite window
-    for (unsigned i = 0; i < s; ++i) base += shards_[i]->fault_target()->entry_count();
-    // Storage plane only: quarantine never corrupts the host-side fill
-    // cursors, so the shard keeps its own.
-    return RebuildSource{
-        std::span(golden).subspan(base, shards_[s]->fault_target()->entry_count()),
-        nullptr};
-  });
+  require_rebuildable(s);
+  if (!scrubber.captured()) {
+    throw SimError(
+        "ShardedCamEngine::rebuild_shard: the scrubber holds no golden shadow "
+        "(capture() it before the shard fails)");
+  }
+  if (fault_target_ == nullptr) {
+    throw SimError(
+        "ShardedCamEngine::rebuild_shard: engine exposes no composite fault "
+        "target to map the golden shadow onto");
+  }
+  const std::vector<fault::EntryState>& golden = scrubber.golden();
+  if (golden.size() != fault_target_->entry_count()) {
+    throw SimError("ShardedCamEngine::rebuild_shard: golden shadow covers " +
+                   std::to_string(golden.size()) +
+                   " entries but the engine's fault window holds " +
+                   std::to_string(fault_target_->entry_count()) +
+                   " - the scrubber was captured over a different target");
+  }
+  std::size_t base = 0;  // this shard's offset in the composite window
+  for (unsigned i = 0; i < s; ++i) base += shards_[i]->fault_target()->entry_count();
+  // Storage plane only: quarantine never corrupts the host-side fill
+  // cursors, so the shard keeps its own.
+  rebuild(s, "golden shadow",
+          std::span(golden).subspan(base, shards_[s]->fault_target()->entry_count()),
+          nullptr);
 }
 
-std::uint64_t ShardedCamEngine::drain_to_idle(std::uint64_t budget, const char* who) {
-  std::uint64_t spent = 0;
-  while (!all_settled()) {
-    if (spent >= budget) {
-      throw SimError(std::string(who) + ": in-flight work failed to settle "
-                     "within " + std::to_string(budget) + " cycles; " +
-                     debug_dump());
-    }
-    step();
-    ++spent;
+std::vector<std::vector<fault::EntryState>> ShardedCamEngine::place(
+    std::span<const fault::EntryState> entries, unsigned count) const {
+  std::vector<std::vector<fault::EntryState>> buckets(count);
+  for (const fault::EntryState& e : entries) {
+    if (e.valid) buckets[shard_of(e.stored, count)].push_back(e);
   }
-  return spent;
-}
-
-std::vector<std::unique_ptr<CamBackend>> ShardedCamEngine::build_fleet(
-    unsigned count) const {
-  if (!make_shard_) throw ConfigError("ShardedCamEngine: no shard factory");
-  std::vector<std::unique_ptr<CamBackend>> fleet;
-  fleet.reserve(count);
-  for (unsigned s = 0; s < count; ++s) {
-    auto shard = make_shard_(s);
-    if (!shard) throw ConfigError("ShardedCamEngine: factory returned null shard");
-    fleet.push_back(std::move(shard));
-  }
-  return fleet;
-}
-
-void ShardedCamEngine::install_fleet(std::vector<std::unique_ptr<CamBackend>> fleet) {
-  const CamBackend& like = shards_.empty() ? *fleet.front() : *shards_.front();
-  for (const auto& shard : fleet) {
-    if (shard->data_width() != like.data_width() || shard->kind() != like.kind() ||
-        shard->capacity() != like.capacity()) {
-      throw ConfigError("ShardedCamEngine: shards must be homogeneous (same "
-                        "data width, kind and capacity)");
-    }
-  }
-  const auto n = static_cast<unsigned>(fleet.size());
-  shards_ = std::move(fleet);
-  cfg_.shards = n;
-  credits_.assign(n, cfg_.credits_per_shard);
-  resetting_.assign(n, 0);
-  quarantined_.assign(n, 0);
-  pending_issue_ = decltype(pending_issue_)(n);
-  expected_search_ = decltype(expected_search_)(n);
-  expected_ack_ = decltype(expected_ack_)(n);
-  // Compose the shards' fault windows when every shard exposes one; a
-  // single opaque shard disables injection for the whole engine (a partial
-  // window would silently skew campaign statistics).
-  fault_target_.reset();
-  std::vector<fault::FaultTarget*> parts;
-  parts.reserve(n);
-  for (auto& shard : shards_) {
-    fault::FaultTarget* target = shard->fault_target();
-    if (target == nullptr) {
-      parts.clear();
-      break;
-    }
-    parts.push_back(target);
-  }
-  if (!parts.empty()) {
-    fault_target_ = std::make_unique<CompositeFaultTarget>(std::move(parts));
-  }
-  if (tracer_ != nullptr) set_span_tracer(tracer_);  // name the new shard tracks
-}
-
-void ShardedCamEngine::rebuild_fleet(unsigned new_count) {
-  if (!all_settled()) {
-    throw SimError("ShardedCamEngine: internal error - fleet rebuild with "
-                   "unsettled shard state");
-  }
-  // Preserve the grouping the old fleet ran with (configure_groups was
-  // broadcast post-construction and the factory knows nothing of it).
-  const unsigned groups = shards_.front()->max_keys_per_beat();
-  auto fleet = build_fleet(new_count);
-  for (auto& shard : fleet) {
-    if (shard->max_keys_per_beat() != groups) shard->configure_groups(groups);
-  }
-  install_fleet(std::move(fleet));
+  return buckets;
 }
 
 ShardedCamEngine::ReshardReport ShardedCamEngine::reshard(unsigned new_shard_count) {
@@ -837,11 +821,7 @@ ShardedCamEngine::ReshardReport ShardedCamEngine::reshard(unsigned new_shard_cou
         "ShardedCamEngine::reshard currently supports the hash partitioner "
         "only; range re-splitting is a planned follow-on");
   }
-  if (quarantined_count() != 0) {
-    throw SimError("ShardedCamEngine::reshard: rebuild quarantined shards "
-                   "first (" + std::to_string(quarantined_count()) +
-                   " out of service)");
-  }
+  require_in_service("ShardedCamEngine::reshard");
 
   ReshardReport report;
   report.old_shards = shard_count();
@@ -852,22 +832,16 @@ ShardedCamEngine::ReshardReport ShardedCamEngine::reshard(unsigned new_shard_cou
   // shard-side state must quiesce.
   report.pause_cycles = drain_to_idle(1ull << 20, "ShardedCamEngine::reshard");
 
-  // Collect every valid entry in deterministic shard-major, address-minor
-  // order. Invalid holes compact away.
-  std::vector<fault::EntryState> moving;
+  // Place every valid entry, read in deterministic shard-major,
+  // address-minor order (invalid holes compact away), and refuse while the
+  // old fleet still stands: a new shard that cannot hold its bucket would
+  // lose entries.
+  std::vector<fault::EntryState> entries;
   for (unsigned s = 0; s < shard_count(); ++s) {
-    for (const fault::EntryState& e : shards_[s]->logical_entries()) {
-      if (e.valid) moving.push_back(e);
-    }
+    const std::vector<fault::EntryState> shard_entries = shards_[s]->logical_entries();
+    entries.insert(entries.end(), shard_entries.begin(), shard_entries.end());
   }
-  report.entries_moved = moving.size();
-
-  // Bucket by the new partitioner and refuse while the old fleet still
-  // stands: a new shard that cannot hold its bucket would lose entries.
-  std::vector<std::vector<const fault::EntryState*>> buckets(new_shard_count);
-  for (const fault::EntryState& e : moving) {
-    buckets[shard_of(e.stored, new_shard_count)].push_back(&e);
-  }
+  const auto buckets = place(entries, new_shard_count);
   const unsigned shard_cap = shards_.front()->capacity();  // rebuilds keep it
   for (unsigned s = 0; s < new_shard_count; ++s) {
     if (buckets[s].size() > shard_cap) {
@@ -877,9 +851,10 @@ ShardedCamEngine::ReshardReport ShardedCamEngine::reshard(unsigned new_shard_cou
                      ", which holds only " + std::to_string(shard_cap) +
                      " - repartitioning would lose entries");
     }
+    report.entries_moved += buckets[s].size();
   }
 
-  rebuild_fleet(new_shard_count);
+  install_fleet(new_shard_count);
 
   // Redistribute through each new shard's own protocol port (a driver's
   // store()), so parity and fill bookkeeping follow the legitimate write
@@ -889,9 +864,9 @@ ShardedCamEngine::ReshardReport ShardedCamEngine::reshard(unsigned new_shard_cou
   for (unsigned s = 0; s < new_shard_count; ++s) {
     std::vector<cam::Word> words;
     std::vector<std::uint64_t> masks;
-    for (const fault::EntryState* e : buckets[s]) {
-      words.push_back(e->stored);
-      if (masked) masks.push_back(e->mask);
+    for (const fault::EntryState& e : buckets[s]) {
+      words.push_back(e.stored);
+      if (masked) masks.push_back(e.mask);
     }
     const unsigned written = CamDriver(*shards_[s]).store(words, masks);
     if (written != words.size()) {
@@ -902,31 +877,19 @@ ShardedCamEngine::ReshardReport ShardedCamEngine::reshard(unsigned new_shard_cou
     }
   }
 
-  ++reshard_events_;
   reshard_entries_moved_ += report.entries_moved;
   reshard_pause_cycles_ += report.pause_cycles;
-  push_history("reshard " + std::to_string(report.old_shards) + " -> " +
-               std::to_string(report.new_shards) + " (" +
-               std::to_string(report.entries_moved) + " entries, " +
-               std::to_string(report.pause_cycles) + " pause cycles)");
-  if (recorder_ != nullptr) {
-    recorder_->record(cycles_, telemetry::FlightRecorder::EventKind::kReshard,
-                      telemetry::Severity::kWarn,
-                      "reshard " + std::to_string(report.old_shards) + " -> " +
-                          std::to_string(report.new_shards),
-                      {{"old_shards", report.old_shards},
-                       {"new_shards", report.new_shards},
-                       {"entries_moved", report.entries_moved},
-                       {"pause_cycles", report.pause_cycles}});
-  }
-  if (tracer_ != nullptr) {
-    const std::uint64_t span =
-        tracer_->begin("engine.reshard", kTrackEngineBeats, cycles_);
-    tracer_->arg(span, "old_shards", report.old_shards);
-    tracer_->arg(span, "new_shards", report.new_shards);
-    tracer_->arg(span, "entries_moved", report.entries_moved);
-    tracer_->end(span, cycles_);
-  }
+  const std::string what = "reshard " + std::to_string(report.old_shards) + " -> " +
+                           std::to_string(report.new_shards);
+  record_transition(EventKind::kReshard, telemetry::Severity::kWarn,
+                    what + " (" + std::to_string(report.entries_moved) + " entries, " +
+                        std::to_string(report.pause_cycles) + " pause cycles)",
+                    what,
+                    {{"old_shards", report.old_shards},
+                     {"new_shards", report.new_shards},
+                     {"entries_moved", report.entries_moved},
+                     {"pause_cycles", report.pause_cycles}},
+                    "engine.reshard", 3);
   return report;
 }
 
@@ -962,10 +925,7 @@ std::string ShardedCamEngine::debug_dump() const {
   if (!history_.empty()) {
     out += "; history:";
     const std::size_t from = history_.size() > 4 ? history_.size() - 4 : 0;
-    for (std::size_t i = from; i < history_.size(); ++i) {
-      out += " [@" + std::to_string(history_[i].cycle) + " " +
-             history_[i].what + "]";
-    }
+    for (std::size_t i = from; i < history_.size(); ++i) out += " [" + history_[i] + "]";
   }
   out += "}";
   return out;
@@ -1020,11 +980,15 @@ void ShardedCamEngine::record_telemetry(telemetry::MetricRegistry& registry,
       .set(static_cast<std::int64_t>(search_rob_.size()));
   registry.gauge(prefix + ".rob.ack_depth")
       .set(static_cast<std::int64_t>(ack_rob_.size()));
-  registry.counter(prefix + ".quarantine_events").update_to(quarantine_events_);
+  const auto transitions = [&](EventKind kind) {
+    const auto it = transitions_.find(kind);
+    return it == transitions_.end() ? std::uint64_t{0} : it->second;
+  };
+  registry.counter(prefix + ".quarantine_events").update_to(transitions(EventKind::kQuarantine));
   registry.gauge(prefix + ".quarantined_shards")
       .set(static_cast<std::int64_t>(quarantined_count()));
-  registry.counter(prefix + ".rebuild_events").update_to(rebuild_events_);
-  registry.counter(prefix + ".reshard_events").update_to(reshard_events_);
+  registry.counter(prefix + ".rebuild_events").update_to(transitions(EventKind::kRebuild));
+  registry.counter(prefix + ".reshard_events").update_to(transitions(EventKind::kReshard));
   registry.counter(prefix + ".reshard.entries_moved")
       .update_to(reshard_entries_moved_);
   registry.counter(prefix + ".reshard.pause_cycles")

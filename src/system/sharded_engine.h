@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -41,6 +42,7 @@
 #include "src/fault/snapshot.h"
 #include "src/system/backend.h"
 #include "src/system/cam_system.h"
+#include "src/telemetry/flight_recorder.h"
 
 namespace dspcam::fault {
 class Scrubber;  // src/fault/scrubber.h; golden-shadow rebuild source
@@ -90,6 +92,8 @@ class ShardedCamEngine : public CamBackend {
 
   /// The partitioner: which shard stores/answers `key`.
   unsigned shard_of(cam::Word key) const;
+  /// The same partitioner over a fleet of `count` shards.
+  unsigned shard_of(cam::Word key, unsigned count) const;
 
   // --- CamBackend geometry. ---
 
@@ -180,7 +184,9 @@ class ShardedCamEngine : public CamBackend {
   void restore_shard(unsigned s, const fault::ShardSnapshot& snap);
 
   /// Checkpoints every shard. Requires a fully idle engine with both
-  /// reorder buffers drained by the host.
+  /// reorder buffers drained by the host, and no quarantined shard: a
+  /// quarantined shard's entries are suspect, and restore() would put them
+  /// back into service unverified (rebuild_shard() first).
   EngineCheckpoint checkpoint();
 
   /// Restores a checkpoint into this engine. Requires the same idle/drained
@@ -231,15 +237,10 @@ class ShardedCamEngine : public CamBackend {
   /// partitioner sends it, reshard throws before the fleet is replaced.
   ReshardReport reshard(unsigned new_shard_count);
 
-  /// One recovery-lifecycle event (quarantine / rebuild / reshard), for
-  /// debug dumps and post-mortems.
-  struct RecoveryEvent {
-    std::uint64_t cycle = 0;
-    std::string what;
-  };
-  const std::vector<RecoveryEvent>& recovery_history() const noexcept {
-    return history_;
-  }
+  /// Reshard's placement: the valid `entries`, bucketed by
+  /// shard_of(stored, count), each bucket in input order. Pure.
+  std::vector<std::vector<fault::EntryState>> place(
+      std::span<const fault::EntryState> entries, unsigned count) const;
 
   /// Concatenated injection/scrub window over the shards' storage, or
   /// nullptr if any shard exposes none.
@@ -277,6 +278,8 @@ class ShardedCamEngine : public CamBackend {
                              std::uint64_t cycle) const override;
 
  private:
+  using EventKind = telemetry::FlightRecorder::EventKind;
+
   /// Reorder-buffer entry for one host search beat.
   struct SearchBeat {
     std::uint64_t seq = 0;
@@ -330,15 +333,6 @@ class ShardedCamEngine : public CamBackend {
     std::size_t total_ = 0;
   };
 
-  /// What one rebuild writes back: a window of entries and, when the source
-  /// carries them, the fill cursors (null keeps the shard's own).
-  struct RebuildSource {
-    std::span<const fault::EntryState> entries;
-    const std::vector<std::uint64_t>* cursors = nullptr;
-  };
-
-  /// The partitioner over a fleet of `count` shards.
-  unsigned shard_of(cam::Word key, unsigned count) const;
   /// Values one sub-request to shard `s` carries: keys per search beat,
   /// words per update beat.
   unsigned per_sub(unsigned s, bool search) const;
@@ -352,6 +346,18 @@ class ShardedCamEngine : public CamBackend {
   /// shard order.
   void collect();
 
+  // --- Control plane: every action validates, settles, places, installs
+  // and records through the helpers below. ---
+
+  /// Throws ConfigError("<who>: no such shard") unless `s` names a shard.
+  void require_shard(unsigned s, const char* who) const;
+  /// Throws SimError unless the engine is idle and the host has drained
+  /// both reorder buffers.
+  void require_drained(const char* who) const;
+  /// Throws SimError while any shard is quarantined.
+  void require_in_service(const char* who) const;
+  /// rebuild_shard()'s refusals: `s` must name a quarantined shard.
+  void require_rebuildable(unsigned s) const;
   /// True when shard `s` owes nothing to the reorder buffers and has no
   /// parked sub-requests (and, unless quarantined, its backend is idle).
   bool shard_settled(unsigned s) const;
@@ -360,34 +366,36 @@ class ShardedCamEngine : public CamBackend {
   void require_settled(unsigned s, const char* who) const;
   /// Seal, slot and geometry checks a snapshot must pass before it may be
   /// loaded into slot `s`. Checks against the front shard: the fleet is
-  /// homogeneous, and so is any fleet rebuild_fleet() would build.
+  /// homogeneous, and so is any fleet install_fleet() would build.
   void check_snapshot(unsigned s, const fault::ShardSnapshot& snap);
-  /// Purges shard `s`, pokes `src` into its storage and restores its
-  /// cursors when given. Does not touch engine bookkeeping.
-  void load_shard(unsigned s, const RebuildSource& src);
-  /// The one rebuild path for both overloads: bounds and quarantine checks,
-  /// then `source` validates its input and names what to write, then
-  /// purge -> write -> read-back verify -> readmit.
-  void rebuild_from(unsigned s, const char* source_name,
-                    const std::function<RebuildSource()>& source);
-  /// `count` shards from the stored factory (null-checked). Touches no
-  /// engine state.
-  std::vector<std::unique_ptr<CamBackend>> build_fleet(unsigned count) const;
-  /// Checks that `fleet` is homogeneous with the current one (or with
-  /// itself at construction), then installs it: every per-shard vector is
-  /// sized afresh and the CompositeFaultTarget recomposed. Throws before
-  /// changing anything.
-  void install_fleet(std::vector<std::unique_ptr<CamBackend>> fleet);
-  /// Replaces the shard fleet with `new_count` factory-built backends,
-  /// preserving geometry and group configuration. Requires settled shards.
-  void rebuild_fleet(unsigned new_count);
   /// Steps until all_settled(); throws with a debug dump when `budget`
   /// cycles pass first. Returns cycles spent.
   std::uint64_t drain_to_idle(std::uint64_t budget, const char* who);
-  /// Clears the quarantine flag and restores the credit line after a
-  /// verified rebuild; records the event.
-  void readmit_shard(unsigned s, const char* source);
-  void push_history(const std::string& what);
+  /// Replaces the fleet with `count` shards from the stored factory, keeping
+  /// the current grouping (configure_groups() is not the factory's), and
+  /// reopens every slot. Checks that the new shards are homogeneous with the
+  /// current ones (or each other at construction) before changing anything.
+  /// Requires settled shards.
+  void install_fleet(unsigned count);
+  /// Resets shard `s`'s bookkeeping - full credits, no reset fence, nothing
+  /// parked or expected - and sets its quarantine flag to `quarantined`.
+  void reopen_shard(unsigned s, bool quarantined);
+  /// Purges shard `s`, pokes `entries` into its storage and restores its
+  /// fill cursors when given (null keeps the shard's own).
+  void load_shard(unsigned s, std::span<const fault::EntryState> entries,
+                  const std::vector<std::uint64_t>* cursors);
+  /// rebuild_shard()'s body once its source is validated: load, read-back
+  /// verify (a mismatch leaves the shard quarantined), readmit, record.
+  void rebuild(unsigned s, const char* source,
+               std::span<const fault::EntryState> entries,
+               const std::vector<std::uint64_t>* cursors);
+  /// Writes one transition: counts it by kind, appends `history` to the
+  /// debug dump's history (unless empty), records the flight-recorder event
+  /// and, when `span` names one, a zero-length recovery span on the engine
+  /// track carrying the first `span_args` of `args`.
+  void record_transition(EventKind kind, telemetry::Severity severity, std::string history,
+                         std::string what, std::vector<std::pair<std::string, std::uint64_t>> args,
+                         const char* span = nullptr, std::size_t span_args = 0);
 
   Config cfg_;
   ShardFactory make_shard_;  ///< Rebuilds shards for restore()/reshard().
@@ -410,13 +418,11 @@ class ShardedCamEngine : public CamBackend {
 
   std::uint64_t cycles_ = 0;
   std::uint64_t last_completion_cycle_ = 0;
-  std::uint64_t quarantine_events_ = 0;  ///< quarantine_shard() calls that
-                                         ///< took a live shard out.
-  std::uint64_t rebuild_events_ = 0;     ///< Successful rebuild_shard() calls.
-  std::uint64_t reshard_events_ = 0;     ///< Successful reshard() calls.
+  std::map<EventKind, std::uint64_t> transitions_;  ///< record_transition() calls per kind.
   std::uint64_t reshard_entries_moved_ = 0;  ///< Cumulative across reshards.
   std::uint64_t reshard_pause_cycles_ = 0;   ///< Cumulative settling cycles.
-  std::vector<RecoveryEvent> history_;   ///< Quarantine/rebuild/reshard log.
+  /// Quarantine/rebuild/reshard/restore log, one "@<cycle> <what>" per line.
+  std::vector<std::string> history_;
 
   /// Borrowed span tracer (null = tracing off). Written only from the
   /// submit/collect passes.

@@ -92,18 +92,16 @@ TEST(ShardSnapshot, RestoreTargetRefusesGeometryMismatch) {
   ShardSnapshot snap = engine.snapshot_shard(0);
   snap.entry_bits = 16;
   snap.seal();
-  FaultTarget& target = *engine.shard(0).fault_target();
-  EXPECT_THROW(restore_target(target, snap), SimError);
+  const FaultTarget& target = *engine.shard(0).fault_target();
+  EXPECT_THROW(check_restorable(target, snap), SimError);
+  EXPECT_THROW(engine.restore_shard(0, snap), SimError);
 }
 
 TEST(ShardSnapshot, TargetRoundTripRestoresEveryEntry) {
   ShardedCamEngine engine(engine_config(2), shard_config());
   fill(engine, 32);
   FaultTarget& target = *engine.shard(0).fault_target();
-
-  ShardSnapshot snap;
-  snapshot_target(target, snap);
-  snap.seal();
+  const ShardSnapshot snap = engine.snapshot_shard(0);
 
   // Scramble the live storage, then restore and compare entry-for-entry.
   for (std::size_t i = 0; i < target.entry_count(); i += 7) {
@@ -113,7 +111,7 @@ TEST(ShardSnapshot, TargetRoundTripRestoresEveryEntry) {
     s.parity = parity_of(s);
     target.poke(i, s);
   }
-  restore_target(target, snap);
+  engine.restore_shard(0, snap);
   for (std::size_t i = 0; i < target.entry_count(); ++i) {
     EXPECT_EQ(target.peek(i), snap.entries[i]) << "entry " << i;
   }

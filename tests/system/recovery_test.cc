@@ -189,6 +189,24 @@ TEST(Checkpoint, RequiresIdleEngine) {
   EXPECT_NO_THROW(engine.checkpoint());
 }
 
+// restore() readmits every shard it loads, so a checkpoint holding a
+// quarantined shard's corrupt entries would bring them back into service
+// unverified: keys it stored would read as plain misses instead of
+// shard_failed. checkpoint() refuses instead; rebuild_shard() comes first.
+TEST(Checkpoint, RefusesWhileAShardIsQuarantined) {
+  ShardedCamEngine engine(engine_config(4), shard_config());
+  fill(engine, test_words(64));
+  fault::FaultTarget& target = *engine.shard(1).fault_target();
+  for (std::size_t i = 0; i < target.entry_count(); ++i) {
+    fault::EntryState e = target.peek(i);
+    if (!e.valid) continue;
+    e.stored ^= 1;
+    target.poke(i, e);
+  }
+  engine.quarantine_shard(1);
+  EXPECT_THROW(engine.checkpoint(), SimError);
+}
+
 TEST(Checkpoint, FileRoundTripRestoresFreshEngine) {
   const std::string path = ::testing::TempDir() + "recovery_ckpt_test.jsonl";
   ShardedCamEngine engine(engine_config(4), shard_config());
@@ -842,6 +860,31 @@ TEST(Reshard, RejectsRangePartitionQuarantineAndZero) {
   engine.quarantine_shard(2);
   EXPECT_THROW(engine.reshard(8), SimError)
       << "a quarantined shard's entries cannot be collected";
+}
+
+// place() keeps exactly the valid entries, each in the bucket shard_of()
+// names for the new count, in input order - duplicates included.
+TEST(Reshard, PlaceBucketsByPartitionerInInputOrder) {
+  ShardedCamEngine engine(engine_config(4), shard_config());
+  std::vector<fault::EntryState> entries;
+  for (unsigned i = 0; i < 40; ++i) {
+    fault::EntryState e;
+    e.stored = i % 7 == 3 ? 11 : i * 13 + 1;  // key 11 recurs
+    e.mask = i;
+    e.valid = i % 5 != 2;                      // invalid holes
+    entries.push_back(e);
+  }
+  for (const unsigned count : {1u, 3u, 4u, 8u}) {
+    std::vector<std::vector<fault::EntryState>> want(count);
+    for (const fault::EntryState& e : entries) {
+      if (e.valid) want[engine.shard_of(e.stored, count)].push_back(e);
+    }
+    const auto got = engine.place(entries, count);
+    ASSERT_EQ(got.size(), count);
+    for (unsigned s = 0; s < count; ++s) {
+      EXPECT_EQ(got[s], want[s]) << "bucket " << s << " of " << count;
+    }
+  }
 }
 
 TEST(Reshard, OverflowRejectedWhenNewFleetCannotHoldAShardsBucket) {
