@@ -14,6 +14,7 @@
 
 #include "src/cam/unit.h"
 #include "src/common/table.h"
+#include "src/telemetry/json.h"
 #include "src/telemetry/metrics.h"
 
 namespace dspcam::bench {
@@ -144,15 +145,11 @@ class JsonLog {
    public:
     explicit Row(std::string bench) { str("bench", std::move(bench)); }
     Row& str(const std::string& key, const std::string& value) {
-      std::string quoted = "\"";
-      quoted += escape(value) + "\"";
-      fields_.emplace_back(key, std::move(quoted));
+      fields_.emplace_back(key, telemetry::json::quote(value));
       return *this;
     }
     Row& num(const std::string& key, double value) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6g", value);
-      fields_.emplace_back(key, buf);
+      fields_.emplace_back(key, telemetry::json::number(value));
       return *this;
     }
     Row& num(const std::string& key, std::uint64_t value) {
@@ -173,26 +170,12 @@ class JsonLog {
       std::string out = "{";
       for (std::size_t i = 0; i < fields_.size(); ++i) {
         if (i != 0) out += ", ";
-        out += '"';
-        out += escape(fields_[i].first) + "\": " + fields_[i].second;
+        out += telemetry::json::quote(fields_[i].first) + ": " + fields_[i].second;
       }
       return out + "}";
     }
 
    private:
-    static std::string escape(const std::string& s) {
-      std::string out;
-      out.reserve(s.size());
-      for (const char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        if (c == '\n') {
-          out += "\\n";
-        } else {
-          out += c;
-        }
-      }
-      return out;
-    }
     std::vector<std::pair<std::string, std::string>> fields_;
   };
 

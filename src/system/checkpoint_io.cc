@@ -2,13 +2,19 @@
 
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/common/error.h"
-#include "src/telemetry/jsonv.h"
+#include "src/telemetry/json.h"
 
 namespace dspcam::system {
 
 namespace {
+
+namespace json = telemetry::json;
 
 // --- Writing. ---
 
@@ -16,7 +22,7 @@ void append_snapshot(std::string& out, const fault::ShardSnapshot& snap) {
   out += "{\"kind\":\"shard\",\"shard\":" + std::to_string(snap.shard) +
          ",\"version\":" + std::to_string(snap.version) +
          ",\"data_width\":" + std::to_string(snap.data_width) +
-         ",\"cam_kind\":\"" + snap.cam_kind + "\"" +
+         ",\"cam_kind\":" + json::quote(snap.cam_kind) +
          ",\"capacity\":" + std::to_string(snap.capacity) +
          ",\"entry_count\":" + std::to_string(snap.entry_count) +
          ",\"entry_bits\":" + std::to_string(snap.entry_bits) +
@@ -37,68 +43,51 @@ void append_snapshot(std::string& out, const fault::ShardSnapshot& snap) {
   out += "]}";
 }
 
-// --- Reading: cursor scanner over one JSONL record. ---
+// --- Reading: one parsed JSONL record. ---
 
-struct Scan {
-  const std::string& line;
-  const std::size_t lineno;
-  std::size_t pos = 0;
+/// One record of the file. Every read refuses anything but the shape the
+/// writer emits, naming the line.
+struct Record {
+  json::Value doc;
+  std::size_t lineno;
 
-  /// Refuses a line that is not one well-formed JSON document, so the
-  /// field scan below never has to guess at trailing garbage.
-  Scan(const std::string& l, std::size_t n) : line(l), lineno(n) {
-    const telemetry::jsonv::Result r = telemetry::jsonv::validate(line);
+  Record(const std::string& line, std::size_t n) : lineno(n) {
+    json::Result r = json::parse(line);
     if (!r.ok) {
       fail("malformed JSON at offset " + std::to_string(r.error_offset) + ": " +
            r.error);
     }
+    doc = std::move(r.value);
   }
 
   [[noreturn]] void fail(const std::string& what) const {
     throw SimError("checkpoint line " + std::to_string(lineno) + ": " + what);
   }
 
-  /// Jumps to the value of `"key":` (searched from the line start; our
-  /// writer emits each key once).
-  void seek(const char* key) {
-    const std::string pat = std::string("\"") + key + "\":";
-    const std::size_t at = line.find(pat);
-    if (at == std::string::npos) fail("missing field '" + std::string(key) + "'");
-    pos = at + pat.size();
+  bool is(const char* kind) const {
+    const json::Value* v = doc.find("kind");
+    return v != nullptr && v->str() == kind;
   }
 
-  void expect(char c) {
-    if (pos >= line.size() || line[pos] != c) {
-      fail(std::string("expected '") + c + "' at offset " + std::to_string(pos));
-    }
-    ++pos;
+  const json::Value& get(const char* key) const {
+    const json::Value* v = doc.find(key);
+    if (v == nullptr) fail("missing field '" + std::string(key) + "'");
+    return *v;
   }
 
-  bool peek(char c) const { return pos < line.size() && line[pos] == c; }
-
-  /// A run of decimal digits: no sign, and nothing past 64 bits.
-  std::uint64_t u64() {
-    const std::size_t start = pos;
-    std::uint64_t v = 0;
-    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-      const unsigned digit = static_cast<unsigned>(line[pos] - '0');
-      if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-        fail("integer at offset " + std::to_string(start) + " exceeds 64 bits");
-      }
-      v = v * 10 + digit;
-      ++pos;
+  /// Decimal digits only: no sign, and nothing past 64 bits.
+  std::uint64_t u64(const json::Value& v, const char* key) const {
+    const std::optional<std::uint64_t> n = v.u64();
+    if (!n) {
+      fail("field '" + std::string(key) + "' holds no unsigned 64-bit integer");
     }
-    if (pos == start) {
-      fail("expected an unsigned integer at offset " + std::to_string(start));
-    }
-    return v;
+    return *n;
   }
 
-  /// The unsigned value of `"key":`, refused unless it fits T.
+  /// The unsigned value of `key`, refused unless it fits T.
   template <typename T>
-  T field(const char* key) {
-    seek(key);
-    const std::uint64_t v = u64();
+  T field(const char* key) const {
+    const std::uint64_t v = u64(get(key), key);
     if (v > std::numeric_limits<T>::max()) {
       fail("field '" + std::string(key) + "' value " + std::to_string(v) +
            " is out of range (max " +
@@ -107,86 +96,52 @@ struct Scan {
     return static_cast<T>(v);
   }
 
-  std::string str() {
-    expect('"');
-    const std::size_t close = line.find('"', pos);
-    if (close == std::string::npos) fail("unterminated string");
-    std::string v = line.substr(pos, close - pos);
-    pos = close + 1;
-    return v;
+  std::string str(const char* key) const {
+    const std::optional<std::string_view> v = get(key).str();
+    if (!v) fail("field '" + std::string(key) + "' is not a string");
+    return std::string(*v);
   }
 
-  bool boolean() {
-    if (line.compare(pos, 4, "true") == 0) {
-      pos += 4;
-      return true;
-    }
-    if (line.compare(pos, 5, "false") == 0) {
-      pos += 5;
-      return false;
-    }
-    fail("expected true/false at offset " + std::to_string(pos));
+  bool boolean(const char* key) const {
+    const std::optional<bool> v = get(key).boolean();
+    if (!v) fail("field '" + std::string(key) + "' is not true/false");
+    return *v;
   }
 
-  std::vector<std::uint64_t> u64_array() {
-    std::vector<std::uint64_t> v;
-    expect('[');
-    if (peek(']')) {
-      ++pos;
-      return v;
-    }
-    for (;;) {
-      v.push_back(u64());
-      if (peek(',')) {
-        ++pos;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
+  std::vector<std::uint64_t> u64_array(const json::Value& v, const char* key) const {
+    if (!v.is_array()) fail("field '" + std::string(key) + "' is not an array");
+    std::vector<std::uint64_t> out;
+    out.reserve(v.items().size());
+    for (const json::Value& item : v.items()) out.push_back(u64(item, key));
+    return out;
   }
 };
 
-fault::ShardSnapshot parse_shard_record(const std::string& line,
-                                        std::size_t lineno) {
-  Scan sc(line, lineno);
+fault::ShardSnapshot parse_shard_record(const Record& rec) {
   fault::ShardSnapshot snap;
-  snap.shard = sc.field<unsigned>("shard");
-  snap.version = sc.field<std::uint32_t>("version");
-  snap.data_width = sc.field<unsigned>("data_width");
-  sc.seek("cam_kind");
-  snap.cam_kind = sc.str();
-  snap.capacity = sc.field<unsigned>("capacity");
-  snap.entry_count = sc.field<std::size_t>("entry_count");
-  snap.entry_bits = sc.field<unsigned>("entry_bits");
-  sc.seek("parity_protected");
-  snap.parity_protected = sc.boolean();
-  sc.seek("cursors");
-  snap.cursors = sc.u64_array();
-  snap.checksum = sc.field<std::uint64_t>("checksum");
-  sc.seek("entries");
-  sc.expect('[');
-  if (sc.peek(']')) {
-    ++sc.pos;
-  } else {
-    for (;;) {
-      const std::vector<std::uint64_t> fields = sc.u64_array();
-      if (fields.size() != 4 || fields[2] > 1 || fields[3] > 1) {
-        sc.fail("entry tuples are [stored,mask,valid,parity] with 0/1 flags");
-      }
-      fault::EntryState e;
-      e.stored = fields[0];
-      e.mask = fields[1];
-      e.valid = fields[2] != 0;
-      e.parity = fields[3] != 0;
-      snap.entries.push_back(e);
-      if (sc.peek(',')) {
-        ++sc.pos;
-        continue;
-      }
-      sc.expect(']');
-      break;
+  snap.shard = rec.field<unsigned>("shard");
+  snap.version = rec.field<std::uint32_t>("version");
+  snap.data_width = rec.field<unsigned>("data_width");
+  snap.cam_kind = rec.str("cam_kind");
+  snap.capacity = rec.field<unsigned>("capacity");
+  snap.entry_count = rec.field<std::size_t>("entry_count");
+  snap.entry_bits = rec.field<unsigned>("entry_bits");
+  snap.parity_protected = rec.boolean("parity_protected");
+  snap.cursors = rec.u64_array(rec.get("cursors"), "cursors");
+  snap.checksum = rec.field<std::uint64_t>("checksum");
+  const json::Value& entries = rec.get("entries");
+  if (!entries.is_array()) rec.fail("field 'entries' is not an array");
+  for (const json::Value& entry : entries.items()) {
+    const std::vector<std::uint64_t> fields = rec.u64_array(entry, "entries");
+    if (fields.size() != 4 || fields[2] > 1 || fields[3] > 1) {
+      rec.fail("entry tuples are [stored,mask,valid,parity] with 0/1 flags");
     }
+    fault::EntryState e;
+    e.stored = fields[0];
+    e.mask = fields[1];
+    e.valid = fields[2] != 0;
+    e.parity = fields[3] != 0;
+    snap.entries.push_back(e);
   }
   return snap;
 }
@@ -231,8 +186,8 @@ ShardedCamEngine::EngineCheckpoint load_checkpoint(const std::string& path) {
   if (!std::getline(in, line) || line.empty()) {
     throw SimError("load_checkpoint: '" + path + "' has no header record");
   }
-  Scan header(line, 1);
-  if (line.find("\"kind\":\"dspcam.checkpoint\"") == std::string::npos) {
+  const Record header(line, 1);
+  if (!header.is("dspcam.checkpoint")) {
     throw SimError("load_checkpoint: '" + path +
                    "' is not a dspcam checkpoint (header kind mismatch)");
   }
@@ -245,8 +200,7 @@ ShardedCamEngine::EngineCheckpoint load_checkpoint(const std::string& path) {
   }
   ShardedCamEngine::EngineCheckpoint ckpt;
   ckpt.shards = header.field<unsigned>("shards");
-  header.seek("partition");
-  ckpt.partition = partition_from_string(header.str());
+  ckpt.partition = partition_from_string(header.str("partition"));
   ckpt.key_bits = header.field<unsigned>("key_bits");
   ckpt.shard_capacity = header.field<unsigned>("shard_capacity");
 
@@ -254,11 +208,12 @@ ShardedCamEngine::EngineCheckpoint load_checkpoint(const std::string& path) {
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    if (line.find("\"kind\":\"shard\"") == std::string::npos) {
+    const Record rec(line, lineno);
+    if (!rec.is("shard")) {
       throw SimError("load_checkpoint: line " + std::to_string(lineno) +
                      " is not a shard record");
     }
-    fault::ShardSnapshot snap = parse_shard_record(line, lineno);
+    fault::ShardSnapshot snap = parse_shard_record(rec);
     snap.verify();  // corrupt files are rejected here, with the reason
     if (snap.shard != ckpt.shard_snaps.size()) {
       throw SimError("load_checkpoint: line " + std::to_string(lineno) +

@@ -2,11 +2,11 @@
 //
 // A checkpoint file is JSONL: one header record naming the fleet geometry,
 // then one record per shard carrying that shard's sealed ShardSnapshot.
-// Every line is a standalone JSON object (telemetry::jsonv::validate-clean,
-// which is what tools/snapshot_lint gates in CI), hand-serialised like the
-// telemetry exporters - no JSON library. The reader is a dedicated scanner
-// rather than a double-based parser because stored words and checksums are
-// full 64-bit integers that strtod would silently round.
+// Every line is a standalone JSON object, hand-serialised like the
+// telemetry exporters and read back with telemetry::json::parse(). Integer
+// fields go through json::Value::u64(), which reads the token exactly and
+// refuses a sign, a fraction or an overflow, because stored words and
+// checksums are full 64-bit integers that strtod would silently round.
 //
 //   {"kind":"dspcam.checkpoint","version":1,"shards":4,"partition":"hash",
 //    "key_bits":32,"shard_capacity":64}

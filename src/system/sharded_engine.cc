@@ -99,13 +99,13 @@ unsigned ShardedCamEngine::max_groups() const {
 }
 
 void ShardedCamEngine::configure_groups(unsigned m) {
+  // A quarantined shard would keep its old grouping and come back from
+  // rebuild_shard() out of step with the fleet.
+  require_in_service("ShardedCamEngine::configure_groups");
   if (!idle()) {
     throw SimError("ShardedCamEngine: configure_groups requires an idle engine");
   }
-  for (unsigned s = 0; s < shard_count(); ++s) {
-    if (quarantined_[s]) continue;  // out of service; may not even be idle
-    shards_[s]->configure_groups(m);
-  }
+  for (const auto& shard : shards_) shard->configure_groups(m);
 }
 
 unsigned ShardedCamEngine::per_sub(unsigned s, bool search) const {

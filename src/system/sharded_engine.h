@@ -103,7 +103,8 @@ class ShardedCamEngine : public CamBackend {
   unsigned words_per_beat() const override;     ///< Aggregate update bandwidth.
   unsigned max_keys_per_beat() const override;  ///< Aggregate search bandwidth.
   unsigned max_groups() const override;
-  void configure_groups(unsigned m) override;  ///< Broadcast; requires idle.
+  /// Broadcast; requires an idle engine with no shard quarantined.
+  void configure_groups(unsigned m) override;
 
   // --- Protocol. ---
 

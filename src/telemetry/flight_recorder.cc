@@ -1,10 +1,10 @@
 #include "src/telemetry/flight_recorder.h"
 
-#include <cstdio>
 #include <fstream>
 
 #include "src/common/error.h"
 #include "src/telemetry/health.h"
+#include "src/telemetry/json.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/span.h"
 
@@ -83,33 +83,6 @@ void FlightRecorder::clear() {
   dropped_ = 0;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string FlightRecorder::dump_json(std::uint64_t cycle,
                                       const std::string& reason,
                                       const MetricRegistry* metrics,
@@ -117,7 +90,7 @@ std::string FlightRecorder::dump_json(std::uint64_t cycle,
                                       const HealthMonitor* health) const {
   std::string out = "{\"kind\": \"dspcam.blackbox\", \"version\": 1";
   out += ", \"cycle\": " + std::to_string(cycle);
-  out += ", \"reason\": \"" + json_escape(reason) + "\"";
+  out += ", \"reason\": " + json::quote(reason);
   out += ", \"events_recorded\": " + std::to_string(recorded_);
   out += ", \"events_dropped\": " + std::to_string(dropped_);
   out += ", \"events\": [";
@@ -128,12 +101,11 @@ std::string FlightRecorder::dump_json(std::uint64_t cycle,
     out += "{\"seq\": " + std::to_string(ev.seq) +
            ", \"cycle\": " + std::to_string(ev.cycle) + ", \"kind\": \"" +
            to_string(ev.kind) + "\", \"severity\": \"" +
-           telemetry::to_string(ev.severity) + "\", \"what\": \"" +
-           json_escape(ev.what) + "\", \"args\": {";
+           telemetry::to_string(ev.severity) + "\", \"what\": " +
+           json::quote(ev.what) + ", \"args\": {";
     for (std::size_t i = 0; i < ev.args.size(); ++i) {
       if (i != 0) out += ", ";
-      out += '"';
-      out += json_escape(ev.args[i].first) + "\": " +
+      out += json::quote(ev.args[i].first) + ": " +
              std::to_string(ev.args[i].second);
     }
     out += "}}";
@@ -154,8 +126,8 @@ std::string FlightRecorder::dump_json(std::uint64_t cycle,
     out += "[";
     for (std::size_t i = begin; i < all.size(); ++i) {
       if (i != begin) out += ",\n";
-      out += "{\"name\": \"" + json_escape(all[i].name) +
-             "\", \"track\": " + std::to_string(all[i].track) +
+      out += "{\"name\": " + json::quote(all[i].name) +
+             ", \"track\": " + std::to_string(all[i].track) +
              ", \"start\": " + std::to_string(all[i].start) +
              ", \"end\": " + std::to_string(all[i].end) + "}";
     }

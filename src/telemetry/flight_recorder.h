@@ -9,8 +9,9 @@
 // transitions - into one fixed-capacity ring, and on failure (or on demand)
 // the recorder serialises a self-contained JSON "black box": the last N
 // events plus the current metric snapshot, recent spans and health states.
-// The dump is plain JSON (validated by jsonv in tests/CI), so a post-mortem
-// needs nothing but the file.
+// The dump is plain JSON (written around json::quote() and read back by
+// json::parse() in tests and trace_lint), so a post-mortem needs nothing but
+// the file.
 //
 // Threading contract: like MetricRegistry and SpanTracer, the recorder is
 // written only from the simulation's one thread (driver poll loop, engine

@@ -1,9 +1,9 @@
 #include "src/telemetry/health.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "src/common/error.h"
+#include "src/telemetry/json.h"
 #include "src/telemetry/metrics.h"
 
 namespace dspcam::telemetry {
@@ -214,16 +214,6 @@ std::size_t HealthMonitor::tripped_count() const {
   return n;
 }
 
-namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-}  // namespace
-
 std::string HealthMonitor::to_json() const {
   std::string out = "{\"evaluations\": " + std::to_string(evaluations_) +
                     ", \"tripped\": " + std::to_string(tripped_count()) +
@@ -232,11 +222,12 @@ std::string HealthMonitor::to_json() const {
   for (const RuleState& rs : rules_) {
     if (!first) out += ",\n";
     first = false;
-    out += "{\"name\": \"" + rs.rule.name + "\", \"metric\": \"" +
-           rs.rule.metric + "\", \"severity\": \"" +
-           telemetry::to_string(rs.rule.severity) + "\", \"state\": \"" +
-           to_string(rs.state) + "\", \"trips\": " + std::to_string(rs.trips) +
-           ", \"value\": " + fmt_double(rs.last_value) + "}";
+    out += "{\"name\": " + json::quote(rs.rule.name) +
+           ", \"metric\": " + json::quote(rs.rule.metric) +
+           ", \"severity\": \"" + telemetry::to_string(rs.rule.severity) +
+           "\", \"state\": \"" + to_string(rs.state) +
+           "\", \"trips\": " + std::to_string(rs.trips) +
+           ", \"value\": " + json::number(rs.last_value) + "}";
   }
   out += "]}";
   return out;

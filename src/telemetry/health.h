@@ -50,8 +50,8 @@ class HealthMonitor {
   };
 
   struct Rule {
-    std::string name;    ///< Unique rule id; metric-safe (published under
-                         ///< "health.<name>.*").
+    std::string name;    ///< Unique rule id, published under
+                         ///< "health.<name>.*"; to_json() quotes it.
     std::string metric;  ///< Metric name, or subtree prefix for
                          ///< kSubtreeRateAbove.
     Predicate predicate = Predicate::kGaugeAbove;

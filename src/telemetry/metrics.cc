@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "src/common/error.h"
+#include "src/telemetry/json.h"
 
 namespace dspcam::telemetry {
 
@@ -175,26 +176,6 @@ bool ends_component(std::string_view name, std::string_view suffix) {
          name[name.size() - suffix.size() - 1] == '.';
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
 }  // namespace
 
 std::uint64_t MetricRegistry::sum_counters(std::string_view prefix) const {
@@ -218,30 +199,27 @@ std::string MetricRegistry::to_json() const {
   for (const auto& [name, c] : counters_) {
     if (!first) out += ", ";
     first = false;
-    out += '"';
-    out += json_escape(name) + "\": " + std::to_string(c->value());
+    out += json::quote(name) + ": " + std::to_string(c->value());
   }
   out += "}, \"gauges\": {";
   first = true;
   for (const auto& [name, g] : gauges_) {
     if (!first) out += ", ";
     first = false;
-    out += '"';
-    out += json_escape(name) + "\": " + std::to_string(g->value());
+    out += json::quote(name) + ": " + std::to_string(g->value());
   }
   out += "}, \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms_) {
     if (!first) out += ", ";
     first = false;
-    out += '"';
-    out += json_escape(name) + "\": {\"count\": " +
+    out += json::quote(name) + ": {\"count\": " +
            std::to_string(h->count()) + ", \"min\": " + std::to_string(h->min()) +
            ", \"max\": " + std::to_string(h->max()) +
-           ", \"mean\": " + fmt_double(h->mean()) +
-           ", \"p50\": " + fmt_double(h->p50()) +
-           ", \"p95\": " + fmt_double(h->p95()) +
-           ", \"p99\": " + fmt_double(h->p99()) + "}";
+           ", \"mean\": " + json::number(h->mean()) +
+           ", \"p50\": " + json::number(h->p50()) +
+           ", \"p95\": " + json::number(h->p95()) +
+           ", \"p99\": " + json::number(h->p99()) + "}";
   }
   out += "}}";
   return out;

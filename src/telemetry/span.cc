@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "src/common/error.h"
+#include "src/telemetry/json.h"
 
 namespace dspcam::telemetry {
 
@@ -117,24 +118,6 @@ std::vector<Span> SpanTracer::finished_spans() const {
   return out;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string SpanTracer::chrome_json() const {
   // One cycle maps to one microsecond: the trace-event "ts"/"dur" unit.
   std::string out = "{\"traceEvents\": [";
@@ -143,21 +126,20 @@ std::string SpanTracer::chrome_json() const {
     if (!first) out += ",\n";
     first = false;
     out += "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 1, \"tid\": " +
-           std::to_string(track) + ", \"args\": {\"name\": \"" +
-           json_escape(name) + "\"}}";
+           std::to_string(track) + ", \"args\": {\"name\": " +
+           json::quote(name) + "}}";
   }
   for (const Span& span : finished_spans()) {
     if (!first) out += ",\n";
     first = false;
-    out += "{\"ph\": \"X\", \"name\": \"" + json_escape(span.name) +
-           "\", \"cat\": \"dspcam\", \"pid\": 1, \"tid\": " +
+    out += "{\"ph\": \"X\", \"name\": " + json::quote(span.name) +
+           ", \"cat\": \"dspcam\", \"pid\": 1, \"tid\": " +
            std::to_string(span.track) + ", \"ts\": " + std::to_string(span.start) +
            ", \"dur\": " + std::to_string(span.end - span.start);
     out += ", \"args\": {";
     for (std::size_t i = 0; i < span.args.size(); ++i) {
       if (i != 0) out += ", ";
-      out += '"';
-      out += json_escape(span.args[i].first) + "\": " +
+      out += json::quote(span.args[i].first) + ": " +
              std::to_string(span.args[i].second);
     }
     out += "}}";
@@ -167,8 +149,8 @@ std::string SpanTracer::chrome_json() const {
   for (const CounterSample& sample : counter_samples()) {
     if (!first) out += ",\n";
     first = false;
-    out += "{\"ph\": \"C\", \"name\": \"" + json_escape(sample.name) +
-           "\", \"pid\": 1, \"tid\": 0, \"ts\": " + std::to_string(sample.ts) +
+    out += "{\"ph\": \"C\", \"name\": " + json::quote(sample.name) +
+           ", \"pid\": 1, \"tid\": 0, \"ts\": " + std::to_string(sample.ts) +
            ", \"args\": {\"value\": " + std::to_string(sample.value) + "}}";
   }
   out += "], \"displayTimeUnit\": \"ms\"}";

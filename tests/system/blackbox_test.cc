@@ -25,7 +25,7 @@
 #include "src/system/sharded_engine.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/health.h"
-#include "src/telemetry/jsonv.h"
+#include "src/telemetry/json.h"
 #include "src/telemetry/metrics.h"
 
 namespace dspcam::system {
@@ -153,7 +153,7 @@ TEST(Blackbox, RecorderAndHealthIdenticalAcrossEvalModes) {
 
 TEST(Blackbox, QuarantineDumpCarriesEventTransitionAndMetrics) {
   const auto run = run_observed_workload(cam::EvalMode::kFast);
-  EXPECT_TRUE(telemetry::jsonv::validate(run.full_dump).ok) << run.full_dump;
+  EXPECT_TRUE(telemetry::json::parse(run.full_dump).ok) << run.full_dump;
   // The triggering event...
   EXPECT_NE(run.full_dump.find("\"kind\": \"quarantine\""), std::string::npos);
   EXPECT_NE(run.full_dump.find("\"kind\": \"rebuild\""), std::string::npos);
@@ -233,7 +233,7 @@ TEST(Blackbox, WatchdogTripAutoWritesTheBlackBox) {
   std::ostringstream ss;
   ss << in.rdbuf();
   const std::string dump = ss.str();
-  EXPECT_TRUE(telemetry::jsonv::validate(dump).ok) << dump;
+  EXPECT_TRUE(telemetry::json::parse(dump).ok) << dump;
   // Triggering event + health transition + metric snapshot, all aboard.
   EXPECT_NE(dump.find("\"kind\": \"watchdog_trip\""), std::string::npos);
   EXPECT_NE(dump.find("health rule 'stall_headroom' tripped"),

@@ -280,6 +280,16 @@ TEST(Checkpoint, CorruptFilesRejectedByLoader) {
   EXPECT_THROW(load_checkpoint(path), SimError) << "missing file";
 }
 
+// 200 000 nested arrays used to overflow the stack of the recursive
+// syntax check in front of the field scan; the parser caps the nesting.
+TEST(Checkpoint, DeepNestingIsRefusedByTheLoader) {
+  const std::string path = ::testing::TempDir() + "recovery_deep_ckpt.jsonl";
+  std::ofstream(path, std::ios::trunc)
+      << std::string(200000, '[') << std::string(200000, ']') << "\n";
+  EXPECT_THROW(load_checkpoint(path), SimError);
+  std::remove(path.c_str());
+}
+
 TEST(Checkpoint, RestoreRebuildsFleetWhenShardCountDiffers) {
   ShardedCamEngine source(engine_config(4), shard_config());
   const auto words = test_words(64);
@@ -750,6 +760,32 @@ TEST(Rebuild, OutOfRangeShardRefusedForBothSources) {
   EXPECT_EQ(engine.shard_count(), 4u);
   EXPECT_EQ(engine.quarantined_count(), 0u);
   expect_membership(engine, words);
+}
+
+// configure_groups() used to skip a quarantined shard, and rebuild_shard()
+// then readmitted it on the old grouping: a heterogeneous fleet whose
+// addressed routing (by shard 0's capacity) no longer matched the global
+// addresses the other shards reported.
+TEST(Rebuild, ConfigureGroupsRefusedWhileAShardIsQuarantined) {
+  ShardedCamEngine engine(engine_config(4), shard_config());
+  const auto words = test_words(64);
+  fill(engine, words);
+  const fault::ShardSnapshot snap = engine.snapshot_shard(0);
+  engine.quarantine_shard(0);
+
+  EXPECT_THROW(engine.configure_groups(2), SimError);
+  for (unsigned s = 0; s < engine.shard_count(); ++s) {
+    EXPECT_EQ(engine.shard(s).max_keys_per_beat(), 1u) << "shard " << s;
+    EXPECT_EQ(engine.shard(s).capacity(), 128u) << "shard " << s;
+  }
+
+  engine.rebuild_shard(0, snap);
+  expect_membership(engine, words);
+  engine.configure_groups(2);
+  for (unsigned s = 0; s < engine.shard_count(); ++s) {
+    EXPECT_EQ(engine.shard(s).max_keys_per_beat(), 2u) << "shard " << s;
+    EXPECT_EQ(engine.shard(s).capacity(), engine.shard(0).capacity()) << "shard " << s;
+  }
 }
 
 // A snapshot and a golden shadow captured at the same moment rebuild a

@@ -10,7 +10,7 @@
 
 #include "src/common/error.h"
 #include "src/telemetry/health.h"
-#include "src/telemetry/jsonv.h"
+#include "src/telemetry/json.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/span.h"
 
@@ -87,9 +87,9 @@ TEST(FlightRecorder, DumpWithoutSectionsEmitsNulls) {
   FlightRecorder rec;
   rec.record(5, Kind::kWatchdogTrip, Severity::kCritical, "wedged");
   const std::string json = rec.dump_json(123, "test dump");
-  EXPECT_TRUE(jsonv::validate(json).ok) << json;
-  EXPECT_TRUE(jsonv::has_top_level_key(json, "kind"));
-  EXPECT_TRUE(jsonv::has_top_level_key(json, "events"));
+  EXPECT_TRUE(json::parse(json).ok) << json;
+  EXPECT_TRUE(json::parse(json).value.find("kind"));
+  EXPECT_TRUE(json::parse(json).value.find("events"));
   EXPECT_NE(json.find("\"kind\": \"dspcam.blackbox\""), std::string::npos);
   EXPECT_NE(json.find("\"cycle\": 123"), std::string::npos);
   EXPECT_NE(json.find("\"reason\": \"test dump\""), std::string::npos);
@@ -115,7 +115,7 @@ TEST(FlightRecorder, DumpCarriesMetricsSpansAndHealth) {
   rec.record(100, Kind::kQuarantine, Severity::kCritical, "down",
              {{"shard", 1}});
   const std::string json = rec.dump_json(100, "drill", &reg, &tracer, &mon);
-  EXPECT_TRUE(jsonv::validate(json).ok) << json;
+  EXPECT_TRUE(json::parse(json).ok) << json;
   EXPECT_NE(json.find("\"engine.issued\": 42"), std::string::npos);
   EXPECT_NE(json.find("\"shard_quarantine\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"op\""), std::string::npos);
@@ -133,7 +133,7 @@ TEST(FlightRecorder, WriteDumpCreatesTheFile) {
   ASSERT_TRUE(in.good());
   std::ostringstream ss;
   ss << in.rdbuf();
-  EXPECT_TRUE(jsonv::validate(ss.str()).ok);
+  EXPECT_TRUE(json::parse(ss.str()).ok);
   std::remove(path.c_str());
 }
 
@@ -141,7 +141,7 @@ TEST(FlightRecorder, DumpEscapesStrings) {
   FlightRecorder rec;
   rec.record(1, Kind::kCustom, Severity::kInfo, "quote \" backslash \\ tab \t");
   const std::string json = rec.dump_json(1, "line\nbreak");
-  EXPECT_TRUE(jsonv::validate(json).ok) << json;
+  EXPECT_TRUE(json::parse(json).ok) << json;
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/error.h"
-#include "src/telemetry/jsonv.h"
+#include "src/telemetry/json.h"
 #include "src/telemetry/metrics.h"
 
 namespace dspcam::telemetry {
@@ -279,7 +279,7 @@ TEST(Health, ToJsonIsValidAndListsRules) {
   reg.gauge("engine.quarantined_shards").set(2);
   mon.evaluate(64);
   const std::string json = mon.to_json();
-  EXPECT_TRUE(jsonv::validate(json).ok) << json;
+  EXPECT_TRUE(json::parse(json).ok) << json;
   EXPECT_NE(json.find("\"shard_quarantine\""), std::string::npos);
   EXPECT_NE(json.find("\"tripped\": 1"), std::string::npos);
 }

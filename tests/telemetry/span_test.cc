@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/error.h"
-#include "src/telemetry/jsonv.h"
+#include "src/telemetry/json.h"
 #include "src/telemetry/span.h"
 
 namespace dspcam::telemetry {
@@ -133,9 +133,9 @@ TEST(SpanTracer, ChromeJsonGoldenFormat) {
   tracer.end(id, 150);
   const std::string json = tracer.chrome_json();
 
-  const auto r = jsonv::validate(json);
+  const auto r = json::parse(json);
   ASSERT_TRUE(r.ok) << r.error << " at offset " << r.error_offset;
-  EXPECT_TRUE(jsonv::has_top_level_key(json, "traceEvents"));
+  EXPECT_TRUE(json::parse(json).value.find("traceEvents"));
 
   // Complete event: phase X with ts/dur in microseconds (1 cycle = 1 us).
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
@@ -154,7 +154,7 @@ TEST(SpanTracer, OpenSpansAreNotExported) {
   SpanTracer tracer;
   tracer.begin("never.ends", 0, 5);
   const std::string json = tracer.chrome_json();
-  EXPECT_TRUE(jsonv::validate(json).ok);
+  EXPECT_TRUE(json::parse(json).ok);
   EXPECT_EQ(json.find("never.ends"), std::string::npos);
 }
 
@@ -195,7 +195,7 @@ TEST(SpanTracer, ChromeJsonCarriesCounterEvents) {
   tracer.counter("engine.queue_depth", 3, 2);
   tracer.counter("engine.queue_depth", 7, 0);
   const std::string json = tracer.chrome_json();
-  EXPECT_TRUE(jsonv::validate(json).ok) << json;
+  EXPECT_TRUE(json::parse(json).ok) << json;
   EXPECT_NE(json.find("\"ph\": \"C\""), std::string::npos);
   EXPECT_NE(json.find("\"engine.queue_depth\""), std::string::npos);
   EXPECT_NE(json.find("\"args\": {\"value\": 2}"), std::string::npos);
@@ -227,7 +227,7 @@ TEST(SpanTracer, WriteChromeJsonRoundTrips) {
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   EXPECT_EQ(text.find('\0'), std::string::npos);
-  EXPECT_TRUE(jsonv::validate(text).ok);
+  EXPECT_TRUE(json::parse(text).ok);
   EXPECT_NE(text.find("\"io\""), std::string::npos);
   std::remove(path.c_str());
 

@@ -16,7 +16,7 @@
 #include "src/sim/stats.h"
 #include "src/system/driver.h"
 #include "src/system/sharded_engine.h"
-#include "src/telemetry/jsonv.h"
+#include "src/telemetry/json.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/span.h"
 
@@ -73,7 +73,7 @@ TEST(StackTelemetry, CountersIdenticalAcrossEvalModes) {
   // published metric must agree.
   std::string fast = run_workload(2, cam::EvalMode::kFast);
   std::string ref = run_workload(2, cam::EvalMode::kReference);
-  EXPECT_TRUE(telemetry::jsonv::validate(fast).ok);
+  EXPECT_TRUE(telemetry::json::parse(fast).ok);
   // Remove every "...<token>...": <value> entry. Values are scalars or flat
   // objects (histogram summaries); the separator swallowed is the trailing
   // comma when one exists, else the preceding one (last entry of its map -
@@ -213,7 +213,7 @@ TEST(StackTelemetry, SampledTicketsProduceTheFullSpanWaterfall) {
   EXPECT_EQ(shard_tracks, 0b11u);  // both shards saw sub-operations
 
   const std::string json = tracer.chrome_json();
-  EXPECT_TRUE(telemetry::jsonv::validate(json).ok);
+  EXPECT_TRUE(telemetry::json::parse(json).ok);
   EXPECT_NE(json.find("shard1"), std::string::npos);  // named tracks
 }
 

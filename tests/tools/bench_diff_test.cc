@@ -13,7 +13,7 @@ namespace {
 
 Row parse(const std::string& line) {
   Row row;
-  EXPECT_TRUE(LineParser(line).parse(row)) << line;
+  EXPECT_TRUE(parse_row(line, row)) << line;
   return row;
 }
 
@@ -109,9 +109,9 @@ TEST(BenchDiffParser, NestedTelemetryObjectsAreSkippedNotFatal) {
 
 TEST(BenchDiffParser, MalformedRowsAreRejected) {
   Row row;
-  EXPECT_FALSE(LineParser(R"({"kind": )").parse(row));
-  EXPECT_FALSE(LineParser(R"("not an object")").parse(row));
-  EXPECT_FALSE(LineParser(R"({"unterminated": "str)").parse(row));
+  EXPECT_FALSE(parse_row(R"({"kind": )", row));
+  EXPECT_FALSE(parse_row(R"("not an object")", row));
+  EXPECT_FALSE(parse_row(R"({"unterminated": "str)", row));
 }
 
 }  // namespace

@@ -13,12 +13,14 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "src/telemetry/json.h"
 
 namespace dspcam::tools::benchdiff {
 
@@ -51,109 +53,23 @@ inline bool is_volatile_field(const std::string& key) {
   return key.compare(0, 8, "speedup_") == 0;
 }
 
-/// Minimal JSON scanner for one bench row. Scalars land in `row`; nested
-/// objects and arrays are balance-skipped. Returns false on malformed input.
-class LineParser {
- public:
-  LineParser(const std::string& text) : s_(text) {}
-
-  bool parse(Row& row) {
-    skip_ws();
-    if (!consume('{')) return false;
-    skip_ws();
-    if (consume('}')) return true;
-    for (;;) {
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      skip_ws();
-      if (!parse_value(row, key)) return false;
-      skip_ws();
-      if (consume('}')) return true;
-      if (!consume(',')) return false;
-      skip_ws();
+/// Parses one bench row. Scalars land in `row` (numbers as doubles, strings
+/// and booleans as text); nulls and nested objects and arrays are skipped.
+/// Returns false unless the line is one well-formed JSON object.
+inline bool parse_row(std::string_view line, Row& row) {
+  const telemetry::json::Result doc = telemetry::json::parse(line);
+  if (!doc.ok || !doc.value.is_object()) return false;
+  for (const auto& [key, value] : doc.value.members()) {
+    if (const auto s = value.str()) {
+      row.strings[key] = *s;
+    } else if (const auto b = value.boolean()) {
+      row.strings[key] = *b ? "true" : "false";
+    } else if (const auto n = value.number()) {
+      row.numbers[key] = *n;
     }
   }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-  bool consume(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\' && pos_ < s_.size()) {
-        const char e = s_[pos_++];
-        out += e == 'n' ? '\n' : e;  // enough for bench rows
-      } else {
-        out += c;
-      }
-    }
-    return false;
-  }
-  /// Skips a balanced {...} or [...] (strings respected).
-  bool skip_nested() {
-    int depth = 0;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c == '"') {
-        std::string ignored;
-        if (!parse_string(ignored)) return false;
-        continue;
-      }
-      ++pos_;
-      if (c == '{' || c == '[') ++depth;
-      if (c == '}' || c == ']') {
-        if (--depth == 0) return true;
-      }
-    }
-    return false;
-  }
-  bool parse_value(Row& row, const std::string& key) {
-    const char c = s_[pos_];
-    if (c == '"') {
-      std::string v;
-      if (!parse_string(v)) return false;
-      row.strings[key] = v;
-      return true;
-    }
-    if (c == '{' || c == '[') return skip_nested();
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      row.strings[key] = "true";
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      row.strings[key] = "false";
-      return true;
-    }
-    if (s_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    char* end = nullptr;
-    const double v = std::strtod(s_.c_str() + pos_, &end);
-    if (end == s_.c_str() + pos_) return false;
-    pos_ = static_cast<std::size_t>(end - s_.c_str());
-    row.numbers[key] = v;
-    return true;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+  return true;
+}
 
 /// Stable identity string: sorted non-stat, non-volatile fields. Generic by
 /// construction - every scalar field participates unless excluded above -
@@ -165,9 +81,7 @@ inline std::string identity_of(const Row& row) {
   }
   for (const auto& [k, v] : row.numbers) {
     if (is_stat_field(k) || is_volatile_field(k)) continue;
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%s=%.6g ", k.c_str(), v);
-    id += buf;
+    id += k + "=" + telemetry::json::number(v) + " ";
   }
   if (!id.empty()) id.pop_back();
   return id;
@@ -190,7 +104,7 @@ inline bool load_rows(const std::string& path, std::vector<Row>& rows) {
     if (blank) continue;
     Row row;
     row.line = lineno;
-    if (!LineParser(line).parse(row)) {
+    if (!parse_row(line, row)) {
       std::fprintf(stderr, "bench_diff: %s:%u: malformed JSON row\n",
                    path.c_str(), lineno);
       return false;

@@ -9,8 +9,8 @@
 // tests can drive it without a filesystem; the CLI in camtop.cc adds the
 // tailing loop and ANSI repaint.
 //
-// Field extraction reuses the depth-aware scanner from trace_lint_lib.h -
-// same no-DOM philosophy as the rest of the telemetry tooling.
+// Lines are read with telemetry::json::parse(); a line that is not one
+// well-formed snapshot object is skipped.
 #pragma once
 
 #include <cstdint>
@@ -22,43 +22,17 @@
 #include <utility>
 #include <vector>
 
-#include "tools/trace_lint_lib.h"
+#include "src/telemetry/json.h"
 
 namespace dspcam::tools::camtop {
 
 namespace detail {
 
-using tracelint::detail::as_number;
-using tracelint::detail::as_string;
-using tracelint::detail::find_field;
-using tracelint::detail::skip_ws;
-using tracelint::detail::value_end;
-
-/// Key/value pairs at the top level of the object `obj`.
-inline std::vector<std::pair<std::string_view, std::string_view>> object_fields(
-    std::string_view obj) {
-  std::vector<std::pair<std::string_view, std::string_view>> out;
-  std::size_t i = skip_ws(obj, 0);
-  if (i >= obj.size() || obj[i] != '{') return out;
-  ++i;
-  while (true) {
-    i = skip_ws(obj, i);
-    if (i >= obj.size() || obj[i] == '}') return out;
-    if (obj[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (obj[i] != '"') return out;
-    const std::size_t key_start = i + 1;
-    const std::size_t key_close = value_end(obj, i);
-    const std::string_view key = obj.substr(key_start, key_close - key_start - 1);
-    i = skip_ws(obj, key_close);
-    if (i >= obj.size() || obj[i] != ':') return out;
-    i = skip_ws(obj, i + 1);
-    const std::size_t vend = value_end(obj, i);
-    out.emplace_back(key, obj.substr(i, vend - i));
-    i = vend;
-  }
+/// `v` as an int64 when it is a number in range.
+inline std::optional<std::int64_t> i64(const telemetry::json::Value& v) {
+  const std::optional<double> n = v.number();
+  if (!n || !(*n >= -9.2e18 && *n <= 9.2e18)) return std::nullopt;
+  return static_cast<std::int64_t>(*n);
 }
 
 inline std::string fmt(const char* format, double v) {
@@ -87,46 +61,35 @@ struct SnapshotView {
   /// Parses one {"cycle": C, "metrics": {...}} line; nullopt when the line
   /// is not a snapshot (malformed, or missing either key).
   static std::optional<SnapshotView> parse(std::string_view line) {
-    using namespace detail;
-    const auto cycle_raw = find_field(line, "cycle");
-    const auto metrics = find_field(line, "metrics");
-    if (!cycle_raw || !metrics) return std::nullopt;
-    const auto cycle = as_number(*cycle_raw);
-    if (!cycle || metrics->empty() || metrics->front() != '{') {
+    using telemetry::json::Value;
+    const telemetry::json::Result doc = telemetry::json::parse(line);
+    const Value* cycle = doc.value.find("cycle");
+    const Value* metrics = doc.value.find("metrics");
+    if (cycle == nullptr || !cycle->u64() || metrics == nullptr ||
+        !metrics->is_object()) {
       return std::nullopt;
     }
     SnapshotView v;
-    v.cycle = static_cast<std::uint64_t>(*cycle);
-    if (const auto c = find_field(*metrics, "counters")) {
-      for (const auto& [name, value] : object_fields(*c)) {
-        if (const auto n = as_number(value)) {
-          v.counters[std::string(name)] = static_cast<std::uint64_t>(*n);
-        }
+    v.cycle = *cycle->u64();
+    if (const Value* c = metrics->find("counters")) {
+      for (const auto& [name, value] : c->members()) {
+        if (const auto n = value.u64()) v.counters[name] = *n;
       }
     }
-    if (const auto g = find_field(*metrics, "gauges")) {
-      for (const auto& [name, value] : object_fields(*g)) {
-        if (const auto n = as_number(value)) {
-          v.gauges[std::string(name)] = static_cast<std::int64_t>(*n);
-        }
+    if (const Value* g = metrics->find("gauges")) {
+      for (const auto& [name, value] : g->members()) {
+        if (const auto n = detail::i64(value)) v.gauges[name] = *n;
       }
     }
-    if (const auto h = find_field(*metrics, "histograms")) {
-      for (const auto& [name, value] : object_fields(*h)) {
+    if (const Value* h = metrics->find("histograms")) {
+      for (const auto& [name, value] : h->members()) {
         HistStat hs;
-        if (const auto f = find_field(value, "count")) {
-          if (const auto n = as_number(*f)) hs.count = static_cast<std::uint64_t>(*n);
+        if (const Value* f = value.find("count")) hs.count = f->u64().value_or(0);
+        for (auto [key, out] : {std::pair{"p50", &hs.p50}, std::pair{"p95", &hs.p95},
+                                std::pair{"p99", &hs.p99}}) {
+          if (const Value* f = value.find(key)) *out = f->number().value_or(0.0);
         }
-        if (const auto f = find_field(value, "p50")) {
-          if (const auto n = as_number(*f)) hs.p50 = *n;
-        }
-        if (const auto f = find_field(value, "p95")) {
-          if (const auto n = as_number(*f)) hs.p95 = *n;
-        }
-        if (const auto f = find_field(value, "p99")) {
-          if (const auto n = as_number(*f)) hs.p99 = *n;
-        }
-        v.histograms[std::string(name)] = hs;
+        v.histograms[name] = hs;
       }
     }
     return v;

@@ -4,57 +4,23 @@
 //
 //   snapshot_lint FILE [FILE...]
 //
-// Per file, three gates:
-//  1. Every non-empty line is well-formed JSON (telemetry::jsonv) - the
-//     JSONL contract every repo exporter shares.
-//  2. The header names the format ("dspcam.checkpoint") and a version this
-//     build reads, with the geometry fields present.
-//  3. Every shard record round-trips through the real loader
-//     (system::load_checkpoint), which re-verifies each snapshot's FNV-1a
-//     content checksum - a flipped bit anywhere in the entry payload fails
-//     the lint, not just malformed syntax.
+// Each file goes through the real loader (system::load_checkpoint), which
+// parses every line as JSON, checks that the header names the format
+// ("dspcam.checkpoint") and a version this build reads, checks every shard
+// record's fields and order, and re-verifies each snapshot's FNV-1a content
+// checksum - a flipped bit anywhere in the entry payload fails the lint,
+// not just malformed syntax.
 //
 // Exits non-zero on the first failing file.
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <string>
 
 #include "src/system/checkpoint_io.h"
-#include "src/telemetry/jsonv.h"
 
 namespace {
 
-using dspcam::telemetry::jsonv::validate;
-
-bool fail(const std::string& path, const std::string& why) {
-  std::fprintf(stderr, "snapshot_lint: %s: %s\n", path.c_str(), why.c_str());
-  return false;
-}
-
 bool check_checkpoint(const std::string& path) {
-  // Gate 1: line-by-line JSON syntax (same row-reading shape as bench_diff:
-  // JSONL, one record per line, skip blanks).
-  std::ifstream in(path);
-  if (!in) return fail(path, "cannot open");
-  std::string line;
-  std::size_t lineno = 0;
-  std::size_t records = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    ++records;
-    const auto r = validate(line);
-    if (!r.ok) {
-      return fail(path, "line " + std::to_string(lineno) +
-                            ": invalid JSON at byte " +
-                            std::to_string(r.error_offset) + ": " + r.error);
-    }
-  }
-  if (records == 0) return fail(path, "no records");
-
-  // Gates 2+3: the real loader checks header kind/version, per-shard
-  // geometry fields, shard ordering, and every content checksum.
   try {
     const auto ckpt = dspcam::system::load_checkpoint(path);
     std::size_t entries = 0;
@@ -64,7 +30,8 @@ bool check_checkpoint(const std::string& path) {
                 path.c_str(), ckpt.version, ckpt.shards,
                 dspcam::system::to_string(ckpt.partition), entries);
   } catch (const std::exception& e) {
-    return fail(path, e.what());
+    std::fprintf(stderr, "snapshot_lint: %s: %s\n", path.c_str(), e.what());
+    return false;
   }
   return true;
 }

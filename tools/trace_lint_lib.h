@@ -6,22 +6,19 @@
 // have the "ph":"C" shape Perfetto expects (name, ts, args.value) with
 // monotonic timestamps per (name, tid) track, spans must not end before
 // they start, and a black box must carry every section the post-mortem
-// tooling reads. Built on the jsonv syntax validator plus a small
-// depth-aware field scanner (no DOM): a field lookup only sees the top
-// level of its object, so keys inside nested containers - "args" payloads
-// especially - can never shadow or collide with the fields being checked.
+// tooling reads. Every check reads the telemetry::json DOM, whose find()
+// sees only the top level of its object, so keys inside nested containers -
+// "args" payloads especially - can never shadow or collide with the fields
+// being checked.
 #pragma once
 
-#include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
-#include "src/telemetry/jsonv.h"
+#include "src/telemetry/json.h"
 
 namespace dspcam::tools::tracelint {
 
@@ -36,128 +33,16 @@ struct LintResult {
 
 namespace detail {
 
-inline std::size_t skip_ws(std::string_view s, std::size_t i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                          s[i] == '\r')) {
-    ++i;
-  }
-  return i;
+using telemetry::json::Value;
+
+/// The number at `v`; nullopt when `v` is absent or not a number.
+inline std::optional<double> number_at(const Value* v) {
+  return v != nullptr ? v->number() : std::nullopt;
 }
 
-/// Span of one balanced JSON value starting at `i` (string, container, or
-/// scalar). Assumes syntactically valid input (callers run jsonv first).
-inline std::size_t value_end(std::string_view s, std::size_t i) {
-  i = skip_ws(s, i);
-  if (i >= s.size()) return i;
-  if (s[i] == '"') {
-    ++i;
-    while (i < s.size()) {
-      if (s[i] == '\\') {
-        i += 2;
-      } else if (s[i] == '"') {
-        return i + 1;
-      } else {
-        ++i;
-      }
-    }
-    return i;
-  }
-  if (s[i] == '{' || s[i] == '[') {
-    int depth = 0;
-    bool in_string = false;
-    while (i < s.size()) {
-      const char c = s[i];
-      if (in_string) {
-        if (c == '\\') {
-          ++i;
-        } else if (c == '"') {
-          in_string = false;
-        }
-      } else if (c == '"') {
-        in_string = true;
-      } else if (c == '{' || c == '[') {
-        ++depth;
-      } else if (c == '}' || c == ']') {
-        if (--depth == 0) return i + 1;
-      }
-      ++i;
-    }
-    return i;
-  }
-  // Scalar: runs to the next structural character.
-  while (i < s.size() && s[i] != ',' && s[i] != '}' && s[i] != ']' &&
-         s[i] != ' ' && s[i] != '\t' && s[i] != '\n' && s[i] != '\r') {
-    ++i;
-  }
-  return i;
-}
-
-/// Raw value of `key` at the TOP level of the object `obj` (which must start
-/// with '{'); nullopt when absent. Nested containers are skipped wholesale,
-/// so an "args" payload can never satisfy (or corrupt) a field lookup.
-inline std::optional<std::string_view> find_field(std::string_view obj,
-                                                  std::string_view key) {
-  std::size_t i = skip_ws(obj, 0);
-  if (i >= obj.size() || obj[i] != '{') return std::nullopt;
-  ++i;
-  while (true) {
-    i = skip_ws(obj, i);
-    if (i >= obj.size() || obj[i] == '}') return std::nullopt;
-    if (obj[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (obj[i] != '"') return std::nullopt;  // Malformed; jsonv caught it.
-    const std::size_t key_start = i + 1;
-    const std::size_t key_close = value_end(obj, i);
-    const std::string_view name = obj.substr(key_start, key_close - key_start - 1);
-    i = skip_ws(obj, key_close);
-    if (i >= obj.size() || obj[i] != ':') return std::nullopt;
-    i = skip_ws(obj, i + 1);
-    const std::size_t vend = value_end(obj, i);
-    if (name == key) return obj.substr(i, vend - i);
-    i = vend;
-  }
-}
-
-/// Items of the array `arr` (which must start with '['), one raw value each.
-inline std::vector<std::string_view> array_items(std::string_view arr) {
-  std::vector<std::string_view> out;
-  std::size_t i = skip_ws(arr, 0);
-  if (i >= arr.size() || arr[i] != '[') return out;
-  ++i;
-  while (true) {
-    i = skip_ws(arr, i);
-    if (i >= arr.size() || arr[i] == ']') return out;
-    if (arr[i] == ',') {
-      ++i;
-      continue;
-    }
-    const std::size_t vend = value_end(arr, i);
-    out.push_back(arr.substr(i, vend - i));
-    i = vend;
-  }
-}
-
-/// Unquoted content of a JSON string value (no unescaping: the emitters
-/// only escape characters that never appear in the names being compared).
-inline std::optional<std::string_view> as_string(std::string_view value) {
-  if (value.size() < 2 || value.front() != '"' || value.back() != '"') {
-    return std::nullopt;
-  }
-  return value.substr(1, value.size() - 2);
-}
-
-inline std::optional<double> as_number(std::string_view value) {
-  if (value.empty() || value == "null" || value.front() == '"' ||
-      value.front() == '{' || value.front() == '[') {
-    return std::nullopt;
-  }
-  const std::string buf(value);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end == buf.c_str()) return std::nullopt;
-  return v;
+/// The string at `v`; nullopt when `v` is absent or not a string.
+inline std::optional<std::string_view> string_at(const Value* v) {
+  return v != nullptr ? v->str() : std::nullopt;
 }
 
 inline LintResult fail(std::string why) {
@@ -165,6 +50,21 @@ inline LintResult fail(std::string why) {
   r.ok = false;
   r.error = std::move(why);
   return r;
+}
+
+/// Why a failed parse is not JSON.
+inline std::string syntax_error(const telemetry::json::Result& r) {
+  return "invalid JSON at byte " + std::to_string(r.error_offset) + ": " + r.error;
+}
+
+/// The MetricRegistry snapshot shape: counters, gauges and histograms.
+inline LintResult lint_metrics(const Value& doc) {
+  for (const char* key : {"counters", "gauges", "histograms"}) {
+    if (doc.find(key) == nullptr) {
+      return fail(std::string("missing top-level \"") + key + "\" key");
+    }
+  }
+  return LintResult{};
 }
 
 }  // namespace detail
@@ -176,67 +76,49 @@ inline LintResult fail(std::string why) {
 /// timestamps per (name, tid) counter track.
 inline LintResult lint_trace(std::string_view text) {
   using namespace detail;
-  const auto syntax = telemetry::jsonv::validate(text);
-  if (!syntax.ok) {
-    return fail("invalid JSON at byte " + std::to_string(syntax.error_offset) +
-                ": " + syntax.error);
-  }
-  if (!telemetry::jsonv::has_top_level_key(text, "traceEvents")) {
-    return fail("missing top-level \"traceEvents\" key");
-  }
-  const auto events = find_field(text, "traceEvents");
-  if (!events || events->empty() || events->front() != '[') {
-    return fail("\"traceEvents\" is not an array");
-  }
+  const telemetry::json::Result doc = telemetry::json::parse(text);
+  if (!doc.ok) return fail(syntax_error(doc));
+  const Value* events = doc.value.find("traceEvents");
+  if (events == nullptr) return fail("missing top-level \"traceEvents\" key");
+  if (!events->is_array()) return fail("\"traceEvents\" is not an array");
   LintResult r;
   // Last timestamp per (counter name, tid): Perfetto draws one counter
   // track per pair, and a track with time running backwards renders as
   // garbage (or not at all).
-  std::map<std::pair<std::string, std::int64_t>, double> last_ts;
+  std::map<std::pair<std::string, double>, double> last_ts;
   std::size_t idx = 0;
-  for (const std::string_view ev : array_items(*events)) {
+  for (const Value& ev : events->items()) {
     const std::string where = "traceEvents[" + std::to_string(idx++) + "]";
-    const auto ph_raw = find_field(ev, "ph");
-    if (!ph_raw) return fail(where + ": missing \"ph\"");
-    const auto ph = as_string(*ph_raw);
+    const Value* ph_raw = ev.find("ph");
+    if (ph_raw == nullptr) return fail(where + ": missing \"ph\"");
+    const auto ph = ph_raw->str();
     if (!ph) return fail(where + ": \"ph\" is not a string");
     if (*ph == "X") {
       ++r.spans;
-      const auto name = find_field(ev, "name");
-      if (!name || !as_string(*name)) {
-        return fail(where + ": span missing \"name\"");
-      }
-      const auto ts = find_field(ev, "ts");
-      if (!ts || !as_number(*ts)) return fail(where + ": span missing \"ts\"");
-      const auto dur = find_field(ev, "dur");
-      if (!dur || !as_number(*dur)) {
-        return fail(where + ": span missing \"dur\"");
-      }
-      if (*as_number(*dur) < 0) {
-        return fail(where + ": span \"" + std::string(*as_string(*name)) +
+      const auto name = string_at(ev.find("name"));
+      if (!name) return fail(where + ": span missing \"name\"");
+      if (!number_at(ev.find("ts"))) return fail(where + ": span missing \"ts\"");
+      const auto dur = number_at(ev.find("dur"));
+      if (!dur) return fail(where + ": span missing \"dur\"");
+      if (*dur < 0) {
+        return fail(where + ": span \"" + std::string(*name) +
                     "\" has negative dur (end precedes start)");
       }
     } else if (*ph == "C") {
       ++r.counters;
-      const auto name_raw = find_field(ev, "name");
-      const auto name = name_raw ? as_string(*name_raw) : std::nullopt;
+      const auto name = string_at(ev.find("name"));
       if (!name) return fail(where + ": counter missing \"name\"");
-      const auto ts_raw = find_field(ev, "ts");
-      const auto ts = ts_raw ? as_number(*ts_raw) : std::nullopt;
+      const auto ts = number_at(ev.find("ts"));
       if (!ts) return fail(where + ": counter missing \"ts\"");
-      const auto args = find_field(ev, "args");
-      if (!args || args->empty() || args->front() != '{') {
+      const Value* args = ev.find("args");
+      if (args == nullptr || !args->is_object()) {
         return fail(where + ": counter missing \"args\" object");
       }
-      const auto value = find_field(*args, "value");
-      if (!value || !as_number(*value)) {
+      if (!number_at(args->find("value"))) {
         return fail(where + ": counter \"args\" missing numeric \"value\"");
       }
-      std::int64_t tid = 0;
-      if (const auto tid_raw = find_field(ev, "tid")) {
-        if (const auto t = as_number(*tid_raw)) tid = static_cast<std::int64_t>(*t);
-      }
-      const auto key = std::make_pair(std::string(*name), tid);
+      const auto key = std::make_pair(std::string(*name),
+                                      number_at(ev.find("tid")).value_or(0.0));
       const auto it = last_ts.find(key);
       if (it != last_ts.end() && *ts < it->second) {
         return fail(where + ": counter track \"" + key.first +
@@ -251,18 +133,9 @@ inline LintResult lint_trace(std::string_view text) {
 
 /// MetricRegistry snapshot: well-formed with counters/gauges/histograms.
 inline LintResult lint_metrics(std::string_view text) {
-  using namespace detail;
-  const auto syntax = telemetry::jsonv::validate(text);
-  if (!syntax.ok) {
-    return fail("invalid JSON at byte " + std::to_string(syntax.error_offset) +
-                ": " + syntax.error);
-  }
-  for (const char* key : {"counters", "gauges", "histograms"}) {
-    if (!telemetry::jsonv::has_top_level_key(text, key)) {
-      return fail(std::string("missing top-level \"") + key + "\" key");
-    }
-  }
-  return LintResult{};
+  const telemetry::json::Result doc = telemetry::json::parse(text);
+  return doc.ok ? detail::lint_metrics(doc.value)
+                : detail::fail(detail::syntax_error(doc));
 }
 
 /// JSON-lines: every non-empty line one well-formed object, at least one.
@@ -278,10 +151,9 @@ inline LintResult lint_jsonl(std::string_view text) {
                                                         : nl - start);
     ++lineno;
     if (!line.empty() && line != "\r") {
-      const auto syntax = telemetry::jsonv::validate(line);
-      if (!syntax.ok) {
-        return fail("line " + std::to_string(lineno) + ": invalid JSON at byte " +
-                    std::to_string(syntax.error_offset) + ": " + syntax.error);
+      const telemetry::json::Result doc = telemetry::json::parse(line);
+      if (!doc.ok) {
+        return fail("line " + std::to_string(lineno) + ": " + syntax_error(doc));
       }
       ++r.rows;
     }
@@ -300,38 +172,32 @@ inline LintResult lint_jsonl(std::string_view text) {
 /// before it starts.
 inline LintResult lint_blackbox(std::string_view text) {
   using namespace detail;
-  const auto syntax = telemetry::jsonv::validate(text);
-  if (!syntax.ok) {
-    return fail("invalid JSON at byte " + std::to_string(syntax.error_offset) +
-                ": " + syntax.error);
-  }
+  const telemetry::json::Result result = telemetry::json::parse(text);
+  if (!result.ok) return fail(syntax_error(result));
+  const Value& doc = result.value;
   for (const char* key : {"kind", "version", "cycle", "reason", "events",
                           "events_recorded", "events_dropped", "health",
                           "metrics", "spans"}) {
-    if (!telemetry::jsonv::has_top_level_key(text, key)) {
+    if (doc.find(key) == nullptr) {
       return fail(std::string("missing top-level \"") + key + "\" key");
     }
   }
-  const auto kind_raw = find_field(text, "kind");
-  const auto kind = kind_raw ? as_string(*kind_raw) : std::nullopt;
-  if (!kind || *kind != "dspcam.blackbox") {
+  if (string_at(doc.find("kind")) != "dspcam.blackbox") {
     return fail("\"kind\" is not \"dspcam.blackbox\"");
   }
-  const auto events = find_field(text, "events");
-  if (!events || events->empty() || events->front() != '[') {
-    return fail("\"events\" is not an array");
-  }
+  const Value& events = *doc.find("events");
+  if (!events.is_array()) return fail("\"events\" is not an array");
   LintResult r;
   double last_seq = -1.0;
   std::size_t idx = 0;
-  for (const std::string_view ev : array_items(*events)) {
+  for (const Value& ev : events.items()) {
     const std::string where = "events[" + std::to_string(idx++) + "]";
     for (const char* key : {"seq", "cycle", "kind", "severity", "what"}) {
-      if (!find_field(ev, key)) {
+      if (ev.find(key) == nullptr) {
         return fail(where + ": missing \"" + std::string(key) + "\"");
       }
     }
-    const auto seq = as_number(*find_field(ev, "seq"));
+    const auto seq = ev.find("seq")->number();
     if (!seq) return fail(where + ": \"seq\" is not a number");
     if (*seq <= last_seq) {
       return fail(where + ": event \"seq\" is not strictly increasing");
@@ -339,31 +205,24 @@ inline LintResult lint_blackbox(std::string_view text) {
     last_seq = *seq;
     ++r.rows;
   }
-  if (const auto metrics = find_field(text, "metrics");
-      metrics && *metrics != "null") {
-    const auto inner = lint_metrics(*metrics);
+  if (const Value& metrics = *doc.find("metrics"); !metrics.is_null()) {
+    const auto inner = lint_metrics(metrics);
     if (!inner.ok) return fail("\"metrics\" section: " + inner.error);
   }
-  if (const auto spans = find_field(text, "spans"); spans && *spans != "null") {
-    if (spans->empty() || spans->front() != '[') {
-      return fail("\"spans\" is not an array or null");
-    }
+  if (const Value& spans = *doc.find("spans"); !spans.is_null()) {
+    if (!spans.is_array()) return fail("\"spans\" is not an array or null");
     std::size_t sidx = 0;
-    for (const std::string_view sp : array_items(*spans)) {
+    for (const Value& sp : spans.items()) {
       const std::string where = "spans[" + std::to_string(sidx++) + "]";
-      const auto start_raw = find_field(sp, "start");
-      const auto end_raw = find_field(sp, "end");
-      const auto start = start_raw ? as_number(*start_raw) : std::nullopt;
-      const auto end = end_raw ? as_number(*end_raw) : std::nullopt;
+      const auto start = number_at(sp.find("start"));
+      const auto end = number_at(sp.find("end"));
       if (!start || !end) return fail(where + ": missing \"start\"/\"end\"");
       if (*end < *start) return fail(where + ": span ends before it starts");
     }
   }
-  if (const auto health = find_field(text, "health");
-      health && *health != "null") {
-    if (health->empty() || health->front() != '{') {
-      return fail("\"health\" is not an object or null");
-    }
+  if (const Value& health = *doc.find("health");
+      !health.is_null() && !health.is_object()) {
+    return fail("\"health\" is not an object or null");
   }
   return r;
 }
