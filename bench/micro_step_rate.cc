@@ -9,10 +9,12 @@
 //           TCAM row's 4096-entry plane is swept by the match kernel. The
 //           "kernel" label says which one answered.
 //   part 3  telemetry overhead: a 4-shard ShardedCamEngine search stream
-//           with the metric registry + sampled span tracer attached,
-//           reported as a ratio against the bare run (acceptance: within
-//           10%). The JSON row carries the registry snapshot under
-//           "telemetry".
+//           bare, with the metric registry + sampled span tracer attached,
+//           and with the health rule pack + flight recorder on top, run
+//           back to back in every repetition. Each row's relative_rate is
+//           the median of the per-rep ratios against the bare run
+//           (acceptance: within 10%), with their p25..p75 beside it. The
+//           telemetry row carries the registry snapshot under "telemetry".
 //   part 7  fused sweep->encode ablation (kernel level, DESIGN.md §14): the
 //           registry's sweep's legacy path (raw sweep -> valid-AND into a
 //           BitVec -> encode_match_lines) against its fused encode_fn, per
@@ -27,6 +29,7 @@
 //
 // Flags: --warmup N --repeat N --json <path>   (default path
 // BENCH_step_rate.json so CI always collects the artifact).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -211,6 +214,17 @@ EncodeWorkload make_encode_workload(unsigned width, unsigned depth,
   return w;
 }
 
+/// The q-quantile of `xs` (0 <= q <= 1), interpolating between order
+/// statistics; 0 for no samples.
+double quantile(std::vector<double> xs, double q) {
+  if (xs.empty()) return 0;
+  std::sort(xs.begin(), xs.end());
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  return xs[lo] + (pos - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+}
+
 /// Keeps the optimizer from deleting the measured loops' work.
 volatile std::uint64_t g_encode_sink = 0;
 
@@ -319,69 +333,79 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Part 3: telemetry overhead on the sharded stream.
-  std::printf("\n%-24s %14s %10s\n", "configuration", "cycles/s", "vs bare");
+  // Part 3: telemetry overhead on the sharded stream. Each repetition runs
+  // the bare, telemetry and health+FDR configurations back to back, so a
+  // rep's two ratios compare runs made under the same host state; the rows
+  // report the median and p25..p75 of those per-rep ratios. The health run
+  // adds the default rule pack, evaluated at every snapshot, and an armed
+  // flight recorder, on its own registry and tracer.
+  std::printf("\n%-24s %14s %10s %16s\n", "configuration", "cycles/s", "vs bare",
+              "p25..p75");
   const unsigned t_shards = 4;
   const std::uint64_t t_cycles = 20'000;
-  const auto bare = dspcam::bench::measure_repeated(opt, [&] {
-    return engine_stream_rate(t_shards, t_cycles).cycles_per_sec;
-  });
-  std::printf("%-24s %14.0f %10s\n", "4 shards, bare", bare.median, "-");
   dspcam::telemetry::MetricRegistry registry;
   dspcam::telemetry::SpanTracer tracer;  // default 1-in-16 sampling
-  const auto traced = dspcam::bench::measure_repeated(opt, [&] {
+  dspcam::telemetry::MetricRegistry h_registry;
+  dspcam::telemetry::SpanTracer h_tracer;
+  dspcam::telemetry::HealthMonitor health(h_registry);
+  health.add_default_rules();
+  dspcam::telemetry::FlightRecorder recorder;
+  std::vector<double> bare_rates, traced_rates, observed_rates, t_ratios, h_ratios;
+  for (unsigned rep = 0; rep < opt.warmup + opt.repeat; ++rep) {
+    const double bare = engine_stream_rate(t_shards, t_cycles).cycles_per_sec;
     registry.reset();
     tracer.clear();
-    return engine_stream_rate(t_shards, t_cycles, &registry, &tracer)
-        .cycles_per_sec;
-  });
-  const double overhead = bare.median > 0 ? traced.median / bare.median : 0;
-  char ratio[32];
-  std::snprintf(ratio, sizeof(ratio), "%.3fx", overhead);
-  std::printf("%-24s %14.0f %10s\n", "4 shards, telemetry", traced.median, ratio);
-  {
+    const double traced =
+        engine_stream_rate(t_shards, t_cycles, &registry, &tracer).cycles_per_sec;
+    h_registry.reset();
+    h_tracer.clear();
+    health.reset();
+    recorder.clear();
+    const double observed = engine_stream_rate(t_shards, t_cycles, &h_registry, &h_tracer,
+                                               &health, &recorder)
+                                .cycles_per_sec;
+    if (rep < opt.warmup) continue;
+    bare_rates.push_back(bare);
+    traced_rates.push_back(traced);
+    observed_rates.push_back(observed);
+    t_ratios.push_back(bare > 0 ? traced / bare : 0);
+    h_ratios.push_back(bare > 0 ? observed / bare : 0);
+  }
+  const auto bare = dspcam::bench::RepeatStats::of(bare_rates);
+  std::printf("%-24s %14.0f %10s\n", "4 shards, bare", bare.median, "-");
+  // One overhead row: the configuration's rate stats and its per-rep ratios.
+  const auto overhead_row = [&](const char* kind, const char* label, const char* rate_name,
+                                const std::vector<double>& rates,
+                                const std::vector<double>& ratios) {
+    const auto rate = dspcam::bench::RepeatStats::of(rates);
+    const double median = dspcam::bench::RepeatStats::of(ratios).median;
+    const double p25 = quantile(ratios, 0.25);
+    const double p75 = quantile(ratios, 0.75);
+    std::printf("%-24s %14.0f %9.3fx %8.3f..%.3f\n", label, rate.median, median, p25, p75);
     auto row = dspcam::bench::JsonLog::Row("micro_step_rate");
-    row.str("kind", "telemetry_overhead")
+    row.str("kind", kind)
         .num("shards", static_cast<std::uint64_t>(t_shards))
         .num("sim_cycles", t_cycles)
-        .num("sample_every", tracer.config().sample_every)
-        .num("relative_rate", overhead)
-        .num("spans_finished", tracer.finished());
+        .num("relative_rate", median)
+        .num("relative_rate_p25", p25)
+        .num("relative_rate_p75", p75);
     dspcam::bench::add_stats(row, "bare_cycles_per_sec", bare);
-    dspcam::bench::add_stats(row, "traced_cycles_per_sec", traced);
+    dspcam::bench::add_stats(row, rate_name, rate);
+    return row;
+  };
+  {
+    auto row = overhead_row("telemetry_overhead", "4 shards, telemetry",
+                            "traced_cycles_per_sec", traced_rates, t_ratios);
+    row.num("sample_every", tracer.config().sample_every)
+        .num("spans_finished", tracer.finished());
     dspcam::bench::add_telemetry(row, registry);
     log.emit(row);
   }
-  // Health plane on top: same stream with the default rule pack evaluated at
-  // every snapshot and the flight recorder armed. Rides the same <10% bar as
-  // the base telemetry row.
   {
-    dspcam::telemetry::HealthMonitor health(registry);
-    health.add_default_rules();
-    dspcam::telemetry::FlightRecorder recorder;
-    const auto observed = dspcam::bench::measure_repeated(opt, [&] {
-      registry.reset();
-      tracer.clear();
-      health.reset();
-      recorder.clear();
-      return engine_stream_rate(t_shards, t_cycles, &registry, &tracer, &health,
-                                &recorder)
-          .cycles_per_sec;
-    });
-    const double h_overhead = bare.median > 0 ? observed.median / bare.median : 0;
-    char h_ratio[32];
-    std::snprintf(h_ratio, sizeof(h_ratio), "%.3fx", h_overhead);
-    std::printf("%-24s %14.0f %10s\n", "4 shards, health+fdr", observed.median,
-                h_ratio);
-    auto row = dspcam::bench::JsonLog::Row("micro_step_rate");
-    row.str("kind", "health_overhead")
-        .num("shards", static_cast<std::uint64_t>(t_shards))
-        .num("sim_cycles", t_cycles)
-        .num("relative_rate", h_overhead)
-        .num("health_evaluations", health.evaluations())
+    auto row = overhead_row("health_overhead", "4 shards, health+fdr",
+                            "observed_cycles_per_sec", observed_rates, h_ratios);
+    row.num("health_evaluations", health.evaluations())
         .num("events_recorded", recorder.recorded());
-    dspcam::bench::add_stats(row, "bare_cycles_per_sec", bare);
-    dspcam::bench::add_stats(row, "observed_cycles_per_sec", observed);
     log.emit(row);
   }
 

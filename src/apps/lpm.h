@@ -35,8 +35,9 @@ class LpmTable {
   LpmTable();  // default Config (a 2K-entry ternary unit)
   explicit LpmTable(const Config& cfg);
 
-  /// Borrows any ternary 32-bit CamBackend (e.g. a CamSystem or a sharded
-  /// engine); the backend is reconfigured to one group and cleared.
+  /// Borrows a ternary 32-bit CamBackend: a CamSystem or a 1-shard engine
+  /// (engines refuse masked cells at S > 1); it is reconfigured to one group
+  /// and cleared.
   /// `slots_per_length` regions must fit its capacity.
   LpmTable(system::CamBackend& backend, unsigned slots_per_length);
 

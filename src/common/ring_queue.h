@@ -137,6 +137,12 @@ class RingQueue {
     --size_;
   }
 
+  /// Drops (destroys) the back element.
+  void pop_back() {
+    std::destroy_at(&(*this)[size_ - 1]);
+    --size_;
+  }
+
   /// Drops every element; the slot array is kept.
   void clear() {
     while (!empty()) pop_front();

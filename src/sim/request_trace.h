@@ -34,6 +34,8 @@ namespace dspcam::sim {
 class RequestTrace {
  public:
   void record(const cam::UnitRequest& request) { requests_.push_back(request); }
+  /// Forgets the last recorded request (one the backend then refused).
+  void drop_last() { requests_.pop_back(); }
 
   const std::vector<cam::UnitRequest>& requests() const noexcept {
     return requests_;

@@ -99,15 +99,39 @@ CamDriver::Ticket CamDriver::submit_async(cam::UnitRequest request) {
   const Ticket ticket = next_ticket_++;
   request.seq = ticket;
   ++inflight_;
+  const std::uint64_t progress = last_progress_cycle_;
   last_progress_cycle_ = polled_cycles_;  // fresh work restarts the stall clock
   outstanding_.push_back(1);
   if (registry_ != nullptr || tracer_ != nullptr) note_submitted(ticket, request.op);
   // With nothing queued ahead the beat is offered at once; only a refused
   // one is queued. A beat behind a refused one is not offered: backend
   // acceptance changes only in step(), and poll() pumps before stepping.
-  if (submit_queue_.empty() && offer(request)) return ticket;
-  submit_queue_.push_back(std::move(request));
+  bool accepted = false;
+  try {
+    accepted = submit_queue_.empty() && offer(request);
+  } catch (...) {  // the backend refused the beat outright
+    withdraw(request, progress);
+    throw;
+  }
+  if (!accepted) submit_queue_.push_back(std::move(request));
+  if (m_submitted_ != nullptr) m_submitted_->inc();
   return ticket;
+}
+
+void CamDriver::withdraw(const cam::UnitRequest& request, std::uint64_t progress) {
+  --next_ticket_;
+  --inflight_;
+  last_progress_cycle_ = progress;
+  outstanding_.pop_back();
+  if (request.op != cam::OpKind::kSearch) ack_ops_.pop_back();
+  if (request_trace_ != nullptr) request_trace_->drop_last();
+  if (const TicketTrace* tr = trace_of(request.seq)) {
+    if (tracer_ != nullptr) {  // newest first, so the span ids rewind too
+      tracer_->discard(tr->queue_span);
+      tracer_->discard(tr->ticket_span);
+    }
+    ticket_traces_.pop_back();
+  }
 }
 
 std::optional<CamDriver::Completion> CamDriver::try_pop_completion() {
@@ -220,7 +244,6 @@ void CamDriver::note_submitted(Ticket ticket, cam::OpKind op) {
     tr.queue_span = tracer_->begin("queue.wait", kTrackQueue, polled_cycles_);
     tracer_->arg(tr.queue_span, "ticket", ticket);
   }
-  if (m_submitted_ != nullptr) m_submitted_->inc();
 }
 
 void CamDriver::note_completed(Ticket ticket) {

@@ -91,6 +91,8 @@ class CamDriver {
   /// keys, a key wider than the backend's data width, or an OpKind outside
   /// the enum throws SimError naming the offending field (kReset/kIdle stay
   /// ConfigError - they are legal ops used through the wrong entry point).
+  /// When the backend's try_submit() throws on the request, the driver is
+  /// left as it was before the call and the exception propagates.
   Ticket submit_async(cam::UnitRequest request);
 
   /// Pops the oldest completion, if any.
@@ -262,6 +264,9 @@ class CamDriver {
   Completion take_completion(Ticket ticket);
   [[noreturn]] void throw_wedged(const char* where);
   void note_submitted(Ticket ticket, cam::OpKind op);
+  /// Takes back the ticket submit_async() just gave `request`, which the
+  /// backend refused by throwing; `progress` is the stall clock before it.
+  void withdraw(const cam::UnitRequest& request, std::uint64_t progress);
   void note_completed(Ticket ticket);
   /// The live trace of `ticket`, or nullptr (submitted untraced, or done).
   TicketTrace* trace_of(Ticket ticket);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <tuple>
 #include <utility>
 
 #include "src/cam/types.h"
@@ -74,30 +75,6 @@ unsigned ShardedCamEngine::shard_of(cam::Word key, unsigned s) const {
   return static_cast<unsigned>(std::min<std::uint64_t>(key / span, s - 1));
 }
 
-unsigned ShardedCamEngine::capacity() const {
-  unsigned total = 0;
-  for (const auto& shard : shards_) total += shard->capacity();
-  return total;
-}
-
-unsigned ShardedCamEngine::words_per_beat() const {
-  unsigned total = 0;
-  for (const auto& shard : shards_) total += shard->words_per_beat();
-  return total;
-}
-
-unsigned ShardedCamEngine::max_keys_per_beat() const {
-  unsigned total = 0;
-  for (const auto& shard : shards_) total += shard->max_keys_per_beat();
-  return total;
-}
-
-unsigned ShardedCamEngine::max_groups() const {
-  unsigned m = shards_.front()->max_groups();
-  for (const auto& shard : shards_) m = std::min(m, shard->max_groups());
-  return m;
-}
-
 void ShardedCamEngine::configure_groups(unsigned m) {
   // A quarantined shard would keep its old grouping and come back from
   // rebuild_shard() out of step with the fleet.
@@ -106,11 +83,6 @@ void ShardedCamEngine::configure_groups(unsigned m) {
     throw SimError("ShardedCamEngine: configure_groups requires an idle engine");
   }
   for (const auto& shard : shards_) shard->configure_groups(m);
-}
-
-unsigned ShardedCamEngine::per_sub(unsigned s, bool search) const {
-  const CamBackend& shard = *shards_[s];
-  return std::max(1u, search ? shard.max_keys_per_beat() : shard.words_per_beat());
 }
 
 bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
@@ -128,9 +100,11 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
   const bool keyed =
       search || (op == cam::OpKind::kUpdate && !request.address.has_value());
   const cam::BeatVec<cam::Word>& values = search ? request.keys : request.words;
-  unsigned target = 0;     // addressed: the shard owning the address,
-  std::uint32_t addr = 0;  // the address within it,
-  unsigned per_beat = 1;   // and the words per sub-request
+  // Values one sub-request carries: keys per search beat, words per update.
+  const unsigned per =
+      std::max(1u, search ? front().max_keys_per_beat() : front().words_per_beat());
+  unsigned target = 0;     // addressed: the shard owning the address
+  std::uint32_t addr = 0;  // and the address within it
 
   // Route: count each shard's sub-requests straight from the beat. A keyed
   // value opens one when its shard has none open or the open one is full
@@ -141,11 +115,11 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
     for (std::uint32_t i = 0; i < values.size(); ++i) {
       const unsigned s = shard_of(values[i]);
       unsigned& n = routed_[s];
-      route_[i] = s | (n == 0 || n % per_sub(s, search) == 0 ? kOpens : 0);
+      route_[i] = s | (n == 0 || n % per == 0 ? kOpens : 0);
       ++n;
     }
   } else if (completes) {
-    const unsigned shard_cap = shards_.front()->capacity();
+    const unsigned shard_cap = front().capacity();
     const std::uint32_t global = request.address.value_or(0);
     target = global / shard_cap;
     if (target >= s_count) {
@@ -154,10 +128,16 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
                          : "ShardedCamEngine: invalidate beyond capacity");
     }
     addr = global % shard_cap;
-    if (op == cam::OpKind::kUpdate) per_beat = per_sub(target, false);
+    for (std::size_t i = 0; s_count > 1 && i < request.words.size(); ++i) {
+      if (shard_of(request.words[i]) != target) {  // its searches would miss it
+        throw SimError("ShardedCamEngine: addressed update of word " +
+                       std::to_string(request.words[i]) + " to shard " +
+                       std::to_string(target) + ", which its searches never reach");
+      }
+    }
     routed_[target] = op == cam::OpKind::kInvalidate
                           ? 1
-                          : static_cast<unsigned>((request.words.size() + per_beat - 1) / per_beat);
+                          : static_cast<unsigned>((request.words.size() + per - 1) / per);
   }
 
   // Feasibility first: the whole beat is accepted or refused atomically.
@@ -168,10 +148,7 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
   for (unsigned s = 0; s < s_count; ++s) {
     unsigned& need = routed_[s];
     if (need == 0 || quarantined_[s]) continue;
-    if (keyed && need > 1) {
-      const unsigned per = per_sub(s, search);
-      need = (need + per - 1) / per;
-    }
+    if (keyed && need > 1) need = (need + per - 1) / per;
     // A reset beat flushes any search still inside the unit pipeline (the
     // hardware produces no result beat for it), which would orphan the
     // engine's completion bookkeeping. The engine therefore fences: a reset
@@ -179,7 +156,7 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
     // for a settling reset.
     const bool owes = !expected_search_[s].empty() || !expected_ack_[s].empty();
     if (!pending_issue_[s].empty() || shards_[s]->request_full() || resetting_[s] ||
-        (completes && credits_[s] < need) || (op == cam::OpKind::kReset && owes)) {
+        (completes && credits(s) < need) || (op == cam::OpKind::kReset && owes)) {
       return false;
     }
     live_subs += need;
@@ -248,15 +225,13 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
     } else {
       expected_ack_[s].push_back({beat_id, span});
     }
-    --credits_[s];
   };
   if (keyed) {
     for (std::uint32_t i = 0; i < values.size(); ++i) {
       const unsigned s = route_[i] & ~kOpens;
       if ((route_[i] & kOpens) == 0 || quarantined_[s]) continue;
-      // The sub-request opened here takes its shard's next per_sub() values.
+      // The sub-request opened here takes its shard's next `per` values.
       ExpectedSearch* exp = search ? &expected_search_[s].emplace_back() : nullptr;
-      const unsigned per = per_sub(s, search);
       issue(s, request, [&](cam::UnitRequest& sub) {
         for (std::uint32_t j = i, n = 0; n < per && j < values.size(); ++j) {
           if ((route_[j] & ~kOpens) != s) continue;
@@ -280,8 +255,8 @@ bool ShardedCamEngine::try_submit(cam::UnitRequest request) {
     }
   } else if (completes && !quarantined_[target]) {  // addressed write, invalidate
     const std::size_t words = op == cam::OpKind::kUpdate ? request.words.size() : 0;
-    for (std::size_t lo = 0, k = 0; k < routed_[target]; ++k, lo += per_beat) {
-      const std::size_t hi = std::min(words, lo + per_beat);
+    for (std::size_t lo = 0, k = 0; k < routed_[target]; ++k, lo += per) {
+      const std::size_t hi = std::min(words, lo + per);
       issue(target, request, [&](cam::UnitRequest& sub) {
         sub.address = addr + static_cast<std::uint32_t>(lo);
         sub.words.assign(request.words.begin() + lo, request.words.begin() + hi);
@@ -348,7 +323,6 @@ void ShardedCamEngine::collect() {
       }
       --beat.pending;
       beat.ready = std::max(beat.ready, cycles_ + 1);
-      ++credits_[s];
       expected_search_[s].pop_front();
     }
     while (auto ack = shards_[s]->try_pop_ack()) {
@@ -363,7 +337,6 @@ void ShardedCamEngine::collect() {
       beat.ack.unit_full = beat.ack.unit_full || ack->unit_full;
       --beat.pending;
       beat.ready = std::max(beat.ready, cycles_ + 1);
-      ++credits_[s];
     }
   }
 }
@@ -394,7 +367,7 @@ bool ShardedCamEngine::request_full() const {
   for (unsigned s = 0; s < shard_count(); ++s) {
     if (quarantined_[s]) continue;
     if (!pending_issue_[s].empty() || shards_[s]->request_full() ||
-        credits_[s] == 0 || (resetting_[s] && !shards_[s]->idle())) {
+        credits(s) == 0 || (resetting_[s] && !shards_[s]->idle())) {
       return true;  // conservative: some target would refuse
     }
   }
@@ -550,7 +523,6 @@ std::uint64_t ShardedCamEngine::drain_to_idle(std::uint64_t budget, const char* 
 }
 
 void ShardedCamEngine::reopen_shard(unsigned s, bool quarantined) {
-  credits_[s] = cfg_.credits_per_shard;
   resetting_[s] = 0;
   quarantined_[s] = quarantined ? 1 : 0;
   pending_issue_[s].clear();
@@ -574,38 +546,41 @@ void ShardedCamEngine::install_fleet(unsigned count) {
     if (groups != 0 && shard->max_keys_per_beat() != groups) shard->configure_groups(groups);
     fleet.push_back(std::move(shard));
   }
-  const CamBackend& like = shards_.empty() ? *fleet.front() : *shards_.front();
+  // The fleet contract: every quantity the engine aggregates or indexes by
+  // is S x the front shard's, and a masked entry, stored on one shard but
+  // covering keys of many, is never split across shards.
+  const auto shape = [](CamBackend& b) {
+    const fault::FaultTarget* window = b.fault_target();
+    return std::tuple(b.data_width(), b.kind(), b.capacity(), b.words_per_beat(),
+                      b.max_keys_per_beat(), b.max_groups(), window ? window->entry_count() : 0,
+                      window && window->parity_protected());
+  };
+  CamBackend& like = shards_.empty() ? *fleet.front() : *shards_.front();
   for (const auto& shard : fleet) {
-    if (shard->data_width() != like.data_width() || shard->kind() != like.kind() ||
-        shard->capacity() != like.capacity()) {
-      throw ConfigError("ShardedCamEngine: shards must be homogeneous (same "
-                        "data width, kind and capacity)");
+    if (shape(*shard) != shape(like)) {
+      throw ConfigError("ShardedCamEngine: shards must be homogeneous (same data width, "
+                        "kind, capacity, bandwidth, group limit and fault window)");
     }
+  }
+  if (count > 1 && like.kind() != cam::CamKind::kBinary) {
+    throw ConfigError("ShardedCamEngine: " + cam::to_string(like.kind()) +
+                      " cells need 1 shard - a masked entry would sit on one shard "
+                      "while the keys it covers route to others");
   }
   shards_ = std::move(fleet);
   cfg_.shards = count;
-  credits_.resize(count);
   resetting_.resize(count);
   quarantined_.resize(count);
   pending_issue_.resize(count);
   expected_search_.resize(count);
   expected_ack_.resize(count);
   for (unsigned s = 0; s < count; ++s) reopen_shard(s, false);
-  // Compose the shards' fault windows when every shard exposes one; a
-  // single opaque shard disables injection for the whole engine (a partial
-  // window would silently skew campaign statistics).
+  // Compose the shards' fault windows; the contract makes them all present
+  // and the same size, or all absent.
   fault_target_.reset();
-  std::vector<fault::FaultTarget*> parts;
-  parts.reserve(count);
-  for (auto& shard : shards_) {
-    fault::FaultTarget* target = shard->fault_target();
-    if (target == nullptr) {
-      parts.clear();
-      break;
-    }
-    parts.push_back(target);
-  }
-  if (!parts.empty()) {
+  if (shards_.front()->fault_target() != nullptr) {
+    std::vector<fault::FaultTarget*> parts;
+    for (auto& shard : shards_) parts.push_back(shard->fault_target());
     fault_target_ = std::make_unique<CompositeFaultTarget>(std::move(parts));
   }
   if (tracer_ != nullptr) set_span_tracer(tracer_);  // name the new shard tracks
@@ -701,7 +676,7 @@ ShardedCamEngine::EngineCheckpoint ShardedCamEngine::checkpoint() {
   ckpt.shards = shard_count();
   ckpt.partition = cfg_.partition;
   ckpt.key_bits = cfg_.key_bits;
-  ckpt.shard_capacity = shards_.front()->capacity();
+  ckpt.shard_capacity = front().capacity();
   ckpt.shard_snaps.reserve(shard_count());
   for (unsigned s = 0; s < shard_count(); ++s) {
     ckpt.shard_snaps.push_back(snapshot_shard(s));
@@ -730,11 +705,11 @@ void ShardedCamEngine::restore(const EngineCheckpoint& ckpt) {
   adopted.key_bits = ckpt.key_bits;
   adopted.validate();
   // A rebuilt fleet keeps the current geometry, so its capacity is known now.
-  if (shards_.front()->capacity() != ckpt.shard_capacity) {
+  if (front().capacity() != ckpt.shard_capacity) {
     throw SimError("ShardedCamEngine::restore: checkpoint assumes shard "
                    "capacity " + std::to_string(ckpt.shard_capacity) +
                    ", this engine's shards hold " +
-                   std::to_string(shards_.front()->capacity()));
+                   std::to_string(front().capacity()));
   }
   for (unsigned s = 0; s < ckpt.shards; ++s) check_snapshot(s, ckpt.shard_snaps[s]);
 
@@ -794,13 +769,10 @@ void ShardedCamEngine::rebuild_shard(unsigned s, const fault::Scrubber& scrubber
                    std::to_string(fault_target_->entry_count()) +
                    " - the scrubber was captured over a different target");
   }
-  std::size_t base = 0;  // this shard's offset in the composite window
-  for (unsigned i = 0; i < s; ++i) base += shards_[i]->fault_target()->entry_count();
   // Storage plane only: quarantine never corrupts the host-side fill
   // cursors, so the shard keeps its own.
-  rebuild(s, "golden shadow",
-          std::span(golden).subspan(base, shards_[s]->fault_target()->entry_count()),
-          nullptr);
+  const std::size_t per_shard = golden.size() / shard_count();
+  rebuild(s, "golden shadow", std::span(golden).subspan(s * per_shard, per_shard), nullptr);
 }
 
 std::vector<std::vector<fault::EntryState>> ShardedCamEngine::place(
@@ -820,6 +792,10 @@ ShardedCamEngine::ReshardReport ShardedCamEngine::reshard(unsigned new_shard_cou
     throw SimError(
         "ShardedCamEngine::reshard currently supports the hash partitioner "
         "only; range re-splitting is a planned follow-on");
+  }
+  if (kind() != cam::CamKind::kBinary) {
+    throw ConfigError("ShardedCamEngine::reshard: " + cam::to_string(kind()) +
+                      " cells run on 1 shard only");
   }
   require_in_service("ShardedCamEngine::reshard");
 
@@ -842,7 +818,7 @@ ShardedCamEngine::ReshardReport ShardedCamEngine::reshard(unsigned new_shard_cou
     entries.insert(entries.end(), shard_entries.begin(), shard_entries.end());
   }
   const auto buckets = place(entries, new_shard_count);
-  const unsigned shard_cap = shards_.front()->capacity();  // rebuilds keep it
+  const unsigned shard_cap = front().capacity();  // rebuilds keep it
   for (unsigned s = 0; s < new_shard_count; ++s) {
     if (buckets[s].size() > shard_cap) {
       throw SimError("ShardedCamEngine::reshard: " +
@@ -858,17 +834,11 @@ ShardedCamEngine::ReshardReport ShardedCamEngine::reshard(unsigned new_shard_cou
 
   // Redistribute through each new shard's own protocol port (a driver's
   // store()), so parity and fill bookkeeping follow the legitimate write
-  // path. Per-entry masks only exist off the binary mode (CamUnit refuses
-  // masked updates on kBinary).
-  const bool masked = kind() != cam::CamKind::kBinary;
+  // path.
   for (unsigned s = 0; s < new_shard_count; ++s) {
     std::vector<cam::Word> words;
-    std::vector<std::uint64_t> masks;
-    for (const fault::EntryState& e : buckets[s]) {
-      words.push_back(e.stored);
-      if (masked) masks.push_back(e.mask);
-    }
-    const unsigned written = CamDriver(*shards_[s]).store(words, masks);
+    for (const fault::EntryState& e : buckets[s]) words.push_back(e.stored);
+    const unsigned written = CamDriver(*shards_[s]).store(words);
     if (written != words.size()) {
       throw SimError("ShardedCamEngine::reshard: new shard " + std::to_string(s) +
                      " wrote " + std::to_string(written) + " of " +
@@ -906,7 +876,7 @@ std::string ShardedCamEngine::debug_dump() const {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "; shard%u: credits=%u parked=%zu exp_search=%zu exp_ack=%zu%s%s",
-                  s, credits_[s], pending_issue_[s].size(),
+                  s, credits(s), pending_issue_[s].size(),
                   expected_search_[s].size(), expected_ack_[s].size(),
                   resetting_[s] ? " RESETTING" : "",
                   quarantined_[s] ? " QUARANTINED" : "");
@@ -933,44 +903,9 @@ std::string ShardedCamEngine::debug_dump() const {
 
 // --- CompositeFaultTarget. ---
 
-ShardedCamEngine::CompositeFaultTarget::CompositeFaultTarget(
-    std::vector<fault::FaultTarget*> parts)
-    : parts_(std::move(parts)) {
-  cumulative_.reserve(parts_.size());
-  for (const fault::FaultTarget* part : parts_) {
-    cumulative_.push_back(total_);
-    total_ += part->entry_count();
-  }
-}
-
-bool ShardedCamEngine::CompositeFaultTarget::parity_protected() const {
-  for (const fault::FaultTarget* part : parts_) {
-    if (!part->parity_protected()) return false;
-  }
-  return true;
-}
-
-fault::FaultTarget* ShardedCamEngine::CompositeFaultTarget::locate(
-    std::size_t entry, std::size_t& local) const {
-  if (entry >= total_) {
-    throw SimError("CompositeFaultTarget: entry index out of range");
-  }
-  std::size_t s = parts_.size() - 1;
-  while (cumulative_[s] > entry) --s;
-  local = entry - cumulative_[s];
-  return parts_[s];
-}
-
-fault::EntryState ShardedCamEngine::CompositeFaultTarget::peek(
-    std::size_t entry) const {
-  std::size_t local = 0;
-  return locate(entry, local)->peek(local);
-}
-
-void ShardedCamEngine::CompositeFaultTarget::poke(std::size_t entry,
-                                                  const fault::EntryState& state) {
-  std::size_t local = 0;
-  locate(entry, local)->poke(local, state);
+fault::FaultTarget& ShardedCamEngine::CompositeFaultTarget::part(std::size_t entry) const {
+  if (entry >= entry_count()) throw SimError("CompositeFaultTarget: entry index out of range");
+  return *parts_[entry / per_];
 }
 
 void ShardedCamEngine::record_telemetry(telemetry::MetricRegistry& registry,
@@ -995,7 +930,7 @@ void ShardedCamEngine::record_telemetry(telemetry::MetricRegistry& registry,
       .update_to(reshard_pause_cycles_);
   for (unsigned s = 0; s < shard_count(); ++s) {
     const std::string sp = prefix + ".shard" + std::to_string(s);
-    registry.gauge(sp + ".credits").set(static_cast<std::int64_t>(credits_[s]));
+    registry.gauge(sp + ".credits").set(static_cast<std::int64_t>(credits(s)));
     registry.gauge(sp + ".parked")
         .set(static_cast<std::int64_t>(pending_issue_[s].size()));
     registry.gauge(sp + ".expected_search")
@@ -1032,8 +967,8 @@ void ShardedCamEngine::record_counter_tracks(telemetry::SpanTracer& tracer,
     tracer.counter(sp + ".parked", cycle,
                    static_cast<std::int64_t>(pending_issue_[s].size()));
     tracer.counter(sp + ".credits_used", cycle,
-                   static_cast<std::int64_t>(cfg_.credits_per_shard) -
-                       static_cast<std::int64_t>(credits_[s]));
+                   static_cast<std::int64_t>(expected_search_[s].size() +
+                                             expected_ack_[s].size()));
     shards_[s]->record_counter_tracks(tracer, sp, cycle);
   }
 }

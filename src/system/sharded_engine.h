@@ -16,8 +16,11 @@
 //    each key. The same partitioner on both sides keeps lookups consistent.
 //  - Addressed update / invalidate interpret the address as global:
 //    shard = address / shard_capacity (range-partitioned address space).
-//    With the hash partitioner, addressed writes are the caller's contract -
-//    the engine does not re-hash them.
+//    At S > 1 an addressed update whose words do not all partition to that
+//    shard is refused (SimError, nothing changes).
+//  - Every fleet (construction, restore(), reshard()) is homogeneous in all
+//    the engine aggregates or indexes by, and binary at S > 1: a masked
+//    entry covers keys of many shards but is stored on one.
 //  - Responses and acks each complete in submission order (reorder buffers);
 //    per-key results keep their beat positions, with `shard` and a rebased
 //    `global_address` (shard * shard_capacity + local) filled in.
@@ -35,6 +38,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/ring_queue.h"
@@ -78,8 +82,8 @@ class ShardedCamEngine : public CamBackend {
 
   using ShardFactory = std::function<std::unique_ptr<CamBackend>(unsigned shard)>;
 
-  /// Builds S shards via `make_shard(0..S-1)`. Shards must be homogeneous
-  /// (same width/kind/capacity).
+  /// Builds S shards via `make_shard(0..S-1)`. Throws ConfigError unless the
+  /// fleet meets the contract above.
   ShardedCamEngine(const Config& cfg, const ShardFactory& make_shard);
 
   /// Convenience: S identical DSP CamSystems.
@@ -97,12 +101,14 @@ class ShardedCamEngine : public CamBackend {
 
   // --- CamBackend geometry. ---
 
-  unsigned data_width() const override { return shards_.front()->data_width(); }
-  cam::CamKind kind() const override { return shards_.front()->kind(); }
-  unsigned capacity() const override;  ///< Sum of shard capacities.
-  unsigned words_per_beat() const override;     ///< Aggregate update bandwidth.
-  unsigned max_keys_per_beat() const override;  ///< Aggregate search bandwidth.
-  unsigned max_groups() const override;
+  unsigned data_width() const override { return front().data_width(); }
+  cam::CamKind kind() const override { return front().kind(); }
+  unsigned capacity() const override { return shard_count() * front().capacity(); }
+  unsigned words_per_beat() const override { return shard_count() * front().words_per_beat(); }
+  unsigned max_keys_per_beat() const override {
+    return shard_count() * front().max_keys_per_beat();
+  }
+  unsigned max_groups() const override { return front().max_groups(); }
   /// Broadcast; requires an idle engine with no shard quarantined.
   void configure_groups(unsigned m) override;
 
@@ -231,9 +237,9 @@ class ShardedCamEngine : public CamBackend {
   /// completed beats stay poppable), collects every valid entry in
   /// deterministic shard-then-address order, rebuilds the fleet at
   /// `new_shard_count` through the stored factory, and re-appends each entry
-  /// to the shard the new partitioner picks. Hash partitioner only for now;
-  /// requires no quarantined shards. Invalid holes are compacted away;
-  /// addressed-op traces spanning a reshard are the caller's contract.
+  /// to the shard the new partitioner picks. Hash partitioner and binary
+  /// cells only; requires no quarantined shards. Invalid holes are compacted
+  /// away; addressed-op traces spanning a reshard are the caller's contract.
   /// Fails closed: when some new shard could not hold every entry the new
   /// partitioner sends it, reshard throws before the fleet is replaced.
   ReshardReport reshard(unsigned new_shard_count);
@@ -315,28 +321,37 @@ class ShardedCamEngine : public CamBackend {
   };
 
   /// Concatenation of the shards' fault windows: entry i belongs to shard
-  /// i / per_shard (homogeneous capacity makes the arithmetic exact).
+  /// i / per_shard (the fleet contract makes every window the same size).
   class CompositeFaultTarget final : public fault::FaultTarget {
    public:
-    explicit CompositeFaultTarget(std::vector<fault::FaultTarget*> parts);
+    explicit CompositeFaultTarget(std::vector<fault::FaultTarget*> parts)
+        : parts_(std::move(parts)), per_(parts_.front()->entry_count()) {}
 
-    std::size_t entry_count() const override { return total_; }
+    std::size_t entry_count() const override { return parts_.size() * per_; }
     unsigned entry_bits() const override { return parts_.front()->entry_bits(); }
-    bool parity_protected() const override;
-    fault::EntryState peek(std::size_t entry) const override;
-    void poke(std::size_t entry, const fault::EntryState& state) override;
+    bool parity_protected() const override { return parts_.front()->parity_protected(); }
+    fault::EntryState peek(std::size_t entry) const override {
+      return part(entry).peek(entry % per_);
+    }
+    void poke(std::size_t entry, const fault::EntryState& state) override {
+      part(entry).poke(entry % per_, state);
+    }
 
    private:
-    fault::FaultTarget* locate(std::size_t entry, std::size_t& local) const;
+    /// The shard window holding `entry`; throws SimError past the end.
+    fault::FaultTarget& part(std::size_t entry) const;
 
     std::vector<fault::FaultTarget*> parts_;
-    std::vector<std::size_t> cumulative_;  ///< Exclusive prefix sums of counts.
-    std::size_t total_ = 0;
+    std::size_t per_;  ///< Entries per shard window.
   };
 
-  /// Values one sub-request to shard `s` carries: keys per search beat,
-  /// words per update beat.
-  unsigned per_sub(unsigned s, bool search) const;
+  /// The fleet's shape: every shard matches it (install_fleet()).
+  const CamBackend& front() const { return *shards_.front(); }
+  /// Credits shard `s` has left: one per sub-operation it owes.
+  unsigned credits(unsigned s) const {
+    return cfg_.credits_per_shard -
+           static_cast<unsigned>(expected_search_[s].size() + expected_ack_[s].size());
+  }
   /// Hands shard `s` a sub-request of `beat`'s op and seq whose payload
   /// `fill(sub)` writes: into its FIFO when it has room, else parked in
   /// pending_issue_[s].
@@ -374,12 +389,12 @@ class ShardedCamEngine : public CamBackend {
   std::uint64_t drain_to_idle(std::uint64_t budget, const char* who);
   /// Replaces the fleet with `count` shards from the stored factory, keeping
   /// the current grouping (configure_groups() is not the factory's), and
-  /// reopens every slot. Checks that the new shards are homogeneous with the
-  /// current ones (or each other at construction) before changing anything.
+  /// reopens every slot. Checks the fleet contract against the current
+  /// shards (or each other at construction) before changing anything.
   /// Requires settled shards.
   void install_fleet(unsigned count);
-  /// Resets shard `s`'s bookkeeping - full credits, no reset fence, nothing
-  /// parked or expected - and sets its quarantine flag to `quarantined`.
+  /// Resets shard `s`'s bookkeeping - no reset fence, nothing parked or
+  /// expected - and sets its quarantine flag to `quarantined`.
   void reopen_shard(unsigned s, bool quarantined);
   /// Purges shard `s`, pokes `entries` into its storage and restores its
   /// fill cursors when given (null keeps the shard's own).
@@ -401,7 +416,6 @@ class ShardedCamEngine : public CamBackend {
   Config cfg_;
   ShardFactory make_shard_;  ///< Rebuilds shards for restore()/reshard().
   std::vector<std::unique_ptr<CamBackend>> shards_;
-  std::vector<unsigned> credits_;
   std::vector<char> resetting_;    ///< Shards settling a reset (fenced).
   std::vector<char> quarantined_;  ///< Shards taken out of service.
   std::unique_ptr<CompositeFaultTarget> fault_target_;  ///< Null if unsupported.

@@ -59,6 +59,12 @@ void SpanTracer::end(SpanId id, std::uint64_t ts) {
   ++finished_;
 }
 
+void SpanTracer::discard(SpanId id) {
+  if (id == kNone || open_.erase(id) == 0) return;
+  --started_;
+  if (id + 1 == next_id_) --next_id_;
+}
+
 void SpanTracer::push_finished(Span span) {
   if (ring_.size() < cfg_.capacity) {
     ring_.push_back(std::move(span));

@@ -87,6 +87,10 @@ class SpanTracer {
   /// kNone or an unknown (orphaned) id.
   void end(SpanId id, std::uint64_t ts);
 
+  /// Forgets an open span as if it had never begun (work that was refused
+  /// before it started). No-op for kNone or an unknown id.
+  void discard(SpanId id);
+
   /// Names a track in the exported trace (Chrome thread_name metadata).
   void set_track_name(std::uint64_t track, std::string name);
 

@@ -8,6 +8,7 @@
 #include "src/common/error.h"
 #include "src/common/random.h"
 #include "src/system/cam_system.h"
+#include "src/system/sharded_engine.h"
 
 namespace dspcam::apps {
 namespace {
@@ -171,6 +172,46 @@ TEST(LpmTable, RunsOnBorrowedBackend) {
   binary_cfg.unit.block.cell.kind = cam::CamKind::kBinary;
   system::CamSystem binary(binary_cfg);
   EXPECT_THROW(LpmTable(binary, 4), ConfigError) << "binary backend refused";
+}
+
+// 192.168.{0..3}.0/24 plus 192.0.0.0/8, 8 slots per length, then 60 lookups:
+// the /24s' next hops, the /8's, and misses.
+std::vector<std::optional<std::uint32_t>> lookups_of_five_routes(system::CamBackend& backend) {
+  LpmTable lpm(backend, /*slots_per_length=*/8);
+  for (unsigned x = 0; x < 4; ++x) EXPECT_TRUE(lpm.add_route(ip(192, 168, x, 0), 24, 1 + x));
+  EXPECT_TRUE(lpm.add_route(ip(192, 0, 0, 0), 8, 99));
+  std::vector<std::optional<std::uint32_t>> out;
+  for (unsigned i = 0; i < 60; ++i) out.push_back(lpm.lookup(ip(191 + i % 3, 168, i % 6, 7 * i)));
+  return out;
+}
+
+// A routing table runs on one shard: over a 1-shard engine it answers as
+// over a CamSystem.
+TEST(LpmTable, OneShardEngineLooksUpAsCamSystem) {
+  auto cam = small_config().cam;
+  cam.unit.unit_size = 8;  // 512 entries for 33 x 8 slots
+  system::CamSystem bare(cam);
+  const auto want = lookups_of_five_routes(bare);
+  for (unsigned i = 0; i < want.size(); ++i) {
+    const unsigned x = i % 6;
+    const std::optional<std::uint32_t> hop =
+        i % 3 != 1 ? std::nullopt : std::optional<std::uint32_t>(x < 4 ? 1 + x : 99);
+    EXPECT_EQ(want[i], hop) << "lookup " << i;
+  }
+  system::ShardedCamEngine engine(system::ShardedCamEngine::Config{}, cam);
+  EXPECT_EQ(lookups_of_five_routes(engine), want);
+}
+
+// A prefix's entry covers keys of many shards but would sit on one, so an
+// engine of more shards refuses the ternary cells the table needs.
+TEST(LpmTable, MultiShardEngineIsRefused) {
+  for (const auto partition : {system::ShardedCamEngine::Partition::kHash,
+                               system::ShardedCamEngine::Partition::kRange}) {
+    system::ShardedCamEngine::Config cfg;
+    cfg.shards = 4;
+    cfg.partition = partition;
+    EXPECT_THROW(system::ShardedCamEngine(cfg, small_config().cam), ConfigError);
+  }
 }
 
 }  // namespace

@@ -261,13 +261,17 @@ system::CamSystem::Config sharded_shard_cfg() {
 }
 
 /// Beat `i` of the sharded_churn stream: a 4-key search, or an addressed
-/// single-word rewrite every 16th beat.
-UnitRequest churn_beat(Rng& rng, unsigned capacity, std::size_t i) {
+/// single-word rewrite every 16th beat. The rewrite draws a word that
+/// partitions to the shard owning the address, as the engine requires.
+UnitRequest churn_beat(Rng& rng, const system::ShardedCamEngine& engine, std::size_t i) {
   UnitRequest q;
   if (i % 16 == 15) {
     q.op = OpKind::kUpdate;
-    q.address = static_cast<std::uint32_t>(rng.next_below(capacity));
-    q.words = {rng.next_bits(20)};
+    const std::uint32_t address = static_cast<std::uint32_t>(rng.next_below(engine.capacity()));
+    Word w = rng.next_bits(20);
+    while (engine.shard_of(w) != address / engine.shard(0).capacity()) w = rng.next_bits(20);
+    q.address = address;
+    q.words = {w};
   } else {
     q.op = OpKind::kSearch;
     for (unsigned k = 0; k < 4; ++k) q.keys.push_back(rng.next_bits(20));
@@ -427,12 +431,11 @@ TEST_F(AllocGuard, DriverTurnsAreAllocFreeOnTheBenchShapes) {
     ec.credits_per_shard = 64;
     system::ShardedCamEngine engine(ec, sharded_shard_cfg());
     system::CamDriver drv(engine);
-    const unsigned cap = engine.capacity();
     Rng rng(0xC4A2);
     std::uint64_t sum = 0;
     const std::size_t allocs = measure_driver_rounds(
         drv, kRounds, kWarm, kBeats, 16,
-        [&](std::size_t, std::size_t i) { return churn_beat(rng, cap, i); },
+        [&](std::size_t, std::size_t i) { return churn_beat(rng, engine, i); },
         nothing, &sum);
     EXPECT_EQ(allocs, 0u) << "sharded_churn shape";
     EXPECT_NE(sum, 0u);
@@ -507,12 +510,11 @@ TEST_F(AllocGuard, DriverTurnsWithMetricsAttachedAreAllocFree) {
   system::CamDriver drv(engine);
   telemetry::MetricRegistry registry;
   drv.attach_telemetry(&registry, nullptr, /*snapshot_every=*/std::uint64_t{1} << 40);
-  const unsigned cap = engine.capacity();
   Rng rng(0xC4A3);
   std::uint64_t sum = 0;
   const std::size_t allocs = measure_driver_rounds(
       drv, kRounds, /*warm=*/1, kBeats, 16,
-      [&](std::size_t, std::size_t i) { return churn_beat(rng, cap, i); },
+      [&](std::size_t, std::size_t i) { return churn_beat(rng, engine, i); },
       [](std::size_t) {}, &sum);
   EXPECT_EQ(allocs, 0u);
   EXPECT_NE(sum, 0u);

@@ -25,7 +25,9 @@ TEST(RingQueue, MatchesDequeThroughWrapAndGrowth) {
       model.push_back({next, -next});
       ++next;
     }
-    for (int i = 0; i < pushes - 3; ++i) {
+    ring.pop_back();  // drops the newest, wherever the ring has wrapped it
+    model.pop_back();
+    for (int i = 0; i < pushes - 4; ++i) {
       ASSERT_EQ(ring.front(), model.front());
       ring.pop_front();
       model.pop_front();
@@ -50,6 +52,8 @@ TEST(RingQueue, PopAndClearReleaseElements) {
   EXPECT_EQ(token.use_count(), 4);
   ring.pop_front();
   EXPECT_EQ(token.use_count(), 3);
+  ring.pop_back();
+  EXPECT_EQ(token.use_count(), 2);
   ring.clear();
   EXPECT_EQ(token.use_count(), 1);
 }

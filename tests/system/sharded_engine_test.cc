@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -16,6 +17,8 @@
 #include "src/common/error.h"
 #include "src/common/random.h"
 #include "src/system/driver.h"
+#include "src/telemetry/metrics.h"
+#include "src/telemetry/span.h"
 
 namespace dspcam::system {
 namespace {
@@ -245,8 +248,8 @@ TEST(ShardedCamEngine, AddressedUpdateAndInvalidateUseGlobalAddresses) {
   CamDriver drv(engine);
   const unsigned shard_cap = engine.shard(0).capacity();
 
-  // Addressed writes are the caller's contract: to be findable, the slot
-  // must sit in the slice of the shard the partitioner routes the key to.
+  // To be findable, the slot must sit in the slice of the shard the
+  // partitioner routes the key to; the engine refuses any other slot.
   const unsigned s = engine.shard_of(777);
   const std::uint32_t addr = s * shard_cap + 5;
   drv.store_at(addr, 777);
@@ -259,6 +262,232 @@ TEST(ShardedCamEngine, AddressedUpdateAndInvalidateUseGlobalAddresses) {
   EXPECT_FALSE(drv.search(777).hit);
 
   EXPECT_THROW(drv.store_at(4 * shard_cap, 1), SimError);
+  EXPECT_THROW(drv.store_at((s + 1) % 4 * shard_cap + 5, 777), SimError);
+  // Each refusal left the driver as it was: no ticket stays counted, and the
+  // same driver still searches and stores.
+  EXPECT_EQ(drv.inflight(), 0u);
+  EXPECT_FALSE(drv.search(777).hit);
+  drv.store_at(addr, 777);
+  res = drv.search(777);
+  ASSERT_TRUE(res.hit);
+  EXPECT_EQ(res.global_address, addr);
+}
+
+// A beat the backend refuses by throwing takes no ticket: the driver's
+// metrics, spans, request record and ticket numbering are as they were.
+TEST(ShardedCamEngine, RefusedBeatLeavesNoTraceInTheDriver) {
+  ShardedCamEngine engine(engine_config(4), shard_config());
+  CamDriver drv(engine);
+  telemetry::MetricRegistry registry;
+  telemetry::SpanTracer tracer(telemetry::SpanTracer::Config{.sample_every = 1});
+  sim::RequestTrace trace;
+  drv.attach_telemetry(&registry, &tracer);
+  drv.set_request_trace(&trace);
+  const unsigned shard_cap = engine.shard(0).capacity();
+  drv.store_at(engine.shard_of(5) * shard_cap, 5);
+  const std::uint64_t submitted = registry.counter("driver.submitted").value();
+  const std::uint64_t started = tracer.started();
+  const std::size_t recorded = trace.size();
+
+  EXPECT_THROW(drv.store_at((engine.shard_of(6) + 1) % 4 * shard_cap, 6), SimError);
+  EXPECT_EQ(drv.inflight(), 0u);
+  EXPECT_EQ(registry.counter("driver.submitted").value(), submitted);
+  EXPECT_EQ(tracer.started(), started);
+  EXPECT_EQ(tracer.open_count(), 0u);
+  EXPECT_EQ(trace.size(), recorded);
+
+  cam::UnitRequest search;
+  search.op = cam::OpKind::kSearch;
+  search.keys = {5};
+  EXPECT_EQ(drv.submit_async(search), 2u) << "the refused beat's ticket is reused";
+  drv.drain();
+  const auto done = drv.try_pop_completion();
+  ASSERT_TRUE(done.has_value());
+  EXPECT_TRUE(done->results[0].hit);
+  EXPECT_EQ(tracer.open_count(), 0u);
+}
+
+// Binary store_at(8 i, key_i) over four shards: every write whose key
+// partitions off the addressed shard is refused, so a later search can never
+// miss a stored key. Stored on their owning shards instead, all 64 are found.
+TEST(ShardedCamEngine, OffShardAddressedWritesAreRefused) {
+  ShardedCamEngine engine(engine_config(4), shard_config());
+  CamDriver drv(engine);
+  const unsigned shard_cap = engine.shard(0).capacity();
+  std::vector<cam::Word> keys(64);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 1000 + 7919 * i;
+
+  unsigned refused = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto address = static_cast<std::uint32_t>(8 * i);
+    if (engine.shard_of(keys[i]) == address / shard_cap) {
+      drv.store_at(address, keys[i]);
+      continue;
+    }
+    const std::string before = engine.debug_dump();
+    EXPECT_THROW(drv.store_at(address, keys[i]), SimError) << "key " << keys[i];
+    EXPECT_EQ(engine.debug_dump(), before) << "a refused write changed the engine";
+    EXPECT_EQ(drv.inflight(), 0u);
+    ++refused;
+  }
+  EXPECT_GT(refused, 32u);
+
+  // Odd slots of each key's own shard; the 8 i slots above are even.
+  std::vector<unsigned> next(4);
+  for (const cam::Word key : keys) {
+    const unsigned owner = engine.shard_of(key);
+    drv.store_at(owner * shard_cap + 1 + 2 * next[owner]++, key);
+  }
+  unsigned found = 0;
+  for (const cam::Word key : keys) {
+    const auto res = drv.search(key);
+    found += res.hit && res.shard == engine.shard_of(key);
+  }
+  EXPECT_EQ(found, keys.size());
+}
+
+// A masked entry covers keys of many shards but is stored on one, so ternary
+// and range cells are refused at S > 1 under either partitioner.
+TEST(ShardedCamEngine, MaskedCellsAreRefusedAcrossShards) {
+  for (const cam::CamKind kind : {cam::CamKind::kTernary, cam::CamKind::kRange}) {
+    CamSystem::Config sc = shard_config();
+    sc.unit.block.cell.kind = kind;
+    for (const auto partition :
+         {ShardedCamEngine::Partition::kHash, ShardedCamEngine::Partition::kRange}) {
+      for (const unsigned shards : {2u, 4u}) {
+        ShardedCamEngine::Config cfg = engine_config(shards);
+        cfg.partition = partition;
+        EXPECT_THROW(ShardedCamEngine(cfg, sc), ConfigError)
+            << cam::to_string(kind) << " x" << shards;
+      }
+    }
+    EXPECT_NO_THROW(ShardedCamEngine(engine_config(1), sc)) << cam::to_string(kind);
+  }
+}
+
+// Neither reshard() nor restore() can take a masked engine past one shard,
+// and reshard() refuses it outright; each refusal leaves it answering as
+// before.
+TEST(ShardedCamEngine, MaskedEngineStaysOnOneShard) {
+  CamSystem::Config sc = shard_config();
+  sc.unit.block.cell.kind = cam::CamKind::kTernary;
+  ShardedCamEngine engine(engine_config(1), sc);
+  CamDriver drv(engine);
+  // One entry with 8 don't-care low bits: it covers 0x1200..0x12ff.
+  drv.store(std::vector<cam::Word>{0x1234}, std::vector<std::uint64_t>{cam::tcam_mask(32, 0xFF)});
+  const auto hits = [&] {
+    std::vector<bool> out;
+    for (cam::Word k = 0x1100; k < 0x1400; k += 0x11) out.push_back(drv.search(k).hit);
+    return out;
+  };
+  const std::vector<bool> before = hits();
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(before[i], ((0x1100 + 0x11 * i) >> 8) == 0x12) << "key index " << i;
+  }
+
+  // reshard(1) too: its re-append writes words, never masks.
+  for (const unsigned count : {4u, 1u}) {
+    EXPECT_THROW(engine.reshard(count), ConfigError) << count;
+    EXPECT_EQ(engine.shard_count(), 1u);
+    EXPECT_EQ(hits(), before);
+  }
+
+  while (!engine.idle()) engine.step();
+  ShardedCamEngine::EngineCheckpoint ckpt = engine.checkpoint();
+  fault::ShardSnapshot second = ckpt.shard_snaps.front();
+  second.shard = 1;
+  second.seal();
+  ckpt.shards = 2;
+  ckpt.shard_snaps.push_back(second);
+  EXPECT_THROW(engine.restore(ckpt), ConfigError);
+  EXPECT_EQ(engine.shard_count(), 1u);
+  EXPECT_EQ(hits(), before);
+}
+
+// With the masked table on one shard the engine is a pass-through: a 1-shard
+// ternary engine gives the bare CamSystem's answers, through append beats
+// wider than a bus beat whose masks change word to word.
+TEST(ShardedCamEngine, OneShardTernaryEngineAnswersAsCamSystem) {
+  CamSystem::Config sc = shard_config();
+  sc.unit.block.cell.kind = cam::CamKind::kTernary;
+  CamSystem bare(sc);
+  ShardedCamEngine engine(engine_config(1), sc);
+  CamDriver want(bare);
+  CamDriver got(engine);
+  ASSERT_EQ(bare.words_per_beat(), 16u);
+
+  Rng rng(0x7CA);
+  unsigned hits = 0;
+  for (unsigned round = 0; round < 5; ++round) {
+    std::vector<cam::Word> words;
+    std::vector<std::uint64_t> masks;
+    for (unsigned i = 0; i < 20; ++i) {
+      words.push_back(rng.next_bits(12));
+      // The second sub-request's words care about fewer bits than any of
+      // the first's, so a mask taken from the wrong position shows.
+      masks.push_back(cam::tcam_mask(32, i >= 16 ? 0xF : rng.next_bits(2) << (i % 8)));
+    }
+    // The engine takes all 20 words as one beat and splits it into two
+    // sub-requests; the bare system takes them a bus beat at a time.
+    cam::UnitRequest append;
+    append.op = cam::OpKind::kUpdate;
+    append.words.assign(words.begin(), words.end());
+    append.masks = masks;
+    got.submit_async(append);
+    got.drain();
+    const auto appended = got.try_pop_completion();
+    ASSERT_TRUE(appended.has_value());
+    EXPECT_EQ(appended->words_written, want.store(words, masks));
+    const auto slot = static_cast<std::uint32_t>(rng.next_below(bare.capacity()));
+    const cam::Word word = rng.next_bits(12);
+    const std::uint64_t mask = cam::tcam_mask(32, rng.next_bits(4));
+    EXPECT_EQ(got.store_at(slot, word, mask).words_written,
+              want.store_at(slot, word, mask).words_written);
+    const auto hole = static_cast<std::uint32_t>(rng.next_below(bare.capacity()));
+    got.invalidate_at(hole);
+    want.invalidate_at(hole);
+
+    std::vector<cam::Word> keys(40);  // half near a stored word, half anywhere
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = i % 2 == 0 ? words[i / 2] ^ rng.next_bits(4) : rng.next_bits(12);
+    }
+    const auto a = want.search_stream(keys);
+    const auto b = got.search_stream(keys);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(b[i].hit, a[i].hit) << "round " << round << " key " << keys[i];
+      EXPECT_EQ(b[i].global_address, a[i].global_address) << "key " << keys[i];
+      EXPECT_EQ(b[i].match_count, a[i].match_count) << "key " << keys[i];
+      hits += a[i].hit;
+    }
+  }
+  EXPECT_GT(hits, 20u) << "too few hits to compare";
+}
+
+// An append's ack ORs unit_full over the shards: a word a full shard drops
+// is reported even when another shard wrote its word in the same beat.
+TEST(ShardedCamEngine, AppendAckOrsUnitFullAcrossShards) {
+  ShardedCamEngine engine(engine_config(2), shard_config());
+  CamDriver drv(engine);
+  const unsigned shard_cap = engine.shard(0).capacity();
+  std::vector<cam::Word> on[2];
+  for (cam::Word w = 1; on[0].size() <= shard_cap || on[1].empty(); ++w) {
+    on[engine.shard_of(w)].push_back(w);
+  }
+  ASSERT_EQ(drv.store(std::span(on[0]).first(shard_cap)), shard_cap);
+
+  cam::UnitRequest beat;
+  beat.op = cam::OpKind::kUpdate;
+  beat.words = {on[0][shard_cap], on[1][0]};
+  const CamDriver::Ticket ticket = drv.submit_async(beat);
+  drv.drain();
+  const auto done = drv.try_pop_completion();
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->ticket, ticket);
+  EXPECT_EQ(done->words_written, 1u);
+  EXPECT_TRUE(done->full) << "shard 0 dropped its word";
+  EXPECT_TRUE(drv.search(on[1][0]).hit);
+  EXPECT_FALSE(drv.search(on[0][shard_cap]).hit);
 }
 
 TEST(ShardedCamEngine, AggregatesStatsAndResources) {
@@ -512,12 +741,11 @@ class RecordingShard final : public CamBackend {
   std::vector<std::string>* log_;
 };
 
-// Golden sub-operation stream for a mixed program on 3 TCAM shards (2 keys
+// Golden sub-operation stream for a mixed program on 3 binary shards (2 keys
 // and 4 words per sub-request, 2-deep request FIFOs, 3 credits): which shard
 // gets which sub-request, in what order, at what cycle and with what payload.
 TEST(ShardedCamEngine, SubOperationStreamIsPinned) {
   CamSystem::Config sc;
-  sc.unit.block.cell.kind = cam::CamKind::kTernary;
   sc.unit.block.cell.data_width = 16;
   sc.unit.block.block_size = 8;
   sc.unit.block.bus_width = 64;
@@ -555,23 +783,23 @@ TEST(ShardedCamEngine, SubOperationStreamIsPinned) {
     return req;
   };
 
-  // A masked append: 16 words, more than a bus beat to some shards.
+  // An append: 16 words, more than a bus beat to some shards.
   cam::UnitRequest append;
   append.op = cam::OpKind::kUpdate;
-  for (unsigned i = 0; i < 16; ++i) {
-    append.words.push_back(100 + 7 * i);
-    append.masks.push_back(cam::tcam_mask(16, i % 3 == 0 ? 0x1 : 0));
-  }
+  for (unsigned i = 0; i < 16; ++i) append.words.push_back(100 + 7 * i);
   ASSERT_TRUE(submit(append));
   drain();
   // More keys per shard than a sub-request holds, interleaved across shards.
   ASSERT_TRUE(submit(search({100, 107, 114, 121, 128, 135, 142, 149, 156})));
   drain();
-  // An addressed update spanning three sub-beats of shard 1.
+  // An addressed update spanning three sub-beats of shard 1, of words that
+  // partition to shard 1.
   cam::UnitRequest addressed;
   addressed.op = cam::OpKind::kUpdate;
   addressed.address = 16 + 3;
-  for (unsigned i = 0; i < 10; ++i) addressed.words.push_back(900 + i);
+  for (cam::Word w = 900; addressed.words.size() < 10; ++w) {
+    if (engine.shard_of(w) == 1) addressed.words.push_back(w);
+  }
   ASSERT_TRUE(submit(addressed));
   drain();
 
@@ -609,31 +837,31 @@ TEST(ShardedCamEngine, SubOperationStreamIsPinned) {
   drain();
 
   const std::vector<std::string> golden = {
-      "s0 @0 update seq=1 words=100,142,149,170 masks=281474976645121,281474976645121,281474976645120,281474976645120",
-      "s1 @0 update seq=1 words=107,114,135,163 masks=281474976645120,281474976645120,281474976645120,281474976645121",
-      "s2 @0 update seq=1 words=121,128,156,177 masks=281474976645121,281474976645120,281474976645120,281474976645120",
-      "s2 @0 update seq=1 words=184,205 masks=281474976645121,281474976645121",
-      "s1 @0 update seq=1 words=191 masks=281474976645120",
-      "s0 @0 update seq=1 words=198 masks=281474976645120",
+      "s0 @0 update seq=1 words=100,142,149,170",
+      "s1 @0 update seq=1 words=107,114,135,163",
+      "s2 @0 update seq=1 words=121,128,156,177",
+      "s2 @0 update seq=1 words=184,205",
+      "s1 @0 update seq=1 words=191",
+      "s0 @0 update seq=1 words=198",
       "s0 @8 search seq=2 keys=100,142",
       "s1 @8 search seq=2 keys=107,114",
       "s2 @8 search seq=2 keys=121,128",
       "s1 @8 search seq=2 keys=135",
       "s0 @8 search seq=2 keys=149",
       "s2 @8 search seq=2 keys=156",
-      "s1 @17 update seq=3 words=900,901,902,903 addr=3",
-      "s1 @17 update seq=3 words=904,905,906,907 addr=7",
-      "s1 @18 update seq=3 words=908,909 addr=11",
+      "s1 @17 update seq=3 words=902,903,904,905 addr=3",
+      "s1 @17 update seq=3 words=912,915,922,924 addr=7",
+      "s1 @18 update seq=3 words=928,933 addr=11",
       "s2 @26 search seq=4 keys=121",
       "s2 @27 search seq=5 keys=121",
       "s2 @28 search seq=6 keys=121",
       "s0 @36 search seq=8 keys=100",
       "s1 @36 search seq=8 keys=107,114",
       "s1 @36 search seq=8 keys=135",
-      "s0 @45 update seq=9 words=100,142,149,170 masks=281474976645121,281474976645121,281474976645120,281474976645120",
-      "s1 @45 update seq=9 words=107,114,135,163 masks=281474976645120,281474976645120,281474976645120,281474976645121",
-      "s1 @45 update seq=9 words=191 masks=281474976645120",
-      "s0 @45 update seq=9 words=198 masks=281474976645120",
+      "s0 @45 update seq=9 words=100,142,149,170",
+      "s1 @45 update seq=9 words=107,114,135,163",
+      "s1 @45 update seq=9 words=191",
+      "s0 @45 update seq=9 words=198",
       "s0 @53 invalidate seq=10 addr=5",
       "s0 @60 reset seq=11",
       "s1 @60 reset seq=11",

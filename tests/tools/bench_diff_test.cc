@@ -55,6 +55,20 @@ TEST(BenchDiffIdentity, StatAndVolatileFieldsStayOutOfTheKey) {
   EXPECT_FALSE(is_volatile_field("fusion_keys"));
 }
 
+// micro_step_rate's overhead rows report the p25..p75 of their per-rep
+// ratios; like the other statistics, quartiles vary run to run.
+TEST(BenchDiffIdentity, QuartileFieldsStayOutOfTheKey) {
+  const Row a = parse(
+      R"({"kind": "telemetry_overhead", "shards": 4, "relative_rate": 0.9, )"
+      R"("relative_rate_p25": 0.85, "relative_rate_p75": 0.95})");
+  const Row b = parse(
+      R"({"kind": "telemetry_overhead", "shards": 4, "relative_rate": 0.7, )"
+      R"("relative_rate_p25": 0.5, "relative_rate_p75": 1.1})");
+  EXPECT_EQ(identity_of(a), identity_of(b));
+  EXPECT_TRUE(is_stat_field("relative_rate_p25"));
+  EXPECT_TRUE(is_stat_field("relative_rate_p75"));
+}
+
 TEST(BenchDiffIdentity, EncodeRowsKeyOnTierAndSchemeWithSpeedupVolatile) {
   // The part-7 fused-encode rows of micro_step_rate: (unit, scheme, path,
   // kernel, ...) separate the kernel tiers (the AVX2 sweep and the scalar

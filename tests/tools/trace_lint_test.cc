@@ -102,6 +102,16 @@ TEST(TraceLint, JsonlCountsRowsAndRejectsBadLines) {
   EXPECT_FALSE(lint_jsonl("\n\n").ok);
 }
 
+// Each line must hold an object: a well-formed scalar or array is a bad row.
+TEST(TraceLint, JsonlRejectsLinesThatAreNotObjects) {
+  for (const char* line : {"5", "\"x\"", "[1]"}) {
+    const auto r = lint_jsonl(std::string("{\"a\": 1}\n") + line + "\n{\"b\": 2}\n");
+    EXPECT_FALSE(r.ok) << line;
+    EXPECT_NE(r.error.find("line 2"), std::string::npos) << r.error;
+  }
+  EXPECT_TRUE(lint_jsonl("{\"a\": [1]}\n{}\n").ok);
+}
+
 std::string blackbox(const std::string& events, const std::string& spans,
                      const std::string& health = "null",
                      const std::string& metrics = "null") {

@@ -6,7 +6,7 @@
 //
 // Rows are matched across files by their identity fields: every top-level
 // field that is NOT a measured statistic (suffixes _median/_mean/_stddev/
-// _min/_max/_samples) and NOT host- or derivation-dependent (host_cores,
+// _min/_max/_p25/_p75/_samples) and NOT host- or derivation-dependent (host_cores,
 // effective_step_threads, speedup_*, relative_rate, spans_finished,
 // telemetry, sample_every). The identity is GENERIC - no per-kind schema -
 // so rows of kinds this tool has never seen are still matched and diffed

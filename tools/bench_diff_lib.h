@@ -3,7 +3,7 @@
 //
 // The central contract is the GENERIC identity: a row's key is every
 // top-level scalar field that is neither a measured statistic (suffixes
-// _median/_mean/_stddev/_min/_max/_samples) nor host-/derivation-dependent
+// _median/_mean/_stddev/_min/_max/_p25/_p75/_samples) nor host-/derivation-dependent
 // (host_cores, effective_step_threads, speedup_*, relative_rate,
 // spans_finished, telemetry, sample_every). Nothing is keyed on a known
 // "kind" whitelist, so a bench part introducing a new row kind (e.g.
@@ -33,8 +33,8 @@ struct Row {
 };
 
 inline bool is_stat_field(const std::string& key) {
-  static const char* kSuffixes[] = {"_median", "_mean",    "_stddev",
-                                    "_min",    "_max",     "_samples"};
+  static const char* kSuffixes[] = {"_median", "_mean", "_stddev", "_min",
+                                    "_max",    "_p25",  "_p75",    "_samples"};
   for (const char* s : kSuffixes) {
     const std::size_t n = std::strlen(s);
     if (key.size() > n && key.compare(key.size() - n, n, s) == 0) return true;

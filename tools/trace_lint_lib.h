@@ -155,6 +155,9 @@ inline LintResult lint_jsonl(std::string_view text) {
       if (!doc.ok) {
         return fail("line " + std::to_string(lineno) + ": " + syntax_error(doc));
       }
+      if (!doc.value.is_object()) {
+        return fail("line " + std::to_string(lineno) + ": not a JSON object");
+      }
       ++r.rows;
     }
     if (nl == std::string_view::npos) break;
